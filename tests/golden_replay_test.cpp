@@ -10,6 +10,7 @@
 // rewrites the .expected.txt files in the source tree; review the diff.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iomanip>
@@ -18,6 +19,7 @@
 
 #include "core/parallel_replay.hpp"
 #include "core/qos_pipeline.hpp"
+#include "core/sampler.hpp"
 #include "decluster/schemes.hpp"
 #include "design/constructions.hpp"
 #include "trace/disksim_format.hpp"
@@ -258,6 +260,163 @@ TEST(GoldenReplay, MultiTenantAlignedDet) {
   std::string why;
   EXPECT_TRUE(verify::results_identical(serial, parallel, &why)) << why;
   EXPECT_EQ(format_result(parallel), snapshot);
+}
+
+// Over-budget fixtures: overload.trace is four ON/OFF cycles of six
+// intervals at 2×S (S = 5 on (9,3,1)) — five reads exactly on each
+// boundary, five mid-interval, a write every third ON interval — then
+// eight idle intervals. The backlog peaks at 30 and drains every cycle,
+// so every admission mode's deferral order is pinned. These snapshots end
+// with a digest over every outcome's dispatch, start, finish, device and
+// path, so a reordering that happens to keep the aggregates fails too.
+std::string outcome_digest(const core::PipelineResult& r) {
+  std::uint64_t h = 1469598103934665603ULL;  // FNV-1a 64
+  const auto mix = [&h](std::int64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= static_cast<std::uint64_t>(v >> (8 * b)) & 0xff;
+      h *= 1099511628211ULL;
+    }
+  };
+  for (const auto& o : r.outcomes) {
+    mix(o.dispatch);
+    mix(o.start);
+    mix(o.finish);
+    mix(o.device);
+    mix(static_cast<std::int64_t>(o.path));
+  }
+  std::ostringstream out;
+  out << "outcomes=" << r.outcomes.size() << " digest=" << std::hex
+      << std::setw(16) << std::setfill('0') << h << "\n";
+  return out.str();
+}
+
+trace::Trace overload_trace(bool tenants) {
+  auto t = load_trace("overload", from_ms(2.0));
+  if (tenants) {
+    for (auto& e : t.events) e.tenant = static_cast<std::uint32_t>(e.block % 3);
+  }
+  return t;
+}
+
+core::PipelineConfig overload_cfg(core::RetrievalMode retrieval,
+                                  core::AdmissionMode admission,
+                                  core::MappingMode mapping) {
+  core::PipelineConfig cfg;
+  cfg.retrieval = retrieval;
+  cfg.admission = admission;
+  cfg.mapping = mapping;
+  if (admission == core::AdmissionMode::kStatistical) {
+    cfg.epsilon = 0.2;
+    cfg.p_table = core::sample_optimal_probabilities(scheme931(), 12,
+                                                     {.samples_per_size = 400});
+  }
+  return cfg;
+}
+
+void overload_tenants(core::PipelineConfig& cfg) {
+  cfg.tenants = {
+      {.name = "gold", .weight = 2.0, .reservation = 2,
+       .queue_capacity = 24, .mark_threshold = 16},
+      {.name = "silver", .weight = 1.0, .reservation = 0,
+       .queue_capacity = 24, .mark_threshold = 16},
+      {.name = "flood", .weight = 1.0, .reservation = 0,
+       .queue_capacity = 10, .mark_threshold = 6},
+  };
+}
+
+void check_overload(const std::string& stem, const core::PipelineConfig& cfg) {
+  const auto t = overload_trace(!cfg.tenants.empty());
+  const auto serial = core::QosPipeline(scheme931(), cfg).run(t);
+  // The fixture must stay over budget, or the snapshot stops guarding the
+  // deferral path.
+  EXPECT_GT(serial.overall.deferred, 0u);
+  const auto snapshot = format_result(serial) + outcome_digest(serial);
+  check_golden(stem, snapshot);
+
+  core::ParallelReplayEngine engine({.threads = 4, .mining_lookahead = 1});
+  const auto parallel = engine.run(scheme931(), cfg, t);
+  std::string why;
+  EXPECT_TRUE(verify::results_identical(serial, parallel, &why)) << why;
+  EXPECT_EQ(format_result(parallel) + outcome_digest(parallel), snapshot);
+}
+
+using core::AdmissionMode;
+using core::MappingMode;
+using core::RetrievalMode;
+
+TEST(GoldenOverload, OnlineDetModulo) {
+  check_overload("overload_online_det_modulo",
+                 overload_cfg(RetrievalMode::kOnline, AdmissionMode::kDeterministic,
+                              MappingMode::kModulo));
+}
+
+TEST(GoldenOverload, OnlineDetFim) {
+  check_overload("overload_online_det_fim",
+                 overload_cfg(RetrievalMode::kOnline, AdmissionMode::kDeterministic,
+                              MappingMode::kFim));
+}
+
+TEST(GoldenOverload, OnlineStatistical) {
+  check_overload("overload_online_stat",
+                 overload_cfg(RetrievalMode::kOnline, AdmissionMode::kStatistical,
+                              MappingMode::kModulo));
+}
+
+TEST(GoldenOverload, AlignedDetFim) {
+  check_overload("overload_aligned_det_fim",
+                 overload_cfg(RetrievalMode::kIntervalAligned,
+                              AdmissionMode::kDeterministic, MappingMode::kFim));
+}
+
+TEST(GoldenOverload, AlignedStatistical) {
+  check_overload("overload_aligned_stat",
+                 overload_cfg(RetrievalMode::kIntervalAligned,
+                              AdmissionMode::kStatistical, MappingMode::kModulo));
+}
+
+TEST(GoldenOverload, PrimaryOnly) {
+  auto cfg = overload_cfg(RetrievalMode::kOnline, AdmissionMode::kDeterministic,
+                          MappingMode::kModulo);
+  cfg.scheduler = core::SchedulerMode::kPrimaryOnly;
+  check_overload("overload_primary_only", cfg);
+}
+
+// Outages while the backlog is carried: devices 0-2 hold every replica of
+// some buckets, so reads strand, retry at the recovery boundary and merge
+// back among the deferred reads; device 5 later narrows the live budget.
+TEST(GoldenOverload, OnlineDetDegraded) {
+  auto cfg = overload_cfg(RetrievalMode::kOnline, AdmissionMode::kDeterministic,
+                          MappingMode::kFim);
+  cfg.faults.outages = {{.device = 0, .fail_at = from_ms(0.3), .recover_at = from_ms(0.9)},
+                        {.device = 1, .fail_at = from_ms(0.3), .recover_at = from_ms(0.9)},
+                        {.device = 2, .fail_at = from_ms(0.3), .recover_at = from_ms(0.9)},
+                        {.device = 5, .fail_at = from_ms(2.0), .recover_at = from_ms(2.5)}};
+  check_overload("overload_online_det_degraded", cfg);
+}
+
+TEST(GoldenOverload, MultiTenantOnlineDet) {
+  auto cfg = overload_cfg(RetrievalMode::kOnline, AdmissionMode::kDeterministic,
+                          MappingMode::kModulo);
+  overload_tenants(cfg);
+  check_overload("overload_multi_tenant_online_det", cfg);
+}
+
+TEST(GoldenOverload, MultiTenantAlignedDet) {
+  auto cfg = overload_cfg(RetrievalMode::kIntervalAligned,
+                          AdmissionMode::kDeterministic, MappingMode::kFim);
+  overload_tenants(cfg);
+  check_overload("overload_multi_tenant_aligned_det", cfg);
+}
+
+TEST(GoldenOverload, MultiTenantOnlineDegraded) {
+  auto cfg = overload_cfg(RetrievalMode::kOnline, AdmissionMode::kDeterministic,
+                          MappingMode::kFim);
+  overload_tenants(cfg);
+  cfg.faults.outages = {{.device = 0, .fail_at = from_ms(0.3), .recover_at = from_ms(0.9)},
+                        {.device = 1, .fail_at = from_ms(0.3), .recover_at = from_ms(0.9)},
+                        {.device = 2, .fail_at = from_ms(0.3), .recover_at = from_ms(0.9)},
+                        {.device = 4, .fail_at = from_ms(2.0)}};
+  check_overload("overload_multi_tenant_online_degraded", cfg);
 }
 
 }  // namespace
