@@ -60,6 +60,7 @@ struct PipelineMetrics {
   obs::Counter& dispatches;
   obs::Counter& write_replica_ops;
   obs::Counter& deferral_events;
+  obs::Counter& admission_offers;
   obs::LatencyHistogram& response_ns;
   obs::LatencyHistogram& delay_ns;
   obs::LatencyHistogram& e2e_ns;
@@ -83,6 +84,7 @@ struct PipelineMetrics {
                         reg.counter("pipeline.dispatches"),
                         reg.counter("pipeline.write_replica_ops"),
                         reg.counter("pipeline.deferral_events"),
+                        reg.counter("pipeline.admission_offers"),
                         reg.histogram("pipeline.response_ns"),
                         reg.histogram("pipeline.delay_ns"),
                         reg.histogram("pipeline.e2e_ns"),
@@ -348,9 +350,9 @@ void record_outcome_observability(const PipelineResult& result) {
   folder.publish(result.outcomes.size(), result.deadline_violations);
 }
 
-/// A request waiting for dispatch. Ordered by (dispatch time, seq); seq is
-/// the trace position, so deferred requests keep FIFO priority over newer
-/// arrivals at the same boundary.
+/// A request waiting for dispatch: a fresh arrival or a fault retry.
+/// Ordered by (dispatch time, seq); seq is the trace position. Reads that
+/// admission defers wait in the engine's carry-over FIFO instead.
 struct Pending {
   SimTime dispatch = 0;
   std::uint64_t seq = 0;
@@ -575,6 +577,9 @@ inline constexpr std::uint64_t kBackgroundIdBase = std::uint64_t{1} << 62;
 /// reaches it: recovery retries and boundary wakes are finite times).
 inline constexpr SimTime kDrainAll = std::numeric_limits<SimTime>::max();
 
+/// No deferred work is waiting for a boundary.
+inline constexpr SimTime kNoWake = kDrainAll;
+
 /// One in-flight request of a streaming replay: the event, its outcome,
 /// its WFQ lifecycle state, and how close it is to the result fold.
 /// st: 0 = awaiting dispatch, 1 = dispatched to the simulator (awaiting
@@ -684,6 +689,7 @@ class ReplayEngine {
     }
     init(opts.horizon, /*streaming=*/true, fim);
     sink_ = opts.sink;
+    rescan_ = opts.rescan_for_test;
     obs::LatencyHistogram* ingest_ns = nullptr;
     obs::LatencyHistogram* drain_ns = nullptr;
     if constexpr (obs::kEnabled) {
@@ -990,10 +996,14 @@ class ReplayEngine {
 
   // ---- dispatch core -----------------------------------------------------
 
-  /// Pop every dispatch group at instants strictly before `bound`.
+  /// Process every dispatch instant strictly before `bound`: heap groups
+  /// and the boundary wake of deferred work.
   void drain(SimTime bound) {
-    while (!queue_.empty() && queue_.top().dispatch < bound) {
-      process_group();
+    while (true) {
+      const SimTime now =
+          queue_.empty() ? wake_ : std::min(wake_, queue_.top().dispatch);
+      if (now >= bound) return;
+      process_group(now);
       if (streaming_) absorb_completions();
     }
   }
@@ -1161,23 +1171,181 @@ class ReplayEngine {
     }
   }
 
-  /// One same-instant dispatch group: pop it, roll the FIM/QoS intervals
-  /// forward, and run the admission/scheduling paths. Exactly the body of
-  /// the historical monolithic while-loop, with locals promoted to members
-  /// so a streaming replay can interleave ingestion between groups.
-  void process_group() {
-    const SimTime now = queue_.top().dispatch;
+  /// Resolve a read's bucket through the mapper and stamp its dispatch
+  /// fields for this instant. A deferred read is staged again when it is
+  /// next offered, so its final fields come from the instant it leaves.
+  BucketId stage(std::size_t idx, SimTime now) {
+    const auto m = mapper_.map(ev(idx).block);
+    auto& o = out(idx);
+    o.dispatch = now;
+    o.fim_matched = cfg_.mapping == MappingMode::kFim && m.matched;
+    o.q_ppm = q_ppm_;
+    o.tenant = ev(idx).tenant;
+    return m.bucket;
+  }
+
+  /// Queue a deferred read in the carry-over FIFO, keeping seq order.
+  /// Fresh deferrals are the newest reads and append; only refused heads
+  /// and fault retries land inside.
+  void carry(std::size_t idx) {
+    if (carry_.empty() || carry_.back() < idx) {
+      carry_.push_back(idx);
+    } else {
+      carry_.insert(std::upper_bound(carry_.begin(), carry_.end(), idx), idx);
+    }
+  }
+
+  /// Reads not yet offered at this instant: the group's rest, plus the
+  /// carried FIFO when it is due now.
+  [[nodiscard]] std::size_t offers_left() const {
+    return group_.size() - gi_ + (carried_ ? carry_.size() : 0);
+  }
+
+  /// The next read in seq order at this instant — the carried FIFO's head
+  /// or the group's next member, whichever is older — and its bucket.
+  /// Fault retries re-enter the group with old seqs, hence the merge.
+  std::pair<std::size_t, BucketId> next_offer(SimTime now) {
+    if constexpr (obs::kEnabled) ++offers_tally_;
+    if (carried_ && !carry_.empty() &&
+        (gi_ == group_.size() || carry_.front() < group_[gi_].seq)) {
+      const std::size_t idx = carry_.front();
+      carry_.pop_front();
+      return {idx, stage(idx, now)};
+    }
+    const std::size_t i = gi_++;
+    return {group_[i].idx, buckets_[i]};
+  }
+
+  /// Earliest-finishing live replica of `bucket` (statistical surplus and
+  /// no-admission overflow).
+  [[nodiscard]] DeviceId earliest_replica(BucketId bucket, SimTime now) const {
+    DeviceId best = kInvalidDevice;
+    for (const auto d : scheme_.replicas(bucket)) {
+      if (!available_.empty() && !available_[d]) continue;
+      if (best == kInvalidDevice ||
+          std::max(free_at_[d], now) < std::max(free_at_[best], now)) {
+        best = d;
+      }
+    }
+    FLASHQOS_ASSERT(best != kInvalidDevice, "filter left a dead request");
+    return best;
+  }
+
+  /// First live replica — the primary-only (RAID) read.
+  [[nodiscard]] DeviceId primary_replica(BucketId bucket) const {
+    DeviceId dev = kInvalidDevice;
+    for (const auto d : scheme_.replicas(bucket)) {
+      if (available_.empty() || available_[d]) {
+        dev = d;
+        break;
+      }
+    }
+    FLASHQOS_ASSERT(dev != kInvalidDevice, "filter left a dead request");
+    return dev;
+  }
+
+  /// Dispatch the slot matcher's placements for `ids` (add order): per
+  /// device, slots follow add order.
+  void dispatch_matched(const std::vector<std::size_t>& ids, SimTime now) {
+    cursor_.assign(free_at_.size(), -1);
+    for (std::size_t a = 0; a < ids.size(); ++a) {
+      const DeviceId dev = matcher_.device_of(a);
+      FLASHQOS_ASSERT(dev != kInvalidDevice, "matched request must have a device");
+      SimTime& c = cursor_[dev];
+      if (c < 0) c = std::max(free_at_[dev], now);
+      out(ids[a]).path = RetrievalPath::kSlotMatched;
+      dispatch_request(ids[a], dev, c);
+      // Advance by the *actual* finish — under a latency spike the slot is
+      // wider than L, and the next slot on this device starts after it.
+      c = out(ids[a]).finish;
+    }
+  }
+
+  /// Schedule the admitted aligned batch (batch_ids_/batch_buckets_) with
+  /// DTR + max-flow and dispatch it round by round behind any residual
+  /// device work.
+  void dispatch_batch(SimTime now) {
+    if (batch_ids_.empty()) return;
+    const retrieval::Schedule* sched = retriever_.schedule(batch_buckets_, available_);
+    FLASHQOS_ASSERT(sched != nullptr, "filter left a dead request");
+    const RetrievalPath batch_path =
+        !available_.empty() ? RetrievalPath::kDegraded
+        : sched->via == retrieval::SolvedBy::kMaxFlow
+            ? RetrievalPath::kAlignedMaxFlow
+            : RetrievalPath::kAlignedDtr;
+    // Requests on one device start back to back in round order.
+    order_.resize(batch_ids_.size());
+    for (std::size_t i = 0; i < batch_ids_.size(); ++i) order_[i] = i;
+    std::stable_sort(order_.begin(), order_.end(), [&](std::size_t a, std::size_t b) {
+      return sched->assignments[a].round < sched->assignments[b].round;
+    });
+    for (const auto i : order_) {
+      const DeviceId dev = sched->assignments[i].device;
+      out(batch_ids_[i]).path = batch_path;
+      dispatch_request(batch_ids_[i], dev, std::max(free_at_[dev], now));
+    }
+  }
+
+  /// Per-device effective quanta at `now` when a latency spike covers it
+  /// (null otherwise), for the slot matcher.
+  const std::vector<SimTime>* spike_quanta(SimTime now) {
+    if (!faults_active_ || !injector_->any_spike_at(now)) return nullptr;
+    svc_now_.resize(scheme_.devices());
+    for (DeviceId d = 0; d < scheme_.devices(); ++d) svc_now_[d] = read_service(d, now);
+    return &svc_now_;
+  }
+
+  /// Wait for the earliest recovery of `bucket`'s replicas, or fail: no
+  /// replica ever comes back, or the wait would blow the plan's retry
+  /// timeout. Returns the retry boundary, or nullopt after failing `idx`
+  /// (finalized at `now`).
+  std::optional<SimTime> strand(std::size_t idx, BucketId bucket, SimTime now,
+                                std::int64_t qi) {
+    SimTime recovery = DeviceFailure::kNeverRecovers;
+    for (const auto d : scheme_.replicas(bucket)) {
+      recovery = std::min(recovery, injector_->device_up_at(d, now));
+    }
+    auto& o = out(idx);
+    if (recovery != DeviceFailure::kNeverRecovers) {
+      const SimTime next_dispatch =
+          std::max((qi + 1) * T_, next_interval_start(recovery, T_));
+      if (retry_timeout_ == fault::RetryPolicy::kNoTimeout ||
+          next_dispatch - o.arrival <= retry_timeout_) {
+        return next_dispatch;
+      }
+      ++timeouts_tally_;
+    }
+    o.dispatch = now;
+    o.failed = true;
+    o.start = now;
+    o.finish = now;
+    o.path = RetrievalPath::kFailed;
+    if constexpr (obs::kEnabled) agg_failed_.add(now, 1);
+    mark_final(idx);
+    return std::nullopt;
+  }
+
+  [[nodiscard]] bool all_replicas_down(BucketId bucket) const {
+    if (available_.empty()) return false;
+    const auto reps = scheme_.replicas(bucket);
+    return std::none_of(reps.begin(), reps.end(),
+                        [&](DeviceId d) { return available_[d]; });
+  }
+
+  /// One dispatch instant: pop its heap group (fresh arrivals, fault
+  /// retries), roll the FIM/QoS intervals forward, and run the admission/
+  /// scheduling paths. When the instant is the boundary deferred work is
+  /// due at, the carried reads (or the queued WFQ backlog) are offered
+  /// too, behind nothing: they are older than every fresh arrival.
+  void process_group(SimTime now) {
     group_.clear();
     while (!queue_.empty() && queue_.top().dispatch == now) {
       group_.push_back(queue_.top());
       queue_.pop();
     }
-    if (tenant_mode_) {
-      // Drop stale wakes: requests dispensed (or failed) at an earlier
-      // instant while their boundary wake was still pending.
-      std::erase_if(group_,
-                    [&](const Pending& g) { return tst(g.idx) == 2; });
-    }
+    carried_ = wake_ == now;
+    if (carried_) wake_ = kNoWake;
+    carry_base_ = carried_ ? 0 : carry_.size();
     if (faults_active_) submit_rebuild_due(now);
     array_->run_until(now);
 
@@ -1238,33 +1406,17 @@ class ReplayEngine {
     }
     // Q estimate for this interval (constant between end_interval calls);
     // recorded on every outcome dispatched at this instant.
-    const auto q_ppm =
-        stat_.has_value()
-            ? static_cast<std::int32_t>(std::llround(stat_->q_with() * 1e6))
-            : 0;
-    for (const auto& g : group_) {
-      if (ev(g.idx).is_read) ++demand_;  // writes bypass read admission
-    }
-
-    // Resolve buckets through the mapper; record dispatch tentatively (a
-    // deferred request's outcome is overwritten on its next pass).
+    q_ppm_ = stat_.has_value()
+                 ? static_cast<std::int32_t>(std::llround(stat_->q_with() * 1e6))
+                 : 0;
+    // Every carried read asks for this interval again (statistical Q
+    // reads the demand at end_interval).
+    if (carried_) demand_ += carry_.size();
     buckets_.resize(group_.size());
     for (std::size_t i = 0; i < group_.size(); ++i) {
-      const auto m = mapper_.map(ev(group_[i].idx).block);
-      buckets_[i] = m.bucket;
-      auto& o = out(group_[i].idx);
-      o.dispatch = now;
-      o.fim_matched = cfg_.mapping == MappingMode::kFim && m.matched;
-      o.q_ppm = q_ppm;
-      o.tenant = ev(group_[i].idx).tenant;
+      if (ev(group_[i].idx).is_read) ++demand_;  // writes bypass read admission
+      buckets_[i] = stage(group_[i].idx, now);
     }
-
-    const auto defer = [&](const Pending& p) {
-      Pending d = p;
-      d.dispatch = (qi + 1) * T_;
-      queue_.push(d);
-      if constexpr (obs::kEnabled) ++deferrals_tally_;
-    };
 
     // Device availability at this instant. Requests whose replicas are all
     // down either wait for the earliest recovery (re-queued with retry
@@ -1289,60 +1441,31 @@ class ReplayEngine {
           ++degraded_interval_tally_;
           last_degraded_qi_ = qi;
         }
+        // Every carried read faces the strand check, so the due FIFO
+        // joins the group (merged by seq) — the one O(backlog) step, and
+        // only while a device is down.
+        if (carried_ && !carry_.empty()) merge_carry_into_group(now);
         live_.clear();
         live_buckets_.clear();
         for (std::size_t i = 0; i < group_.size(); ++i) {
-          if (tenant_mode_ && ev(group_[i].idx).is_read) {
-            // Reads pass through: stranded heads are handled at dispense
-            // time (strand_check below), where the WFQ queue can drop
-            // them; failing them here would leave stale queue entries.
+          // Tenant reads pass through: stranded heads are handled at
+          // dispense time, where the WFQ queue can drop them.
+          if ((tenant_mode_ && ev(group_[i].idx).is_read) ||
+              !all_replicas_down(buckets_[i])) {
             live_.push_back(group_[i]);
             live_buckets_.push_back(buckets_[i]);
             continue;
           }
-          const auto reps = scheme_.replicas(buckets_[i]);
-          if (std::any_of(reps.begin(), reps.end(),
-                          [&](DeviceId d) { return available_[d]; })) {
-            live_.push_back(group_[i]);
-            live_buckets_.push_back(buckets_[i]);
-            continue;
+          // Stranded: retried at the earliest recovery boundary.
+          if (const auto retry = strand(group_[i].idx, buckets_[i], now, qi)) {
+            Pending p = group_[i];
+            p.dispatch = *retry;
+            queue_.push(p);
+            ++retries_tally_;
           }
-          // Stranded: earliest instant any replica is up again (chasing
-          // chained windows), pushed out to the next interval boundary.
-          SimTime recovery = DeviceFailure::kNeverRecovers;
-          for (const auto d : reps) {
-            recovery = std::min(recovery, injector_->device_up_at(d, now));
-          }
-          auto& o = out(group_[i].idx);
-          SimTime next_dispatch = 0;
-          if (recovery != DeviceFailure::kNeverRecovers) {
-            next_dispatch =
-                std::max((qi + 1) * T_, next_interval_start(recovery, T_));
-          }
-          const bool timed_out =
-              recovery != DeviceFailure::kNeverRecovers &&
-              retry_timeout_ != fault::RetryPolicy::kNoTimeout &&
-              next_dispatch - o.arrival > retry_timeout_;
-          if (recovery == DeviceFailure::kNeverRecovers || timed_out) {
-            o.failed = true;
-            o.start = now;
-            o.finish = now;
-            o.path = RetrievalPath::kFailed;
-            if (timed_out) ++timeouts_tally_;
-            if constexpr (obs::kEnabled) agg_failed_.add(now, 1);
-            mark_final(group_[i].idx);
-            continue;
-          }
-          Pending p = group_[i];
-          p.dispatch = next_dispatch;
-          queue_.push(p);
-          ++retries_tally_;
         }
         std::swap(group_, live_);
         std::swap(buckets_, live_buckets_);
-        // Tenant mode proceeds even with an empty group: queued backlog
-        // may still be dispensable at this instant.
-        if (group_.empty() && !tenant_mode_) return;
       }
     }
 
@@ -1394,438 +1517,332 @@ class ReplayEngine {
       if (any_write) {
         std::swap(group_, reads_);
         std::swap(buckets_, read_buckets_);
-        if (group_.empty() && !tenant_mode_) return;
       }
     }
 
-    // Multi-tenant WFQ front end: fresh reads join their tenant queue
-    // (mark/shed backpressure applied at enqueue), then the scheduler
-    // dispenses the live budget across backlogged tenants in virtual-
-    // finish-time order, reservations honored as floors. The Pending
-    // queue doubles as the wake clock — every still-queued request holds
-    // exactly one wake at the next interval boundary, so backlog keeps
-    // draining after the last arrival and every request reaches a final
-    // state (dispatched, shed, or failed).
+    gi_ = 0;
     if (tenant_mode_) {
-      for (std::size_t i = 0; i < group_.size(); ++i) {
-        const std::size_t id = group_[i].idx;
-        if (tst(id) != 0) continue;  // a wake, already in its FIFO
-        auto& o = out(id);
-        const auto tid = static_cast<std::size_t>(ev(id).tenant);
-        if constexpr (obs::kEnabled) {
-          // Admission-floor SLOs count every fresh enqueue attempt; sheds
-          // below add the bad half.
-          for (auto& st : slo_tallies_) {
-            if (st.kind != obs::SloKind::kAdmissionFloor) continue;
-            if (st.tenant >= 0 && static_cast<std::size_t>(st.tenant) != tid) {
-              continue;
-            }
-            ++st.total;
+      dispense_tenants(now, qi);
+    } else {
+      admit_reads(now, qi);
+    }
+  }
+
+  /// Degraded boundary: merge the whole due FIFO into the group by seq,
+  /// staging each carried read like a fresh arrival.
+  void merge_carry_into_group(SimTime now) {
+    live_.clear();
+    live_buckets_.clear();
+    std::size_t i = 0;
+    const auto keep_group_until = [&](std::size_t seq) {
+      for (; i < group_.size() && group_[i].seq < seq; ++i) {
+        live_.push_back(group_[i]);
+        live_buckets_.push_back(buckets_[i]);
+      }
+    };
+    for (const std::size_t idx : carry_) {
+      keep_group_until(idx);
+      live_.push_back(Pending{now, idx, idx});
+      live_buckets_.push_back(stage(idx, now));
+    }
+    keep_group_until(std::numeric_limits<std::size_t>::max());
+    carry_.clear();
+    std::swap(group_, live_);
+    std::swap(buckets_, live_buckets_);
+  }
+
+  /// Single-tenant admission over this instant's reads in seq order. Each
+  /// mode stops offering as soon as every later read would be refused
+  /// too, so an interval costs O(S + arrivals), not O(backlog):
+  ///  * deterministic: once admitted_ reaches the live budget (S, or S'
+  ///    while degraded); a read the slot matcher refuses before that keeps
+  ///    its place and the scan goes on;
+  ///  * statistical (online): past S, at the first surplus refusal —
+  ///    accept(admitted_, 1) is const within an instant and admitted_ only
+  ///    grows on acceptance;
+  ///  * aligned and primary-only: the count cap decides how many reads
+  ///    leave the head;
+  ///  * kNone never defers.
+  /// Whatever was not dispatched waits in the carry-over FIFO for the next
+  /// boundary. rescan_for_test offers every read instead (verification).
+  void admit_reads(SimTime now, std::int64_t qi) {
+    refused_.clear();
+    if (offers_left() > 0) {
+      if (cfg_.scheduler == SchedulerMode::kPrimaryOnly) {
+        admit_primary(now);
+      } else if (cfg_.retrieval == RetrievalMode::kIntervalAligned) {
+        admit_aligned(now);
+      } else {
+        admit_online(now);
+      }
+    }
+    for (const auto idx : refused_) carry(idx);
+    for (; gi_ < group_.size(); ++gi_) carry(group_[gi_].idx);
+    // One deferral event per read waiting into the next interval — the
+    // spliced FIFO tail included.
+    if (carry_.size() > carry_base_) {
+      if constexpr (obs::kEnabled) deferrals_tally_ += carry_.size() - carry_base_;
+      wake_ = (qi + 1) * T_;
+    }
+  }
+
+  [[nodiscard]] std::uint64_t accept_count(std::uint64_t count) const {
+    switch (cfg_.admission) {
+      case AdmissionMode::kNone: return count;
+      case AdmissionMode::kDeterministic: return accept_det(admitted_, count);
+      case AdmissionMode::kStatistical: return stat_->accept(admitted_, count);
+    }
+    return 0;
+  }
+
+  /// Baseline dispatch: every request reads its first live copy, FIFO
+  /// behind whatever is queued there; no admission interplay beyond the
+  /// budget.
+  void admit_primary(SimTime now) {
+    while (offers_left() > 0) {
+      const bool ok = accept_count(1) > 0;
+      if (!ok && !rescan_) return;
+      const auto [idx, bucket] = next_offer(now);
+      if (!ok) {
+        refused_.push_back(idx);
+        continue;
+      }
+      ++admitted_;
+      out(idx).path = RetrievalPath::kPrimary;
+      const DeviceId dev = primary_replica(bucket);
+      dispatch_request(idx, dev, std::max(free_at_[dev], now));
+    }
+  }
+
+  /// Batch path: admit up to the budget, schedule with DTR + max-flow.
+  void admit_aligned(SimTime now) {
+    const std::uint64_t n_accept = accept_count(offers_left());
+    admitted_ += n_accept;
+    batch_ids_.clear();
+    batch_buckets_.clear();
+    for (std::uint64_t k = 0; k < n_accept; ++k) {
+      const auto [idx, bucket] = next_offer(now);
+      batch_ids_.push_back(idx);
+      batch_buckets_.push_back(bucket);
+    }
+    while (rescan_ && offers_left() > 0) refused_.push_back(next_offer(now).first);
+    dispatch_batch(now);
+  }
+
+  /// Online mode. Deterministic portion: a request is admitted only if it
+  /// can be fitted inside the access budget on currently-available device
+  /// slots (with remapping of the same-instant batch); otherwise it is
+  /// delayed — this is what makes every admitted request meet the
+  /// guarantee exactly (the paper's flat 0.132507 ms line). Statistical
+  /// surplus beyond S: admitted while Q < ε and served from the earliest-
+  /// finishing replica, queueing allowed (the Fig. 10 response-time cost).
+  void admit_online(SimTime now) {
+    matcher_.begin_instant(free_at_, now, L_, cfg_.access_budget, available_,
+                           spike_quanta(now));
+    matched_ids_.clear();
+    surplus_ids_.clear();
+    surplus_buckets_.clear();
+    const bool none = cfg_.admission == AdmissionMode::kNone;
+    const bool stat = cfg_.admission == AdmissionMode::kStatistical;
+    bool matching_open = true;
+    bool surplus_refused = false;
+    while (offers_left() > 0) {
+      const bool over = !none && admitted_ >= det_limit_now_;
+      if (over && (!stat || surplus_refused) && !rescan_) break;
+      const auto [idx, bucket] = next_offer(now);
+      if (!over && matching_open && matcher_.add(bucket)) {
+        matched_ids_.push_back(idx);
+        ++admitted_;
+        continue;
+      }
+      // Baseline (kNone): no deferral, queue on the earliest-finishing
+      // replica. Statistical surplus likewise; both placements invalidate
+      // the matcher's slot view for the rest of the instant.
+      if (none || (over && stat && stat_->accept(admitted_, 1) > 0)) {
+        matching_open = false;
+        surplus_ids_.push_back(idx);
+        surplus_buckets_.push_back(bucket);
+        if (!none) ++admitted_;
+        continue;
+      }
+      surplus_refused = surplus_refused || over;
+      refused_.push_back(idx);
+    }
+    dispatch_matched(matched_ids_, now);
+    for (std::size_t k = 0; k < surplus_ids_.size(); ++k) {
+      const DeviceId best = earliest_replica(surplus_buckets_[k], now);
+      out(surplus_ids_[k]).path = RetrievalPath::kSurplus;
+      dispatch_request(surplus_ids_[k], best, std::max(free_at_[best], now));
+    }
+  }
+
+  /// Multi-tenant WFQ front end: fresh reads join their tenant queue
+  /// (mark/shed backpressure applied at enqueue), then the scheduler
+  /// dispenses the live budget across backlogged tenants in virtual-
+  /// finish-time order, reservations honored as floors. The WFQ queues are
+  /// the carry-over FIFOs here: while any request waits, one boundary wake
+  /// brings the scheduler back, so backlog keeps draining after the last
+  /// arrival and every request reaches a final state (dispatched, shed, or
+  /// failed).
+  void dispense_tenants(SimTime now, std::int64_t qi) {
+    for (const auto& g : group_) {
+      const std::size_t id = g.idx;
+      auto& o = out(id);
+      const auto tid = static_cast<std::size_t>(ev(id).tenant);
+      if constexpr (obs::kEnabled) {
+        // Admission-floor SLOs count every fresh enqueue attempt; sheds
+        // below add the bad half.
+        for (auto& st : slo_tallies_) {
+          if (st.kind != obs::SloKind::kAdmissionFloor) continue;
+          if (st.tenant >= 0 && static_cast<std::size_t>(st.tenant) != tid) {
+            continue;
           }
-        }
-        switch (ts_->enqueue(tid, id)) {
-          case WfqQueues::Enqueue::kShed:
-            // Hard backpressure: dropped at the front end, never queued.
-            // Finalized at the arrival instant so shed requests cannot
-            // distort the latency populations.
-            o.dispatch = now;
-            o.start = now;
-            o.finish = now;
-            o.failed = true;
-            o.path = RetrievalPath::kShed;
-            tst(id) = 2;
-            mark_final(id);
-            if constexpr (obs::kEnabled) {
-              agg_shed_.add(now, 1);
-              agg_tenant_shed_[tid].add(now, 1);
-              for (auto& st : slo_tallies_) {
-                if (st.kind != obs::SloKind::kAdmissionFloor) continue;
-                if (st.tenant >= 0 &&
-                    static_cast<std::size_t>(st.tenant) != tid) {
-                  continue;
-                }
-                ++st.bad;
-              }
-            }
-            break;
-          case WfqQueues::Enqueue::kMarked:
-            o.wfq_marked = true;
-            [[fallthrough]];
-          case WfqQueues::Enqueue::kAccepted:
-            tst(id) = 1;
-            break;
+          ++st.total;
         }
       }
-
-      const bool unlimited = cfg_.admission == AdmissionMode::kNone;
-      tenant_blocked_.assign(ts_->tenants(), false);
-
-      // Head with every replica down right now: 0 = servable, 1 = wait
-      // (tenant blocked this instant; its wake retries at the boundary),
-      // 2 = failed and removed from its queue.
-      const auto strand_check = [&](std::size_t tid, std::uint64_t id,
-                                    BucketId bucket) -> int {
-        if (available_.empty()) return 0;
-        const auto reps = scheme_.replicas(bucket);
-        if (std::any_of(reps.begin(), reps.end(),
-                        [&](DeviceId d) { return available_[d]; })) {
-          return 0;
-        }
-        SimTime recovery = DeviceFailure::kNeverRecovers;
-        for (const auto d : reps) {
-          recovery = std::min(recovery, injector_->device_up_at(d, now));
-        }
-        auto& o = out(id);
-        SimTime next_dispatch = 0;
-        if (recovery != DeviceFailure::kNeverRecovers) {
-          next_dispatch =
-              std::max((qi + 1) * T_, next_interval_start(recovery, T_));
-        }
-        const bool timed_out =
-            recovery != DeviceFailure::kNeverRecovers &&
-            retry_timeout_ != fault::RetryPolicy::kNoTimeout &&
-            next_dispatch - o.arrival > retry_timeout_;
-        if (recovery == DeviceFailure::kNeverRecovers || timed_out) {
-          ts_->drop_head(tid);
+      switch (ts_->enqueue(tid, id)) {
+        case WfqQueues::Enqueue::kShed:
+          // Hard backpressure: dropped at the front end, never queued.
+          // Finalized at the arrival instant so shed requests cannot
+          // distort the latency populations.
           o.dispatch = now;
           o.start = now;
           o.finish = now;
           o.failed = true;
-          o.path = RetrievalPath::kFailed;
-          if (timed_out) ++timeouts_tally_;
+          o.path = RetrievalPath::kShed;
           tst(id) = 2;
           mark_final(id);
-          if constexpr (obs::kEnabled) agg_failed_.add(now, 1);
-          return 2;
-        }
-        tenant_blocked_[tid] = true;
-        return 1;
-      };
-
-      // Dispatch metadata shared by every dispense site. The dispatch
-      // instant is when the scheduler releases the request — delay and
-      // deferral semantics match the single-tenant admission path.
-      const auto dispense_meta = [&](std::uint64_t id, bool matched) {
-        auto& o = out(id);
-        o.dispatch = now;
-        o.fim_matched = cfg_.mapping == MappingMode::kFim && matched;
-        o.q_ppm = 0;
-      };
-
-      if (cfg_.scheduler == SchedulerMode::kPrimaryOnly) {
-        while (const auto tid =
-                   ts_->next_candidate(tenant_blocked_, unlimited)) {
-          const std::uint64_t id = ts_->head(*tid);
-          if (tst(id) == 2) {
-            ts_->drop_head(*tid);
-            continue;
-          }
-          const auto m = mapper_.map(ev(id).block);
-          if (strand_check(*tid, id, m.bucket) != 0) continue;
-          ts_->pop(*tid, unlimited);
-          ++admitted_;
-          dispense_meta(id, m.matched);
-          tst(id) = 2;
-          DeviceId dev = kInvalidDevice;
-          for (const auto d : scheme_.replicas(m.bucket)) {
-            if (available_.empty() || available_[d]) {
-              dev = d;
-              break;
-            }
-          }
-          FLASHQOS_ASSERT(dev != kInvalidDevice,
-                          "strand check left a dead head");
-          out(id).path = RetrievalPath::kPrimary;
-          dispatch_request(id, dev, std::max(free_at_[dev], now));
-        }
-      } else if (cfg_.retrieval == RetrievalMode::kIntervalAligned) {
-        // Batch path: dispense by budget in VFT order, then schedule the
-        // whole batch with DTR + max-flow exactly like the single-tenant
-        // aligned path.
-        aligned_ids_.clear();
-        aligned_buckets_.clear();
-        while (const auto tid =
-                   ts_->next_candidate(tenant_blocked_, unlimited)) {
-          const std::uint64_t id = ts_->head(*tid);
-          if (tst(id) == 2) {
-            ts_->drop_head(*tid);
-            continue;
-          }
-          const auto m = mapper_.map(ev(id).block);
-          if (strand_check(*tid, id, m.bucket) != 0) continue;
-          ts_->pop(*tid, unlimited);
-          ++admitted_;
-          dispense_meta(id, m.matched);
-          tst(id) = 2;
-          aligned_ids_.push_back(id);
-          aligned_buckets_.push_back(m.bucket);
-        }
-        if (!aligned_ids_.empty()) {
-          const retrieval::Schedule* sched =
-              retriever_.schedule(aligned_buckets_, available_);
-          FLASHQOS_ASSERT(sched != nullptr, "strand check left a dead head");
-          const RetrievalPath batch_path =
-              !available_.empty() ? RetrievalPath::kDegraded
-              : sched->via == retrieval::SolvedBy::kMaxFlow
-                  ? RetrievalPath::kAlignedMaxFlow
-                  : RetrievalPath::kAlignedDtr;
-          order_.resize(aligned_ids_.size());
-          for (std::size_t i = 0; i < aligned_ids_.size(); ++i) order_[i] = i;
-          std::stable_sort(order_.begin(), order_.end(),
-                           [&](std::size_t a, std::size_t b) {
-                             return sched->assignments[a].round <
-                                    sched->assignments[b].round;
-                           });
-          for (const auto i : order_) {
-            const DeviceId dev = sched->assignments[i].device;
-            out(aligned_ids_[i]).path = batch_path;
-            dispatch_request(aligned_ids_[i], dev,
-                             std::max(free_at_[dev], now));
-          }
-        }
-      } else {
-        // Online deterministic: offer heads to the slot matcher in VFT
-        // order. A refused head blocks its tenant for this instant only —
-        // the next head in VFT order may still fit, which is what keeps
-        // slots from idling while any queue is backlogged. With no
-        // admission (kNone) nothing queues across instants: refused heads
-        // overflow to their earliest-finishing replica, like the
-        // single-tenant baseline.
-        const std::vector<SimTime>* svc_ptr = nullptr;
-        if (faults_active_ && injector_->any_spike_at(now)) {
-          svc_now_.resize(scheme_.devices());
-          for (DeviceId d = 0; d < scheme_.devices(); ++d) {
-            svc_now_[d] = read_service(d, now);
-          }
-          svc_ptr = &svc_now_;
-        }
-        matcher_.begin_instant(free_at_, now, L_, cfg_.access_budget,
-                               available_, svc_ptr);
-        dispensed_.clear();
-        bool matching_open = true;
-        while (const auto tid =
-                   ts_->next_candidate(tenant_blocked_, unlimited)) {
-          const std::uint64_t id = ts_->head(*tid);
-          if (tst(id) == 2) {
-            ts_->drop_head(*tid);
-            continue;
-          }
-          const auto m = mapper_.map(ev(id).block);
-          if (strand_check(*tid, id, m.bucket) != 0) continue;
-          if (matching_open && matcher_.add(m.bucket)) {
-            ts_->pop(*tid, unlimited);
-            ++admitted_;
-            dispense_meta(id, m.matched);
-            tst(id) = 2;
-            dispensed_.push_back(id);
-            continue;
-          }
-          if (unlimited) {
-            // Surplus placements change free_at under the matcher, so the
-            // slot view is stale from the first refusal on (same rule as
-            // the single-tenant kNone path).
-            matching_open = false;
-            ts_->pop(*tid, true);
-            dispense_meta(id, m.matched);
-            tst(id) = 2;
-            DeviceId best = kInvalidDevice;
-            for (const auto d : scheme_.replicas(m.bucket)) {
-              if (!available_.empty() && !available_[d]) continue;
-              if (best == kInvalidDevice ||
-                  std::max(free_at_[d], now) <
-                      std::max(free_at_[best], now)) {
-                best = d;
+          if constexpr (obs::kEnabled) {
+            agg_shed_.add(now, 1);
+            agg_tenant_shed_[tid].add(now, 1);
+            for (auto& st : slo_tallies_) {
+              if (st.kind != obs::SloKind::kAdmissionFloor) continue;
+              if (st.tenant >= 0 && static_cast<std::size_t>(st.tenant) != tid) {
+                continue;
               }
+              ++st.bad;
             }
-            FLASHQOS_ASSERT(best != kInvalidDevice,
-                            "strand check left a dead head");
-            out(id).path = RetrievalPath::kSurplus;
-            dispatch_request(id, best, std::max(free_at_[best], now));
-            continue;
           }
-          tenant_blocked_[*tid] = true;
-        }
-        // Materialize matched placements: add order is dispense order, so
-        // per-device slots follow the WFQ dispatch order.
-        cursor_.assign(free_at_.size(), -1);
-        for (std::size_t a = 0; a < dispensed_.size(); ++a) {
-          const std::uint64_t id = dispensed_[a];
-          const DeviceId dev = matcher_.device_of(a);
-          FLASHQOS_ASSERT(dev != kInvalidDevice,
-                          "matched request must have a device");
-          SimTime& c = cursor_[dev];
-          if (c < 0) c = std::max(free_at_[dev], now);
-          out(id).path = RetrievalPath::kSlotMatched;
-          dispatch_request(id, dev, c);
-          c = out(id).finish;
-        }
+          break;
+        case WfqQueues::Enqueue::kMarked:
+          o.wfq_marked = true;
+          [[fallthrough]];
+        case WfqQueues::Enqueue::kAccepted:
+          tst(id) = 1;
+          break;
       }
-
-      // One wake per still-queued member of this group; queued requests
-      // from older groups already hold theirs.
-      for (const auto& g : group_) {
-        if (tst(g.idx) != 1) continue;
-        Pending d = g;
-        d.dispatch = (qi + 1) * T_;
-        queue_.push(d);
-        if constexpr (obs::kEnabled) ++deferrals_tally_;
-      }
-      return;
     }
 
-    if (cfg_.scheduler == SchedulerMode::kPrimaryOnly) {
-      // Baseline dispatch: every request reads its first copy, FIFO behind
-      // whatever is queued there; no admission interplay beyond the budget.
-      for (std::size_t i = 0; i < group_.size(); ++i) {
-        std::uint64_t ok = group_.size();
-        switch (cfg_.admission) {
-          case AdmissionMode::kNone:
-            ok = 1;
-            break;
-          case AdmissionMode::kDeterministic:
-            ok = accept_det(admitted_, 1);
-            break;
-          case AdmissionMode::kStatistical:
-            ok = stat_->accept(admitted_, 1);
-            break;
-        }
-        if (ok == 0) {
-          defer(group_[i]);
+    const bool unlimited = cfg_.admission == AdmissionMode::kNone;
+    tenant_blocked_.assign(ts_->tenants(), false);
+
+    // The next dispensable head in VFT order, mapped, or nullopt once no
+    // tenant has both backlog and budget. A head with every replica down
+    // right now either waits (its tenant is blocked for this instant and
+    // retries at the boundary) or fails and leaves its queue.
+    struct Head {
+      std::size_t tid;
+      std::size_t id;
+      BlockMapper::MapResult m;
+    };
+    const auto next_head = [&]() -> std::optional<Head> {
+      while (const auto tid = ts_->next_candidate(tenant_blocked_, unlimited)) {
+        const std::size_t id = ts_->head(*tid);
+        if constexpr (obs::kEnabled) ++offers_tally_;
+        const auto m = mapper_.map(ev(id).block);
+        if (!all_replicas_down(m.bucket)) return Head{*tid, id, m};
+        if (strand(id, m.bucket, now, qi).has_value()) {
+          tenant_blocked_[*tid] = true;
           continue;
         }
+        ts_->drop_head(*tid);
+        out(id).fim_matched = cfg_.mapping == MappingMode::kFim && m.matched;
+        tst(id) = 2;
+      }
+      return std::nullopt;
+    };
+    // Dispense `h`: the dispatch instant is when the scheduler releases the
+    // request — delay and deferral semantics match the single-tenant
+    // admission path.
+    const auto dispense = [&](const Head& h) {
+      ts_->pop(h.tid, unlimited);
+      auto& o = out(h.id);
+      o.dispatch = now;
+      o.fim_matched = cfg_.mapping == MappingMode::kFim && h.m.matched;
+      o.q_ppm = 0;
+      tst(h.id) = 2;
+    };
+
+    if (cfg_.scheduler == SchedulerMode::kPrimaryOnly) {
+      while (const auto h = next_head()) {
         ++admitted_;
-        // First *live* replica — a degraded RAID read.
-        DeviceId dev = kInvalidDevice;
-        for (const auto d : scheme_.replicas(buckets_[i])) {
-          if (available_.empty() || available_[d]) {
-            dev = d;
-            break;
-          }
+        dispense(*h);
+        out(h->id).path = RetrievalPath::kPrimary;
+        const DeviceId dev = primary_replica(h->m.bucket);
+        dispatch_request(h->id, dev, std::max(free_at_[dev], now));
+      }
+    } else if (cfg_.retrieval == RetrievalMode::kIntervalAligned) {
+      // Batch path: dispense by budget in VFT order, then schedule the
+      // whole batch exactly like the single-tenant aligned path.
+      batch_ids_.clear();
+      batch_buckets_.clear();
+      while (const auto h = next_head()) {
+        ++admitted_;
+        dispense(*h);
+        batch_ids_.push_back(h->id);
+        batch_buckets_.push_back(h->m.bucket);
+      }
+      dispatch_batch(now);
+    } else {
+      // Online: offer heads to the slot matcher in VFT order. A refused
+      // head blocks its tenant for this instant only — the next head in
+      // VFT order may still fit, which is what keeps slots from idling
+      // while any queue is backlogged. With no admission (kNone) nothing
+      // queues across instants: refused heads overflow to their
+      // earliest-finishing replica, like the single-tenant baseline.
+      matcher_.begin_instant(free_at_, now, L_, cfg_.access_budget, available_,
+                             spike_quanta(now));
+      matched_ids_.clear();
+      bool matching_open = true;
+      while (const auto h = next_head()) {
+        if (matching_open && matcher_.add(h->m.bucket)) {
+          ++admitted_;
+          dispense(*h);
+          matched_ids_.push_back(h->id);
+          continue;
         }
-        FLASHQOS_ASSERT(dev != kInvalidDevice, "filter left a dead request");
-        out(group_[i].idx).path = RetrievalPath::kPrimary;
-        dispatch_request(group_[i].idx, dev, std::max(free_at_[dev], now));
-      }
-      return;
-    }
-
-    if (cfg_.retrieval == RetrievalMode::kIntervalAligned) {
-      // Batch path: admit up to the budget, schedule with DTR + max-flow,
-      // dispatch round by round behind any residual device work.
-      std::uint64_t n_accept = group_.size();
-      switch (cfg_.admission) {
-        case AdmissionMode::kNone:
-          break;
-        case AdmissionMode::kDeterministic:
-          n_accept = accept_det(admitted_, group_.size());
-          break;
-        case AdmissionMode::kStatistical:
-          n_accept = stat_->accept(admitted_, group_.size());
-          break;
-      }
-      admitted_ += n_accept;
-      for (std::size_t i = n_accept; i < group_.size(); ++i) defer(group_[i]);
-      if (n_accept == 0) return;
-      buckets_.resize(n_accept);
-
-      const retrieval::Schedule* degraded =
-          retriever_.schedule(buckets_, available_);
-      FLASHQOS_ASSERT(degraded != nullptr, "filter left a dead request");
-      const auto& schedule = *degraded;
-      const RetrievalPath batch_path =
-          !available_.empty() ? RetrievalPath::kDegraded
-          : schedule.via == retrieval::SolvedBy::kMaxFlow
-              ? RetrievalPath::kAlignedMaxFlow
-              : RetrievalPath::kAlignedDtr;
-      // Requests on one device start back to back in round order.
-      order_.resize(n_accept);
-      for (std::size_t i = 0; i < n_accept; ++i) order_[i] = i;
-      std::stable_sort(order_.begin(), order_.end(),
-                       [&](std::size_t a, std::size_t b) {
-                         return schedule.assignments[a].round <
-                                schedule.assignments[b].round;
-                       });
-      for (const auto i : order_) {
-        const DeviceId dev = schedule.assignments[i].device;
-        out(group_[i].idx).path = batch_path;
-        dispatch_request(group_[i].idx, dev, std::max(free_at_[dev], now));
-      }
-      return;
-    }
-
-    // Online mode. Deterministic portion: a request is admitted only if it
-    // can be fitted inside the access budget on currently-available device
-    // slots (with remapping of the same-instant batch); otherwise it is
-    // delayed — this is what makes every admitted request meet the
-    // guarantee exactly (the paper's flat 0.132507 ms line). Statistical
-    // surplus beyond S: admitted while Q < ε and served from the earliest-
-    // finishing replica, queueing allowed (the Fig. 10 response-time cost).
-    const std::vector<SimTime>* svc_ptr = nullptr;
-    if (faults_active_ && injector_->any_spike_at(now)) {
-      svc_now_.resize(scheme_.devices());
-      for (DeviceId d = 0; d < scheme_.devices(); ++d) {
-        svc_now_[d] = read_service(d, now);
-      }
-      svc_ptr = &svc_now_;
-    }
-    matcher_.begin_instant(free_at_, now, L_, cfg_.access_budget, available_,
-                           svc_ptr);
-    matched_members_.clear();
-    surplus_members_.clear();
-    bool matching_open = true;
-    for (std::size_t i = 0; i < group_.size(); ++i) {
-      const bool in_budget =
-          cfg_.admission == AdmissionMode::kNone || admitted_ < det_limit_now_;
-      if (in_budget && matching_open && matcher_.add(buckets_[i])) {
-        matched_members_.push_back(i);
-        ++admitted_;
-        continue;
-      }
-      if (cfg_.admission == AdmissionMode::kNone) {
-        // Baseline: no deferral, queue on the earliest-finishing replica.
-        matching_open = false;
-        surplus_members_.push_back(i);
-        continue;
-      }
-      if (cfg_.admission == AdmissionMode::kStatistical &&
-          admitted_ >= det_limit_now_ && stat_->accept(admitted_, 1) > 0) {
-        matching_open = false;  // placements below invalidate the slot view
-        surplus_members_.push_back(i);
-        ++admitted_;
-        continue;
-      }
-      defer(group_[i]);
-    }
-
-    // Materialize the matched placements: per device, slot order follows
-    // FIFO (matched_members is already in seq order).
-    cursor_.assign(free_at_.size(), -1);
-    for (std::size_t a = 0; a < matched_members_.size(); ++a) {
-      const std::size_t i = matched_members_[a];
-      const DeviceId dev = matcher_.device_of(a);
-      FLASHQOS_ASSERT(dev != kInvalidDevice, "matched request must have a device");
-      SimTime& c = cursor_[dev];
-      if (c < 0) c = std::max(free_at_[dev], now);
-      out(group_[i].idx).path = RetrievalPath::kSlotMatched;
-      dispatch_request(group_[i].idx, dev, c);
-      // Advance by the *actual* finish — under a latency spike the slot is
-      // wider than L, and the next slot on this device starts after it.
-      c = out(group_[i].idx).finish;
-    }
-    // Statistical surplus / no-admission overflow: earliest finish replica.
-    for (const auto i : surplus_members_) {
-      const auto reps = scheme_.replicas(buckets_[i]);
-      DeviceId best = kInvalidDevice;
-      for (const auto d : reps) {
-        if (!available_.empty() && !available_[d]) continue;
-        if (best == kInvalidDevice ||
-            std::max(free_at_[d], now) < std::max(free_at_[best], now)) {
-          best = d;
+        if (unlimited) {
+          // Surplus placements change free_at under the matcher, so the
+          // slot view is stale from the first refusal on (same rule as
+          // the single-tenant kNone path).
+          matching_open = false;
+          dispense(*h);
+          const DeviceId best = earliest_replica(h->m.bucket, now);
+          out(h->id).path = RetrievalPath::kSurplus;
+          dispatch_request(h->id, best, std::max(free_at_[best], now));
+          continue;
         }
+        tenant_blocked_[h->tid] = true;
       }
-      FLASHQOS_ASSERT(best != kInvalidDevice, "filter left a dead request");
-      out(group_[i].idx).path = RetrievalPath::kSurplus;
-      dispatch_request(group_[i].idx, best, std::max(free_at_[best], now));
+      // Add order is dispense order, so per-device slots follow the WFQ
+      // dispatch order.
+      dispatch_matched(matched_ids_, now);
+    }
+
+    // Requests still queued wait for the next boundary, where one wake
+    // offers the backlog again. One deferral event per request-interval
+    // waited: at a boundary the whole backlog waits another interval;
+    // mid-interval, only this instant's arrivals start waiting (the older
+    // backlog already counts toward the coming boundary).
+    std::uint64_t waiting = 0;
+    if (now % T_ == 0) {
+      for (std::size_t k = 0; k < ts_->tenants(); ++k) waiting += ts_->depth(k);
+    } else {
+      for (const auto& g : group_) waiting += tst(g.idx) == 1 ? 1U : 0U;
+    }
+    if (waiting > 0) {
+      if constexpr (obs::kEnabled) deferrals_tally_ += waiting;
+      wake_ = (qi + 1) * T_;
     }
   }
 
@@ -1838,6 +1855,7 @@ class ReplayEngine {
     auto& m = PipelineMetrics::get();
     m.dispatches.inc(dispatches_tally_);
     m.deferral_events.inc(deferrals_tally_);
+    m.admission_offers.inc(offers_tally_);
     m.write_replica_ops.inc(write_ops_tally_);
     if (faults_active_) {
       auto& fm = FaultMetrics::get();
@@ -1983,9 +2001,6 @@ class ReplayEngine {
   std::optional<StatisticalAdmission> stat_;
   std::optional<TenantScheduler> ts_;
   std::vector<bool> tenant_blocked_;
-  std::vector<std::uint64_t> dispensed_;   // matched request ids, add order
-  std::vector<std::size_t> aligned_ids_;   // aligned-mode dispensed batch
-  std::vector<BucketId> aligned_buckets_;
   std::vector<obs::LatencyHistogram*> depth_hist_;
 
   obs::TimeSeries* win_reads_ = nullptr;
@@ -2031,6 +2046,14 @@ class ReplayEngine {
   std::uint64_t next_background_op_ = kBackgroundIdBase;
   std::vector<SimTime> free_at_;
   std::priority_queue<Pending, std::vector<Pending>, std::greater<>> queue_;
+  // Deferred reads (single-tenant), in seq order, all due at wake_. In
+  // tenant mode the WFQ queues hold the backlog and wake_ alone brings the
+  // scheduler back at the next boundary.
+  std::deque<std::size_t> carry_;
+  SimTime wake_ = kNoWake;     // next boundary deferred work is due at
+  bool carried_ = false;       // this instant is that boundary
+  std::size_t carry_base_ = 0; // carry_ entries not deferred at this instant
+  bool rescan_ = false;        // StreamOptions::rescan_for_test
 
   std::size_t report_idx_ = 0;  // which reporting interval the mapper is built for
   std::int64_t current_qi_ = -1;  // current QoS interval index
@@ -2042,6 +2065,7 @@ class ReplayEngine {
   // which is measurable at one inc per dispatched request.
   std::uint64_t dispatches_tally_ = 0;
   std::uint64_t deferrals_tally_ = 0;
+  std::uint64_t offers_tally_ = 0;
   std::uint64_t write_ops_tally_ = 0;
 
   // Per-instant buffers, hoisted out of the dispatch loop so steady-state
@@ -2053,9 +2077,15 @@ class ReplayEngine {
   std::vector<BucketId> live_buckets_;
   std::vector<Pending> reads_;
   std::vector<BucketId> read_buckets_;
+  std::size_t gi_ = 0;  // next group_ member to offer
+  std::int32_t q_ppm_ = 0;
+  std::vector<std::size_t> refused_;      // offered and deferred, seq order
+  std::vector<std::size_t> matched_ids_;  // slot-matched, add order
+  std::vector<std::size_t> surplus_ids_;
+  std::vector<BucketId> surplus_buckets_;
+  std::vector<std::size_t> batch_ids_;    // aligned batch, admission order
+  std::vector<BucketId> batch_buckets_;
   std::vector<std::size_t> order_;
-  std::vector<std::size_t> matched_members_;  // indices into group/buckets
-  std::vector<std::size_t> surplus_members_;
   std::vector<SimTime> cursor_;
   std::vector<SimTime> svc_now_;  // per-device effective quanta under spikes
 };

@@ -238,6 +238,13 @@ struct StreamOptions {
   /// same-instant members. The stream oracle flips this to prove it
   /// would catch an engine that dispatches ahead of ingestion.
   bool misdrain_for_test = false;
+  /// Offer every carried read to admission at every boundary instead of
+  /// stopping once the interval's budget is spent (verification only). The
+  /// outcomes are identical — the stop rules only skip reads admission
+  /// would refuse — but admission work grows with the backlog; the
+  /// overload oracle flips this to prove its offers bound can trip.
+  /// Single-tenant configs only (tenant backlogs live in the WFQ queues).
+  bool rescan_for_test = false;
   /// Optional per-outcome observer (see OutcomeSink). Null = no callback;
   /// results, metrics, and time-series are identical either way.
   OutcomeSink* sink = nullptr;
