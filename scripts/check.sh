@@ -27,7 +27,11 @@
 #      mutation proving the audit can fail), and the daemon-identity
 #      audit (--daemon: results served over a real loopback flashqosd
 #      session field-identical to in-process replay, including
-#      multi-connection interleavings, clamping, and mid-session flushes)
+#      multi-connection interleavings, clamping, and mid-session flushes),
+#      and the sustained-overload audit (--overload: admission offers per
+#      request bounded at N and 2N in every mode, request conservation,
+#      zero deadline misses under online deterministic, with a seeded
+#      rescan mutation that must reproduce the outcomes and trip the bound)
 #   7. flashqosd lifecycle smoke: start the daemon on an ephemeral port
 #      from a generated config, parse its listen line, SIGTERM it, and
 #      require a clean drain and exit 0
@@ -94,8 +98,8 @@ else
   banner "5/8 TSan — SKIPPED (--quick)"
 fi
 
-banner "6/8 design-invariant verifier (catalog, N <= 64) + replay equivalence + obs audit + chaos audit + fairness audit + stream audit + daemon audit"
-run ./build-werror/src/verify/flashqos_verify --max-devices 64 --replay --obs --faults --fairness --stream --daemon
+banner "6/8 design-invariant verifier (catalog, N <= 64) + replay equivalence + obs audit + chaos audit + fairness audit + stream audit + daemon audit + overload audit"
+run ./build-werror/src/verify/flashqos_verify --max-devices 64 --replay --obs --faults --fairness --stream --daemon --overload
 
 banner "7/8 flashqosd lifecycle smoke (ephemeral port, loopback batch, clean drain)"
 daemon_smoke() {

@@ -1057,6 +1057,7 @@ class ReplayEngine {
   /// from a P_k table sampled on the degraded array. Recomputed whenever
   /// the down-set changes; tables are memoized per mask.
   void update_budgets() {
+    surplus_closed_ = false;  // a new budget may accept surplus again
     if (down_mask_.empty()) {
       det_limit_now_ = det_.limit();
       if (stat_.has_value()) stat_->set_budget(det_.limit(), cfg_.p_table);
@@ -1393,6 +1394,7 @@ class ReplayEngine {
       current_qi_ = qi;
       admitted_ = 0;
       demand_ = 0;
+      surplus_closed_ = false;
       if (tenant_mode_) {
         // Depth sampled at the boundary = backlog carried across it.
         ts_->observe_depths();
@@ -1555,11 +1557,11 @@ class ReplayEngine {
   /// mode stops offering as soon as every later read would be refused
   /// too, so an interval costs O(S + arrivals), not O(backlog):
   ///  * deterministic: once admitted_ reaches the live budget (S, or S'
-  ///    while degraded); a read the slot matcher refuses before that keeps
-  ///    its place and the scan goes on;
-  ///  * statistical (online): past S, at the first surplus refusal —
-  ///    accept(admitted_, 1) is const within an instant and admitted_ only
-  ///    grows on acceptance;
+  ///    while degraded), or once the slot matcher has no free slot left; a
+  ///    read the matcher refuses before that keeps its place and the scan
+  ///    goes on;
+  ///  * statistical (online): past S, at the first surplus refusal of the
+  ///    interval (see surplus_closed_);
   ///  * aligned and primary-only: the count cap decides how many reads
   ///    leave the head;
   ///  * kNone never defers.
@@ -1645,10 +1647,12 @@ class ReplayEngine {
     const bool none = cfg_.admission == AdmissionMode::kNone;
     const bool stat = cfg_.admission == AdmissionMode::kStatistical;
     bool matching_open = true;
-    bool surplus_refused = false;
+    // With every slot taken the matcher refuses whatever comes next; only
+    // worth asking while a backlog is waiting.
+    bool full = !none && !rescan_ && !carry_.empty() && matcher_.saturated();
     while (offers_left() > 0) {
       const bool over = !none && admitted_ >= det_limit_now_;
-      if (over && (!stat || surplus_refused) && !rescan_) break;
+      if (!rescan_ && (over ? !stat || surplus_closed_ : full)) break;
       const auto [idx, bucket] = next_offer(now);
       if (!over && matching_open && matcher_.add(bucket)) {
         matched_ids_.push_back(idx);
@@ -1665,8 +1669,9 @@ class ReplayEngine {
         if (!none) ++admitted_;
         continue;
       }
-      surplus_refused = surplus_refused || over;
+      surplus_closed_ = surplus_closed_ || over;
       refused_.push_back(idx);
+      if (!over && !rescan_) full = matcher_.saturated();
     }
     dispatch_matched(matched_ids_, now);
     for (std::size_t k = 0; k < surplus_ids_.size(); ++k) {
@@ -2059,6 +2064,11 @@ class ReplayEngine {
   std::int64_t current_qi_ = -1;  // current QoS interval index
   std::uint64_t admitted_ = 0;   // requests admitted in current QoS interval
   std::uint64_t demand_ = 0;     // requests that asked for this interval
+  // A statistical surplus offer was refused this interval. accept() is
+  // const between end_interval/set_budget calls and admitted_ cannot grow
+  // past a refusal, so every later surplus offer this interval would be
+  // refused too.
+  bool surplus_closed_ = false;
 
   // Per-event counters are tallied in plain locals and published once after
   // the loop — the shared sharded counters cost an atomic RMW per inc,

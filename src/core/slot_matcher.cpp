@@ -60,6 +60,14 @@ void SlotMatcher::touch(DeviceId d) {
   capacity_[d] = cap;
 }
 
+bool SlotMatcher::saturated() {
+  for (DeviceId d = 0; d < devices_; ++d) {
+    touch(d);
+    if (occ_count_[d] < capacity_[d]) return false;
+  }
+  return true;
+}
+
 bool SlotMatcher::add(BucketId bucket) {
   const std::size_t request = buckets_.size();
   // flashqos-lint: allow(hot-path-alloc): amortized growth, capacity persists across instants

@@ -60,6 +60,11 @@ class SlotMatcher {
   /// success the internal assignment covers every admitted request.
   [[nodiscard]] bool add(BucketId bucket);
 
+  /// No device has a free slot left this instant. Every augmenting path
+  /// ends at a free slot, so from here on add() refuses every bucket.
+  /// O(devices).
+  [[nodiscard]] bool saturated();
+
   /// Admitted requests so far this instant.
   [[nodiscard]] std::size_t admitted() const noexcept {
     return buckets_.size();

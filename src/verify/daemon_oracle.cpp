@@ -522,6 +522,7 @@ Report verify_daemon(const decluster::AllocationScheme& scheme,
 bool probe_daemon(std::uint16_t port, std::size_t batch) {
   net::Client client;
   if (!client.connect(port)) {
+    // flashqos-lint: allow(adhoc-logging): --daemon-probe verdict line for check.sh
     std::printf("FAIL daemon-probe: connect to 127.0.0.1:%u: %s\n",
                 static_cast<unsigned>(port), client.last_error().c_str());
     return false;
@@ -537,6 +538,7 @@ bool probe_daemon(std::uint16_t port, std::size_t batch) {
   if (!client.submit(evs) ||
       !client.flush(static_cast<std::int64_t>(batch) *
                     client.welcome().interval_ns)) {
+    // flashqos-lint: allow(adhoc-logging): --daemon-probe verdict line for check.sh
     std::printf("FAIL daemon-probe: wire error: %s\n",
                 client.last_error().c_str());
     return false;
@@ -544,10 +546,12 @@ bool probe_daemon(std::uint16_t port, std::size_t batch) {
   // finish() ends the session; as the only connection that asks the
   // daemon to drain, answer the remaining completions, and exit.
   if (!client.finish()) {
+    // flashqos-lint: allow(adhoc-logging): --daemon-probe verdict line for check.sh
     std::printf("FAIL daemon-probe: drain: %s\n", client.last_error().c_str());
     return false;
   }
   if (client.completions.size() != batch || !client.pushbacks.empty()) {
+    // flashqos-lint: allow(adhoc-logging): --daemon-probe verdict line for check.sh
     std::printf("FAIL daemon-probe: %zu of %zu completions, %zu pushbacks\n",
                 client.completions.size(), batch, client.pushbacks.size());
     return false;
@@ -556,12 +560,14 @@ bool probe_daemon(std::uint16_t port, std::size_t batch) {
     const auto& c = client.completions[i];
     if (c.tag != i || c.finish < c.start || c.start < c.dispatch ||
         c.dispatch < c.arrival) {
+      // flashqos-lint: allow(adhoc-logging): --daemon-probe verdict line for check.sh
       std::printf("FAIL daemon-probe: completion %zu has tag %llu and a "
                   "non-causal timeline\n",
                   i, static_cast<unsigned long long>(c.tag));
       return false;
     }
   }
+  // flashqos-lint: allow(adhoc-logging): --daemon-probe verdict line for check.sh
   std::printf("OK daemon-probe: %zu served over 127.0.0.1:%u with live "
               "verdicts, session drained\n",
               batch, static_cast<unsigned>(port));

@@ -25,6 +25,7 @@
 #include "verify/guarantee.hpp"
 #include "verify/invariants.hpp"
 #include "verify/obs_check.hpp"
+#include "verify/overload_oracle.hpp"
 #include "verify/replay_equivalence.hpp"
 #include "verify/stream_oracle.hpp"
 
@@ -87,6 +88,15 @@ int main(int argc, char** argv) {
             "result, and the metric/series registries (modulo transport "
             "instruments); the seeded mangle defect must trip, overload "
             "must answer pushback, malformed frames must be counted")
+      .flag("overload",
+            "audit sustained overload: 1.2x/2x/4x S streams (boundary and "
+            "mid-interval arrivals, with and without an idle phase) through "
+            "every admission x retrieval mode, primary-only and multi-tenant "
+            "replay, in process and through PipelineService's live session; "
+            "admission offers per request must stay <= 2 at N and 2N, every "
+            "request must be served, shed or failed, online deterministic "
+            "must miss no deadline; the seeded rescan defect must reproduce "
+            "the outcomes and trip the offers bound")
       .flag("faults",
             "chaos-audit the fault subsystem: randomized fault plans "
             "(outages, spikes, rebuild, retry timeouts) replayed on every "
@@ -141,6 +151,7 @@ int main(int argc, char** argv) {
   const bool stream = opts.has("stream");
   const bool daemon = opts.has("daemon");
   const bool faults = opts.has("faults");
+  const bool overload = opts.has("overload");
   const bool fairness = opts.has("fairness");
   const bool model = opts.has("model");
   bool design_flags = !only.empty();  // explicit design-audit options given
@@ -183,7 +194,7 @@ int main(int argc, char** argv) {
   // `--model` alone skips the design audit (the gate runs them as separate
   // stages); any explicit design/audit option brings it back.
   const bool run_designs = !model || design_flags || replay || obs || stream ||
-                           daemon || faults || fairness;
+                           daemon || faults || fairness || overload;
   if (run_designs) {
     // The bound helpers are shared by every design; audit them once up
     // front.
@@ -298,6 +309,19 @@ int main(int argc, char** argv) {
         all_ok = all_ok && report.passed();
         ++checked;
       }
+    }
+  }
+  if (overload) {
+    // Sustained-overload audit on the paper's primary design.
+    for (const auto& e : flashqos::design::catalog()) {
+      if (e.name != "(9,3,1)") continue;
+      const auto d = e.make();
+      const flashqos::decluster::DesignTheoretic scheme(d, true);
+      const auto report = flashqos::verify::verify_overload(scheme);
+      std::printf("%s\n", report.to_string(verbose).c_str());
+      std::fflush(stdout);
+      all_ok = all_ok && report.passed();
+      ++checked;
     }
   }
   if (faults) {
