@@ -35,7 +35,12 @@
 #   7. flashqosd lifecycle smoke: start the daemon on an ephemeral port
 #      from a generated config, parse its listen line, SIGTERM it, and
 #      require a clean drain and exit 0
-#   8. clang-tidy over src/ (skipped with a warning if clang-tidy is not
+#   8. benchmark smoke: perfbench/run.py --smoke builds the repository
+#      benchmark and runs every workload at tiny scale in both modes, so an
+#      engine change that breaks a benchmark gate (outcome identity, the
+#      onoff_overload N/2N deferral check, zero clamps on the wire) fails
+#      here instead of at measurement time
+#   9. clang-tidy over src/ (skipped with a warning if clang-tidy is not
 #      installed — stages 2–3 are the always-on static gate; clang-tidy is
 #      an extra when a clang toolchain is around)
 #
@@ -64,20 +69,20 @@ banner() {
   echo "==================================================================="
 }
 
-banner "1/8 warnings-as-errors build + ctest"
+banner "1/9 warnings-as-errors build + ctest"
 run cmake -B build-werror -S . -DFLASHQOS_WERROR=ON \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
 run cmake --build build-werror -j "$JOBS"
 run ctest --test-dir build-werror --output-on-failure -j "$JOBS"
 
-banner "2/8 flashqos_lint (contract linter)"
+banner "2/9 flashqos_lint (contract linter)"
 run ./build-werror/src/lint/flashqos_lint --root src \
   --baseline scripts/lint_baseline.txt
 
-banner "3/8 schedule-exhaustive model checking"
+banner "3/9 schedule-exhaustive model checking"
 run ./build-werror/src/verify/flashqos_verify --model
 
-banner "4/8 ASan + UBSan"
+banner "4/9 ASan + UBSan"
 run cmake -B build-asan -S . -DFLASHQOS_WERROR=ON -DFLASHQOS_SANITIZE=address \
   -DFLASHQOS_BUILD_BENCH=OFF -DFLASHQOS_BUILD_EXAMPLES=OFF \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
@@ -87,7 +92,7 @@ UBSAN_OPTIONS="print_stacktrace=1" \
   run ctest --test-dir build-asan --output-on-failure -j "$JOBS"
 
 if [[ $QUICK -eq 0 ]]; then
-  banner "5/8 TSan"
+  banner "5/9 TSan"
   run cmake -B build-tsan -S . -DFLASHQOS_WERROR=ON -DFLASHQOS_SANITIZE=thread \
     -DFLASHQOS_BUILD_BENCH=OFF -DFLASHQOS_BUILD_EXAMPLES=OFF \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
@@ -95,13 +100,13 @@ if [[ $QUICK -eq 0 ]]; then
   TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
     run ctest --test-dir build-tsan --output-on-failure -j "$JOBS"
 else
-  banner "5/8 TSan — SKIPPED (--quick)"
+  banner "5/9 TSan — SKIPPED (--quick)"
 fi
 
-banner "6/8 design-invariant verifier (catalog, N <= 64) + replay equivalence + obs audit + chaos audit + fairness audit + stream audit + daemon audit + overload audit"
+banner "6/9 design-invariant verifier (catalog, N <= 64) + replay equivalence + obs audit + chaos audit + fairness audit + stream audit + daemon audit + overload audit"
 run ./build-werror/src/verify/flashqos_verify --max-devices 64 --replay --obs --faults --fairness --stream --daemon --overload
 
-banner "7/8 flashqosd lifecycle smoke (ephemeral port, loopback batch, clean drain)"
+banner "7/9 flashqosd lifecycle smoke (ephemeral port, loopback batch, clean drain)"
 daemon_smoke() {
   # $1: "probe" (drive one batch; end-session drains the daemon) or
   #     "sigterm" (no traffic; the signal forces the drain).
@@ -134,7 +139,10 @@ daemon_smoke() {
 daemon_smoke probe
 daemon_smoke sigterm
 
-banner "8/8 clang-tidy (optional extra)"
+banner "8/9 benchmark smoke (perfbench --smoke: every workload, both modes, every gate)"
+run python3 perfbench/run.py --smoke
+
+banner "9/9 clang-tidy (optional extra)"
 if command -v clang-tidy > /dev/null 2>&1; then
   run cmake -B build-tidy -S . -DCMAKE_EXPORT_COMPILE_COMMANDS=ON \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
@@ -142,7 +150,7 @@ if command -v clang-tidy > /dev/null 2>&1; then
     | xargs -0 -n 1 -P "$JOBS" clang-tidy -p build-tidy --quiet --warnings-as-errors='*'
 else
   echo "NOTE: clang-tidy not found on PATH; skipping the optional pass" >&2
-  echo "      (the in-tree flashqos_lint gate already ran in stage 2/8)." >&2
+  echo "      (the in-tree flashqos_lint gate already ran in stage 2/9)." >&2
 fi
 
 banner "all checks passed"

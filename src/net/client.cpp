@@ -1,5 +1,8 @@
 #include "net/client.hpp"
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -13,6 +16,14 @@ bool Client::connect(std::uint16_t port) {
   fd_ = connect_loopback(port);
   if (fd_ < 0) {
     error_ = "connect failed";
+    return false;
+  }
+  // A closed-loop client's flush must not wait behind its own
+  // unacknowledged submit frame (Nagle + delayed ACK).
+  const int one = 1;
+  if (::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one)) != 0) {
+    error_ = "cannot set TCP_NODELAY";
+    close();
     return false;
   }
   if (!send_frame(encode_hello(kProtocolVersion))) return false;

@@ -59,6 +59,8 @@ class Client {
   void close();
 
   [[nodiscard]] bool connected() const noexcept { return fd_ >= 0; }
+  /// The connected socket (-1 when not connected).
+  [[nodiscard]] int native_handle() const noexcept { return fd_; }
   [[nodiscard]] const WelcomeFrame& welcome() const noexcept {
     return welcome_;
   }

@@ -34,10 +34,15 @@ bool parse_field(std::string_view tok, T& out) {
 }  // namespace
 
 void write_disksim_ascii(const Trace& t, std::ostream& out) {
+  // Integer milliseconds plus six fractional digits: exactly the
+  // nanosecond clock, at any trace length.
+  char frac[7] = {};
   for (const auto& e : t.events) {
-    out << to_ms(e.time) << ' ' << e.device << ' ' << e.block << ' '
-        << e.size_blocks * kSectorsPerBlock << ' ' << (e.is_read ? kReadFlag : 0U)
-        << '\n';
+    SimTime ns = e.time % kMillisecond;
+    for (int i = 5; i >= 0; --i, ns /= 10) frac[i] = static_cast<char>('0' + ns % 10);
+    out << e.time / kMillisecond << '.' << frac << ' ' << e.device << ' ' << e.block
+        << ' ' << e.size_blocks * kSectorsPerBlock << ' '
+        << (e.is_read ? kReadFlag : 0U) << '\n';
   }
 }
 

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -513,6 +515,22 @@ TEST(DaemonServer, ConnectBlocksUntilTheRealWelcomeLands) {
   EXPECT_EQ(cl.welcome().inflight_cap, ServerOptions{}.inflight_cap);
   EXPECT_EQ(cl.welcome().devices, 9u);
   EXPECT_EQ(cl.welcome().copies, 3u);
+  ASSERT_TRUE(cl.finish());
+  fx.server.stop();
+}
+
+TEST(DaemonServer, ClientSocketSendsWithoutDelay) {
+  // A closed-loop client's flush must not sit behind its own submit frame
+  // waiting for a delayed ACK.
+  DaemonFixture fx;
+  ASSERT_TRUE(fx.server.start());
+  Client cl;
+  ASSERT_TRUE(cl.connect(fx.server.port()));
+  int nodelay = 0;
+  socklen_t len = sizeof(nodelay);
+  ASSERT_EQ(::getsockopt(cl.native_handle(), IPPROTO_TCP, TCP_NODELAY, &nodelay, &len),
+            0);
+  EXPECT_NE(nodelay, 0);
   ASSERT_TRUE(cl.finish());
   fx.server.stop();
 }

@@ -56,6 +56,12 @@ TEST(DiskSimFormat, RoundTrips) {
       {.time = 0, .block = 100, .device = 0, .size_blocks = 1, .is_read = true},
       {.time = 132507, .block = 250, .device = 3, .size_blocks = 2, .is_read = true},
       {.time = 500000, .block = 7, .device = 1, .size_blocks = 1, .is_read = false},
+      // Past one hour, one nanosecond apart: six significant digits would
+      // collapse these onto one instant.
+      {.time = 3600 * kSecond + 7, .block = 8, .device = 2, .size_blocks = 1},
+      {.time = 3600 * kSecond + 8, .block = 9, .device = 2, .size_blocks = 1},
+      {.time = 3 * 3600 * kSecond + 123456789, .block = 10, .device = 0,
+       .size_blocks = 1},
   };
   std::stringstream ss;
   write_disksim_ascii(t, ss);
@@ -66,10 +72,7 @@ TEST(DiskSimFormat, RoundTrips) {
     EXPECT_EQ(back.events[i].device, t.events[i].device);
     EXPECT_EQ(back.events[i].size_blocks, t.events[i].size_blocks);
     EXPECT_EQ(back.events[i].is_read, t.events[i].is_read);
-    // Times round-trip through millisecond text with ns fidelity loss
-    // bounded by the stream precision.
-    EXPECT_NEAR(static_cast<double>(back.events[i].time),
-                static_cast<double>(t.events[i].time), 1000.0);
+    EXPECT_EQ(back.events[i].time, t.events[i].time);
   }
 }
 
