@@ -22,6 +22,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -32,6 +33,7 @@
 #include "net/client.hpp"
 #include "net/server.hpp"
 #include "obs/http_exporter.hpp"
+#include "obs/metrics.hpp"
 #include "service/pipeline_service.hpp"
 #include "util/table.hpp"
 
@@ -59,19 +61,58 @@ struct ConnStats {
   bool ok = false;
 };
 
+/// Arrival clock shared by the closed-loop connections. The service
+/// clamps any arrival below the highest time it has accepted, and its
+/// dispatcher threads accept frames from different connections in no
+/// fixed order; so a connection stamps its next range of intervals only
+/// once every range stamped before it has been accepted (the service runs
+/// in this process: submitted_events() is the acknowledgement). Ranges
+/// then enter the engine in time order and no arrival is clamped. Flushes
+/// promise only up to the next unstamped interval, the lowest arrival any
+/// connection can still send.
+class ArrivalClock {
+ public:
+  explicit ArrivalClock(const service::PipelineService& svc) : svc_(svc) {}
+
+  /// Stamp `n` consecutive intervals and hand their first to `send`.
+  template <typename Send>
+  bool stamp(std::size_t n, Send&& send) {
+    const std::lock_guard lock(mutex_);
+    wait_accepted();
+    const std::uint64_t base = next_;
+    next_ += n;
+    stamped_ += n;
+    return send(base);
+  }
+
+  /// Hand `flush` the floor every unsent arrival is at or above.
+  template <typename Flush>
+  bool flush(Flush&& flush) {
+    const std::lock_guard lock(mutex_);
+    wait_accepted();
+    return flush(next_);
+  }
+
+ private:
+  void wait_accepted() const {
+    while (svc_.submitted_events() < stamped_) std::this_thread::yield();
+  }
+
+  const service::PipelineService& svc_;
+  std::mutex mutex_;
+  std::uint64_t next_ = 0;     // next unstamped interval
+  std::uint64_t stamped_ = 0;  // events stamped (and sent) so far
+};
+
 /// One closed-loop producer: submit `total` events, keeping up to the
-/// Welcome's inflight_cap outstanding. Arrival times come from one shared
-/// interval counter (one event per QoS interval across ALL connections)
-/// so the merged stream stays near-sorted, and — the part a correct
-/// client of this protocol cannot skip — the producer sends kFlush
-/// whenever its window is full. The daemon's engine never invents time:
-/// events at the ingestion frontier dispatch only when the frontier
-/// moves, and with every window in the fleet full nothing would move it.
-/// A flush stamped from the shared counter (consuming one interval, so
-/// each flush value strictly dominates every time stamped before it)
-/// releases every outstanding verdict and the loop breathes again.
+/// Welcome's inflight_cap outstanding, one event per QoS interval from
+/// the shared clock (inside the S = 5 budget). The part a correct client
+/// of this protocol cannot skip: the producer sends kFlush whenever its
+/// window is full. The daemon's engine never invents time — events at
+/// the ingestion frontier dispatch only when the frontier moves, and with
+/// every window in the fleet full nothing would move it.
 void closed_loop_conn(std::uint16_t port, std::size_t conn_idx,
-                      std::size_t total, std::atomic<std::uint64_t>& interval,
+                      std::size_t total, ArrivalClock& clock,
                       std::atomic<std::size_t>& connected,
                       const std::atomic<bool>& go, ConnStats& stats) {
   net::Client cl;
@@ -86,32 +127,37 @@ void closed_loop_conn(std::uint16_t port, std::size_t conn_idx,
   while (sent < total) {
     const std::size_t n = std::min(evs.size(), total - sent);
     if (cl.outstanding() + n > cap) {
-      // Window full: promise a floor above everything stamped so far,
-      // then wait for verdicts. Re-flushing with a fresh counter value on
-      // every pass keeps the fleet live even when submissions race the
-      // floor (a clamped batch can sit exactly at the frontier until the
-      // next strictly-higher flush).
-      const std::uint64_t f = interval.fetch_add(1) + 1;
-      if (!cl.flush(static_cast<std::int64_t>(f * kBaseInterval))) return;
-      if (!cl.pump(250)) return;
+      // Window full: promise the floor, then wait for verdicts.
+      const bool flushed = clock.flush([&](std::uint64_t floor) {
+        return cl.flush(static_cast<std::int64_t>(floor * kBaseInterval));
+      });
+      if (!flushed || !cl.pump(250)) return;
       continue;
     }
-    const std::uint64_t base = interval.fetch_add(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      auto& e = evs[i];
-      e.tag = sent + i;
-      e.time = static_cast<std::int64_t>((base + i) * kBaseInterval);
-      e.block = (conn_idx * 9 + sent + i) % 36;
-      e.tenant = 0;
-      e.flags = 1;
-    }
-    if (!cl.submit_raw({evs.data(), n})) return;
+    const bool submitted = clock.stamp(n, [&](std::uint64_t base) {
+      for (std::size_t i = 0; i < n; ++i) {
+        auto& e = evs[i];
+        e.tag = sent + i;
+        e.time = static_cast<std::int64_t>((base + i) * kBaseInterval);
+        e.block = (conn_idx * 9 + sent + i) % 36;
+        e.tenant = 0;
+        e.flags = 1;
+      }
+      return cl.submit_raw({evs.data(), n});
+    });
+    if (!submitted) return;
     stats.peak_window = std::max(stats.peak_window, cl.outstanding());
     sent += n;
   }
   if (!cl.finish()) return;
   stats.completions = cl.completions.size();
   stats.ok = stats.completions == total;
+}
+
+std::uint64_t counter_value(const char* name) {
+  const auto snap = obs::MetricRegistry::global().snapshot();
+  const auto* c = snap.find_counter(name);
+  return c != nullptr ? c->value : 0;
 }
 
 }  // namespace
@@ -151,13 +197,13 @@ int main(int argc, char** argv) {
 
   std::atomic<std::size_t> connected{0};
   std::atomic<bool> go{false};
-  std::atomic<std::uint64_t> interval{0};
+  ArrivalClock clock(svc);
   std::vector<ConnStats> stats(conns);
   std::vector<std::thread> threads;
   threads.reserve(conns);
   for (std::size_t c = 0; c < conns; ++c) {
     threads.emplace_back(closed_loop_conn, server.port(), c, per_conn,
-                         std::ref(interval), std::ref(connected),
+                         std::ref(clock), std::ref(connected),
                          std::cref(go), std::ref(stats[c]));
   }
   while (connected.load() < conns) std::this_thread::yield();
@@ -191,6 +237,16 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(window_sum),
               conns * static_cast<std::size_t>(inflight_cap),
               static_cast<unsigned long long>(server.pushbacks_sent()));
+  std::printf("closed loop: service.clamped_events %llu, "
+              "pipeline.deferral_events %llu\n",
+              static_cast<unsigned long long>(svc.clamped_events()),
+              static_cast<unsigned long long>(
+                  counter_value("pipeline.deferral_events")));
+  if (svc.clamped_events() > 0) {
+    std::printf("FAILED: %llu arrivals were clamped to the ingestion floor\n",
+                static_cast<unsigned long long>(svc.clamped_events()));
+    return 1;
+  }
   server.stop();
 
   // (2) overload: a windowless client against a small wire cap, flooding
