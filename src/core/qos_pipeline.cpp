@@ -1337,7 +1337,7 @@ class ReplayEngine {
   /// retries), roll the FIM/QoS intervals forward, and run the admission/
   /// scheduling paths. When the instant is the boundary deferred work is
   /// due at, the carried reads (or the queued WFQ backlog) are offered
-  /// too, behind nothing: they are older than every fresh arrival.
+  /// too, ahead of fresh arrivals, which are newer.
   void process_group(SimTime now) {
     group_.clear();
     while (!queue_.empty() && queue_.top().dispatch == now) {
