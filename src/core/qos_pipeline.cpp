@@ -581,7 +581,7 @@ inline constexpr SimTime kDrainAll = std::numeric_limits<SimTime>::max();
 inline constexpr SimTime kNoWake = kDrainAll;
 
 /// One in-flight request of a streaming replay: the event, its outcome,
-/// its WFQ lifecycle state, and how close it is to the result fold.
+/// and how close it is to the result fold.
 /// st: 0 = awaiting dispatch, 1 = dispatched to the simulator (awaiting
 /// the completion cross-check), 2 = final (verified / failed / shed /
 /// write). The window pops slots from the front as they reach 2, so
@@ -589,7 +589,6 @@ inline constexpr SimTime kNoWake = kDrainAll;
 struct StreamSlot {
   trace::TraceEvent ev;
   RequestOutcome out;
-  std::uint8_t tstate = 0;
   std::uint8_t st = 0;
 };
 
@@ -645,7 +644,6 @@ class ReplayEngine {
     report_interval_ = t.report_interval;
     init(t.events.back().time + T_, /*streaming=*/false, fim);
     slices_ = trace::report_slices(t);
-    if (tenant_mode_) tstate_.assign(t.events.size(), 0);
 
     // Seed the dispatch queue. Online mode dispatches at arrival; aligned
     // mode at the enclosing interval boundary (requests already exactly on
@@ -761,9 +759,6 @@ class ReplayEngine {
   [[nodiscard]] RequestOutcome& out(std::size_t i) {
     return streaming_ ? win_[i - win_base_].out : result_->outcomes[i];
   }
-  [[nodiscard]] std::uint8_t& tst(std::size_t i) {
-    return streaming_ ? win_[i - win_base_].tstate : tstate_[i];
-  }
   /// The request reached a final state with no pending simulator
   /// cross-check (failed / shed / write).
   void mark_final(std::size_t i) {
@@ -863,7 +858,7 @@ class ReplayEngine {
                     "stream cursor must yield time-sorted events");
     last_time_ = e.time;
     const auto idx = static_cast<std::size_t>(ingested_++);
-    win_.push_back(StreamSlot{e, RequestOutcome{}, 0, 0});
+    win_.push_back(StreamSlot{e, RequestOutcome{}, 0});
     win_.back().out.arrival = e.time;
     const SimTime dispatch = cfg_.retrieval == RetrievalMode::kOnline
                                  ? e.time
@@ -1690,6 +1685,7 @@ class ReplayEngine {
   /// arrival and every request reaches a final state (dispatched, shed, or
   /// failed).
   void dispense_tenants(SimTime now, std::int64_t qi) {
+    fresh_.assign(ts_->tenants(), 0);
     for (const auto& g : group_) {
       const std::size_t id = g.idx;
       auto& o = out(id);
@@ -1715,7 +1711,6 @@ class ReplayEngine {
           o.finish = now;
           o.failed = true;
           o.path = RetrievalPath::kShed;
-          tst(id) = 2;
           mark_final(id);
           if constexpr (obs::kEnabled) {
             agg_shed_.add(now, 1);
@@ -1733,7 +1728,7 @@ class ReplayEngine {
           o.wfq_marked = true;
           [[fallthrough]];
         case WfqQueues::Enqueue::kAccepted:
-          tst(id) = 1;
+          ++fresh_[tid];
           break;
       }
     }
@@ -1762,7 +1757,6 @@ class ReplayEngine {
         }
         ts_->drop_head(*tid);
         out(id).fim_matched = cfg_.mapping == MappingMode::kFim && m.matched;
-        tst(id) = 2;
       }
       return std::nullopt;
     };
@@ -1775,7 +1769,6 @@ class ReplayEngine {
       o.dispatch = now;
       o.fim_matched = cfg_.mapping == MappingMode::kFim && h.m.matched;
       o.q_ppm = 0;
-      tst(h.id) = 2;
     };
 
     if (cfg_.scheduler == SchedulerMode::kPrimaryOnly) {
@@ -1838,12 +1831,13 @@ class ReplayEngine {
     // offers the backlog again. One deferral event per request-interval
     // waited: at a boundary the whole backlog waits another interval;
     // mid-interval, only this instant's arrivals start waiting (the older
-    // backlog already counts toward the coming boundary).
+    // backlog already counts toward the coming boundary). Each tenant
+    // queue is a FIFO served from its head, so this instant's arrivals are
+    // its last min(fresh, depth) entries.
     std::uint64_t waiting = 0;
-    if (now % T_ == 0) {
-      for (std::size_t k = 0; k < ts_->tenants(); ++k) waiting += ts_->depth(k);
-    } else {
-      for (const auto& g : group_) waiting += tst(g.idx) == 1 ? 1U : 0U;
+    const bool boundary = now % T_ == 0;
+    for (std::size_t k = 0; k < ts_->tenants(); ++k) {
+      waiting += boundary ? ts_->depth(k) : std::min(fresh_[k], ts_->depth(k));
     }
     if (waiting > 0) {
       if constexpr (obs::kEnabled) deferrals_tally_ += waiting;
@@ -1983,7 +1977,6 @@ class ReplayEngine {
   const trace::Trace* t_ = nullptr;
   PipelineResult* result_ = nullptr;
   std::vector<std::pair<std::size_t, std::size_t>> slices_;
-  std::vector<std::uint8_t> tstate_;
 
   // ---- streaming mode ----------------------------------------------------
   std::deque<StreamSlot> win_;   // slots for requests [win_base_, ingested_)
@@ -2006,6 +1999,7 @@ class ReplayEngine {
   std::optional<StatisticalAdmission> stat_;
   std::optional<TenantScheduler> ts_;
   std::vector<bool> tenant_blocked_;
+  std::vector<std::size_t> fresh_;  // this instant's enqueues per tenant
   std::vector<obs::LatencyHistogram*> depth_hist_;
 
   obs::TimeSeries* win_reads_ = nullptr;
