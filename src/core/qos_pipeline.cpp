@@ -964,7 +964,7 @@ class ReplayEngine {
     for (const auto& c : array_->take_completions()) {
       if (c.id >= kBackgroundIdBase) continue;  // write replica / rebuild op
       auto& s = win_[c.id - win_base_];
-      FLASHQOS_ASSERT(s.out.start == c.start && s.out.finish == c.finish,
+      FLASHQOS_EXPECT(s.out.start == c.start && s.out.finish == c.finish,
                       "pipeline dispatch model diverged from the simulator");
       s.st = 2;
     }
@@ -1491,9 +1491,12 @@ class ReplayEngine {
           if (!available_.empty() && !available_[dev]) continue;
           const SimTime start = std::max(free_at_[dev], now);
           const SimTime finish = start + cfg_.write_latency;
+          // Submitted at the model's start, like reads: the simulator serves
+          // each device FIFO by submit time, so a program submitted at `now`
+          // would jump ahead of reads already queued there for later starts.
           array_->submit(flashsim::IoRequest{.id = next_background_op_++,
                                              .device = dev,
-                                             .submit_time = now,
+                                             .submit_time = start,
                                              .pages = 1,
                                              .is_write = true});
           if constexpr (obs::kEnabled) ++write_ops_tally_;
@@ -1905,7 +1908,7 @@ class ReplayEngine {
     for (const auto& c : array_->take_completions()) {
       if (c.id >= result.outcomes.size()) continue;  // per-replica write op
       auto& o = result.outcomes[c.id];
-      FLASHQOS_ASSERT(o.start == c.start && o.finish == c.finish,
+      FLASHQOS_EXPECT(o.start == c.start && o.finish == c.finish,
                       "pipeline dispatch model diverged from the simulator");
       o.start = c.start;
       o.finish = c.finish;

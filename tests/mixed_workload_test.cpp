@@ -118,6 +118,34 @@ TEST(PipelineWrites, WritesBypassReadAdmission) {
   EXPECT_EQ(r.deadline_violations, 0u);
 }
 
+TEST(PipelineWrites, WriteQueuesBehindEarlierDispatchedRead) {
+  PipelineConfig cfg;
+  cfg.retrieval = RetrievalMode::kOnline;
+  cfg.admission = AdmissionMode::kNone;
+  cfg.mapping = MappingMode::kModulo;
+  QosPipeline pipe(scheme931(), cfg);
+  // Four reads of bucket 0 at t=0: three take the bucket's replica slots,
+  // the fourth queues on device 0 for [L, 2L]. The write arrives while
+  // that read is still waiting; devices serve FIFO, so the program must
+  // queue behind it instead of jumping ahead.
+  const auto r = pipe.run(rw_trace({{0, 0, true},
+                                    {0, 0, true},
+                                    {0, 0, true},
+                                    {0, 0, true},
+                                    {kMicrosecond, 0, false}}));
+  ASSERT_EQ(r.outcomes.size(), 5u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(r.outcomes[i].path, core::RetrievalPath::kSlotMatched) << i;
+    EXPECT_EQ(r.outcomes[i].finish, kPageReadLatency) << i;
+  }
+  const auto& queued = r.outcomes[3];
+  EXPECT_EQ(queued.device, 0u);
+  EXPECT_EQ(queued.start, kPageReadLatency);
+  EXPECT_EQ(queued.finish, 2 * kPageReadLatency);
+  EXPECT_TRUE(r.outcomes[4].is_write);
+  EXPECT_EQ(r.outcomes[4].finish, 2 * kPageReadLatency + cfg.write_latency);
+}
+
 TEST(PipelineWrites, MixedWorkloadEndToEnd) {
   auto p = trace::exchange_params(0.25, 33);
   p.report_intervals = 12;
