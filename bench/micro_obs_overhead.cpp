@@ -10,8 +10,9 @@
 //  (1) online replay   — the per-request dispatch loop (relaxed counter
 //      increments are the only live instrumentation there);
 //  (2) aligned replay  — batch retrieval, where the retrieval counters sit;
-//  (3) post-run fold   — included in both, since record_outcome_observability
-//      runs inside replay(); its cost is part of what OFF elides.
+//  (3) outcome fold    — included in both, since the engine folds every
+//      finalized outcome into the registry as it leaves the replay
+//      window; its cost is part of what OFF elides.
 //
 // Within a single build the driver also reports the *tracing* overhead
 // (tracer enabled vs disabled), which is measurable in-process because the

@@ -10,7 +10,10 @@
 #   3. schedule-exhaustive model checking (flashqos_verify --model): every
 #      interleaving of the bounded ThreadPool / HandoffQueue / MetricRegistry
 #      models, with vector-clock race, deadlock, and lost-wakeup detection
-#   4. the test suite under AddressSanitizer + UndefinedBehaviorSanitizer
+#   4. the test suite under AddressSanitizer + UndefinedBehaviorSanitizer,
+#      built as RelWithDebInfo without -DNDEBUG so the engine's
+#      FLASHQOS_ASSERT invariants are checked too (every other build here
+#      compiles them out)
 #   5. the test suite under ThreadSanitizer
 #   6. the design-invariant verifier (flashqos_verify) over every catalog
 #      design with N <= 64, plus the serial ≡ parallel replay-equivalence
@@ -82,10 +85,11 @@ run ./build-werror/src/lint/flashqos_lint --root src \
 banner "3/9 schedule-exhaustive model checking"
 run ./build-werror/src/verify/flashqos_verify --model
 
-banner "4/9 ASan + UBSan"
+banner "4/9 ASan + UBSan (asserts on)"
 run cmake -B build-asan -S . -DFLASHQOS_WERROR=ON -DFLASHQOS_SANITIZE=address \
   -DFLASHQOS_BUILD_BENCH=OFF -DFLASHQOS_BUILD_EXAMPLES=OFF \
-  -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
+  -DCMAKE_BUILD_TYPE=RelWithDebInfo -DCMAKE_CXX_FLAGS_RELWITHDEBINFO="-O2 -g" \
+  > /dev/null
 run cmake --build build-asan -j "$JOBS"
 ASAN_OPTIONS="detect_leaks=1:strict_string_checks=1:detect_stack_use_after_return=1" \
 UBSAN_OPTIONS="print_stacktrace=1" \

@@ -23,7 +23,6 @@ struct EngineMetrics {
   obs::LatencyHistogram& handoff_occupancy;
   obs::LatencyHistogram& mine_ns;
   obs::LatencyHistogram& replay_ns;
-  obs::LatencyHistogram& summarize_ns;
 
   static EngineMetrics& get() {
     auto& reg = obs::MetricRegistry::global();
@@ -31,8 +30,7 @@ struct EngineMetrics {
                            reg.counter("parallel.mined_slices"),
                            reg.histogram("parallel.handoff_occupancy"),
                            reg.histogram("parallel.mine_ns"),
-                           reg.histogram("parallel.replay_ns"),
-                           reg.histogram("parallel.summarize_ns")};
+                           reg.histogram("parallel.replay_ns")};
     return m;
   }
 };
@@ -54,59 +52,42 @@ struct MinedSlice {
   std::vector<fim::FrequentPair> pairs;
 };
 
-/// FimSource fed by the handoff queue. Single consumer (the replay core):
-/// pops mined slices in completion order and re-sequences them into
-/// pre-sized slots, blocking until the slice it needs has arrived. A queue
-/// that closes before producing a requested slice means a miner failed;
-/// the error is reported here and the miner's own exception is surfaced by
-/// run_pipelined when it joins the futures.
-class QueueFimSource final : public FimSource {
+/// Hand one mined slice to the replay core, timing it from `t0`. False
+/// means the core finished on a prefix and closed the queue: nothing later
+/// can be needed.
+bool publish_mined(HandoffQueue<MinedSlice>& queue, MinedSlice slice,
+                   // flashqos-lint: allow(wall-clock): miner stage-timing metric
+                   std::chrono::steady_clock::time_point t0) {
+  if (!queue.push(std::move(slice))) return false;
+  if constexpr (obs::kEnabled) {
+    auto& em = EngineMetrics::get();
+    em.mined_slices.inc();
+    em.mine_ns.record(elapsed_ns(t0));
+    em.handoff_occupancy.record(static_cast<std::int64_t>(queue.size()));
+  }
+  return true;
+}
+
+/// The replay core's FimSource, fed by the miners over the handoff queue.
+/// Single consumer: pops mined slices in arrival order, keeps the ones it
+/// does not need yet keyed by index, and blocks until the slice it needs
+/// arrives. The core asks for slices in order, so the map holds only what
+/// the miners ran ahead: O(lookahead + workers). A queue that closes
+/// before producing a requested slice means a miner failed; the error is
+/// reported here and the miner's own exception is surfaced when the
+/// caller joins the futures.
+class HandoffFimSource final : public FimSource {
  public:
-  QueueFimSource(HandoffQueue<MinedSlice>& queue, std::size_t slices)
-      : queue_(queue), slots_(slices), ready_(slices, false) {}
+  explicit HandoffFimSource(HandoffQueue<MinedSlice>& queue) : queue_(queue) {}
 
   std::span<const fim::FrequentPair> slice(std::size_t idx) override {
-    FLASHQOS_EXPECT(idx < slots_.size(), "FIM slice index out of range");
-    while (!ready_[idx]) {
+    auto it = ready_.find(idx);
+    while (it == ready_.end()) {
       auto item = queue_.pop();
       if (!item.has_value()) {
         throw std::runtime_error("parallel replay: mining stage closed before "
                                  "producing slice " + std::to_string(idx));
       }
-      slots_[item->idx] = std::move(item->pairs);
-      ready_[item->idx] = true;
-    }
-    return slots_[idx];
-  }
-
- private:
-  HandoffQueue<MinedSlice>& queue_;
-  std::vector<std::vector<fim::FrequentPair>> slots_;
-  std::vector<bool> ready_;
-};
-
-/// FimSource for the streaming replay core, fed by the producer that mines
-/// ahead of it. Unlike QueueFimSource the slice count is unknown up front,
-/// so arrived slices are keyed by index; the producer emits in slice order
-/// and the core consumes in slice order, so the map stays O(lookahead).
-class StreamingQueueFimSource final : public FimSource {
- public:
-  explicit StreamingQueueFimSource(HandoffQueue<MinedSlice>& queue)
-      : queue_(queue) {}
-
-  std::span<const fim::FrequentPair> slice(std::size_t idx) override {
-    // Earlier slices are never re-requested (the core mines forward only);
-    // drop any the core skipped so memory cannot creep.
-    ready_.erase(ready_.begin(), ready_.lower_bound(idx));
-    auto it = ready_.find(idx);
-    while (it == ready_.end()) {
-      auto item = queue_.pop();
-      if (!item.has_value()) {
-        throw std::runtime_error(
-            "parallel stream replay: mining stage closed before producing "
-            "slice " + std::to_string(idx));
-      }
-      if (item->idx < idx) continue;  // skipped slice, already unneeded
       ready_.emplace(item->idx, std::move(item->pairs));
       it = ready_.find(idx);
     }
@@ -135,6 +116,30 @@ void join_all(std::vector<std::future<void>>& futures, std::exception_ptr pendin
   }
   if (worker_error) std::rethrow_exception(worker_error);
   if (pending) std::rethrow_exception(pending);
+}
+
+/// Run `replay` (the serial core, consuming `queue`) while `miners` fill
+/// it, then stop and join the miners. The core may consume only a prefix
+/// of the slices (the last dispatch decides), so the queue is closed
+/// either way; a failure on either side surfaces after every miner has
+/// finished.
+template <class Replay>
+auto replay_alongside(HandoffQueue<MinedSlice>& queue,
+                      std::vector<std::future<void>>& miners, Replay&& replay) {
+  // flashqos-lint: allow(wall-clock): replay stage-timing metric
+  const auto t0 = std::chrono::steady_clock::now();
+  decltype(replay()) result;
+  try {
+    result = replay();
+  } catch (...) {
+    queue.close();
+    join_all(miners, std::current_exception());
+    throw;  // unreachable: join_all rethrows pending when no worker failed
+  }
+  queue.close();
+  join_all(miners, nullptr);
+  if constexpr (obs::kEnabled) EngineMetrics::get().replay_ns.record(elapsed_ns(t0));
+  return result;
 }
 
 }  // namespace
@@ -197,10 +202,9 @@ StreamResult ParallelReplayEngine::run_stream(
     return QosPipeline(scheme, cfg).run_stream(*cursor, nullptr, opts);
   }
 
-  // Producer: an independent pass over the stream (its own cursor), building
-  // each reporting slice's transaction database exactly the way the inline
-  // miner does — transactions cut at QoS-window changes and at slice
-  // boundaries, reads only — then mining and handing the pairs over the
+  // Producer: an independent pass over the stream (its own cursor), cutting
+  // each reporting slice's transactions exactly the way the inline miner
+  // does (SliceTransactions), then mining and handing the pairs over the
   // bounded queue. Mining is a pure function of the slice, so mined-ahead
   // pairs are bit-identical to inline mining.
   HandoffQueue<MinedSlice> queue(opts_.mining_lookahead);
@@ -211,80 +215,42 @@ StreamResult ParallelReplayEngine::run_stream(
       FLASHQOS_EXPECT(mine_cursor != nullptr,
                       "cursor factory returned a null cursor");
       std::vector<trace::TraceEvent> buf(opts.batch_size);
-      fim::TransactionDb db;
-      std::vector<fim::Item> tx;
-      std::int64_t window = -1;
-      std::size_t slice = 0;
-      bool stop = false;
-      const auto flush_tx = [&] {
-        if (!tx.empty()) {
-          db.add(std::move(tx));
-          tx = {};
+      SliceTransactions slices(cfg.qos_interval, ri);
+      std::size_t next = 0;
+      // Mine and hand off every completed slice; false once the core has
+      // closed the queue.
+      const auto publish_ready = [&] {
+        while (slices.ready()) {
+          // flashqos-lint: allow(wall-clock): miner stage-timing metric
+          const auto t0 = std::chrono::steady_clock::now();
+          MinedSlice m{next++,
+                       fim::mine_pairs_apriori(slices.take(), cfg.fim_min_support)
+                           .pairs};
+          if (!publish_mined(queue, std::move(m), t0)) return false;
         }
+        return true;
       };
-      // Mine and hand off the slice under construction. push() returning
-      // false means the replay core finished on a prefix and closed the
-      // queue — nothing later can be needed, so the producer stops.
-      const auto close_slice = [&] {
-        flush_tx();
-        window = -1;  // a QoS window never straddles a slice boundary
-        // flashqos-lint: allow(wall-clock): miner stage-timing metric
-        const auto t0 = std::chrono::steady_clock::now();
-        MinedSlice m{slice, fim::mine_pairs_apriori(db, cfg.fim_min_support).pairs};
-        if (!queue.push(std::move(m))) {
-          stop = true;
-          return;
-        }
-        if constexpr (obs::kEnabled) {
-          auto& em = EngineMetrics::get();
-          em.mined_slices.inc();
-          em.mine_ns.record(elapsed_ns(t0));
-          em.handoff_occupancy.record(static_cast<std::int64_t>(queue.size()));
-        }
-        db = fim::TransactionDb{};
-        ++slice;
-      };
-      for (std::size_t n; !stop && (n = mine_cursor->fill(buf)) > 0;) {
-        for (std::size_t i = 0; i < n && !stop; ++i) {
-          const auto& e = buf[i];
-          const auto s = static_cast<std::size_t>(e.time / ri);
-          while (slice < s && !stop) close_slice();
-          if (stop || !e.is_read) continue;  // the paper mines read requests
-          const std::int64_t w = e.time / cfg.qos_interval;
-          if (w != window) {
-            flush_tx();
-            window = w;
-          }
-          tx.push_back(e.block);
+      bool open = true;
+      for (std::size_t n; open && (n = mine_cursor->fill(buf)) > 0;) {
+        for (std::size_t i = 0; i < n && open; ++i) {
+          slices.add(buf[i]);
+          open = publish_ready();
         }
       }
-      if (!stop) close_slice();  // the slice holding the last event
+      if (open) {
+        slices.finish();  // the slice holding the last event
+        publish_ready();
+      }
     } catch (...) {
       queue.close();  // unblock the consumer; the future carries the error
       throw;
     }
   }));
 
-  QosPipeline pipe(scheme, cfg);
-  StreamingQueueFimSource source(queue);
-  StreamResult result;
-  // flashqos-lint: allow(wall-clock): replay stage-timing metric
-  const auto replay_t0 = std::chrono::steady_clock::now();
-  try {
-    result = pipe.run_stream(*cursor, &source, opts);
-  } catch (...) {
-    queue.close();
-    join_all(miners, std::current_exception());
-    throw;  // unreachable: join_all rethrows pending when no worker failed
-  }
-  // The core may consume only a prefix of the slices (the last dispatch
-  // decides); close the queue so the producer stops blocking.
-  queue.close();
-  join_all(miners, nullptr);
-  if constexpr (obs::kEnabled) {
-    EngineMetrics::get().replay_ns.record(elapsed_ns(replay_t0));
-  }
-  return result;
+  HandoffFimSource source(queue);
+  return replay_alongside(queue, miners, [&] {
+    return QosPipeline(scheme, cfg).run_stream(*cursor, &source, opts);
+  });
 }
 
 PipelineResult ParallelReplayEngine::run_pipelined(
@@ -303,18 +269,13 @@ PipelineResult ParallelReplayEngine::run_pipelined(
         try {
           // flashqos-lint: allow(wall-clock): miner stage-timing metric
           const auto t0 = std::chrono::steady_clock::now();
-          MinedSlice m{i, mine_event_range(t, slices[i].first, slices[i].second,
-                                           cfg.qos_interval, cfg.fim_min_support)};
-          // push() returning false means the replay core already finished
-          // (it never needed this slice) and closed the queue — fine.
-          queue.push(std::move(m));
-          if constexpr (obs::kEnabled) {
-            auto& em = EngineMetrics::get();
-            em.mined_slices.inc();
-            em.mine_ns.record(elapsed_ns(t0));
-            em.handoff_occupancy.record(
-                static_cast<std::int64_t>(queue.size()));
-          }
+          // A false return (the core never needed this slice) is fine.
+          publish_mined(queue,
+                        MinedSlice{i, mine_event_range(t, slices[i].first,
+                                                       slices[i].second,
+                                                       cfg.qos_interval,
+                                                       cfg.fim_min_support)},
+                        t0);
         } catch (...) {
           queue.close();  // unblock the consumer; the future carries the error
           throw;
@@ -323,41 +284,10 @@ PipelineResult ParallelReplayEngine::run_pipelined(
     }
   }
 
-  QosPipeline pipe(scheme, cfg);
-  QueueFimSource source(queue, slices.size());
-  PipelineResult result;
-  // flashqos-lint: allow(wall-clock): replay stage-timing metric
-  const auto replay_t0 = std::chrono::steady_clock::now();
-  try {
-    result = pipe.replay(t, mine ? &source : nullptr);
-  } catch (...) {
-    queue.close();
-    join_all(miners, std::current_exception());
-    throw;  // unreachable: join_all rethrows pending when no worker failed
-  }
-  // The core may consume only a prefix of the slices (the last dispatch
-  // decides); close the queue so miners of unneeded slices stop blocking.
-  queue.close();
-  join_all(miners, nullptr);
-  if constexpr (obs::kEnabled) {
-    EngineMetrics::get().replay_ns.record(elapsed_ns(replay_t0));
-  }
-
-  // Metric stage, sharded: each reporting slice folds into its pre-sized
-  // slot; the fold order inside a slice is the index range, so every
-  // report is bit-identical to the serial finalize path.
-  // flashqos-lint: allow(wall-clock): summarize stage-timing metric
-  const auto summarize_t0 = std::chrono::steady_clock::now();
-  result.intervals.assign(slices.size(), IntervalReport{});
-  parallel_for(pool_, slices.size(), [&](std::size_t i) {
-    result.intervals[i] =
-        summarize_outcome_range(result.outcomes, slices[i].first, slices[i].second);
+  HandoffFimSource source(queue);
+  return replay_alongside(queue, miners, [&] {
+    return QosPipeline(scheme, cfg).run(t, mine ? &source : nullptr);
   });
-  result.overall = summarize_outcome_range(result.outcomes, 0, result.outcomes.size());
-  if constexpr (obs::kEnabled) {
-    EngineMetrics::get().summarize_ns.record(elapsed_ns(summarize_t0));
-  }
-  return result;
 }
 
 }  // namespace flashqos::core

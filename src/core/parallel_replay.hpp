@@ -15,14 +15,13 @@
 //     into decode → FIM mining → admission → retrieval scheduling →
 //     flashsim → metrics. The decode+mine stage is a pure function of each
 //     reporting slice, so workers mine slices ahead of the replay core and
-//     hand them over a bounded HandoffQueue (interval batches,
-//     re-sequenced into pre-sized slots by slice id); the admission/
-//     scheduling/flashsim stages share the dispatch clock and device free
-//     times, so they stay one serial core on the calling thread; the
-//     metric stage folds per-interval reports into pre-sized slots, one
-//     reporting slice per task. kOnline mode falls back to the plain
-//     serial path: its FCFS dispatch order is load-bearing (§IV-B), and
-//     we do not split a stage whose ordering carries semantics.
+//     hand them over a bounded HandoffQueue (interval batches, re-sequenced
+//     by slice id); the admission/scheduling/flashsim stages share the
+//     dispatch clock and device free times, so they stay one serial core
+//     on the calling thread, which also folds the reports as outcomes
+//     finalize. kOnline mode falls back to the plain serial path: its FCFS
+//     dispatch order is load-bearing (§IV-B), and we do not split a stage
+//     whose ordering carries semantics.
 //
 // Determinism rules (enforced by verify::verify_replay_equivalence and
 // tests/parallel_replay_test.cpp):

@@ -46,10 +46,10 @@ namespace {
 
 inline constexpr std::size_t kPathCount = 10;
 
-/// Pipeline-level registry handles, resolved once. The per-event live
-/// increments (dispatches, deferrals, write replica ops) are single relaxed
-/// fetch_adds; everything else is folded from the outcomes vector after the
-/// replay loop finishes, so the hot loop's cost stays negligible.
+/// Pipeline-level registry handles, resolved once. The loop tallies
+/// (dispatches, deferrals, offers, write replica ops) and the per-outcome
+/// fold (OutcomeObsFolder) count in plain locals and publish once per
+/// replay, so the hot loop's cost stays negligible.
 struct PipelineMetrics {
   obs::Counter& requests;
   obs::Counter& reads_served;
@@ -146,11 +146,6 @@ obs::EventDetail trace_detail(RetrievalPath path) noexcept {
   return obs::EventDetail::kNone;
 }
 
-/// Post-run observability fold: counters, histograms (including the
-/// per-stage latency attribution), and (when tracing is on) the
-/// per-request arrival → admission → retrieval spans plus one stage slice
-/// per lifecycle segment. Reads the finished outcomes only — it cannot
-/// perturb the replay.
 /// Value→count tally for one histogram, flushed with record_n on scope
 /// exit. Latency multisets here usually hold a few distinct values (fixed
 /// service quanta — the flat line), so a short linear scan beats one
@@ -217,12 +212,11 @@ struct WindowAgg {
 /// add() takes one outcome (trace order) — counters, histogram tallies,
 /// and (when tracing) that request's arrival → admission → retrieval spans
 /// plus one stage slice per lifecycle segment — and publish() writes the
-/// whole-run counter increments. The in-memory path folds the outcomes
-/// vector through it after the replay; the streaming path folds each
-/// request as it leaves the window, so registry content is identical at
-/// any batch size. Streaming caveat: per-request *tracer* records then
-/// interleave with the replay's kInterval records instead of trailing
-/// them; registry snapshots are order-insensitive, and the stream oracle
+/// whole-run counter increments. The engine folds each request as it
+/// leaves the window, so registry content is identical at any batch size.
+/// Reads finished outcomes only — it cannot perturb the replay. Per-request
+/// *tracer* records interleave with the replay's kInterval records by
+/// batch; registry snapshots are order-insensitive, and the stream oracle
 /// keeps tracing off while comparing.
 class OutcomeObsFolder {
  public:
@@ -342,54 +336,23 @@ class OutcomeObsFolder {
   std::array<std::uint64_t, kPathCount> by_path_{};
 };
 
-void record_outcome_observability(const PipelineResult& result) {
-  OutcomeObsFolder folder;
-  for (std::size_t i = 0; i < result.outcomes.size(); ++i) {
-    folder.add(i, result.outcomes[i]);
-  }
-  folder.publish(result.outcomes.size(), result.deadline_violations);
-}
-
 /// A request waiting for dispatch: a fresh arrival or a fault retry.
-/// Ordered by (dispatch time, seq); seq is the trace position. Reads that
-/// admission defers wait in the engine's carry-over FIFO instead.
+/// Ordered by (dispatch time, seq); seq is the 0-based ingestion index.
+/// Reads that admission defers wait in the engine's carry-over FIFO
+/// instead.
 struct Pending {
   SimTime dispatch = 0;
   std::uint64_t seq = 0;
-  std::size_t idx = 0;  // index into trace events / outcomes
 
   bool operator>(const Pending& other) const noexcept {
     return dispatch != other.dispatch ? dispatch > other.dispatch : seq > other.seq;
   }
 };
 
-/// Build the FIM transaction database for one reporting-interval slice:
-/// each QoS interval's distinct blocks form one transaction.
-fim::TransactionDb build_transactions(const trace::Trace& t, std::size_t begin,
-                                      std::size_t end, SimTime qos_interval) {
-  fim::TransactionDb db;
-  std::vector<fim::Item> current;
-  std::int64_t current_window = -1;
-  for (std::size_t i = begin; i < end; ++i) {
-    const auto& e = t.events[i];
-    if (!e.is_read) continue;  // the paper mines read requests
-    const std::int64_t w = e.time / qos_interval;
-    if (w != current_window) {
-      if (!current.empty()) db.add(std::move(current));
-      current = {};
-      current_window = w;
-    }
-    current.push_back(e.block);
-  }
-  if (!current.empty()) db.add(std::move(current));
-  return db;
-}
-
-/// Streaming-safe interval summary: add() one outcome at a time (trace
-/// order), finalize() into an IntervalReport. summarize_outcome_range is a
-/// fold over this same struct, so the streaming replay's incremental
-/// reports and the in-memory summarizer go through one accumulation order
-/// and every derived double is bit-identical.
+/// Interval summary: add() one outcome at a time (trace order),
+/// finalize() into an IntervalReport. The replay core and
+/// replay_original() both fold through it, so every derived double comes
+/// from one accumulation order.
 struct OutcomeFold {
   IntervalReport r;
   Accumulator resp, e2e, delay, write_ms;
@@ -438,36 +401,50 @@ struct OutcomeFold {
 
 }  // namespace
 
+void SliceTransactions::add(const trace::TraceEvent& e) {
+  close_until(e.time);
+  if (!e.is_read) return;  // the paper mines read requests
+  const std::int64_t w = e.time / qos_interval_;
+  if (w != window_) {
+    if (!tx_.empty()) open_.add(std::move(tx_));
+    tx_ = {};
+    window_ = w;
+  }
+  tx_.push_back(e.block);
+}
+
+void SliceTransactions::close_until(SimTime t) {
+  if (report_interval_ <= 0) return;
+  while (static_cast<SimTime>(slice_ + 1) * report_interval_ <= t) close_slice();
+}
+
+void SliceTransactions::finish() { close_slice(); }
+
+fim::TransactionDb SliceTransactions::take() {
+  FLASHQOS_EXPECT(!done_.empty(), "no completed FIM slice to take");
+  auto db = std::move(done_.front());
+  done_.pop_front();
+  return db;
+}
+
+void SliceTransactions::close_slice() {
+  if (!tx_.empty()) open_.add(std::move(tx_));
+  tx_ = {};
+  window_ = -1;  // a QoS interval's transaction never straddles a slice
+  done_.push_back(std::move(open_));
+  open_ = {};
+  ++slice_;
+}
+
 std::vector<fim::FrequentPair> mine_event_range(const trace::Trace& t,
                                                 std::size_t begin, std::size_t end,
                                                 SimTime qos_interval,
                                                 std::uint64_t min_support) {
-  const auto db = build_transactions(t, begin, end, qos_interval);
-  return fim::mine_pairs_apriori(db, min_support).pairs;
+  SliceTransactions slices(qos_interval, 0);
+  for (std::size_t i = begin; i < end; ++i) slices.add(t.events[i]);
+  slices.finish();
+  return fim::mine_pairs_apriori(slices.take(), min_support).pairs;
 }
-
-IntervalReport summarize_outcome_range(std::span<const RequestOutcome> outcomes,
-                                       std::size_t begin, std::size_t end) {
-  OutcomeFold fold;
-  for (std::size_t i = begin; i < end; ++i) fold.add(outcomes[i]);
-  return fold.finalize();
-}
-
-namespace {
-
-void finalize_reports(PipelineResult& result, const trace::Trace& t) {
-  const auto slices = trace::report_slices(t);
-  result.intervals.clear();
-  result.intervals.reserve(slices.size());
-  for (const auto& [begin, end] : slices) {
-    result.intervals.push_back(
-        summarize_outcome_range(result.outcomes, begin, end));
-  }
-  result.overall =
-      summarize_outcome_range(result.outcomes, 0, result.outcomes.size());
-}
-
-}  // namespace
 
 std::vector<std::string> PipelineConfig::validate(std::uint32_t devices) const {
   std::vector<std::string> out;
@@ -558,19 +535,13 @@ QosPipeline::QosPipeline(const decluster::AllocationScheme& scheme, PipelineConf
                   "invalid pipeline configuration (diagnostics on stderr)");
 }
 
-PipelineResult QosPipeline::run(const trace::Trace& t, FimSource* fim) {
-  auto result = replay(t, fim);
-  finalize_reports(result, t);
-  return result;
-}
-
 namespace {
 
 /// Array ids for per-replica write ops and background rebuild reads —
 /// anything whose completion is not a trace outcome. The base sits far
 /// above any realistic trace index so the id space never collides with
-/// request indices in either replay mode (the simulator breaks event ties
-/// by submission sequence, never by id, so the value itself is inert).
+/// request seqs (the simulator breaks event ties by submission sequence,
+/// never by id, so the value itself is inert).
 inline constexpr std::uint64_t kBackgroundIdBase = std::uint64_t{1} << 62;
 
 /// drain() bound that pops every queued dispatch (no real dispatch instant
@@ -580,16 +551,15 @@ inline constexpr SimTime kDrainAll = std::numeric_limits<SimTime>::max();
 /// No deferred work is waiting for a boundary.
 inline constexpr SimTime kNoWake = kDrainAll;
 
-/// One in-flight request of a streaming replay: the event, its outcome,
-/// and how close it is to the result fold.
-/// st: 0 = awaiting dispatch, 1 = dispatched to the simulator (awaiting
-/// the completion cross-check), 2 = final (verified / failed / shed /
-/// write). The window pops slots from the front as they reach 2, so
-/// resident memory tracks the in-flight span, not the trace length.
+/// One in-flight request: the event, its outcome, and whether that
+/// outcome is final — failed, shed, a write, or a read whose simulator
+/// completion has been cross-checked. The window pops slots from the
+/// front once final, so resident memory tracks the in-flight span, not
+/// the trace length.
 struct StreamSlot {
   trace::TraceEvent ev;
   RequestOutcome out;
-  std::uint8_t st = 0;
+  bool done = false;
 };
 
 /// Wall-clock nanoseconds since `t0`, for the streaming stage histograms.
@@ -602,24 +572,17 @@ struct StreamSlot {
       .count();
 }
 
-/// The replay core, shared verbatim by the in-memory and streaming entry
-/// points. One instance is one replay.
+/// The replay core behind run() and run_stream(). One instance is one
+/// replay.
 ///
-/// In-memory (run_borrowed): events and outcomes are borrowed from the
-/// Trace / PipelineResult, every event is ingested up front, and one
-/// drain(kDrainAll) pops the whole dispatch queue — operation for
-/// operation the historical monolithic loop.
-///
-/// Streaming (run_streaming): events arrive in cursor batches. After each
-/// batch the engine drains dispatch instants *strictly before* the last
-/// ingested arrival time: the cursor contract says every unread arrival is
-/// at or after that time, so no same-instant dispatch group popped under
-/// the bound can ever gain a member from unread input — which is the whole
-/// identity argument. Outcomes live in a base-indexed sliding window and
-/// fold into per-interval / overall reports (and the observability
-/// registry) in trace order as their slots reach the final state, so the
-/// folds see outcomes in exactly the order the in-memory summarizer scans
-/// them and every derived double is bit-identical.
+/// Events arrive in cursor batches. After each batch the engine drains
+/// dispatch instants *strictly before* the last ingested arrival time: the
+/// cursor contract says every unread arrival is at or after that time, so
+/// no same-instant dispatch group popped under the bound can ever gain a
+/// member from unread input — which is why results do not depend on the
+/// batch size. Requests live in a seq-indexed sliding window and fold into
+/// per-interval / overall reports (and the observability registry) in
+/// trace order as their slots become final.
 class ReplayEngine {
  public:
   ReplayEngine(const decluster::AllocationScheme& scheme, const PipelineConfig& cfg,
@@ -634,48 +597,19 @@ class ReplayEngine {
         matcher_(scheme),
         tenant_mode_(!cfg.tenants.empty()) {}
 
-  PipelineResult run_borrowed(const trace::Trace& t, FimSource* fim) {
-    PipelineResult result;
-    result.outcomes.resize(t.events.size());
-    if (t.events.empty()) return result;
-    FLASHQOS_EXPECT(trace::valid_trace(t), "pipeline input must be a valid trace");
-    t_ = &t;
-    result_ = &result;
-    report_interval_ = t.report_interval;
-    init(t.events.back().time + T_, /*streaming=*/false, fim);
-    slices_ = trace::report_slices(t);
-
-    // Seed the dispatch queue. Online mode dispatches at arrival; aligned
-    // mode at the enclosing interval boundary (requests already exactly on
-    // a boundary run in that interval, matching the paper's synthetic
-    // setup).
-    for (std::size_t i = 0; i < t.events.size(); ++i) {
-      const SimTime arrival = t.events[i].time;
-      const SimTime dispatch = cfg_.retrieval == RetrievalMode::kOnline
-                                   ? arrival
-                                   : next_interval_start(arrival, T_);
-      queue_.push(Pending{dispatch, i, i});
-      result.outcomes[i].arrival = arrival;
-    }
-    drain(kDrainAll);
-    finish_borrowed();
-    return result;
-  }
-
-  StreamResult run_streaming(trace::TraceCursor& cursor, FimSource* fim,
-                             const StreamOptions& opts) {
+  StreamResult run(trace::TraceCursor& cursor, FimSource* fim,
+                   const StreamOptions& opts) {
     FLASHQOS_EXPECT(opts.batch_size > 0, "stream batch size must be positive");
     report_interval_ = cursor.meta().report_interval;
     keep_intervals_ = opts.keep_intervals;
     StreamResult res;
     // Pull the first batch before any engine setup so an empty stream
-    // returns an empty result with no registry side effects, exactly like
-    // the in-memory early-out on an empty trace.
+    // returns an empty result with no registry side effects.
     std::vector<trace::TraceEvent> buf(opts.batch_size);
     std::size_t n = cursor.fill(buf);
     while (n == 0) {
-      // Finite cursors are done (the historical early-out); a live cursor
-      // that is merely idle blocks in fill() until input or close.
+      // Finite cursors are done; a live cursor that is merely idle blocks
+      // in fill() until input or close.
       if (cursor.exhausted()) return res;
       n = cursor.fill(buf);
     }
@@ -685,7 +619,7 @@ class ReplayEngine {
                       "StreamOptions::horizon (the fault schedule compiles "
                       "before the trace length is known)");
     }
-    init(opts.horizon, /*streaming=*/true, fim);
+    init(opts.horizon, fim);
     sink_ = opts.sink;
     rescan_ = opts.rescan_for_test;
     obs::LatencyHistogram* ingest_ns = nullptr;
@@ -695,24 +629,32 @@ class ReplayEngine {
       ingest_ns = &reg.histogram("pipeline.interval_ns", "stage=\"ingest\"");
       drain_ns = &reg.histogram("pipeline.interval_ns", "stage=\"drain\"");
     }
-    // Read-ahead identity rule: every unread arrival has time >= the last
-    // ingested event's time AND >= the cursor's declared frontier, so
-    // dispatch instants strictly before max(last, frontier) can never gain
+    // Read-ahead rule: every unread arrival has time >= the last ingested
+    // event's time AND >= the cursor's declared frontier, so dispatch
+    // instants strictly before max(last, frontier) can never gain
     // same-instant members from unread input. Finite cursors promise
-    // nothing (frontier() == 0) and the bound degenerates to the historical
-    // last-ingested-arrival rule, bit for bit. The misdrain knob seeds the
-    // off-by-one defect (<= instead of <): groups dispatching exactly at
-    // the ingestion frontier are processed before later batches deliver
-    // their same-instant members, splitting bursts — the stream oracle
-    // proves it would notice a broken bound. (The defect must stay
-    // clock-safe: draining further ahead would advance the simulator past
-    // arrivals that have not been ingested yet and trip the submit
-    // precondition instead of producing a comparable divergence.)
+    // nothing (frontier() == 0) and the bound is the last ingested
+    // arrival. The misdrain knob seeds the off-by-one defect (<= instead
+    // of <): groups dispatching exactly at the ingestion frontier are
+    // processed before later batches deliver their same-instant members,
+    // splitting bursts — the stream oracle proves it would notice a broken
+    // bound. (The defect must stay clock-safe: draining further ahead
+    // would advance the simulator past arrivals that have not been
+    // ingested yet and trip the submit precondition instead of producing a
+    // comparable divergence.)
     const auto drain_step = [&] {
       const SimTime clock = std::max(last_time_, cursor.frontier());
       SimTime bound = clock;
       if (opts.misdrain_for_test) bound += 1;
-      advance_fim_frontier(bound);
+      // FIM slices ending at or below the bound can gain no transaction.
+      // For finite cursors ingestion has already closed them; only a live
+      // cursor whose frontier outruns its events closes (possibly empty)
+      // slices here. If such a stream ends before events reach the
+      // frontier, mining may have seen empty slices the materialized trace
+      // would not contain, so live producers that need exact replay
+      // identity keep the frontier at or below the final event time (the
+      // daemon oracle does).
+      if (fim_tx_.has_value()) fim_tx_->close_until(bound);
       // flashqos-lint: allow(wall-clock): stage-timing metric, never a result
       const auto t0 = std::chrono::steady_clock::now();
       drain(bound);
@@ -744,37 +686,28 @@ class ReplayEngine {
     }
     finish_ingest();
     drain(kDrainAll);
-    return finish_streaming();
+    return finish();
   }
 
  private:
-  // ---- mode indirection --------------------------------------------------
-  // Request state lives in the borrowed trace/result in in-memory mode and
-  // in the sliding window in streaming mode; everything below the accessors
-  // is mode-blind.
+  // ---- window access -----------------------------------------------------
+  // Request seq `i` lives in slot i - win_base_ until its outcome folds.
 
-  [[nodiscard]] const trace::TraceEvent& ev(std::size_t i) const {
-    return streaming_ ? win_[i - win_base_].ev : t_->events[i];
-  }
-  [[nodiscard]] RequestOutcome& out(std::size_t i) {
-    return streaming_ ? win_[i - win_base_].out : result_->outcomes[i];
-  }
+  [[nodiscard]] StreamSlot& slot(std::size_t i) { return win_[i - win_base_]; }
+  [[nodiscard]] const trace::TraceEvent& ev(std::size_t i) { return slot(i).ev; }
+  [[nodiscard]] RequestOutcome& out(std::size_t i) { return slot(i).out; }
   /// The request reached a final state with no pending simulator
   /// cross-check (failed / shed / write).
-  void mark_final(std::size_t i) {
-    if (streaming_) win_[i - win_base_].st = 2;
-  }
-  /// The request was submitted to the simulator; final once its completion
-  /// is cross-checked in absorb_completions().
-  void mark_dispatched(std::size_t i) {
-    if (streaming_) win_[i - win_base_].st = 1;
-  }
+  void mark_final(std::size_t i) { slot(i).done = true; }
 
   // ---- setup -------------------------------------------------------------
 
-  void init(SimTime horizon, bool streaming, FimSource* fim) {
-    streaming_ = streaming;
+  void init(SimTime horizon, FimSource* fim) {
     fim_ = fim;
+    if (cfg_.mapping == MappingMode::kFim && report_interval_ > 0 &&
+        fim_ == nullptr) {
+      fim_tx_.emplace(T_, report_interval_);
+    }
     if (cfg_.admission == AdmissionMode::kStatistical) {
       stat_.emplace(cfg_.p_table, det_.limit(), cfg_.epsilon);
     }
@@ -827,7 +760,7 @@ class ReplayEngine {
           slo_tallies_.push_back({spec.kind, spec.threshold_ns, tid, 0, 0});
         }
       }
-      if (streaming_) obs_folder_.emplace();
+      obs_folder_.emplace();
     }
 
     // Fault state. The compiled plan is a pure function of (plan, scheme,
@@ -851,94 +784,32 @@ class ReplayEngine {
     }
   }
 
-  // ---- streaming ingestion -----------------------------------------------
+  // ---- ingestion ---------------------------------------------------------
 
   void ingest_event(const trace::TraceEvent& e) {
     FLASHQOS_EXPECT(e.time >= last_time_ && e.time >= 0,
                     "stream cursor must yield time-sorted events");
     last_time_ = e.time;
-    const auto idx = static_cast<std::size_t>(ingested_++);
-    win_.push_back(StreamSlot{e, RequestOutcome{}, 0});
+    const std::uint64_t seq = ingested_++;
+    win_.push_back(StreamSlot{e, RequestOutcome{}, false});
     win_.back().out.arrival = e.time;
+    // Online mode dispatches at arrival; aligned mode at the enclosing
+    // interval boundary (requests already exactly on a boundary run in
+    // that interval, matching the paper's synthetic setup).
     const SimTime dispatch = cfg_.retrieval == RetrievalMode::kOnline
                                  ? e.time
                                  : next_interval_start(e.time, T_);
-    queue_.push(Pending{dispatch, idx, idx});
-    if (cfg_.mapping == MappingMode::kFim && report_interval_ > 0 &&
-        fim_ == nullptr) {
-      ingest_fim(e);
-    }
+    queue_.push(Pending{dispatch, seq});
+    // A slice's transactions are complete once any event of a later slice
+    // has been ingested (events are time-sorted), which the drain bound
+    // guarantees before the mapper ever asks for it.
+    if (fim_tx_.has_value()) fim_tx_->add(e);
   }
 
-  /// Incremental build of the per-reporting-slice FIM transaction
-  /// databases — the streaming twin of build_transactions(): transactions
-  /// cut at QoS-window changes AND at slice boundaries, reads only, block
-  /// ids in event order. A slice's database is complete once any event of
-  /// a later slice has been ingested (events are time-sorted), which the
-  /// drain bound guarantees before the mapper ever asks for it.
-  void ingest_fim(const trace::TraceEvent& e) {
-    if (slice_dbs_.empty()) slice_dbs_.emplace_back();
-    const auto s = static_cast<std::size_t>(e.time / report_interval_);
-    while (fim_slice_ < s) close_fim_slice();
-    if (!e.is_read) return;  // the paper mines read requests
-    const std::int64_t w = e.time / T_;
-    if (w != fim_window_) {
-      flush_fim_tx();
-      fim_window_ = w;
-    }
-    fim_tx_.push_back(e.block);
-  }
-
-  void flush_fim_tx() {
-    if (!fim_tx_.empty()) {
-      slice_dbs_.back().add(std::move(fim_tx_));
-      fim_tx_ = {};
-    }
-  }
-
-  void close_fim_slice() {
-    flush_fim_tx();
-    fim_window_ = -1;  // a window never straddles a slice boundary
-    slice_dbs_.emplace_back();
-    ++fim_slice_;
-  }
-
-  /// Close every FIM slice that ends at or below the drain bound: events
-  /// already ingested are <= last_time_ and unread ones are >= the cursor
-  /// frontier, so such a slice can never gain another transaction. For
-  /// finite cursors (frontier 0) the bound is the last ingested arrival
-  /// and ingestion has already closed those slices — a strict no-op, which
-  /// is what keeps the historical streaming path bit-identical. Only a
-  /// live cursor whose frontier outruns its events closes (possibly
-  /// empty) slices here; if such a stream ends before events reach the
-  /// frontier, mining may have seen empty slices the in-memory
-  /// materialization would not contain, so live producers that need exact
-  /// replay identity must keep the frontier at or below the final event
-  /// time (the daemon oracle does).
-  void advance_fim_frontier(SimTime bound) {
-    if (cfg_.mapping != MappingMode::kFim || report_interval_ == 0 ||
-        fim_ != nullptr || slice_dbs_.empty()) {
-      return;
-    }
-    while (static_cast<SimTime>(fim_slice_ + 1) * report_interval_ <= bound) {
-      close_fim_slice();
-    }
-  }
-
-  [[nodiscard]] fim::TransactionDb take_slice_db(
-      [[maybe_unused]] std::size_t idx) {
-    FLASHQOS_ASSERT(idx == slice_db_base_ && !slice_dbs_.empty(),
-                    "FIM slices mine in order off the ingested prefix");
-    auto db = std::move(slice_dbs_.front());
-    slice_dbs_.pop_front();
-    ++slice_db_base_;
-    return db;
-  }
-
-  /// End of stream: flush the trailing transaction and fix the reporting
-  /// slice count, after which drain(kDrainAll) may mine every slice.
+  /// End of stream: close the last FIM slice and fix the reporting slice
+  /// count, after which drain(kDrainAll) may mine every slice.
   void finish_ingest() {
-    if (!slice_dbs_.empty()) flush_fim_tx();
+    if (fim_tx_.has_value()) fim_tx_->finish();
     slices_total_ = report_interval_ > 0
                         ? static_cast<std::size_t>(last_time_ / report_interval_) + 1
                         : 0;
@@ -950,33 +821,33 @@ class ReplayEngine {
   /// is strictly below the last ingested arrival), so the cap only has to
   /// bind once the stream length is known.
   [[nodiscard]] std::size_t total_slices() const {
-    if (!streaming_) return slices_.size();
     return eof_ ? slices_total_ : std::numeric_limits<std::size_t>::max();
   }
 
-  // ---- streaming result fold ---------------------------------------------
+  // ---- result fold -------------------------------------------------------
 
-  /// Cross-check the simulator's completions against the dispatch model
-  /// (the same assertion the in-memory path runs once at the end) and pop
-  /// every finalized slot off the window front, folding outcomes into the
-  /// reports and the observability registry in trace order.
+  /// Cross-check the simulator's completions against the dispatch model —
+  /// in every build: outcomes report the model's times, so a divergence
+  /// would misreport reads silently — then pop every final slot off the
+  /// window front, folding outcomes into the reports and the observability
+  /// registry in trace order.
   void absorb_completions() {
     for (const auto& c : array_->take_completions()) {
       if (c.id >= kBackgroundIdBase) continue;  // write replica / rebuild op
-      auto& s = win_[c.id - win_base_];
+      auto& s = slot(c.id);
       FLASHQOS_EXPECT(s.out.start == c.start && s.out.finish == c.finish,
                       "pipeline dispatch model diverged from the simulator");
-      s.st = 2;
+      s.done = true;
     }
-    while (!win_.empty() && win_.front().st == 2) {
+    while (!win_.empty() && win_.front().done) {
       fold_outcome(win_base_, win_.front());
       win_.pop_front();
       ++win_base_;
     }
   }
 
-  void fold_outcome(std::uint64_t idx, const StreamSlot& s) {
-    if (sink_ != nullptr) sink_->on_outcome(idx, s.ev, s.out);
+  void fold_outcome(std::uint64_t seq, const StreamSlot& s) {
+    if (sink_ != nullptr) sink_->on_outcome(seq, s.ev, s.out);
     overall_fold_.add(s.out);
     if (report_interval_ > 0 && keep_intervals_) {
       const auto slice = static_cast<std::size_t>(s.ev.time / report_interval_);
@@ -986,7 +857,7 @@ class ReplayEngine {
     if (!s.out.failed && !s.out.is_write && s.out.response() > cfg_.qos_interval) {
       ++deadline_violations_;
     }
-    if constexpr (obs::kEnabled) obs_folder_->add(idx, s.out);
+    if constexpr (obs::kEnabled) obs_folder_->add(seq, s.out);
   }
 
   // ---- dispatch core -----------------------------------------------------
@@ -999,7 +870,7 @@ class ReplayEngine {
           queue_.empty() ? wake_ : std::min(wake_, queue_.top().dispatch);
       if (now >= bound) return;
       process_group(now);
-      if (streaming_) absorb_completions();
+      absorb_completions();
     }
   }
 
@@ -1115,7 +986,6 @@ class ReplayEngine {
     o.start = start;
     o.finish = start + svc;
     free_at_[dev] = std::max(free_at_[dev], o.finish);
-    mark_dispatched(idx);
     if constexpr (obs::kEnabled) {
       ++dispatches_tally_;
       // Window tallies key on the dispatch instant (== the loop's `now` at
@@ -1209,7 +1079,7 @@ class ReplayEngine {
       return {idx, stage(idx, now)};
     }
     const std::size_t i = gi_++;
-    return {group_[i].idx, buckets_[i]};
+    return {group_[i].seq, buckets_[i]};
   }
 
   /// Earliest-finishing live replica of `bucket` (statistical surplus and
@@ -1353,15 +1223,11 @@ class ReplayEngine {
       while (report_idx_ < target && report_idx_ < total_slices()) {
         if (fim_ != nullptr) {
           mapper_.rebuild(fim_->slice(report_idx_));
-        } else if (streaming_) {
-          mapper_.rebuild(
-              fim::mine_pairs_apriori(take_slice_db(report_idx_),
-                                      cfg_.fim_min_support)
-                  .pairs);
         } else {
-          const auto [begin, end] = slices_[report_idx_];
+          // Slices are taken in order, so this is slice report_idx_.
           mapper_.rebuild(
-              mine_event_range(*t_, begin, end, T_, cfg_.fim_min_support));
+              fim::mine_pairs_apriori(fim_tx_->take(), cfg_.fim_min_support)
+                  .pairs);
         }
         ++report_idx_;
       }
@@ -1411,8 +1277,8 @@ class ReplayEngine {
     if (carried_) demand_ += carry_.size();
     buckets_.resize(group_.size());
     for (std::size_t i = 0; i < group_.size(); ++i) {
-      if (ev(group_[i].idx).is_read) ++demand_;  // writes bypass read admission
-      buckets_[i] = stage(group_[i].idx, now);
+      if (ev(group_[i].seq).is_read) ++demand_;  // writes bypass read admission
+      buckets_[i] = stage(group_[i].seq, now);
     }
 
     // Device availability at this instant. Requests whose replicas are all
@@ -1447,14 +1313,14 @@ class ReplayEngine {
         for (std::size_t i = 0; i < group_.size(); ++i) {
           // Tenant reads pass through: stranded heads are handled at
           // dispense time, where the WFQ queue can drop them.
-          if ((tenant_mode_ && ev(group_[i].idx).is_read) ||
+          if ((tenant_mode_ && ev(group_[i].seq).is_read) ||
               !all_replicas_down(buckets_[i])) {
             live_.push_back(group_[i]);
             live_buckets_.push_back(buckets_[i]);
             continue;
           }
           // Stranded: retried at the earliest recovery boundary.
-          if (const auto retry = strand(group_[i].idx, buckets_[i], now, qi)) {
+          if (const auto retry = strand(group_[i].seq, buckets_[i], now, qi)) {
             Pending p = group_[i];
             p.dispatch = *retry;
             queue_.push(p);
@@ -1475,13 +1341,13 @@ class ReplayEngine {
       read_buckets_.clear();
       bool any_write = false;
       for (std::size_t i = 0; i < group_.size(); ++i) {
-        if (ev(group_[i].idx).is_read) {
+        if (ev(group_[i].seq).is_read) {
           reads_.push_back(group_[i]);
           read_buckets_.push_back(buckets_[i]);
           continue;
         }
         any_write = true;
-        auto& o = out(group_[i].idx);
+        auto& o = out(group_[i].seq);
         o.is_write = true;
         o.path = RetrievalPath::kWrite;
         SimTime first_start = INT64_MAX;
@@ -1512,7 +1378,7 @@ class ReplayEngine {
         o.start = first_start;
         o.finish = last_finish;
         if constexpr (obs::kEnabled) agg_writes_.add(now, 1);
-        mark_final(group_[i].idx);
+        mark_final(group_[i].seq);
       }
       if (any_write) {
         std::swap(group_, reads_);
@@ -1542,7 +1408,7 @@ class ReplayEngine {
     };
     for (const std::size_t idx : carry_) {
       keep_group_until(idx);
-      live_.push_back(Pending{now, idx, idx});
+      live_.push_back(Pending{now, idx});
       live_buckets_.push_back(stage(idx, now));
     }
     keep_group_until(std::numeric_limits<std::size_t>::max());
@@ -1577,7 +1443,7 @@ class ReplayEngine {
       }
     }
     for (const auto idx : refused_) carry(idx);
-    for (; gi_ < group_.size(); ++gi_) carry(group_[gi_].idx);
+    for (; gi_ < group_.size(); ++gi_) carry(group_[gi_].seq);
     // One deferral event per read waiting into the next interval — the
     // spliced FIFO tail included.
     if (carry_.size() > carry_base_) {
@@ -1690,7 +1556,7 @@ class ReplayEngine {
   void dispense_tenants(SimTime now, std::int64_t qi) {
     fresh_.assign(ts_->tenants(), 0);
     for (const auto& g : group_) {
-      const std::size_t id = g.idx;
+      const std::size_t id = g.seq;
       auto& o = out(id);
       const auto tid = static_cast<std::size_t>(ev(id).tenant);
       if constexpr (obs::kEnabled) {
@@ -1850,8 +1716,8 @@ class ReplayEngine {
 
   // ---- finish ------------------------------------------------------------
 
-  /// Per-replay registry publication shared by both modes: the final open
-  /// window, the loop tallies, fault accounting, per-tenant WFQ counters.
+  /// Per-replay registry publication: the final open window, the loop
+  /// tallies, fault accounting, per-tenant WFQ counters.
   void publish_run_metrics() {
     if (current_qi_ >= 0) flush_windows(current_qi_);
     auto& m = PipelineMetrics::get();
@@ -1892,39 +1758,7 @@ class ReplayEngine {
     }
   }
 
-  void finish_borrowed() {
-    PipelineResult& result = *result_;
-    if (stat_.has_value()) stat_->end_interval(demand_, admitted_);
-    if (tenant_mode_) {
-      FLASHQOS_ASSERT(!ts_->backlogged(),
-                      "tenant backlog must drain before the replay ends");
-      result.tenant_usage.resize(ts_->tenants());
-      for (std::size_t k = 0; k < ts_->tenants(); ++k) {
-        result.tenant_usage[k] = ts_->usage(k);
-      }
-    }
-
-    array_->run();
-    for (const auto& c : array_->take_completions()) {
-      if (c.id >= result.outcomes.size()) continue;  // per-replica write op
-      auto& o = result.outcomes[c.id];
-      FLASHQOS_EXPECT(o.start == c.start && o.finish == c.finish,
-                      "pipeline dispatch model diverged from the simulator");
-      o.start = c.start;
-      o.finish = c.finish;
-    }
-
-    for (const auto& o : result.outcomes) {
-      if (o.failed || o.is_write) continue;
-      if (o.response() > cfg_.qos_interval) ++result.deadline_violations;
-    }
-    if constexpr (obs::kEnabled) {
-      publish_run_metrics();
-      record_outcome_observability(result);
-    }
-  }
-
-  StreamResult finish_streaming() {
+  StreamResult finish() {
     if (stat_.has_value()) stat_->end_interval(demand_, admitted_);
     StreamResult res;
     if (tenant_mode_) {
@@ -1970,35 +1804,26 @@ class ReplayEngine {
   DeterministicAdmission det_;
   SlotMatcher matcher_;  // persists across instants; begin_instant() re-arms
   const bool tenant_mode_;
-  bool streaming_ = false;
   bool keep_intervals_ = true;
   FimSource* fim_ = nullptr;
   OutcomeSink* sink_ = nullptr;
   SimTime report_interval_ = 0;
 
-  // ---- in-memory mode ----------------------------------------------------
-  const trace::Trace* t_ = nullptr;
-  PipelineResult* result_ = nullptr;
-  std::vector<std::pair<std::size_t, std::size_t>> slices_;
-
-  // ---- streaming mode ----------------------------------------------------
+  // ---- window and result folds -------------------------------------------
   std::deque<StreamSlot> win_;   // slots for requests [win_base_, ingested_)
   std::uint64_t win_base_ = 0;
   std::uint64_t ingested_ = 0;
   SimTime last_time_ = 0;        // arrival time of the last ingested event
   bool eof_ = false;
   std::size_t slices_total_ = 0;
-  std::deque<fim::TransactionDb> slice_dbs_;  // slices [slice_db_base_, ...]
-  std::size_t slice_db_base_ = 0;
-  std::size_t fim_slice_ = 0;    // slice the ingest builder is filling
-  std::vector<fim::Item> fim_tx_;
-  std::int64_t fim_window_ = -1;
+  // Inline FIM transactions (FIM mapping, a report interval, no FimSource).
+  std::optional<SliceTransactions> fim_tx_;
   OutcomeFold overall_fold_;
   std::vector<OutcomeFold> interval_folds_;
   std::optional<OutcomeObsFolder> obs_folder_;
   std::size_t deadline_violations_ = 0;
 
-  // ---- replay state (both modes) ------------------------------------------
+  // ---- replay state ------------------------------------------------------
   std::optional<StatisticalAdmission> stat_;
   std::optional<TenantScheduler> ts_;
   std::vector<bool> tenant_blocked_;
@@ -2097,17 +1922,43 @@ class ReplayEngine {
   std::vector<SimTime> svc_now_;  // per-device effective quanta under spikes
 };
 
+/// Keeps every outcome at its trace position.
+class OutcomeCollector final : public OutcomeSink {
+ public:
+  explicit OutcomeCollector(std::vector<RequestOutcome>& outcomes)
+      : outcomes_(outcomes) {}
+
+  void on_outcome(std::uint64_t seq, const trace::TraceEvent& /*ev*/,
+                  const RequestOutcome& out) override {
+    outcomes_[seq] = out;
+  }
+
+ private:
+  std::vector<RequestOutcome>& outcomes_;
+};
+
 }  // namespace
 
-PipelineResult QosPipeline::replay(const trace::Trace& t, FimSource* fim) {
-  ReplayEngine engine(scheme_, cfg_, retriever_);
-  return engine.run_borrowed(t, fim);
+PipelineResult QosPipeline::run(const trace::Trace& t, FimSource* fim) {
+  FLASHQOS_EXPECT(trace::valid_trace(t), "pipeline input must be a valid trace");
+  PipelineResult result;
+  result.outcomes.resize(t.events.size());
+  trace::VectorCursor cursor(t);
+  OutcomeCollector collector(result.outcomes);
+  auto res = run_stream(cursor, fim,
+                        {.horizon = t.duration() + cfg_.qos_interval,
+                         .sink = &collector});
+  result.intervals = std::move(res.intervals);
+  result.overall = res.overall;
+  result.deadline_violations = res.deadline_violations;
+  result.tenant_usage = std::move(res.tenant_usage);
+  return result;
 }
 
 StreamResult QosPipeline::run_stream(trace::TraceCursor& cursor, FimSource* fim,
                                      const StreamOptions& opts) {
   ReplayEngine engine(scheme_, cfg_, retriever_);
-  return engine.run_streaming(cursor, fim, opts);
+  return engine.run(cursor, fim, opts);
 }
 
 PipelineResult replay_original(const trace::Trace& t, SimTime service_time,
@@ -2135,10 +1986,17 @@ PipelineResult replay_original(const trace::Trace& t, SimTime service_time,
     result.outcomes[c.id].start = c.start;
     result.outcomes[c.id].finish = c.finish;
   }
+  OutcomeFold overall;
   for (const auto& o : result.outcomes) {
     if (o.response() > deadline) ++result.deadline_violations;
+    overall.add(o);
   }
-  finalize_reports(result, t);
+  result.overall = overall.finalize();
+  for (const auto& [begin, end] : trace::report_slices(t)) {
+    OutcomeFold slice;
+    for (std::size_t i = begin; i < end; ++i) slice.add(result.outcomes[i]);
+    result.intervals.push_back(slice.finalize());
+  }
   return result;
 }
 

@@ -23,6 +23,7 @@
 //  * end-to-end     = finish − arrival (reported for completeness).
 #pragma once
 
+#include <deque>
 #include <memory>
 #include <span>
 #include <string>
@@ -212,7 +213,7 @@ class OutcomeSink {
                           const RequestOutcome& out) = 0;
 };
 
-/// Options for the streaming replay path (QosPipeline::run_stream).
+/// Options for the replay core (QosPipeline::run_stream).
 struct StreamOptions {
   /// Events pulled from the cursor per fill() call. Any positive value
   /// yields bit-identical results (the engine's read-ahead rule is
@@ -221,9 +222,9 @@ struct StreamOptions {
   std::size_t batch_size = 4096;
   /// Fault-schedule compile horizon. A streaming replay does not know the
   /// trace duration up front, so configs with a non-empty fault plan must
-  /// pass the horizon the in-memory path derives (trace duration +
-  /// qos_interval) to materialize the identical schedule. Ignored (may
-  /// stay 0) when the fault plan is empty.
+  /// pass the horizon run() uses (last arrival + qos_interval) to
+  /// materialize the identical schedule. Ignored (may stay 0) when the
+  /// fault plan is empty.
   SimTime horizon = 0;
   /// Retain per-reporting-interval reports (`StreamResult::intervals`).
   /// They are the one result component that grows with trace duration
@@ -263,11 +264,11 @@ struct StreamResult {
 
 /// Serves the per-reporting-slice FIM mining results to the replay loop
 /// (the decode→mine stage of the replay pipeline, factored out so it can
-/// run ahead of the serial core). The serial engine mines inline; the
+/// run ahead of the serial core). Without one the engine mines inline; the
 /// parallel engine hands mined slices over a bounded queue and blocks in
-/// slice() until the one it needs arrives. Because mining is a pure
-/// function of the trace slice (see mine_event_range), a mined-ahead run
-/// is bit-identical to an inline run.
+/// slice() until the one it needs arrives. Every path cuts transactions
+/// with SliceTransactions and mining is a pure function of the slice, so
+/// a mined-ahead run is bit-identical to an inline run.
 class FimSource {
  public:
   virtual ~FimSource() = default;
@@ -276,20 +277,48 @@ class FimSource {
   [[nodiscard]] virtual std::span<const fim::FrequentPair> slice(std::size_t idx) = 0;
 };
 
-/// Mine events [begin, end) of `t`: each QoS interval's distinct read
-/// blocks form one transaction, returned pairs have support >=
-/// min_support. Pure and deterministic — the property the parallel replay
-/// engine's bit-identical guarantee rests on.
+/// The FIM transaction rule, in one place: fed events in trace order, it
+/// builds one transaction database per reporting slice, where each QoS
+/// interval's read blocks (event order) form one transaction, cut at slice
+/// boundaries. Slices complete in order and wait until taken. A zero
+/// report interval makes the whole input one slice.
+class SliceTransactions {
+ public:
+  SliceTransactions(SimTime qos_interval, SimTime report_interval)
+      : qos_interval_(qos_interval), report_interval_(report_interval) {}
+
+  /// Append one event (trace order), first closing every slice that ends
+  /// at or before its arrival.
+  void add(const trace::TraceEvent& e);
+  /// Close every slice that ends at or before `t`: no event arriving at or
+  /// after `t` can join it.
+  void close_until(SimTime t);
+  /// End of input: close the slice under construction.
+  void finish();
+  /// A completed slice is waiting to be taken.
+  [[nodiscard]] bool ready() const noexcept { return !done_.empty(); }
+  /// Remove and return the oldest completed slice.
+  [[nodiscard]] fim::TransactionDb take();
+
+ private:
+  void close_slice();
+
+  SimTime qos_interval_;
+  SimTime report_interval_;
+  std::deque<fim::TransactionDb> done_;
+  fim::TransactionDb open_;         // the slice under construction
+  std::vector<fim::Item> tx_;       // its open transaction
+  std::int64_t window_ = -1;        // QoS interval of tx_; -1 = none yet
+  std::size_t slice_ = 0;           // index of open_
+};
+
+/// Mine events [begin, end) of `t` as one slice (see SliceTransactions);
+/// returned pairs have support >= min_support. Pure and deterministic —
+/// the property the parallel replay engine's bit-identical guarantee
+/// rests on.
 [[nodiscard]] std::vector<fim::FrequentPair> mine_event_range(
     const trace::Trace& t, std::size_t begin, std::size_t end,
     SimTime qos_interval, std::uint64_t min_support);
-
-/// Fold outcomes [begin, end) (trace order) into one report — the metric
-/// stage of the replay pipeline. Accumulation order is fixed by the index
-/// range, never by thread schedule, so per-interval reports can be
-/// computed into pre-sized slots in parallel.
-[[nodiscard]] IntervalReport summarize_outcome_range(
-    std::span<const RequestOutcome> outcomes, std::size_t begin, std::size_t end);
 
 /// The single-threaded replay engine. New code should not construct this
 /// directly: service::PipelineService wraps it behind a thread-safe facade
@@ -303,24 +332,19 @@ class QosPipeline {
 
   /// Run the full pipeline over a trace. Trace block ids are data blocks
   /// (mapped to buckets); with MappingMode::kModulo a bucket-domain trace
-  /// whose ids are < buckets() passes through unchanged. `fim` overrides
-  /// inline mining with precomputed slices (parallel engine); null mines
-  /// inline with identical results.
+  /// whose ids are < buckets() passes through unchanged. This is
+  /// run_stream() over a trace::VectorCursor with horizon = last arrival +
+  /// qos_interval and a sink that keeps every outcome, so the two agree by
+  /// construction. `fim` overrides inline mining with precomputed slices
+  /// (parallel engine); null mines inline with identical results.
   [[nodiscard]] PipelineResult run(const trace::Trace& t, FimSource* fim = nullptr);
 
-  /// Stages 1–4 only (decode/mapping/admission/scheduling/flashsim):
-  /// outcomes and deadline_violations are filled, intervals/overall left
-  /// empty. The parallel engine summarizes those itself, sharded across
-  /// reporting slices; run() == replay() + serial summarization.
-  [[nodiscard]] PipelineResult replay(const trace::Trace& t, FimSource* fim = nullptr);
-
-  /// Streaming replay: pull events from `cursor` in batches and run the
-  /// same engine as run() without materializing the trace or the outcomes
-  /// vector — resident memory is O(batch + in-flight window), flat in
-  /// trace length. Interval reports, the overall report, deadline
-  /// violations, registry metrics, and windowed time-series are
-  /// bit-identical to run() on the materialized trace at any batch size
-  /// (audited by flashqos_verify --stream).
+  /// Streaming replay: pull events from `cursor` in batches without
+  /// materializing the trace or the outcomes vector — resident memory is
+  /// O(batch + in-flight window), flat in trace length. Interval reports,
+  /// the overall report, deadline violations, registry metrics, and
+  /// windowed time-series do not depend on the batch size (audited by
+  /// flashqos_verify --stream).
   [[nodiscard]] StreamResult run_stream(trace::TraceCursor& cursor,
                                         FimSource* fim = nullptr,
                                         const StreamOptions& opts = {});

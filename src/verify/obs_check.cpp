@@ -27,7 +27,8 @@ namespace {
 inline constexpr std::size_t kPathCount = 10;
 
 /// Ground truth recomputed from the replay results the registry claims to
-/// describe — the same fold record_outcome_observability performs.
+/// describe — the same fold the engine's per-outcome observability pass
+/// performs.
 struct Tally {
   std::uint64_t requests = 0;
   std::uint64_t reads = 0;

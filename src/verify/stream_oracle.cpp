@@ -25,8 +25,8 @@ namespace flashqos::verify {
 namespace {
 
 /// Instruments that legitimately differ between the in-memory and streaming
-/// legs: wall-clock stage timings (streaming-only, nondeterministic values)
-/// and byte/batch accounting that depends on how the stream was chunked.
+/// legs: wall-clock stage timings (nondeterministic values) and byte/batch
+/// accounting that depends on how the stream was chunked.
 /// Everything else must be identical instrument by instrument.
 bool excluded_instrument(std::string_view name) {
   return name == "pipeline.interval_ns" ||

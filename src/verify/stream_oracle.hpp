@@ -11,6 +11,9 @@
 // equality, plus absolute registry/time-series snapshot identity modulo
 // the instruments that legitimately differ (wall-clock stage timings,
 // byte/batch accounting that depends on how the stream was chunked).
+// run() is itself run_stream over a VectorCursor at the default batch
+// size, so what this audits is independence of batch size, cursor kind,
+// and mining path.
 //
 // The oracle also proves it can fail: StreamOptions::misdrain_for_test
 // deliberately breaks the engine's read-ahead drain bound, and the run

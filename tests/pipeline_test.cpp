@@ -183,6 +183,33 @@ TEST(QosPipeline, ReportsSliceByArrivalInterval) {
   EXPECT_EQ(r.intervals[1].requests, 2u);
 }
 
+TEST(SliceTransactions, CutsAtQosIntervalsAndSliceBoundaries) {
+  // T = 10, reporting slices of 25: the QoS interval [20, 30) straddles
+  // the first slice boundary, so its reads split into two transactions.
+  SliceTransactions slices(10, 25);
+  const auto ev = [](SimTime time, DataBlockId block, bool is_read = true) {
+    return trace::TraceEvent{.time = time, .block = block, .is_read = is_read};
+  };
+  for (const auto& e : {ev(0, 1), ev(5, 2), ev(12, 3), ev(20, 4, false), ev(24, 5),
+                        ev(26, 6), ev(80, 7)}) {
+    slices.add(e);
+  }
+  using Txs = std::vector<std::vector<fim::Item>>;
+  const auto txs = [](const fim::TransactionDb& db) {
+    return Txs(db.transactions().begin(), db.transactions().end());
+  };
+  ASSERT_TRUE(slices.ready());
+  EXPECT_EQ(txs(slices.take()), (Txs{{1, 2}, {3}, {5}}));  // the write is skipped
+  EXPECT_EQ(txs(slices.take()), (Txs{{6}}));
+  EXPECT_EQ(txs(slices.take()), Txs{});  // [50, 75) had no events
+  EXPECT_FALSE(slices.ready());
+  slices.close_until(99);
+  EXPECT_FALSE(slices.ready()) << "slice [75, 100) can still gain events at 99";
+  slices.close_until(100);
+  ASSERT_TRUE(slices.ready());
+  EXPECT_EQ(txs(slices.take()), (Txs{{7}}));
+}
+
 TEST(ReplayOriginal, QueueingShowsInResponseTimes) {
   trace::Trace t;
   t.name = "orig";
