@@ -247,10 +247,10 @@ StreamResult ParallelReplayEngine::run_stream(
     }
   }));
 
+  QosPipeline pipe(scheme, cfg);
   HandoffFimSource source(queue);
-  return replay_alongside(queue, miners, [&] {
-    return QosPipeline(scheme, cfg).run_stream(*cursor, &source, opts);
-  });
+  return replay_alongside(queue, miners,
+                          [&] { return pipe.run_stream(*cursor, &source, opts); });
 }
 
 PipelineResult ParallelReplayEngine::run_pipelined(
@@ -284,10 +284,10 @@ PipelineResult ParallelReplayEngine::run_pipelined(
     }
   }
 
+  QosPipeline pipe(scheme, cfg);
   HandoffFimSource source(queue);
-  return replay_alongside(queue, miners, [&] {
-    return QosPipeline(scheme, cfg).run(t, mine ? &source : nullptr);
-  });
+  return replay_alongside(queue, miners,
+                          [&] { return pipe.run(t, mine ? &source : nullptr); });
 }
 
 }  // namespace flashqos::core

@@ -10,6 +10,7 @@
 #include <map>
 #include <optional>
 #include <queue>
+#include <utility>
 
 #include "core/sampler.hpp"
 #include "core/slot_matcher.hpp"
@@ -406,8 +407,7 @@ void SliceTransactions::add(const trace::TraceEvent& e) {
   if (!e.is_read) return;  // the paper mines read requests
   const std::int64_t w = e.time / qos_interval_;
   if (w != window_) {
-    if (!tx_.empty()) open_.add(std::move(tx_));
-    tx_ = {};
+    open_.add(std::exchange(tx_, {}));  // an empty transaction adds nothing
     window_ = w;
   }
   tx_.push_back(e.block);
@@ -428,11 +428,9 @@ fim::TransactionDb SliceTransactions::take() {
 }
 
 void SliceTransactions::close_slice() {
-  if (!tx_.empty()) open_.add(std::move(tx_));
-  tx_ = {};
+  open_.add(std::exchange(tx_, {}));
   window_ = -1;  // a QoS interval's transaction never straddles a slice
-  done_.push_back(std::move(open_));
-  open_ = {};
+  done_.push_back(std::exchange(open_, {}));
   ++slice_;
 }
 
