@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
                "4 requests / 0.133 ms");
   Table table({"failed devices", "% delayed", "avg delay (ms)", "violations",
                "lost requests"});
-  const std::vector<std::vector<core::DeviceFailure>> scenarios = {
+  const std::vector<std::vector<fault::DeviceFailure>> scenarios = {
       {},
       {{.device = 0, .fail_at = 0}},
       {{.device = 0, .fail_at = 0}, {.device = 4, .fail_at = 0}},

@@ -200,22 +200,6 @@ void BM_AprioriPairs(benchmark::State& state) {
 }
 BENCHMARK(BM_AprioriPairs)->Arg(1000)->Arg(10000)->Arg(50000);
 
-void BM_EclatPairs(benchmark::State& state) {
-  Rng rng(5);
-  fim::TransactionDb db;
-  const auto txs = static_cast<std::size_t>(state.range(0));
-  for (std::size_t t = 0; t < txs; ++t) {
-    std::vector<fim::Item> items;
-    const std::size_t len = 2 + rng.below(10);
-    for (std::size_t i = 0; i < len; ++i) items.push_back(rng.below(5000));
-    db.add(std::move(items));
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(fim::mine_pairs_eclat(db, 1));
-  }
-}
-BENCHMARK(BM_EclatPairs)->Arg(1000)->Arg(10000);
-
 }  // namespace
 
 namespace {
@@ -252,7 +236,7 @@ void BM_CombinedRetrieveReused(benchmark::State& state) {
   const auto batch = random_batch(static_cast<std::size_t>(state.range(0)), 3);
   retrieval::RetrievalScratch scratch;
   const auto run = [&] {
-    benchmark::DoNotOptimize(retrieval::retrieve(batch, scheme13(), {}, scratch));
+    benchmark::DoNotOptimize(retrieval::retrieve(batch, scheme13(), scratch));
   };
   run();
   const double steady_allocs = allocs_per_call(run);
@@ -288,7 +272,7 @@ void BM_FallbackHeavyRetrieveReused(benchmark::State& state) {
   const auto batch = skewed_batch(static_cast<std::size_t>(state.range(0)), 4);
   retrieval::RetrievalScratch scratch;
   const auto run = [&] {
-    benchmark::DoNotOptimize(retrieval::retrieve(batch, scheme13(), {}, scratch));
+    benchmark::DoNotOptimize(retrieval::retrieve(batch, scheme13(), scratch));
   };
   run();
   const double steady_allocs = allocs_per_call(run);

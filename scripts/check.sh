@@ -6,7 +6,10 @@
 #      and the plain ctest suite
 #   2. flashqos_lint over src/ against the committed baseline (in-tree
 #      contract linter: sanctioned logging, zero-alloc hot paths, seeded
-#      randomness, SimTime-only simulation code, include hygiene)
+#      randomness, SimTime-only simulation code, include hygiene), then the
+#      test-only header check: every src/**/*.hpp must be included by some
+#      file under src/, bench/, examples/ or perfbench/ other than its own
+#      .cpp (a module only tests reach is dead weight; not transitive)
 #   3. schedule-exhaustive model checking (flashqos_verify --model): every
 #      interleaving of the bounded ThreadPool / HandoffQueue / MetricRegistry
 #      models, with vector-clock race, deadlock, and lost-wakeup detection
@@ -78,9 +81,20 @@ run cmake -B build-werror -S . -DFLASHQOS_WERROR=ON \
 run cmake --build build-werror -j "$JOBS"
 run ctest --test-dir build-werror --output-on-failure -j "$JOBS"
 
-banner "2/9 flashqos_lint (contract linter)"
+banner "2/9 flashqos_lint (contract linter) + test-only header check"
 run ./build-werror/src/lint/flashqos_lint --root src \
   --baseline scripts/lint_baseline.txt
+test_only=0
+for header in $(cd src && find . -name '*.hpp' | sed 's|^\./||' | sort); do
+  if ! grep -rlF --include='*.hpp' --include='*.cpp' "#include \"$header\"" \
+       src bench examples perfbench \
+     | grep -vxF -e "src/$header" -e "src/${header%.hpp}.cpp" | grep -q .; then
+    echo "check.sh: src/$header is included only by tests (or by nothing)" >&2
+    test_only=1
+  fi
+done
+[[ $test_only -eq 0 ]] || exit 1
+echo "test-only header check: every src header has a non-test includer"
 
 banner "3/9 schedule-exhaustive model checking"
 run ./build-werror/src/verify/flashqos_verify --model

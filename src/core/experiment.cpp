@@ -1,8 +1,12 @@
 #include "core/experiment.hpp"
 
+#include <algorithm>
+#include <array>
+#include <cctype>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "core/parallel_replay.hpp"
 #include "core/sampler.hpp"
@@ -22,6 +26,54 @@ namespace flashqos::core {
 namespace {
 
 [[noreturn]] void fail(const std::string& msg) { throw std::runtime_error(msg); }
+
+/// Reads the whitespace-separated fields of one `key = value` line. Every
+/// field must parse whole and nothing may follow the last one; otherwise
+/// the line is rejected with its key, its value and the expected shape.
+class Fields {
+ public:
+  Fields(const char* section, const char* key, const std::string& value,
+         const char* want)
+      : ss_(value), section_(section), key_(key), want_(want) {}
+
+  /// Required fields, in order.
+  template <typename... T>
+  void need(T&... fields) {
+    (read(fields), ...);
+  }
+
+  /// One optional field: false when the line has already ended.
+  template <typename T>
+  bool maybe(T& field) {
+    if (ended()) return false;
+    read(field);
+    return true;
+  }
+
+  void end() {
+    if (!ended()) reject();
+  }
+
+ private:
+  /// A field must stop at whitespace or the end of the line: "5O.0" reads
+  /// as 5 and leaves "O.0", which is a typo, not the next field.
+  template <typename T>
+  void read(T& field) {
+    if (!(ss_ >> field)) reject();
+    const auto next = ss_.peek();
+    if (next != std::char_traits<char>::eof() && std::isspace(next) == 0) reject();
+  }
+  bool ended() { return (ss_ >> std::ws).eof(); }
+  [[noreturn]] void reject() const {
+    fail(std::string("config: [") + section_ + "] " + key_ + " = " + ss_.str() +
+         " is malformed (want: " + want_ + ")");
+  }
+
+  std::istringstream ss_;
+  const char* section_;
+  const char* key_;
+  const char* want_;
+};
 
 std::unique_ptr<design::BlockDesign> make_design(const std::string& spec) {
   // Catalog names first.
@@ -105,14 +157,12 @@ trace::Trace make_workload(const Config& cfg) {
     p.jitter_slots = static_cast<std::uint32_t>(
         cfg.get_int("workload", "jitter_slots", 0));
     for (const auto& spec : cfg.all("tenants", "load")) {
-      std::istringstream ss(spec);
+      Fields f("tenants", "load", spec,
+               "requests_per_interval bucket_pool [active_intervals]");
       trace::TenantLoad l;
-      if (!(ss >> l.requests_per_interval >> l.bucket_pool)) {
-        fail("bad tenant load (want: requests_per_interval bucket_pool "
-             "[active_intervals]): " + spec);
-      }
-      std::uint64_t active = 0;
-      if (ss >> active) l.active_intervals = static_cast<std::size_t>(active);
+      f.need(l.requests_per_interval, l.bucket_pool);
+      f.maybe(l.active_intervals);
+      f.end();
       p.tenants.push_back(l);
     }
     if (p.tenants.empty()) {
@@ -146,6 +196,17 @@ trace::Trace make_workload(const Config& cfg) {
 }  // namespace
 
 Experiment build_experiment_config(const Config& cfg) {
+  // The sections some builder reads ([service] is the daemon's). Any other,
+  // say a misspelled [faults], would be kept and never read, and the run
+  // would silently use the defaults it was meant to override.
+  static constexpr std::array<std::string_view, 6> kKnown = {
+      "design", "pipeline", "workload", "tenants", "faults", "service"};
+  for (const auto& section : cfg.sections()) {
+    if (std::find(kKnown.begin(), kKnown.end(), section) == kKnown.end()) {
+      fail("unknown config section [" + section + "]");
+    }
+  }
+
   Experiment e;
   e.design = make_design(cfg.get("design", "name", "(9,3,1)"));
   e.scheme = std::make_unique<decluster::DesignTheoretic>(
@@ -198,75 +259,60 @@ Experiment build_experiment_config(const Config& cfg) {
   // (trace events name tenants by this index).
   // "tenant = <name> <weight> <reservation> [capacity [mark]]"
   for (const auto& spec : cfg.all("tenants", "tenant")) {
-    std::istringstream ss(spec);
+    Fields f("tenants", "tenant", spec, "name weight reservation [capacity [mark]]");
     TenantSpec t;
-    if (!(ss >> t.name >> t.weight >> t.reservation)) {
-      fail("bad tenant spec (want: name weight reservation [capacity [mark]]): " +
-           spec);
-    }
-    std::uint64_t cap = 0;
-    if (ss >> cap) {
-      t.queue_capacity = static_cast<std::size_t>(cap);
+    f.need(t.name, t.weight, t.reservation);
+    if (f.maybe(t.queue_capacity)) {
       // Default mark threshold tracks the capacity at the stock 3/4 ratio
       // unless the line pins it explicitly.
       t.mark_threshold = std::max<std::size_t>(1, t.queue_capacity * 3 / 4);
-      std::uint64_t mark = 0;
-      if (ss >> mark) t.mark_threshold = static_cast<std::size_t>(mark);
+      f.maybe(t.mark_threshold);
     }
+    f.end();
     e.pipeline.tenants.push_back(std::move(t));
   }
 
-  // Scripted outages: "fail = device fail_ms recover_ms" (-1 recover =
-  // permanent). The legacy [failures] section and the [faults] section
-  // accept the same lines; both land in the fault plan's outage list.
-  const auto parse_outages = [&](const char* section) {
-    for (const auto& spec : cfg.all(section, "fail")) {
-      std::istringstream ss(spec);
-      std::uint32_t device = 0;
-      double fail_ms = 0.0, recover_ms = -1.0;
-      if (!(ss >> device >> fail_ms)) fail("bad failure spec: " + spec);
-      ss >> recover_ms;
-      fault::DeviceFailure f;
-      f.device = device;
-      f.fail_at = from_ms(fail_ms);
-      f.recover_at = recover_ms < 0 ? fault::DeviceFailure::kNeverRecovers
-                                    : from_ms(recover_ms);
-      e.pipeline.faults.outages.push_back(f);
-    }
-  };
-  parse_outages("failures");
-  parse_outages("faults");
+  // The fault plan. Scripted outages: "fail = device fail_ms recover_ms"
+  // (-1 or no recover = permanent).
+  for (const auto& spec : cfg.all("faults", "fail")) {
+    Fields f("faults", "fail", spec, "device fail_ms [recover_ms]");
+    std::uint32_t device = 0;
+    double fail_ms = 0.0, recover_ms = -1.0;
+    f.need(device, fail_ms);
+    f.maybe(recover_ms);
+    f.end();
+    e.pipeline.faults.outages.push_back(
+        {.device = device,
+         .fail_at = from_ms(fail_ms),
+         .recover_at = recover_ms < 0 ? fault::DeviceFailure::kNeverRecovers
+                                      : from_ms(recover_ms)});
+  }
 
-  // The rest of the fault plan: scripted spikes, seeded generators,
-  // rebuild policy, retry timeout.
+  // Scripted spikes, seeded generators, rebuild policy, retry timeout.
   for (const auto& spec : cfg.all("faults", "spike")) {
-    std::istringstream ss(spec);
+    Fields f("faults", "spike", spec, "device start_ms end_ms factor");
     std::uint32_t device = 0;
     double start_ms = 0.0, end_ms = 0.0, factor = 0.0;
-    if (!(ss >> device >> start_ms >> end_ms >> factor)) {
-      fail("bad spike spec (want: device start_ms end_ms factor): " + spec);
-    }
+    f.need(device, start_ms, end_ms, factor);
+    f.end();
     e.pipeline.faults.spikes.push_back(
         {device, from_ms(start_ms), from_ms(end_ms), factor});
   }
   if (cfg.has("faults", "transient")) {
-    std::istringstream ss(cfg.get("faults", "transient"));
+    Fields f("faults", "transient", cfg.get("faults", "transient"), "count mean_ms");
     std::uint32_t count = 0;
     double mean_ms = 0.0;
-    if (!(ss >> count >> mean_ms)) {
-      fail("bad transient spec (want: count mean_ms): " +
-           cfg.get("faults", "transient"));
-    }
+    f.need(count, mean_ms);
+    f.end();
     e.pipeline.faults.transient = {count, from_ms(mean_ms)};
   }
   if (cfg.has("faults", "latency_spike")) {
-    std::istringstream ss(cfg.get("faults", "latency_spike"));
+    Fields f("faults", "latency_spike", cfg.get("faults", "latency_spike"),
+             "count mean_ms factor");
     std::uint32_t count = 0;
     double mean_ms = 0.0, factor = 0.0;
-    if (!(ss >> count >> mean_ms >> factor)) {
-      fail("bad latency_spike spec (want: count mean_ms factor): " +
-           cfg.get("faults", "latency_spike"));
-    }
+    f.need(count, mean_ms, factor);
+    f.end();
     e.pipeline.faults.latency_spike = {count, from_ms(mean_ms), factor};
   }
   e.pipeline.faults.rebuild.pages_per_second =
@@ -374,10 +420,6 @@ write_fraction = 0.0
 # latency_spike = 2 5.0 4.0     # generated spikes: count, mean ms, factor
 # rebuild = 50000               # hot-spare rebuild pages/second (0 = off)
 # retry_timeout_ms = 10.0       # fail stranded requests past this wait
-
-# Legacy alias for scripted outages, kept for old experiment files:
-# [failures]
-# fail = 3 10.0 50.0
 )";
 }
 

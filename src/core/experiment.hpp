@@ -34,8 +34,10 @@
 //   rebuild = 50000           ; hot-spare rebuild pages/second (0 = off)
 //   retry_timeout_ms = 10.0   ; fail stranded requests past this wait
 //
-// Legacy [failures] sections with the same `fail =` lines still parse into
-// an equivalent fault plan. build_experiment() runs
+// [tenants] (see experiment_template()) and the daemon's [service] are the
+// two other sections. Any other section is an error, as is a value that
+// does not parse whole (a numeric prefix, or a field left over after the
+// last one a line takes). build_experiment() runs
 // PipelineConfig::validate() and throws with the joined diagnostics when
 // the combination is incoherent.
 #pragma once

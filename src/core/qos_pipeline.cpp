@@ -1165,12 +1165,12 @@ class ReplayEngine {
   /// (finalized at `now`).
   std::optional<SimTime> strand(std::size_t idx, BucketId bucket, SimTime now,
                                 std::int64_t qi) {
-    SimTime recovery = DeviceFailure::kNeverRecovers;
+    SimTime recovery = fault::DeviceFailure::kNeverRecovers;
     for (const auto d : scheme_.replicas(bucket)) {
       recovery = std::min(recovery, injector_->device_up_at(d, now));
     }
     auto& o = out(idx);
-    if (recovery != DeviceFailure::kNeverRecovers) {
+    if (recovery != fault::DeviceFailure::kNeverRecovers) {
       const SimTime next_dispatch =
           std::max((qi + 1) * T_, next_interval_start(recovery, T_));
       if (retry_timeout_ == fault::RetryPolicy::kNoTimeout ||

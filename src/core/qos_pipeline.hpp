@@ -59,13 +59,6 @@ enum class MappingMode { kModulo, kFim };
 ///    concentrates each group's load on one device and collapses.
 enum class SchedulerMode { kReplicaScheduled, kPrimaryOnly };
 
-/// A device outage window (now defined by the fault subsystem; the core
-/// spelling remains for existing code). Requests are never routed to a
-/// down device; replication serves them from surviving copies (degraded
-/// mode). A request whose replicas are all down waits for the earliest
-/// recovery, or is marked failed if none of them ever comes back.
-using DeviceFailure = fault::DeviceFailure;
-
 struct PipelineConfig {
   SimTime qos_interval = kBaseInterval;  // T
   std::uint32_t access_budget = 1;       // M
@@ -80,8 +73,7 @@ struct PipelineConfig {
   /// Everything that can go wrong during the replay: scripted outage and
   /// latency-spike windows, seeded generators, hot-spare rebuild, retry
   /// timeouts. Empty plan (the default) = healthy array, bit-identical to
-  /// a run without the fault subsystem. Scripted outages live in
-  /// `faults.outages` (the former `failures` vector).
+  /// a run without the fault subsystem.
   fault::FaultPlan faults;
   /// Monte-Carlo effort and stream for the *degraded* P_k tables the
   /// adaptive statistical admission re-samples when devices go down (the

@@ -183,7 +183,8 @@ CompiledFaultPlan compile(const FaultPlan& plan,
     RebuildJob job{.device = failed, .start = fail_at};
 
     // Min-load greedy source choice among replicas that eventually return
-    // to service (the planner's rule, restricted to recoverable sources).
+    // to service: each affected bucket reads from the surviving replica
+    // with the fewest rebuild reads so far (ties to the earlier replica).
     std::vector<RebuildRead> reads;
     std::vector<std::size_t> source_load(scheme.devices(), 0);
     bool recoverable = true;

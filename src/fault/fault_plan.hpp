@@ -3,17 +3,17 @@
 // A FaultPlan describes everything that can go wrong with the array during
 // a replay, in one declarative object:
 //
-//  * scripted outage windows (transient or permanent — the legacy
-//    `[failures] fail = d t0 t1` lines map 1:1 onto these);
+//  * scripted outage windows, transient or permanent (a `[faults]`
+//    `fail = d t0 t1` config line is one window);
 //  * scripted latency spikes — a device stays up but serves reads slower
 //    by a multiplicative factor for a window (media retries, background
 //    GC, thermal throttling);
 //  * seeded stochastic generators for both, so chaos runs are one seed
 //    away from reproducible;
 //  * a hot-spare rebuild policy: a permanent failure triggers a paced
-//    background read stream (planned by the rebuild planner in this
-//    directory) and the device re-enters service when the last affected
-//    bucket has been copied out;
+//    background read stream (one read per affected bucket, from its
+//    least-loaded surviving replica) and the device re-enters service
+//    when the last affected bucket has been copied out;
 //  * retry/timeout semantics for requests stranded with every replica
 //    down: by default they wait for the earliest recovery, with a timeout
 //    they are marked failed once the wait would exceed it.

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <map>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "util/memory.hpp"
 
@@ -13,32 +11,6 @@ namespace {
 
 // flashqos-lint: allow(wall-clock): miner self-timing (elapsed_seconds metric)
 using Clock = std::chrono::steady_clock;
-
-/// Pass 1 shared by both miners: item supports, then a dense re-id of the
-/// frequent items (0..F-1) so pair keys pack into one uint64.
-struct FrequentItemIndex {
-  std::unordered_map<Item, std::uint32_t> to_dense;
-  std::vector<Item> to_item;  // dense id -> original item
-};
-
-FrequentItemIndex index_frequent_items(const TransactionDb& db,
-                                       std::uint64_t min_support) {
-  std::unordered_map<Item, std::uint64_t> support;
-  for (const auto& t : db.transactions()) {
-    for (const auto item : t) ++support[item];
-  }
-  FrequentItemIndex idx;
-  for (const auto& [item, count] : support) {
-    if (count >= min_support) idx.to_item.push_back(item);
-  }
-  // Deterministic dense ids regardless of hash order.
-  std::sort(idx.to_item.begin(), idx.to_item.end());
-  idx.to_dense.reserve(idx.to_item.size());
-  for (std::uint32_t i = 0; i < idx.to_item.size(); ++i) {
-    idx.to_dense.emplace(idx.to_item[i], i);
-  }
-  return idx;
-}
 
 }  // namespace
 
@@ -105,83 +77,6 @@ MiningResult mine_pairs_apriori(const TransactionDb& db, std::uint64_t min_suppo
     }
     i = j;
   }
-  res.pairs = std::move(pairs);
-  res.elapsed_seconds = std::chrono::duration<double>(Clock::now() - t0).count();
-  res.peak_memory_bytes = peak_rss_bytes();
-  return res;
-}
-
-MiningResult mine_pairs_eclat(const TransactionDb& db, std::uint64_t min_support) {
-  const auto t0 = Clock::now();
-  MiningResult res;
-  res.transactions = db.size();
-  res.total_items = db.total_items();
-  if (min_support == 0) min_support = 1;
-
-  const FrequentItemIndex idx = index_frequent_items(db, min_support);
-  res.frequent_items = idx.to_item.size();
-
-  // Vertical layout: per frequent item, the sorted list of transaction ids
-  // containing it.
-  std::vector<std::vector<std::uint32_t>> tids(idx.to_item.size());
-  const auto txs = db.transactions();
-  for (std::uint32_t t = 0; t < txs.size(); ++t) {
-    for (const auto item : txs[t]) {
-      if (const auto it = idx.to_dense.find(item); it != idx.to_dense.end()) {
-        tids[it->second].push_back(t);
-      }
-    }
-  }
-
-  // Candidate pairs: only pairs that co-occur at least once can be
-  // frequent, so enumerate them from the horizontal data instead of testing
-  // all F² combinations (min_support is often 1 here, which would defeat
-  // size-based pruning).
-  std::unordered_set<std::uint64_t> candidates;
-  std::vector<std::uint32_t> dense;
-  for (const auto& t : txs) {
-    dense.clear();
-    for (const auto item : t) {
-      if (const auto it = idx.to_dense.find(item); it != idx.to_dense.end()) {
-        dense.push_back(it->second);
-      }
-    }
-    for (std::size_t i = 0; i < dense.size(); ++i) {
-      for (std::size_t j = i + 1; j < dense.size(); ++j) {
-        candidates.insert((static_cast<std::uint64_t>(dense[i]) << 32) | dense[j]);
-      }
-    }
-  }
-
-  // Exact supports by tid-list intersection (the vertical step).
-  std::vector<FrequentPair> pairs;
-  for (const auto key : candidates) {
-    const auto a = static_cast<std::uint32_t>(key >> 32);
-    const auto b = static_cast<std::uint32_t>(key & 0xFFFFFFFFULL);
-    const auto& la = tids[a];
-    const auto& lb = tids[b];
-    if (std::min(la.size(), lb.size()) < min_support) continue;
-    std::uint64_t support = 0;
-    std::size_t i = 0, j = 0;
-    while (i < la.size() && j < lb.size()) {
-      if (la[i] < lb[j]) {
-        ++i;
-      } else if (la[i] > lb[j]) {
-        ++j;
-      } else {
-        ++support;
-        ++i;
-        ++j;
-      }
-    }
-    if (support >= min_support) {
-      pairs.push_back(FrequentPair{idx.to_item[a], idx.to_item[b], support});
-    }
-  }
-  std::sort(pairs.begin(), pairs.end(),
-            [](const FrequentPair& x, const FrequentPair& y) {
-              return x.a != y.a ? x.a < y.a : x.b < y.b;
-            });
   res.pairs = std::move(pairs);
   res.elapsed_seconds = std::chrono::duration<double>(Clock::now() - t0).count();
   res.peak_memory_bytes = peak_rss_bytes();

@@ -1,15 +1,11 @@
 // Frequent-pair mining.
 //
 // The QoS framework mines set-size-2 itemsets only (paper §IV-A), so the
-// miners here are specialized pair miners rather than general k-itemset
-// engines. Two algorithms with identical output:
-//
-//  * apriori  — the paper's fim_apriori-lowmem stand-in: pass 1 counts item
-//    supports and prunes infrequent items (the apriori property: a pair can
-//    only be frequent if both items are); pass 2 counts surviving pairs in
-//    a hash table.
-//  * eclat    — vertical layout: per-item transaction-id lists, pair support
-//    by list intersection.
+// miner here is a specialized pair miner rather than a general k-itemset
+// engine. mine_pairs_apriori is the paper's fim_apriori-lowmem stand-in:
+// pass 1 counts item supports and prunes infrequent items (the apriori
+// property: a pair can only be frequent if both items are); pass 2 counts
+// the surviving pairs. mine_pairs_naive is the test oracle.
 //
 // Both return pairs sorted by (a, b) with a < b, support >= min_support.
 #pragma once
@@ -32,9 +28,6 @@ struct MiningResult {
 
 [[nodiscard]] MiningResult mine_pairs_apriori(const TransactionDb& db,
                                               std::uint64_t min_support);
-
-[[nodiscard]] MiningResult mine_pairs_eclat(const TransactionDb& db,
-                                            std::uint64_t min_support);
 
 /// Reference implementation: O(items²) dense counting per transaction with
 /// no pruning. For tests and tiny inputs.

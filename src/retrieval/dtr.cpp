@@ -11,6 +11,9 @@
 namespace flashqos::retrieval {
 namespace {
 
+/// Remapping sweeps before DTR stops looking for an improving move.
+constexpr std::uint32_t kMaxPasses = 16;
+
 /// Registry handles resolved once. Identity the verifier audits:
 /// fast_path + max_flow_fallback == invocations (every retrieve() call
 /// either returns the DTR schedule directly or invokes the exact solver).
@@ -50,7 +53,7 @@ void assign_rounds(Schedule& s, std::uint32_t devices,
 
 const Schedule& dtr_schedule(std::span<const BucketId> batch,
                              const decluster::AllocationScheme& scheme,
-                             const DtrOptions& opts, RetrievalScratch& scratch) {
+                             RetrievalScratch& scratch) {
   Schedule& s = scratch.dtr;
   s.via = SolvedBy::kDtr;
   s.rounds = 0;
@@ -61,24 +64,18 @@ const Schedule& dtr_schedule(std::span<const BucketId> batch,
   auto& load = scratch.load;
   load.assign(n, 0);
 
-  // Initial mapping.
+  // Initial mapping: every request starts on its primary copy.
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    const auto reps = scheme.replicas(batch[i]);
-    DeviceId pick = reps[0];
-    if (!opts.primary_first) {
-      for (const auto d : reps) {
-        if (load[d] < load[pick]) pick = d;
-      }
-    }
-    s.assignments[i].device = pick;
-    ++load[pick];
+    const DeviceId primary = scheme.replicas(batch[i])[0];
+    s.assignments[i].device = primary;
+    ++load[primary];
   }
 
   // Remapping sweeps: pull requests off the currently most-loaded devices
   // onto replicas whose load is at least two lower (a move that cannot
   // increase the makespan and strictly reduces the mover's device load).
   std::uint64_t moves = 0;
-  for (std::uint32_t pass = 0; pass < opts.max_passes; ++pass) {
+  for (std::uint32_t pass = 0; pass < kMaxPasses; ++pass) {
     bool moved = false;
     for (std::size_t i = 0; i < batch.size(); ++i) {
       auto& a = s.assignments[i];
@@ -109,17 +106,16 @@ const Schedule& dtr_schedule(std::span<const BucketId> batch,
 }
 
 Schedule dtr_schedule(std::span<const BucketId> batch,
-                      const decluster::AllocationScheme& scheme,
-                      const DtrOptions& opts) {
+                      const decluster::AllocationScheme& scheme) {
   RetrievalScratch scratch;
-  return dtr_schedule(batch, scheme, opts, scratch);
+  return dtr_schedule(batch, scheme, scratch);
 }
 
 const Schedule& retrieve(std::span<const BucketId> batch,
                          const decluster::AllocationScheme& scheme,
-                         const DtrOptions& opts, RetrievalScratch& scratch) {
+                         RetrievalScratch& scratch) {
   if constexpr (obs::kEnabled) RetrievalMetrics::get().invocations.inc();
-  const Schedule& fast = dtr_schedule(batch, scheme, opts, scratch);
+  const Schedule& fast = dtr_schedule(batch, scheme, scratch);
   const auto lower = static_cast<std::uint32_t>(
       design::optimal_accesses(batch.size(), scheme.devices()));
   if (fast.rounds <= lower) {
@@ -135,23 +131,21 @@ const Schedule& retrieve(std::span<const BucketId> batch,
 }
 
 Schedule retrieve(std::span<const BucketId> batch,
-                  const decluster::AllocationScheme& scheme,
-                  const DtrOptions& opts) {
+                  const decluster::AllocationScheme& scheme) {
   RetrievalScratch scratch;
-  return retrieve(batch, scheme, opts, scratch);
+  return retrieve(batch, scheme, scratch);
 }
 
 const Schedule* retrieve(std::span<const BucketId> batch,
                          const decluster::AllocationScheme& scheme,
-                         const std::vector<bool>& available, const DtrOptions& opts,
+                         const std::vector<bool>& available,
                          RetrievalScratch& scratch) {
-  if (available.empty()) return &retrieve(batch, scheme, opts, scratch);
+  if (available.empty()) return &retrieve(batch, scheme, scratch);
   // Degraded mode goes straight to the exact solver: the DTR fast path's
   // primary-first heuristic has no meaning when the primary may be down,
   // and degraded batches are the rare case where latency of the scheduler
   // itself is not the bottleneck.
   if constexpr (obs::kEnabled) RetrievalMetrics::get().degraded.inc();
-  (void)opts;
   if (!optimal_schedule(batch, scheme, available, scratch.flow, scratch.exact)) {
     return nullptr;
   }
@@ -160,10 +154,9 @@ const Schedule* retrieve(std::span<const BucketId> batch,
 
 std::optional<Schedule> retrieve(std::span<const BucketId> batch,
                                  const decluster::AllocationScheme& scheme,
-                                 const std::vector<bool>& available,
-                                 const DtrOptions& opts) {
+                                 const std::vector<bool>& available) {
   RetrievalScratch scratch;
-  const Schedule* s = retrieve(batch, scheme, available, opts, scratch);
+  const Schedule* s = retrieve(batch, scheme, available, scratch);
   if (s == nullptr) return std::nullopt;
   return *s;
 }

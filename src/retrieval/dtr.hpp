@@ -17,38 +17,25 @@
 
 namespace flashqos::retrieval {
 
-struct DtrOptions {
-  /// Start from the primary copy (paper's formulation). When false, the
-  /// initial map is greedy least-loaded, which converges in fewer passes
-  /// but is no longer the textbook algorithm.
-  bool primary_first = true;
-  /// Maximum remapping sweeps before giving up improvement.
-  std::uint32_t max_passes = 16;
-};
-
 /// The fast design-theoretic retrieval schedule (may be suboptimal).
 [[nodiscard]] Schedule dtr_schedule(std::span<const BucketId> batch,
-                                    const decluster::AllocationScheme& scheme,
-                                    const DtrOptions& opts = {});
+                                    const decluster::AllocationScheme& scheme);
 
 /// Scratch-reusing form: the returned reference points into the scratch
 /// and stays valid until its next use. Zero heap allocations once warm.
 [[nodiscard]] const Schedule& dtr_schedule(std::span<const BucketId> batch,
                                            const decluster::AllocationScheme& scheme,
-                                           const DtrOptions& opts,
                                            RetrievalScratch& scratch);
 
 /// The paper's combined retrieval: DTR first; if its round count exceeds
 /// the optimum lower bound ⌈b/N⌉, solve max-flow for the true optimum.
 /// The result is always a minimum-round schedule.
 [[nodiscard]] Schedule retrieve(std::span<const BucketId> batch,
-                                const decluster::AllocationScheme& scheme,
-                                const DtrOptions& opts = {});
+                                const decluster::AllocationScheme& scheme);
 
 /// Scratch-reusing combined retrieval; same result, no allocations warm.
 [[nodiscard]] const Schedule& retrieve(std::span<const BucketId> batch,
                                        const decluster::AllocationScheme& scheme,
-                                       const DtrOptions& opts,
                                        RetrievalScratch& scratch);
 
 /// Degraded-mode combined retrieval: only devices with available[d] may
@@ -56,7 +43,7 @@ struct DtrOptions {
 /// replica — the caller decides between waiting for recovery and failing.
 [[nodiscard]] std::optional<Schedule> retrieve(
     std::span<const BucketId> batch, const decluster::AllocationScheme& scheme,
-    const std::vector<bool>& available, const DtrOptions& opts);
+    const std::vector<bool>& available);
 
 /// Scratch-reusing degraded retrieval: nullptr iff some request has no
 /// live replica; otherwise points into the scratch (valid until its next
@@ -64,7 +51,6 @@ struct DtrOptions {
 [[nodiscard]] const Schedule* retrieve(std::span<const BucketId> batch,
                                        const decluster::AllocationScheme& scheme,
                                        const std::vector<bool>& available,
-                                       const DtrOptions& opts,
                                        RetrievalScratch& scratch);
 
 }  // namespace flashqos::retrieval

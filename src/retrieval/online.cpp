@@ -34,7 +34,7 @@ std::vector<Decision> OnlineRetriever::submit_batch(std::span<const BucketId> ba
     out[0] = submit(batch[0], arrival);
     return out;
   }
-  const Schedule& s = retrieve(batch, scheme_, {}, scratch_);
+  const Schedule& s = retrieve(batch, scheme_, scratch_);
   // Per-device dispatch: requests on one device run back to back in round
   // order, starting when the device frees up (or at arrival).
   auto& device_cursor = device_cursor_;

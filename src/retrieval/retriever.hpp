@@ -37,19 +37,18 @@ namespace flashqos::retrieval {
 class Retriever {
  public:
   explicit Retriever(const decluster::AllocationScheme& scheme,
-                     SimTime service_time = kPageReadLatency,
-                     const DtrOptions& opts = {})
-      : scheme_(scheme), opts_(opts), online_(scheme, service_time) {}
+                     SimTime service_time = kPageReadLatency)
+      : scheme_(scheme), online_(scheme, service_time) {}
 
   /// The fast design-theoretic schedule (may be off-optimal).
   [[nodiscard]] const Schedule& dtr(std::span<const BucketId> batch) {
-    return dtr_schedule(batch, scheme_, opts_, scratch_);
+    return dtr_schedule(batch, scheme_, scratch_);
   }
 
   /// The paper's combined retrieval: DTR, escalating to max-flow when the
   /// fast path misses the ⌈b/N⌉ optimum. Always minimum-round.
   [[nodiscard]] const Schedule& schedule(std::span<const BucketId> batch) {
-    return retrieve(batch, scheme_, opts_, scratch_);
+    return retrieve(batch, scheme_, scratch_);
   }
 
   /// Degraded-mode combined retrieval: only devices with available[d] may
@@ -57,7 +56,7 @@ class Retriever {
   /// replica — the caller decides between waiting for recovery and failing.
   [[nodiscard]] const Schedule* schedule(std::span<const BucketId> batch,
                                          const std::vector<bool>& available) {
-    return retrieve(batch, scheme_, available, opts_, scratch_);
+    return retrieve(batch, scheme_, available, scratch_);
   }
 
   /// Minimum-makespan schedule under per-device service times.
@@ -91,12 +90,10 @@ class Retriever {
   [[nodiscard]] const decluster::AllocationScheme& scheme() const noexcept {
     return scheme_;
   }
-  [[nodiscard]] const DtrOptions& options() const noexcept { return opts_; }
   [[nodiscard]] RetrievalScratch& scratch() noexcept { return scratch_; }
 
  private:
   const decluster::AllocationScheme& scheme_;
-  DtrOptions opts_;
   RetrievalScratch scratch_;
   OnlineRetriever online_;
   HeterogeneousSchedule makespan_;

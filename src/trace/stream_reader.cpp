@@ -27,23 +27,6 @@ std::string_view MemoryByteSource::next_chunk() {
   return out;
 }
 
-bool IfstreamByteSource::open() {
-  in_.open(path_, std::ios::binary);
-  return in_.is_open();
-}
-
-std::string_view IfstreamByteSource::next_chunk() {
-  if (!in_.good()) return {};
-  in_.read(buf_.data(), static_cast<std::streamsize>(buf_.size()));
-  const auto got = static_cast<std::size_t>(in_.gcount());
-  return {buf_.data(), got};
-}
-
-void IfstreamByteSource::reset() {
-  in_.clear();
-  in_.seekg(0);
-}
-
 LineCursor::LineCursor(std::unique_ptr<ByteSource> src, TraceMeta meta,
                        std::size_t max_diags)
     : src_(std::move(src)), meta_(std::move(meta)), max_diags_(max_diags) {
@@ -201,19 +184,12 @@ bool MsrCursor::parse_line(std::string_view line, TraceEvent& ev) {
 
 namespace {
 
-std::unique_ptr<ByteSource> open_source(const std::string& path,
-                                        const ReaderOptions& opts) {
-  FLASHQOS_EXPECT(opts.chunk_bytes > 0, "chunk size must be positive");
-  if (opts.use_mmap) {
-    MappedFile f;
-    if (!f.open(path)) throw std::runtime_error("trace open: " + f.error());
-    // flashqos-lint: allow(hot-path-alloc): one-time cursor construction
-    return std::make_unique<MmapByteSource>(std::move(f), opts.chunk_bytes);
-  }
+std::unique_ptr<ByteSource> open_source(const std::string& path) {
+  constexpr std::size_t kChunkBytes = std::size_t{1} << 20;
+  MappedFile f;
+  if (!f.open(path)) throw std::runtime_error("trace open: " + f.error());
   // flashqos-lint: allow(hot-path-alloc): one-time cursor construction
-  auto src = std::make_unique<IfstreamByteSource>(path, opts.chunk_bytes);
-  if (!src->open()) throw std::runtime_error("trace open: " + path);
-  return src;
+  return std::make_unique<MmapByteSource>(std::move(f), kChunkBytes);
 }
 
 }  // namespace
@@ -221,21 +197,17 @@ std::unique_ptr<ByteSource> open_source(const std::string& path,
 std::unique_ptr<DisksimCursor> open_disksim_cursor(const std::string& path,
                                                    std::string name,
                                                    std::uint32_t volumes,
-                                                   SimTime report_interval,
-                                                   const ReaderOptions& opts) {
+                                                   SimTime report_interval) {
   // flashqos-lint: allow(hot-path-alloc): one-time cursor construction
-  return std::make_unique<DisksimCursor>(open_source(path, opts),
-                                         std::move(name), volumes,
-                                         report_interval, opts.max_diags);
+  return std::make_unique<DisksimCursor>(open_source(path), std::move(name),
+                                         volumes, report_interval);
 }
 
 std::unique_ptr<MsrCursor> open_msr_cursor(const std::string& path,
                                            std::string name,
-                                           const MsrReadOptions& msr,
-                                           const ReaderOptions& opts) {
+                                           const MsrReadOptions& msr) {
   // flashqos-lint: allow(hot-path-alloc): one-time cursor construction
-  return std::make_unique<MsrCursor>(open_source(path, opts), std::move(name),
-                                     msr, opts.max_diags);
+  return std::make_unique<MsrCursor>(open_source(path), std::move(name), msr);
 }
 
 }  // namespace flashqos::trace

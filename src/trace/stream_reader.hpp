@@ -2,15 +2,15 @@
 //
 // The in-memory readers (read_disksim_ascii / read_msr_csv) materialize
 // O(trace) events before the first request replays. These cursors instead
-// walk the bytes a chunk at a time — by default through a read-only mmap so
+// walk the bytes a chunk at a time — files through a read-only mmap so
 // residency is the page cache's problem — and parse lines directly into the
 // caller's fill() batch. Memory stays O(chunk + one straddled line)
 // regardless of file size.
 //
 // Error handling is structured, not throwing: a line that fails to parse is
 // skipped, counted in the `trace.parse_errors` counter, and recorded as a
-// ParseDiag{line, message} (bounded; see ReaderOptions::max_diags). The
-// in-memory readers keep their throwing contract — both run the same
+// ParseDiag{line, message} (the first max_diags of them, 64 by default).
+// The in-memory readers keep their throwing contract — both run the same
 // per-line parsers (parse_disksim_line / parse_msr_row), so they accept
 // exactly the same input.
 //
@@ -24,7 +24,6 @@
 #pragma once
 
 #include <cstddef>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -47,19 +46,6 @@ namespace flashqos::trace {
 struct ParseDiag {
   std::size_t line = 0;  // 1-based
   std::string message;
-};
-
-struct ReaderOptions {
-  /// Bytes served per ByteSource chunk. Small values exist for the
-  /// chunk-boundary tests (a record straddling a chunk edge must parse
-  /// identically); production uses the default.
-  std::size_t chunk_bytes = std::size_t{1} << 20;
-  /// Structured diagnostics retained (parse_errors() keeps counting past
-  /// the cap).
-  std::size_t max_diags = 64;
-  /// Read through a private read-only mmap (default); false falls back to
-  /// buffered ifstream chunks (pipes, tests).
-  bool use_mmap = true;
 };
 
 /// Byte supplier for the line scanner: successive chunks of the input.
@@ -106,24 +92,6 @@ class MemoryByteSource final : public ByteSource {
   std::string bytes_;
   std::size_t chunk_bytes_;
   std::size_t pos_ = 0;
-};
-
-/// Buffered read() chunks from a file stream (the non-mmap fallback).
-class IfstreamByteSource final : public ByteSource {
- public:
-  IfstreamByteSource(std::string path, std::size_t chunk_bytes)
-      : path_(std::move(path)), buf_(chunk_bytes) {}
-
-  /// False when the file cannot be opened (callers check before first use).
-  [[nodiscard]] bool open();
-
-  [[nodiscard]] std::string_view next_chunk() override;
-  void reset() override;
-
- private:
-  std::string path_;
-  std::vector<char> buf_;
-  std::ifstream in_;
 };
 
 /// Base line-framing cursor: splits ByteSource chunks into lines (handling
@@ -214,16 +182,17 @@ class MsrCursor final : public LineCursor {
   std::int64_t first_ts_ = -1;
 };
 
-/// Open `path` as a streaming DiskSim cursor. Throws std::runtime_error
-/// when the file cannot be opened.
+/// Open `path` as a streaming DiskSim cursor over a read-only mmap of the
+/// file, served in 1 MiB chunks. Throws std::runtime_error when the file
+/// cannot be opened.
 [[nodiscard]] std::unique_ptr<DisksimCursor> open_disksim_cursor(
     const std::string& path, std::string name, std::uint32_t volumes,
-    SimTime report_interval, const ReaderOptions& opts = {});
+    SimTime report_interval);
 
-/// Open `path` as a streaming MSR CSV cursor. Throws std::runtime_error
-/// when the file cannot be opened; requires msr.volumes != 0.
+/// Open `path` as a streaming MSR CSV cursor (mmap, 1 MiB chunks). Throws
+/// std::runtime_error when the file cannot be opened; requires
+/// msr.volumes != 0.
 [[nodiscard]] std::unique_ptr<MsrCursor> open_msr_cursor(
-    const std::string& path, std::string name, const MsrReadOptions& msr,
-    const ReaderOptions& opts = {});
+    const std::string& path, std::string name, const MsrReadOptions& msr);
 
 }  // namespace flashqos::trace

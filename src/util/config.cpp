@@ -15,6 +15,22 @@ std::string trim(const std::string& s) {
   return s.substr(begin, end - begin + 1);
 }
 
+/// Runs `parse` (std::stod or std::stoll) and requires it to consume the
+/// whole value: "2x" is not 2. Throws naming the key otherwise.
+template <typename Parse>
+auto parse_whole(const std::string& section, const std::string& key,
+                 const std::string& value, const char* what, Parse parse) {
+  std::size_t used = 0;
+  try {
+    const auto v = parse(value, &used);
+    if (used == value.size()) return v;
+  } catch (const std::exception&) {
+    // No digits at all, or out of range: reported below.
+  }
+  throw std::runtime_error("config: [" + section + "] " + key + " is not " +
+                           what + ": " + value);
+}
+
 }  // namespace
 
 Config Config::parse(std::istream& in) {
@@ -83,24 +99,20 @@ double Config::get_double(const std::string& section, const std::string& key,
                           double fallback) const {
   const auto s = get(section, key);
   if (s.empty()) return fallback;
-  try {
-    return std::stod(s);
-  } catch (const std::exception&) {
-    throw std::runtime_error("config: [" + section + "] " + key +
-                             " is not a number: " + s);
-  }
+  return parse_whole(section, key, s, "a number",
+                     [](const std::string& v, std::size_t* used) {
+                       return std::stod(v, used);
+                     });
 }
 
 std::int64_t Config::get_int(const std::string& section, const std::string& key,
                              std::int64_t fallback) const {
   const auto s = get(section, key);
   if (s.empty()) return fallback;
-  try {
-    return std::stoll(s);
-  } catch (const std::exception&) {
-    throw std::runtime_error("config: [" + section + "] " + key +
-                             " is not an integer: " + s);
-  }
+  return parse_whole(section, key, s, "an integer",
+                     [](const std::string& v, std::size_t* used) {
+                       return static_cast<std::int64_t>(std::stoll(v, used));
+                     });
 }
 
 bool Config::get_bool(const std::string& section, const std::string& key,

@@ -3,7 +3,8 @@
 // DiskSim is driven by parameter files; flashqos_sim keeps that workflow:
 // `[section]` headers, `key = value` pairs, `#`/`;` comments. Repeated keys
 // accumulate (used for failure lists). Values are strings; typed getters
-// parse on access and fall back to defaults.
+// parse on access, fall back to defaults when the key is absent, and throw
+// when the value does not parse whole ("2x" is not an integer).
 #pragma once
 
 #include <cstdint>

@@ -284,7 +284,7 @@ Report verify_daemon(const decluster::AllocationScheme& scheme,
     cfg.faults.outages.push_back(
         {.device = scheme.devices() - 1,
          .fail_at = from_ms(2.0),
-         .recover_at = core::DeviceFailure::kNeverRecovers});
+         .recover_at = fault::DeviceFailure::kNeverRecovers});
     const SimTime horizon = exchange.events.back().time + cfg.qos_interval;
     audit("daemon aligned/det/fim +failures @exchange", cfg, exchange,
           horizon);

@@ -522,7 +522,7 @@ Report verify_retrieval(const decluster::AllocationScheme& s,
     if (!check_schedule(batch, s, fast, &why)) {
       note(dtr_invalid, "dtr: " + why);
     }
-    if (!schedules_equal(retrieval::dtr_schedule(batch, s, {}, scratch), fast)) {
+    if (!schedules_equal(retrieval::dtr_schedule(batch, s, scratch), fast)) {
       note(ws_diverged, "reused-scratch dtr_schedule differs from fresh");
     }
     const auto exact = retrieval::optimal_schedule(batch, s);
@@ -563,7 +563,7 @@ Report verify_retrieval(const decluster::AllocationScheme& s,
       note(combined_off, format("retrieve() gives {} rounds, optimum {}",
                                 combined.rounds, exact.rounds));
     }
-    if (!schedules_equal(retrieval::retrieve(batch, s, {}, scratch), combined)) {
+    if (!schedules_equal(retrieval::retrieve(batch, s, scratch), combined)) {
       note(ws_diverged, "reused-scratch retrieve() differs from fresh");
     }
     const auto integrated = retrieval::integrated_optimal_schedule(batch, s);
@@ -584,7 +584,7 @@ Report verify_retrieval(const decluster::AllocationScheme& s,
       const auto dead = static_cast<DeviceId>(rng.below(s.devices()));
       std::vector<bool> available(s.devices(), true);
       available[dead] = false;
-      const auto degraded = retrieval::retrieve(batch, s, available, {});
+      const auto degraded = retrieval::retrieve(batch, s, available);
       if (!degraded.has_value()) {
         note(degraded_bad, format("no degraded schedule with device {} down",
                                   dead));
@@ -598,7 +598,7 @@ Report verify_retrieval(const decluster::AllocationScheme& s,
         }
       }
       const retrieval::Schedule* ws_degraded =
-          retrieval::retrieve(batch, s, available, {}, scratch);
+          retrieval::retrieve(batch, s, available, scratch);
       if ((ws_degraded != nullptr) != degraded.has_value() ||
           (ws_degraded != nullptr && !schedules_equal(*ws_degraded, *degraded))) {
         note(ws_diverged, "reused-scratch degraded retrieve() differs from fresh");

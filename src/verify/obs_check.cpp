@@ -323,7 +323,7 @@ Report verify_observability(const decluster::AllocationScheme& scheme,
     aligned_failures.faults.outages.push_back(
         {.device = scheme.devices() - 1,
          .fail_at = from_ms(2.0),
-         .recover_at = core::DeviceFailure::kNeverRecovers});
+         .recover_at = fault::DeviceFailure::kNeverRecovers});
     run(aligned_failures, exchange);
 
     core::PipelineConfig online_writes;  // replicated page programs

@@ -196,7 +196,7 @@ Report verify_replay_equivalence(const decluster::AllocationScheme& scheme,
                                   .recover_at = from_ms(6.0)});
     cfg.faults.outages.push_back({.device = scheme.devices() - 1,
                             .fail_at = from_ms(2.0),
-                            .recover_at = core::DeviceFailure::kNeverRecovers});
+                            .recover_at = fault::DeviceFailure::kNeverRecovers});
     check_one(std::string(rname) + "/det/fim/replica +failures @exchange", cfg,
               exchange);
   }

@@ -172,76 +172,3 @@ TEST(Sampler, Fig4ShapeFor931) {
 
 }  // namespace
 }  // namespace flashqos::core
-
-#include "core/classified_admission.hpp"
-
-namespace flashqos::core {
-namespace {
-
-TEST(ClassifiedAdmission, ReservationsAreIsolated) {
-  // S = 5: premium reserves 3, standard reserves 1, 1 shared.
-  ClassifiedAdmission a(5, {{"premium", 3}, {"standard", 1}});
-  // Standard floods the interval: it gets its reservation plus the shared
-  // slot, never premium's reservation.
-  EXPECT_EQ(a.admit(1, 100), 2u);
-  // Premium still gets its full 3.
-  EXPECT_EQ(a.admit(0, 3), 3u);
-  EXPECT_EQ(a.admit(0, 1), 0u);  // budget exhausted
-}
-
-TEST(ClassifiedAdmission, SharedPoolIsWorkConserving) {
-  ClassifiedAdmission a(5, {{"premium", 2}, {"standard", 2}});
-  // Premium asks for 3: its 2 reserved + the 1 shared slot.
-  EXPECT_EQ(a.admit(0, 3), 3u);
-  // Standard still gets its reserved 2.
-  EXPECT_EQ(a.admit(1, 5), 2u);
-}
-
-TEST(ClassifiedAdmission, TotalNeverExceedsLimit) {
-  ClassifiedAdmission a(5, {{"a", 1}, {"b", 1}, {"c", 0}});
-  std::uint64_t total = 0;
-  total += a.admit(0, 10);
-  total += a.admit(1, 10);
-  total += a.admit(2, 10);
-  EXPECT_LE(total, 5u);
-  EXPECT_EQ(total, 5u) << "work conservation: the full budget is usable";
-}
-
-TEST(ClassifiedAdmission, IntervalResetRestoresBudgets) {
-  ClassifiedAdmission a(5, {{"only", 2}});
-  EXPECT_EQ(a.admit(0, 5), 5u);
-  EXPECT_EQ(a.admit(0, 1), 0u);
-  a.end_interval();
-  EXPECT_EQ(a.admit(0, 5), 5u);
-  EXPECT_EQ(a.admitted_total(0), 10u);
-}
-
-TEST(ClassifiedAdmission, AvailableReflectsBothPools) {
-  ClassifiedAdmission a(6, {{"p", 2}, {"s", 1}});
-  EXPECT_EQ(a.available(0), 5u);  // 2 reserved + 3 shared
-  EXPECT_EQ(a.available(1), 4u);  // 1 reserved + 3 shared
-  (void)a.admit(0, 4);            // uses 2 reserved + 2 shared
-  EXPECT_EQ(a.available(0), 1u);
-  EXPECT_EQ(a.available(1), 2u);  // own reservation + remaining shared
-}
-
-TEST(ClassifiedAdmission, RejectsOverSubscribedReservations) {
-  EXPECT_DEATH(ClassifiedAdmission(5, {{"a", 3}, {"b", 3}}), "exceed");
-}
-
-TEST(ClassifiedAdmission, FairnessUnderSustainedOverload) {
-  // Both classes flood every interval; admissions must track reservations
-  // plus an even-ish share of nothing (premium drains shared first here
-  // because it is asked first — order models priority).
-  ClassifiedAdmission a(5, {{"premium", 3}, {"standard", 1}});
-  for (int i = 0; i < 100; ++i) {
-    (void)a.admit(0, 10);
-    (void)a.admit(1, 10);
-    a.end_interval();
-  }
-  EXPECT_EQ(a.admitted_total(0), 400u);  // 3 reserved + 1 shared per interval
-  EXPECT_EQ(a.admitted_total(1), 100u);  // its reservation
-}
-
-}  // namespace
-}  // namespace flashqos::core

@@ -149,14 +149,78 @@ TEST(Experiment, RejectsUnknownNames) {
 TEST(Experiment, ParsesFailures) {
   const auto cfg = config_from(
       "[workload]\nkind = synthetic\ntotal_requests = 10\n"
-      "[failures]\nfail = 3 10.0 50.0\nfail = 4 0.0\n");
+      "[faults]\nfail = 3 10.0 50.0\nfail = 4 0.0\n");
   const auto e = core::build_experiment(cfg);
   ASSERT_EQ(e.pipeline.faults.outages.size(), 2u);
   EXPECT_EQ(e.pipeline.faults.outages[0].device, 3u);
   EXPECT_EQ(e.pipeline.faults.outages[0].fail_at, 10 * kMillisecond);
   EXPECT_EQ(e.pipeline.faults.outages[0].recover_at, 50 * kMillisecond);
   EXPECT_EQ(e.pipeline.faults.outages[1].recover_at,
-            core::DeviceFailure::kNeverRecovers);
+            fault::DeviceFailure::kNeverRecovers);
+}
+
+/// What build_experiment() throws for `text`; empty when it builds.
+std::string build_error(const std::string& text) {
+  try {
+    (void)core::build_experiment(config_from(text));
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return {};
+}
+
+/// A rejected value must be named in the error, with its key.
+void expect_names(const std::string& error, const std::string& key,
+                  const std::string& value) {
+  EXPECT_NE(error.find(key), std::string::npos) << "error: '" << error << "'";
+  EXPECT_NE(error.find(value), std::string::npos) << "error: '" << error << "'";
+}
+
+const std::string kTinyWorkload = "[workload]\nkind = synthetic\ntotal_requests = 10\n";
+
+TEST(Experiment, RejectsANumericPrefix) {
+  // M = 2 would run (and miss deadlines) although the file said "2x".
+  expect_names(build_error(kTinyWorkload + "[pipeline]\naccess_budget = 2x\n"),
+               "access_budget", "2x");
+  expect_names(build_error(kTinyWorkload + "[pipeline]\ninterval_ms = 0.133ms\n"),
+               "interval_ms", "0.133ms");
+}
+
+TEST(Experiment, RejectsAFieldThatDoesNotParseWhole) {
+  // "5O.0" would read as a 5 ms recovery: a 4 ms outage instead of 49 ms.
+  expect_names(build_error(kTinyWorkload + "[faults]\nfail = 3 1.0 5O.0\n"),
+               "fail", "3 1.0 5O.0");
+  expect_names(build_error(kTinyWorkload + "[faults]\nspike = 2 5.0 2O.0 4.0\n"),
+               "spike", "2 5.0 2O.0 4.0");
+}
+
+TEST(Experiment, RejectsFieldsAfterTheLastOne) {
+  // {config up to the line, the line}; each config builds without "junk".
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {kTinyWorkload + "[faults]\n", "fail = 3 1.0 50.0 junk"},
+      {kTinyWorkload + "[faults]\n", "spike = 2 5.0 20.0 4.0 junk"},
+      {kTinyWorkload + "[faults]\n", "transient = 4 5.0 junk"},
+      {kTinyWorkload + "[faults]\n", "latency_spike = 2 5.0 4.0 junk"},
+      {kTinyWorkload + "[tenants]\n", "tenant = gold 4.0 2 64 48 junk"},
+      {"[workload]\nkind = multi_tenant\nintervals = 4\n"
+       "[tenants]\ntenant = gold 4.0 2\n",
+       "load = 3 8 2 junk"},
+  };
+  for (const auto& [prefix, line] : cases) {
+    const auto eq = line.find(" = ");
+    expect_names(build_error(prefix + line + "\n"), line.substr(0, eq),
+                 line.substr(eq + 3));
+    const auto clean = line.substr(0, line.rfind(" junk"));
+    EXPECT_EQ(build_error(prefix + clean + "\n"), "") << clean;
+  }
+}
+
+TEST(Experiment, RejectsUnknownSections) {
+  // Kept and never read, either would replay a healthy array.
+  for (const std::string section : {"[failures]", "[fualts]"}) {
+    EXPECT_EQ(build_error(kTinyWorkload + section + "\nfail = 3 1.0 50.0\n"),
+              "unknown config section " + section);
+  }
 }
 
 TEST(Experiment, StatisticalAdmissionSamplesPkTable) {

@@ -17,12 +17,12 @@ namespace flashqos {
 namespace {
 
 using core::AdmissionMode;
-using core::DeviceFailure;
 using core::MappingMode;
 using core::PipelineConfig;
 using core::QosPipeline;
 using core::RetrievalMode;
 using decluster::DesignTheoretic;
+using fault::DeviceFailure;
 
 const DesignTheoretic& scheme931() {
   static const auto d = design::make_9_3_1();
@@ -74,7 +74,7 @@ TEST(DegradedRetrieval, NulloptWhenAllReplicasDown) {
 TEST(DegradedRetrieval, EmptyMaskMeansAllUp) {
   const auto& scheme = scheme931();
   const std::vector<BucketId> batch{0, 1, 2};
-  const auto degraded = retrieval::retrieve(batch, scheme, std::vector<bool>{}, {});
+  const auto degraded = retrieval::retrieve(batch, scheme, std::vector<bool>{});
   ASSERT_TRUE(degraded.has_value());
   EXPECT_EQ(degraded->rounds, retrieval::retrieve(batch, scheme).rounds);
 }

@@ -1,11 +1,12 @@
-// The fault-plan API: seeded compile determinism, config parsing (new
-// [faults] section and legacy [failures] compatibility), validate()
-// diagnostics, and the pipeline behaviours the plan drives end to end —
-// hot-spare rebuild recovery, retry timeouts, latency spikes.
+// The fault-plan API: seeded compile determinism, the rebuild reads
+// compile() plans, [faults] config parsing, validate() diagnostics, and
+// the pipeline behaviours the plan drives end to end — hot-spare rebuild
+// recovery, retry timeouts, latency spikes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <sstream>
+#include <vector>
 
 #include "core/experiment.hpp"
 #include "core/qos_pipeline.hpp"
@@ -95,6 +96,59 @@ TEST(FaultPlan, SpikeGenerationIndependentOfOutageGeneration) {
   }
 }
 
+TEST(FaultPlan, RebuildReadsCoverBalanceAndPaceTheLostCopies) {
+  // (9,3,1) with rotations: every device holds 12 buckets, and each of the
+  // 8 others shares 3 of them. At 1000 pages/s the rebuild reads every
+  // lost bucket once, from a surviving replica chosen by min load, 1 ms
+  // apart after the failure.
+  const auto& s = scheme931();
+  for (const DeviceId failed : {DeviceId{4}, DeviceId{7}}) {
+    fault::FaultPlan plan;
+    plan.outages.push_back({.device = failed, .fail_at = 0});
+    plan.rebuild.pages_per_second = 1000.0;
+    const auto compiled = fault::compile(plan, s, 100 * kMillisecond);
+
+    std::vector<BucketId> lost;
+    std::vector<std::size_t> load(s.devices(), 0);
+    std::vector<bool> candidate(s.devices(), false);
+    for (BucketId b = 0; b < s.buckets(); ++b) {
+      const auto reps = s.replicas(b);
+      if (std::find(reps.begin(), reps.end(), failed) == reps.end()) continue;
+      lost.push_back(b);
+      for (const auto d : reps) {
+        if (d != failed) candidate[d] = true;
+      }
+    }
+    ASSERT_EQ(lost.size(), 12u) << "device " << failed;
+    ASSERT_EQ(compiled.reads.size(), lost.size()) << "device " << failed;
+
+    std::vector<BucketId> read_buckets;
+    for (std::size_t i = 0; i < compiled.reads.size(); ++i) {
+      const auto& r = compiled.reads[i];
+      EXPECT_EQ(r.time, static_cast<SimTime>(i + 1) * kMillisecond)
+          << "device " << failed << " read " << i;
+      const auto reps = s.replicas(r.bucket);
+      EXPECT_NE(r.source, failed) << "device " << failed << " read " << i;
+      EXPECT_NE(std::find(reps.begin(), reps.end(), r.source), reps.end())
+          << "device " << failed << " read " << i << " from a non-replica";
+      read_buckets.push_back(r.bucket);
+      ++load[r.source];
+    }
+    std::sort(read_buckets.begin(), read_buckets.end());
+    EXPECT_EQ(read_buckets, lost) << "device " << failed;
+
+    std::vector<std::size_t> source_loads;
+    for (DeviceId d = 0; d < s.devices(); ++d) {
+      if (candidate[d]) source_loads.push_back(load[d]);
+    }
+    ASSERT_EQ(source_loads.size(), 8u) << "device " << failed;
+    const auto [lo, hi] =
+        std::minmax_element(source_loads.begin(), source_loads.end());
+    EXPECT_LE(*hi - *lo, 1u) << "device " << failed << " source loads " << *lo
+                             << ".." << *hi;
+  }
+}
+
 TEST(FaultPlan, ValidateNamesTheProblem) {
   fault::FaultPlan plan;
   plan.outages.push_back({.device = 2, .fail_at = 10, .recover_at = 5});
@@ -138,30 +192,6 @@ TEST(PipelineConfigValidate, ConstructorRejectsInvalidConfig) {
   PipelineConfig cfg;
   cfg.faults.outages.push_back({.device = 0, .fail_at = 5, .recover_at = 5});
   EXPECT_DEATH((void)QosPipeline(scheme931(), cfg), "invalid pipeline");
-}
-
-TEST(FaultConfig, LegacyFailuresSectionStillWorks) {
-  // The legacy [failures] spelling and the new [faults] spelling must
-  // produce identical experiments — byte-identical replay results.
-  const std::string common =
-      "[workload]\nkind = synthetic\nrequests_per_interval = 4\n"
-      "total_requests = 400\n[pipeline]\nmapping = modulo\n";
-  const auto legacy = core::build_experiment(
-      config_from(common + "[failures]\nfail = 3 1.0 6.0\nfail = 5 2.0\n"));
-  const auto modern = core::build_experiment(
-      config_from(common + "[faults]\nfail = 3 1.0 6.0\nfail = 5 2.0\n"));
-  ASSERT_EQ(legacy.pipeline.faults.outages.size(), 2u);
-  ASSERT_EQ(modern.pipeline.faults.outages.size(), 2u);
-  EXPECT_EQ(legacy.pipeline.faults.outages[1].recover_at,
-            fault::DeviceFailure::kNeverRecovers);
-
-  const auto a = QosPipeline(*legacy.scheme, legacy.pipeline).run(legacy.workload);
-  const auto b = QosPipeline(*modern.scheme, modern.pipeline).run(modern.workload);
-  ASSERT_EQ(a.outcomes.size(), b.outcomes.size());
-  for (std::size_t i = 0; i < a.outcomes.size(); ++i) {
-    EXPECT_EQ(a.outcomes[i].finish, b.outcomes[i].finish) << i;
-    EXPECT_EQ(a.outcomes[i].failed, b.outcomes[i].failed) << i;
-  }
 }
 
 TEST(FaultConfig, FaultsSectionParsesTheFullPlan) {

@@ -1,5 +1,5 @@
 // Unit tests for src/flashsim: event ordering, FIFO service, fixed and
-// detailed timing models, package parallelism, metrics, and the simulator
+// detailed timing models, package parallelism, and the simulator
 // conservation invariants.
 #include <gtest/gtest.h>
 
@@ -7,7 +7,6 @@
 #include <map>
 
 #include "flashsim/flash_array.hpp"
-#include "flashsim/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace flashqos::flashsim {
@@ -168,30 +167,6 @@ TEST(DetailedModel, PackageParallelismOverlapsRequests) {
   EXPECT_EQ(c[0].finish, 100);
   EXPECT_EQ(c[1].finish, 100);  // second way
   EXPECT_EQ(c[2].start, 100);   // third waits for a free way
-}
-
-TEST(Metrics, SummaryMatchesHandComputation) {
-  std::vector<IoCompletion> c = {
-      {.id = 0, .device = 0, .submit_time = 0, .start = 0, .finish = kMillisecond},
-      {.id = 1, .device = 0, .submit_time = 0, .start = 0, .finish = 3 * kMillisecond},
-  };
-  const auto s = summarize(c);
-  EXPECT_EQ(s.count, 2u);
-  EXPECT_DOUBLE_EQ(s.avg_ms, 2.0);
-  EXPECT_DOUBLE_EQ(s.max_ms, 3.0);
-  EXPECT_DOUBLE_EQ(s.min_ms, 1.0);
-}
-
-TEST(Metrics, ViolationRate) {
-  std::vector<IoCompletion> c = {
-      {.id = 0, .submit_time = 0, .finish = 100},
-      {.id = 1, .submit_time = 0, .finish = 300},
-      {.id = 2, .submit_time = 0, .finish = 150},
-      {.id = 3, .submit_time = 0, .finish = 400},
-  };
-  EXPECT_DOUBLE_EQ(violation_rate(c, 200), 0.5);
-  EXPECT_DOUBLE_EQ(violation_rate(c, 1000), 0.0);
-  EXPECT_DOUBLE_EQ(violation_rate({}, 100), 0.0);
 }
 
 TEST(FlashArray, TakeCompletionsDrains) {

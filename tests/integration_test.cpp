@@ -7,7 +7,6 @@
 #include "decluster/schemes.hpp"
 #include "design/catalog.hpp"
 #include "design/constructions.hpp"
-#include "flashsim/metrics.hpp"
 #include "trace/stats.hpp"
 #include "trace/synthetic.hpp"
 #include "trace/workload.hpp"

@@ -114,7 +114,7 @@ TEST(ParallelReplayEquivalence, DeviceFailureWindows) {
         {.device = 2, .fail_at = 0, .recover_at = from_ms(50.0)});
     cfg.faults.outages.push_back({.device = 5,
                             .fail_at = from_ms(10.0),
-                            .recover_at = core::DeviceFailure::kNeverRecovers});
+                            .recover_at = fault::DeviceFailure::kNeverRecovers});
     const auto serial = core::QosPipeline(scheme931(), cfg).run(t);
     core::ParallelReplayEngine engine({.threads = 3});
     expect_identical(serial, engine.run(scheme931(), cfg, t), "failures");
@@ -145,7 +145,7 @@ TEST(ParallelReplayEquivalence, RandomizedFaultPlans) {
       cfg.faults.outages.push_back(
           {.device = static_cast<DeviceId>(g.below(9)),
            .fail_at = from_ms(5.0),
-           .recover_at = core::DeviceFailure::kNeverRecovers});
+           .recover_at = fault::DeviceFailure::kNeverRecovers});
       cfg.faults.rebuild.pages_per_second = 30000.0;
     }
     if (round == 3) cfg.faults.retry.timeout = from_ms(3.0);

@@ -18,6 +18,7 @@
 #include <optional>
 #include <vector>
 
+#include "core/qos_pipeline.hpp"
 #include "core/tenant_scheduler.hpp"
 #include "core/wfq.hpp"
 #include "decluster/schemes.hpp"
@@ -26,6 +27,8 @@
 #include "verify/fairness_oracle.hpp"
 
 using namespace flashqos;
+using core::PipelineConfig;
+using core::QosPipeline;
 using core::TenantScheduler;
 using core::TenantSpec;
 using core::WfqKnobs;
@@ -335,6 +338,16 @@ TEST(TenantSchedulerTest, StarvationGuardDonatesOneFloorSlot) {
   const auto served = dispense_all(s);
   EXPECT_EQ(served[0], 4u);  // floor 5 minus the donated slot
   EXPECT_EQ(served[1], 1u);  // the donation, via the shared pool
+}
+
+TEST(TenantSchedulerTest, PipelineRejectsReservationsAboveTheBudget) {
+  // (9,3,1) at M = 1 has S = 5: floors of 3 + 3 cannot both be held.
+  const auto d = design::make_9_3_1();
+  const decluster::DesignTheoretic scheme(d, true);
+  PipelineConfig cfg;
+  cfg.access_budget = 1;
+  cfg.tenants = {{.name = "a", .reservation = 3}, {.name = "b", .reservation = 3}};
+  EXPECT_DEATH((void)QosPipeline(scheme, cfg), "exceed the interval budget");
 }
 
 TEST(TenantSchedulerTest, UnlimitedModeBypassesBudgetAccounting) {

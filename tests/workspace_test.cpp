@@ -91,20 +91,20 @@ TEST(Workspace, ReusedEqualsFreshAcrossShapesSchemesAndMasks) {
     const std::size_t k = 1 + rng.below(3 * s.devices());
     const auto batch = random_batch(rng, k, s.buckets());
 
-    expect_schedules_equal(dtr_schedule(batch, s, {}, scratch),
+    expect_schedules_equal(dtr_schedule(batch, s, scratch),
                            dtr_schedule(batch, s), "dtr_schedule");
     const auto fresh_opt = optimal_schedule(batch, s);
     ASSERT_TRUE(optimal_schedule(batch, s, {}, scratch.flow, ws_out));
     expect_schedules_equal(ws_out, fresh_opt, "optimal_schedule");
-    expect_schedules_equal(retrieve(batch, s, {}, scratch), retrieve(batch, s),
+    expect_schedules_equal(retrieve(batch, s, scratch), retrieve(batch, s),
                            "retrieve");
     integrated_optimal_schedule(batch, s, scratch.flow, ws_out);
     expect_schedules_equal(ws_out, integrated_optimal_schedule(batch, s),
                            "integrated_optimal_schedule");
 
     const auto mask = random_mask(rng, s.devices());
-    const auto fresh_degraded = retrieve(batch, s, mask, {});
-    const Schedule* ws_degraded = retrieve(batch, s, mask, {}, scratch);
+    const auto fresh_degraded = retrieve(batch, s, mask);
+    const Schedule* ws_degraded = retrieve(batch, s, mask, scratch);
     ASSERT_EQ(ws_degraded != nullptr, fresh_degraded.has_value());
     if (ws_degraded != nullptr) {
       expect_schedules_equal(*ws_degraded, *fresh_degraded, "degraded retrieve");
@@ -246,7 +246,7 @@ TEST(Workspace, ConcurrentScratchesMatchSerialResults) {
       for (std::size_t trial = 0; trial < kTrials; ++trial) {
         const std::size_t k = 1 + rng.below(2 * s.devices());
         const auto batch = random_batch(rng, k, s.buckets());
-        results[t].push_back(retrieve(batch, s, {}, scratch));
+        results[t].push_back(retrieve(batch, s, scratch));
       }
     });
   }
