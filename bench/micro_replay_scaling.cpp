@@ -1,13 +1,10 @@
-// Micro — parallel replay engine scaling at 1/2/4/8 threads.
+// Micro — sweep sharding scaling at 1/2/4/8 threads.
 //
-// Two measurements, both against the serial QosPipeline baseline:
-//  (1) sweep sharding: a mixed-configuration job list (the shape
-//      experiment.cpp and the fig/table drivers produce) through
-//      ParallelReplayEngine::run_jobs;
-//  (2) pipelined single replay: one aligned+FIM replay with the mining
-//      stage running ahead of the serial core over the handoff queue.
-// Every parallel result is checked bit-identical to the serial baseline
-// before its time is reported — a fast wrong replay would be worthless.
+// A mixed-configuration job list (the shape core::run_experiments
+// produces) through ParallelReplayEngine::run_jobs, against the same jobs
+// run one after another on the serial QosPipeline. Every sharded result is
+// checked bit-identical to the serial baseline before its time is
+// reported — a fast wrong replay would be worthless.
 //
 // Speedup is bounded by the host: on a single-core container every thread
 // count serializes and the sweep numbers show parallel overhead instead of
@@ -27,7 +24,7 @@
 #include "trace/synthetic.hpp"
 #include "trace/workload.hpp"
 #include "util/table.hpp"
-#include "verify/replay_equivalence.hpp"
+#include "verify/result_compare.hpp"
 
 using namespace flashqos;
 
@@ -83,7 +80,7 @@ int main(int argc, char** argv) {
   const decluster::DesignTheoretic scheme(d, true);
   const auto w = build_jobs(scheme, smoke);
 
-  print_banner("Parallel replay scaling: sharded sweep + pipelined replay");
+  print_banner("Parallel replay scaling: sharded sweep");
   std::printf("host: hardware_concurrency = %u (speedup is bounded by "
               "physical cores, not requested threads)\n",
               std::thread::hardware_concurrency());
@@ -99,27 +96,13 @@ int main(int argc, char** argv) {
   }
   const double serial_sweep = seconds_since(t0);
 
-  // Pipelined-replay baseline: the heaviest aligned+FIM job, serial.
-  core::PipelineConfig pipe_cfg;
-  pipe_cfg.retrieval = core::RetrievalMode::kIntervalAligned;
-  pipe_cfg.mapping = core::MappingMode::kFim;
-  const auto& pipe_trace = w.traces.front();
-  const auto t1 = std::chrono::steady_clock::now();
-  const auto pipe_baseline = core::QosPipeline(scheme, pipe_cfg).run(pipe_trace);
-  const double serial_pipe = seconds_since(t1);
-
-  Table table({"threads", "sweep (s)", "sweep speedup", "pipelined (s)",
-               "pipelined speedup"});
+  Table table({"threads", "sweep (s)", "sweep speedup"});
   for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
     core::ParallelReplayEngine engine({.threads = threads});
 
     const auto s0 = std::chrono::steady_clock::now();
     const auto swept = engine.run_jobs(w.jobs);
     const double sweep_time = seconds_since(s0);
-
-    const auto p0 = std::chrono::steady_clock::now();
-    const auto piped = engine.run(scheme, pipe_cfg, pipe_trace);
-    const double pipe_time = seconds_since(p0);
 
     // Correctness gate: a result that differs from serial disqualifies the
     // timing. results_identical is exact (bit-level doubles).
@@ -131,21 +114,13 @@ int main(int argc, char** argv) {
         return 1;
       }
     }
-    if (!verify::results_identical(pipe_baseline, piped, &why)) {
-      std::printf("FAILED: pipelined replay at %zu threads diverged: %s\n",
-                  threads, why.c_str());
-      return 1;
-    }
 
     table.add_row({std::to_string(threads), Table::num(sweep_time, 3),
-                   Table::num(serial_sweep / sweep_time, 2),
-                   Table::num(pipe_time, 3),
-                   Table::num(serial_pipe / pipe_time, 2)});
+                   Table::num(serial_sweep / sweep_time, 2)});
   }
-  std::printf("serial baseline: sweep %.3f s, pipelined replay %.3f s\n",
-              serial_sweep, serial_pipe);
+  std::printf("serial baseline: sweep %.3f s\n", serial_sweep);
   table.print();
-  std::printf("\nall parallel results verified bit-identical to the serial "
+  std::printf("\nall sharded results verified bit-identical to the serial "
               "engine before timing was accepted.\n");
   return 0;
 }

@@ -19,14 +19,15 @@
 #      compiles them out)
 #   5. the test suite under ThreadSanitizer
 #   6. the design-invariant verifier (flashqos_verify) over every catalog
-#      design with N <= 64, plus the serial ≡ parallel replay-equivalence
-#      audit (every mode combination, failure windows, sweep sharding), the
-#      observability self-audit (--obs: recorded metrics, windowed
-#      time-series points, SLO burn-rate pages, and trace spans checked
-#      against the replay outcomes they describe), and the
+#      design with N <= 64, plus the serial ≡ sharded-sweep
+#      replay-equivalence audit (every mode combination, failure windows,
+#      mixed-mode run_jobs batches), the observability self-audit (--obs:
+#      recorded metrics, windowed time-series points, SLO burn-rate pages,
+#      and trace spans checked against the replay outcomes they describe),
+#      and the
 #      fault-injection chaos audit (--faults: randomized fault plans with
 #      request-conservation, routing, guarantee-reestablishment, and
-#      serial ≡ parallel checks), the streaming-identity audit
+#      serial ≡ sharded-sweep checks), the streaming-identity audit
 #      (--stream: run_stream ≡ run() — results, metric registry, and
 #      windowed time-series bit-identical at every batch size, through
 #      generator and chunked-file cursors, with a seeded drain-bound
@@ -40,7 +41,10 @@
 #      rescan mutation that must reproduce the outcomes and trip the bound)
 #   7. flashqosd lifecycle smoke: start the daemon on an ephemeral port
 #      from a generated config, parse its listen line, SIGTERM it, and
-#      require a clean drain and exit 0
+#      require a clean drain and exit 0; then start it with a bad
+#      [service] value and with an out-of-range --port, and require each
+#      to exit non-zero with a diagnostic naming the key or flag, without
+#      ever printing a listen line
 #   8. benchmark smoke: perfbench/run.py --smoke builds the repository
 #      benchmark and runs every workload at tiny scale in both modes, so an
 #      engine change that breaks a benchmark gate (outcome identity, the
@@ -124,7 +128,7 @@ fi
 banner "6/9 design-invariant verifier (catalog, N <= 64) + replay equivalence + obs audit + chaos audit + fairness audit + stream audit + daemon audit + overload audit"
 run ./build-werror/src/verify/flashqos_verify --max-devices 64 --replay --obs --faults --fairness --stream --daemon --overload
 
-banner "7/9 flashqosd lifecycle smoke (ephemeral port, loopback batch, clean drain)"
+banner "7/9 flashqosd lifecycle smoke (ephemeral port, loopback batch, clean drain, bad input rejected)"
 daemon_smoke() {
   # $1: "probe" (drive one batch; end-session drains the daemon) or
   #     "sigterm" (no traffic; the signal forces the drain).
@@ -156,6 +160,26 @@ daemon_smoke() {
 }
 daemon_smoke probe
 daemon_smoke sigterm
+
+daemon_rejects() {
+  # $1: extra config lines; $2: the port flag's value; $3: what the
+  # diagnostic must name. Bad input must fail before the daemon listens.
+  local extra=$1 port=$2 name=$3 ini log rc=0
+  ini=$(mktemp) log=$(mktemp)
+  printf '[design]\nname = (9,3,1)\n%b' "$extra" > "$ini"
+  echo "+ ./build-werror/src/net/flashqosd $ini --port $port  # must reject $name" >&2
+  timeout 20 ./build-werror/src/net/flashqosd "$ini" --port "$port" > "$log" 2>&1 || rc=$?
+  cat "$log"
+  [[ $rc -ne 0 ]] || { echo "check.sh: flashqosd accepted bad $name" >&2; return 1; }
+  grep -qF -- "$name" "$log" || { echo "check.sh: flashqosd's diagnostic does not name $name" >&2; return 1; }
+  if grep -q 'listening on' "$log"; then
+    echo "check.sh: flashqosd listened before rejecting $name" >&2
+    return 1
+  fi
+  rm -f "$ini" "$log"
+}
+daemon_rejects '[service]\nbatch = 0\n' 0 '[service] batch'
+daemon_rejects '' 70000 "'--port'"
 
 banner "8/9 benchmark smoke (perfbench --smoke: every workload, both modes, every gate)"
 run python3 perfbench/run.py --smoke

@@ -1,5 +1,6 @@
 #include "cli/options.hpp"
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <utility>
@@ -17,6 +18,16 @@ constexpr const char* kObsFlagHelp[][2] = {
     {"--serve-metrics=<port>", "serve /metrics,/series,/slo live (0=ephemeral)"},
 };
 
+/// `text` as a whole unsigned decimal integer: no sign, no whitespace, no
+/// trailing characters, no overflow.
+std::optional<std::uint64_t> parse_whole_u64(std::string_view text) {
+  std::uint64_t v = 0;
+  const char* const last = text.data() + text.size();
+  const auto [end, ec] = std::from_chars(text.data(), last, v);
+  if (ec != std::errc{} || end != last) return std::nullopt;
+  return v;
+}
+
 }  // namespace
 
 Options::Options(std::string program, std::string summary)
@@ -24,7 +35,7 @@ Options::Options(std::string program, std::string summary)
 
 Options& Options::flag(std::string name, std::string help) {
   FLASHQOS_EXPECT(find(name) == nullptr, "duplicate flag registration");
-  specs_.push_back(Spec{std::move(name), {}, std::move(help), false, {}});
+  specs_.push_back(Spec{std::move(name), {}, std::move(help), false, {}, {}});
   return *this;
 }
 
@@ -32,7 +43,16 @@ Options& Options::value(std::string name, std::string value_name,
                         std::string help, bool repeatable) {
   FLASHQOS_EXPECT(find(name) == nullptr, "duplicate flag registration");
   specs_.push_back(Spec{std::move(name), std::move(value_name), std::move(help),
-                        repeatable, {}});
+                        repeatable, {}, {}});
+  return *this;
+}
+
+Options& Options::integer(std::string name, std::string value_name,
+                          std::string help, std::uint64_t min,
+                          std::uint64_t max) {
+  FLASHQOS_EXPECT(min <= max, "integer option needs min <= max");
+  value(std::move(name), std::move(value_name), std::move(help));
+  specs_.back().range.emplace(min, max);
   return *this;
 }
 
@@ -104,6 +124,15 @@ std::string Options::try_parse(int argc, char** argv) {
       }
       if (!spec->repeatable && !spec->seen.empty()) {
         return "flag '--" + spec->name + "' given more than once";
+      }
+      if (spec->range.has_value()) {
+        const auto [lo, hi] = *spec->range;
+        const auto v = parse_whole_u64(val);
+        if (!v.has_value() || *v < lo || *v > hi) {
+          return "flag '--" + spec->name + "' expects an integer in [" +
+                 std::to_string(lo) + ", " + std::to_string(hi) + "], got '" +
+                 val + "'";
+        }
       }
       spec->seen.push_back(std::move(val));
       continue;
@@ -184,6 +213,15 @@ std::string Options::get(std::string_view name, std::string fallback) const {
   FLASHQOS_EXPECT(s != nullptr && !s->value_name.empty(),
                   "get() needs a registered value option");
   return s->seen.empty() ? std::move(fallback) : s->seen.back();
+}
+
+std::uint64_t Options::get_u64(std::string_view name,
+                               std::uint64_t fallback) const {
+  const Spec* s = find(name);
+  FLASHQOS_EXPECT(s != nullptr && s->range.has_value(),
+                  "get_u64() needs a registered integer option");
+  // try_parse already range-checked every accepted value.
+  return s->seen.empty() ? fallback : *parse_whole_u64(s->seen.back());
 }
 
 std::vector<std::string> Options::all(std::string_view name) const {

@@ -16,6 +16,9 @@
 // Contract:
 //  * `--name` toggles a registered flag; `--name=V` and `--name V` both
 //    set a registered value (repeatable values accumulate).
+//  * an integer() option must be a decimal integer in its registered
+//    range, parsed whole: a sign, trailing text or an out-of-range value
+//    is the same diagnostic + exit 2 as an unknown flag.
 //  * `--help` prints every accepted flag — registered ones plus the
 //    shared observability outputs — and exits 0.
 //  * anything unregistered is a loud diagnostic + exit 2 (parse_or_exit)
@@ -28,10 +31,12 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace flashqos::cli {
@@ -48,6 +53,12 @@ class Options {
   /// reject a second occurrence.
   Options& value(std::string name, std::string value_name, std::string help,
                  bool repeatable = false);
+
+  /// Register a non-repeatable value option that must be a decimal integer
+  /// in [min, max]; read it with get_u64().
+  Options& integer(std::string name, std::string value_name, std::string help,
+                   std::uint64_t min = 0,
+                   std::uint64_t max = std::numeric_limits<std::uint64_t>::max());
 
   /// Accept between `min` and `max` positional (non-flag) arguments.
   /// Without this call, any positional argument is an error.
@@ -78,6 +89,10 @@ class Options {
   [[nodiscard]] std::string get(std::string_view name,
                                 std::string fallback = {}) const;
 
+  /// The value of an integer() option, or `fallback` when absent.
+  [[nodiscard]] std::uint64_t get_u64(std::string_view name,
+                                      std::uint64_t fallback) const;
+
   /// Every occurrence of a repeatable value option, in argv order.
   [[nodiscard]] std::vector<std::string> all(std::string_view name) const;
 
@@ -103,6 +118,8 @@ class Options {
     std::string help;
     bool repeatable = false;
     std::vector<std::string> seen;  // values, or "" markers for flags
+    /// Accepted range of an integer() option; unset for any other option.
+    std::optional<std::pair<std::uint64_t, std::uint64_t>> range;
   };
 
   [[nodiscard]] Spec* find(std::string_view name);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cctype>
+#include <charconv>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -75,6 +76,16 @@ class Fields {
   const char* want_;
 };
 
+/// A design shorthand's numeric argument, parsed whole: decimal digits
+/// only (no sign, no trailing text) and within std::uint32_t.
+std::uint32_t design_arg(std::string_view text, const std::string& spec) {
+  std::uint32_t v = 0;
+  const char* const last = text.data() + text.size();
+  const auto [end, ec] = std::from_chars(text.data(), last, v);
+  if (ec != std::errc{} || end != last) fail("bad design argument: " + spec);
+  return v;
+}
+
 std::unique_ptr<design::BlockDesign> make_design(const std::string& spec) {
   // Catalog names first.
   for (const auto& e : design::catalog()) {
@@ -85,35 +96,28 @@ std::unique_ptr<design::BlockDesign> make_design(const std::string& spec) {
   // Constructor shorthands: sts:v, ag:q, pg:q, td:k,n, kts:15.
   const auto colon = spec.find(':');
   if (colon != std::string::npos) {
-    const std::string kind = spec.substr(0, colon);
-    const std::string arg = spec.substr(colon + 1);
-    try {
-      if (kind == "sts") {
-        return std::make_unique<design::BlockDesign>(
-            design::sts(static_cast<std::uint32_t>(std::stoul(arg))));
-      }
-      if (kind == "ag") {
-        return std::make_unique<design::BlockDesign>(
-            design::affine_plane_gf(static_cast<std::uint32_t>(std::stoul(arg))));
-      }
-      if (kind == "pg") {
-        return std::make_unique<design::BlockDesign>(design::projective_plane_gf(
-            static_cast<std::uint32_t>(std::stoul(arg))));
-      }
-      if (kind == "kts" && arg == "15") {
-        return std::make_unique<design::BlockDesign>(design::kirkman_15());
-      }
-      if (kind == "td") {
-        const auto comma = arg.find(',');
-        if (comma == std::string::npos) fail("td needs k,n: " + spec);
-        const auto k = static_cast<std::uint32_t>(std::stoul(arg.substr(0, comma)));
-        const auto n =
-            static_cast<std::uint32_t>(std::stoul(arg.substr(comma + 1)));
-        return std::make_unique<design::BlockDesign>(
-            design::transversal_design(k, n));
-      }
-    } catch (const std::invalid_argument&) {
-      fail("bad design argument: " + spec);
+    const std::string_view kind = std::string_view(spec).substr(0, colon);
+    const std::string_view arg = std::string_view(spec).substr(colon + 1);
+    if (kind == "sts") {
+      return std::make_unique<design::BlockDesign>(design::sts(design_arg(arg, spec)));
+    }
+    if (kind == "ag") {
+      return std::make_unique<design::BlockDesign>(
+          design::affine_plane_gf(design_arg(arg, spec)));
+    }
+    if (kind == "pg") {
+      return std::make_unique<design::BlockDesign>(
+          design::projective_plane_gf(design_arg(arg, spec)));
+    }
+    if (kind == "kts" && arg == "15") {
+      return std::make_unique<design::BlockDesign>(design::kirkman_15());
+    }
+    if (kind == "td") {
+      const auto comma = arg.find(',');
+      if (comma == std::string_view::npos) fail("td needs k,n: " + spec);
+      return std::make_unique<design::BlockDesign>(design::transversal_design(
+          design_arg(arg.substr(0, comma), spec),
+          design_arg(arg.substr(comma + 1), spec)));
     }
   }
   fail("unknown design: " + spec +

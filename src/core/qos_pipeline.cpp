@@ -1937,13 +1937,13 @@ class OutcomeCollector final : public OutcomeSink {
 
 }  // namespace
 
-PipelineResult QosPipeline::run(const trace::Trace& t, FimSource* fim) {
+PipelineResult QosPipeline::run(const trace::Trace& t) {
   FLASHQOS_EXPECT(trace::valid_trace(t), "pipeline input must be a valid trace");
   PipelineResult result;
   result.outcomes.resize(t.events.size());
   trace::VectorCursor cursor(t);
   OutcomeCollector collector(result.outcomes);
-  auto res = run_stream(cursor, fim,
+  auto res = run_stream(cursor, nullptr,
                         {.horizon = t.duration() + cfg_.qos_interval,
                          .sink = &collector});
   result.intervals = std::move(res.intervals);

@@ -116,8 +116,8 @@ struct PipelineConfig {
 };
 
 /// Which serving path a request took. Recorded for observability but part
-/// of the result contract: the serial and parallel engines must agree on
-/// it exactly (audited by flashqos_verify --replay), so instrumentation
+/// of the result contract: a serial replay and its sharded sweep job must
+/// agree on it exactly (audited by flashqos_verify --replay), so instrumentation
 /// cannot silently change behaviour.
 enum class RetrievalPath : std::uint8_t {
   kUnset = 0,
@@ -254,13 +254,12 @@ struct StreamResult {
   std::vector<TenantUsage> tenant_usage;  // indexed like cfg.tenants
 };
 
-/// Serves the per-reporting-slice FIM mining results to the replay loop
-/// (the decode→mine stage of the replay pipeline, factored out so it can
-/// run ahead of the serial core). Without one the engine mines inline; the
-/// parallel engine hands mined slices over a bounded queue and blocks in
-/// slice() until the one it needs arrives. Every path cuts transactions
-/// with SliceTransactions and mining is a pure function of the slice, so
-/// a mined-ahead run is bit-identical to an inline run.
+/// Serves the per-reporting-slice FIM mining results to run_stream in
+/// place of inline mining. Replays pass null and mine inline; the seam
+/// stays because perfbench calls run_stream with this argument. Mining is
+/// a pure function of the slice (cut by SliceTransactions), so a source
+/// serving mine_event_range slices gives results bit-identical to an
+/// inline run.
 class FimSource {
  public:
   virtual ~FimSource() = default;
@@ -305,9 +304,9 @@ class SliceTransactions {
 };
 
 /// Mine events [begin, end) of `t` as one slice (see SliceTransactions);
-/// returned pairs have support >= min_support. Pure and deterministic —
-/// the property the parallel replay engine's bit-identical guarantee
-/// rests on.
+/// returned pairs have support >= min_support. Pure and deterministic: the
+/// slices it mines over trace::report_slices are the ones the replay loop
+/// mines inline.
 [[nodiscard]] std::vector<fim::FrequentPair> mine_event_range(
     const trace::Trace& t, std::size_t begin, std::size_t end,
     SimTime qos_interval, std::uint64_t min_support);
@@ -327,16 +326,16 @@ class QosPipeline {
   /// whose ids are < buckets() passes through unchanged. This is
   /// run_stream() over a trace::VectorCursor with horizon = last arrival +
   /// qos_interval and a sink that keeps every outcome, so the two agree by
-  /// construction. `fim` overrides inline mining with precomputed slices
-  /// (parallel engine); null mines inline with identical results.
-  [[nodiscard]] PipelineResult run(const trace::Trace& t, FimSource* fim = nullptr);
+  /// construction.
+  [[nodiscard]] PipelineResult run(const trace::Trace& t);
 
   /// Streaming replay: pull events from `cursor` in batches without
   /// materializing the trace or the outcomes vector — resident memory is
   /// O(batch + in-flight window), flat in trace length. Interval reports,
   /// the overall report, deadline violations, registry metrics, and
   /// windowed time-series do not depend on the batch size (audited by
-  /// flashqos_verify --stream).
+  /// flashqos_verify --stream). A non-null `fim` serves the mined FIM
+  /// slices in place of inline mining.
   [[nodiscard]] StreamResult run_stream(trace::TraceCursor& cursor,
                                         FimSource* fim = nullptr,
                                         const StreamOptions& opts = {});
@@ -345,8 +344,8 @@ class QosPipeline {
   const decluster::AllocationScheme& scheme_;
   PipelineConfig cfg_;
   /// Retrieval facade owning the solver scratch, reused across every batch
-  /// the pipeline schedules. One per pipeline is one per thread: the
-  /// parallel replay engine constructs a fresh QosPipeline inside each job.
+  /// the pipeline schedules. One per pipeline is one per thread: a sharded
+  /// sweep constructs a fresh QosPipeline inside each job.
   retrieval::Retriever retriever_;
 };
 

@@ -14,9 +14,10 @@
 // stream, answers the final completions and per-connection kDrained
 // frames, prints the aggregate report, and exits 0.
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <exception>
-#include <string>
+#include <limits>
 #include <thread>
 
 #include "cli/options.hpp"
@@ -24,19 +25,6 @@
 #include "obs/export.hpp"
 #include "service/pipeline_service.hpp"
 #include "util/config.hpp"
-
-namespace {
-
-std::uint64_t parse_u64(const std::string& s, std::uint64_t fallback) {
-  if (s.empty()) return fallback;
-  try {
-    return std::stoull(s);
-  } catch (const std::exception&) {
-    return fallback;
-  }
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace flashqos;
@@ -49,16 +37,22 @@ int main(int argc, char** argv) {
   sigaddset(&sigs, SIGINT);
   pthread_sigmask(SIG_BLOCK, &sigs, nullptr);
 
+  constexpr std::uint64_t kU32Max = std::numeric_limits<std::uint32_t>::max();
   cli::Options opts("flashqosd",
                     "serve the QoS pipeline over a loopback TCP port");
-  opts.value("port", "N", "listen port (default 0 = ephemeral)")
-      .value("dispatchers", "N",
-             "dispatcher threads == max concurrent connections (default 4)")
-      .value("inflight", "N",
-             "per-connection in-flight cap before wire-level pushback "
-             "(default 4096)")
-      .value("max-batch", "N",
-             "largest submit batch a client may send (default 1024)")
+  opts.integer("port", "N", "listen port (default 0 = ephemeral)", 0,
+               std::numeric_limits<std::uint16_t>::max())
+      .integer("dispatchers", "N",
+               "dispatcher threads == max concurrent connections, 1..1024 "
+               "(default 4)",
+               1, 1024)
+      .integer("inflight", "N",
+               "per-connection in-flight cap before wire-level pushback "
+               "(default 4096)",
+               1, kU32Max)
+      .integer("max-batch", "N",
+               "largest submit batch a client may send (default 1024)", 1,
+               kU32Max)
       .positional("experiment.ini", "experiment config ([design]+[pipeline]; "
                   "[workload] ignored — events arrive over the wire)", 1, 1)
       .obs_output_flags();
@@ -74,13 +68,11 @@ int main(int argc, char** argv) {
   service::PipelineService svc(*setup.scheme, setup.options);
 
   net::ServerOptions so;
-  so.port = static_cast<std::uint16_t>(parse_u64(opts.get("port"), 0));
-  so.dispatchers =
-      static_cast<std::size_t>(parse_u64(opts.get("dispatchers"), 4));
-  so.inflight_cap =
-      static_cast<std::uint32_t>(parse_u64(opts.get("inflight"), 4096));
-  so.max_batch =
-      static_cast<std::uint32_t>(parse_u64(opts.get("max-batch"), 1024));
+  // The registered ranges make every narrowing below lossless.
+  so.port = static_cast<std::uint16_t>(opts.get_u64("port", 0));
+  so.dispatchers = static_cast<std::size_t>(opts.get_u64("dispatchers", 4));
+  so.inflight_cap = static_cast<std::uint32_t>(opts.get_u64("inflight", 4096));
+  so.max_batch = static_cast<std::uint32_t>(opts.get_u64("max-batch", 1024));
   net::DaemonServer server(svc, so);
   if (!server.start()) {
     std::fprintf(stderr, "flashqosd: bind failed: %s\n",

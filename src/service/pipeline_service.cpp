@@ -1,6 +1,9 @@
 #include "service/pipeline_service.hpp"
 
 #include <algorithm>
+#include <limits>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -276,6 +279,35 @@ core::StreamResult PipelineService::drain() {
   return *result_;
 }
 
+namespace {
+
+[[noreturn]] void reject_service_value(const Config& cfg, const std::string& key,
+                                       const char* why) {
+  throw std::runtime_error("config: [service] " + key + " = " +
+                           cfg.get("service", key, "(unset)") + " " + why);
+}
+
+/// A [service] count: at least 1.
+std::size_t service_count(const Config& cfg, const std::string& key,
+                          std::int64_t fallback) {
+  const auto v = cfg.get_int("service", key, fallback);
+  if (v < 1) reject_service_value(cfg, key, "must be at least 1");
+  return static_cast<std::size_t>(v);
+}
+
+/// A [service] duration in milliseconds: finite, non-negative, and within
+/// the simulated clock's range (NaN fails both comparisons).
+SimTime service_ms(const Config& cfg, const std::string& key, double fallback) {
+  const double ns = cfg.get_double("service", key, fallback) * 1e6;
+  if (!(ns >= 0 && ns < static_cast<double>(std::numeric_limits<SimTime>::max()))) {
+    reject_service_value(cfg, key,
+                         "must be a finite, non-negative number of milliseconds");
+  }
+  return static_cast<SimTime>(ns);
+}
+
+}  // namespace
+
 ServiceSetup build_service(const Config& cfg) {
   core::Experiment e = core::build_experiment_config(cfg);
   ServiceSetup s;
@@ -284,14 +316,16 @@ ServiceSetup build_service(const Config& cfg) {
   s.options.pipeline = std::move(e.pipeline);
   s.options.meta.name = cfg.get("service", "name", "live");
   s.options.meta.volumes = s.scheme->devices();
-  s.options.meta.report_interval = static_cast<SimTime>(
-      cfg.get_double("service", "report_interval_ms", 1000.0) * 1e6);
-  s.options.horizon = static_cast<SimTime>(
-      cfg.get_double("service", "horizon_ms", 0.0) * 1e6);
-  s.options.batch_size = static_cast<std::size_t>(
-      cfg.get_int("service", "batch", 1024));
-  s.options.ingress_batches = static_cast<std::size_t>(
-      cfg.get_int("service", "ingress_batches", 64));
+  s.options.meta.report_interval =
+      service_ms(cfg, "report_interval_ms", 1000.0);
+  s.options.horizon = service_ms(cfg, "horizon_ms", 0.0);
+  if (!s.options.pipeline.faults.empty() && s.options.horizon <= 0) {
+    // The fault schedule compiles before a live stream's length is known.
+    reject_service_value(cfg, "horizon_ms",
+                         "must be positive when [faults] has a plan");
+  }
+  s.options.batch_size = service_count(cfg, "batch", 1024);
+  s.options.ingress_batches = service_count(cfg, "ingress_batches", 64);
   s.options.keep_intervals = cfg.get_bool("service", "keep_intervals", false);
   return s;
 }

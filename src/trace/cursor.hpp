@@ -19,8 +19,6 @@
 #pragma once
 
 #include <algorithm>
-#include <functional>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -72,11 +70,6 @@ class TraceCursor {
   /// than spin).
   [[nodiscard]] virtual bool exhausted() const noexcept { return true; }
 };
-
-/// A factory so consumers that need several passes over the same stream
-/// (parallel mining, the streaming verify oracle) can open independent
-/// cursors instead of sharing one position.
-using CursorFactory = std::function<std::unique_ptr<TraceCursor>()>;
 
 /// Adapter over an in-memory Trace (borrowed; must outlive the cursor).
 class VectorCursor final : public TraceCursor {

@@ -1,12 +1,11 @@
-// Bounded blocking handoff queue for pipeline stages.
+// Bounded blocking handoff queue between threads.
 //
-// The parallel replay engine decomposes a replay into stages (trace decode
-// + FIM mining ahead of the serial admission/scheduling core) connected by
-// one of these queues: producers push interval batches, the consumer pops
-// them in whatever order they complete and re-sequences by interval id.
-// The bound provides backpressure — miners cannot run arbitrarily far
-// ahead of the replay core, so memory stays proportional to the capacity,
-// not the trace length.
+// PipelineService's live ingress carries submit batches from any number of
+// producer threads to the one service thread over one of these queues, and
+// net::Acceptor hands accepted file descriptors to its consumers the same
+// way. The bound provides backpressure — producers cannot run arbitrarily
+// far ahead of the consumer, so memory stays proportional to the capacity,
+// not to the input.
 //
 // Semantics:
 //  * push() blocks while the queue is full; returns false iff the queue
@@ -17,8 +16,7 @@
 //
 // Any number of producers and consumers may share a queue; ordering across
 // producers is arrival order under the internal lock (consumers that need
-// a canonical order must re-sequence by an id carried in T — see
-// core::ParallelReplayEngine, which indexes pre-sized slots by interval).
+// a canonical order must re-sequence by an id carried in T).
 //
 // The queue is templated on a sync policy (util/sync.hpp). Production code
 // uses the default StdSyncPolicy — raw std::mutex/condvar, zero overhead.

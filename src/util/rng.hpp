@@ -14,7 +14,7 @@
 namespace flashqos {
 
 /// Derive a decorrelated per-shard seed from (seed, shard). Sharded code
-/// (the parallel replay engine, the P_k sampler, stress generators) must
+/// (the sharded experiment sweep, the P_k sampler, stress generators) must
 /// never share one stream across shards — that would make results depend
 /// on execution order. SplitMix64 finalizer over the combined words, so
 /// adjacent shards land in unrelated regions of the sequence space.

@@ -1,10 +1,11 @@
 // Minimal fixed-size thread pool for embarrassingly parallel work.
 //
-// Used by the Monte-Carlo P_k sampler and the parallel replay engine,
-// whose shards are independent. Tasks are closures; parallel_for covers
-// the common indexed pattern. Results must not depend on execution order —
-// callers seed any randomness per shard (see shard_seed in util/rng.hpp
-// and core::sample_optimal_probabilities).
+// Used by the Monte-Carlo P_k sampler and the sharded experiment sweep
+// (core::ParallelReplayEngine::run_jobs), whose shards are independent.
+// Tasks are closures; parallel_for covers the common indexed pattern and
+// reports failures to the submitter. Results must not depend on execution
+// order — callers seed any randomness per shard (see shard_seed in
+// util/rng.hpp and core::sample_optimal_probabilities).
 //
 // The pool is a template over a sync policy (util/sync.hpp). Production
 // code uses the `ThreadPool` alias — StdSyncPolicy, raw std primitives.
@@ -18,8 +19,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <functional>
-#include <future>
-#include <memory>
 #include <queue>
 #include <utility>
 #include <vector>
@@ -62,7 +61,7 @@ class BasicThreadPool {
   /// Enqueue a task; runs as soon as a worker frees up. The task must not
   /// throw — an escaping exception terminates the process (no submitter to
   /// report it to). Batch submitters that need failures reported use
-  /// submit_with_future.
+  /// parallel_for.
   void submit(std::function<void()> task) {
     FLASHQOS_EXPECT(task != nullptr, "cannot submit an empty task");
     {
@@ -72,24 +71,6 @@ class BasicThreadPool {
       ++in_flight_.rw();
     }
     task_ready_.notify_one();
-  }
-
-  /// Enqueue a task and return a future that either reports completion or
-  /// rethrows the exception the task threw. This is the batch-submit path
-  /// the sweep runners use: submit every shard, then get() every future —
-  /// a worker-thrown error surfaces at the submitter instead of
-  /// terminating the worker thread.
-  [[nodiscard]] std::future<void> submit_with_future(
-      std::function<void()> task) {
-    FLASHQOS_EXPECT(task != nullptr, "cannot submit an empty task");
-    // packaged_task captures anything the closure throws into the future's
-    // shared state; the shared_ptr makes the wrapper copyable for
-    // std::function.
-    auto packaged =
-        std::make_shared<std::packaged_task<void()>>(std::move(task));
-    auto future = packaged->get_future();
-    submit([packaged] { (*packaged)(); });
-    return future;
   }
 
   /// Block until every submitted task has finished.

@@ -10,7 +10,7 @@
 #include "design/block_design.hpp"
 #include "trace/synthetic.hpp"
 #include "util/rng.hpp"
-#include "verify/replay_equivalence.hpp"
+#include "verify/result_compare.hpp"
 
 namespace flashqos::verify {
 namespace {
@@ -424,21 +424,16 @@ Report check_mix(const decluster::AllocationScheme& scheme, const Mix& mix,
   }
   report.add("usage-accounting", usage_ok, usage_ok ? "" : why);
 
-  // (h) serial == parallel, online and aligned, engine and sweep paths.
+  // (h) serial == sharded sweep, online and aligned.
   if (equivalence && engine != nullptr) {
     for (const auto aligned : {false, true}) {
       core::PipelineConfig c2 = cfg;
       c2.retrieval = aligned ? core::RetrievalMode::kIntervalAligned
                              : core::RetrievalMode::kOnline;
       const auto serial = core::QosPipeline(scheme, c2).run(t);
-      const auto parallel = engine->run(scheme, c2, t);
-      bool identical = results_identical(serial, parallel, &why);
-      if (identical) {
-        const core::ReplayJob job{&scheme, &t, c2};
-        const auto swept = engine->run_jobs({&job, 1});
-        identical = results_identical(serial, swept.at(0), &why);
-        if (!identical) why = "run_jobs path: " + why;
-      }
+      const core::ReplayJob job{&scheme, &t, c2};
+      const auto swept = engine->run_jobs({&job, 1});
+      const bool identical = results_identical(serial, swept.at(0), &why);
       report.add(std::string(aligned ? "aligned" : "online") +
                      " serial==parallel",
                  identical, identical ? "" : why);
@@ -454,8 +449,7 @@ Report verify_fairness(const decluster::AllocationScheme& scheme,
   Report report("fairness N=" + std::to_string(scheme.devices()));
   const auto S = design::guarantee_buckets(scheme.copies(), 1);
 
-  core::ParallelReplayEngine engine({.threads = params.threads,
-                                     .mining_lookahead = 2});
+  core::ParallelReplayEngine engine({.threads = params.threads});
   for (std::size_t r = 0; r < params.mixes; ++r) {
     const auto mix = make_mix(S, params.seed, r, params.intervals);
     std::size_t pool = 0;

@@ -22,7 +22,7 @@
 //       backpressure, or the other checks were vacuous);
 //   (g) usage accounting — PipelineResult::tenant_usage matches tallies
 //       recomputed from the outcomes alone;
-//   (h) serial ≡ parallel — the parallel engine and the sweep path stay
+//   (h) serial ≡ parallel — the sharded sweep (run_jobs) stays
 //       bit-identical on multi-tenant configs (aligned and online modes).
 //
 // The oracle also proves its own teeth: each WfqKnobs mutation (FIFO
@@ -43,7 +43,7 @@ struct FairnessOracleParams {
   /// Trace length in QoS intervals (arrivals stop here; the replay keeps
   /// dispensing until every queue drains).
   std::size_t intervals = 60;
-  std::size_t threads = 3;  // parallel engine width for check (h)
+  std::size_t threads = 3;  // sweep pool width for check (h)
   /// Also run the mutation-liveness pass (check that every deliberate
   /// defect in WfqKnobs is detected). Disable for quick smoke runs.
   bool mutations = true;

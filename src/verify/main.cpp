@@ -11,7 +11,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -29,44 +29,33 @@
 #include "verify/replay_equivalence.hpp"
 #include "verify/stream_oracle.hpp"
 
-namespace {
-
-std::uint64_t parse_u64(const char* flag, const std::string& value) {
-  char* end = nullptr;
-  const auto v = std::strtoull(value.c_str(), &end, 10);
-  if (end == value.c_str() || *end != '\0') {
-    std::fprintf(stderr, "flashqos_verify: --%s expects a number, got '%s'\n",
-                 flag, value.c_str());
-    std::exit(2);
-  }
-  return v;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   flashqos::cli::Options opts(
       "flashqos_verify",
       "audit the combinatorial structures behind the QoS guarantees");
-  opts.value("max-devices", "N",
-             "only designs with at most N devices (default 64)")
+  opts.integer("max-devices", "N",
+               "only designs with at most N devices (default 64)")
       .value("design", "NAME",
              "check one catalog design (repeatable); overrides --max-devices",
              /*repeatable=*/true)
-      .value("trials", "K",
-             "retrieval cross-check trials per design (default 60)")
-      .value("samples", "K",
-             "sampled guarantee batches per (design, M) (default 200)")
-      .value("budget", "K",
-             "exhaustive-enumeration budget in subsets (default 1e6)")
-      .value("max-accesses", "M", "check the S-bound for M = 1..M (default 2)")
-      .value("seed", "S", "RNG seed for sampled checks (default 1)")
+      .integer("trials", "K",
+               "retrieval cross-check trials per design (default 60)")
+      .integer("samples", "K",
+               "sampled guarantee batches per (design, M) (default 200)")
+      .integer("budget", "K",
+               "exhaustive-enumeration budget in subsets (default 1e6)")
+      .integer("max-accesses", "M",
+               "check the S-bound for M = 1..M (default 2)", 0,
+               std::numeric_limits<std::uint32_t>::max())
+      .integer("seed", "S", "RNG seed for sampled checks (default 1)")
       .flag("replay",
-            "also audit serial == parallel replay equivalence (every mode "
-            "combination, failure windows, sweep sharding) on the (9,3,1) "
-            "and (13,3,1) schemes")
-      .value("replay-threads", "N",
-             "parallel engine width for --replay (default 4)")
+            "also audit serial == sharded-sweep replay equivalence (every "
+            "mode combination, failure windows, mixed-mode sweeps) on the "
+            "(9,3,1) and (13,3,1) schemes")
+      .integer("replay-threads", "N",
+               "sweep pool width for --replay, 0 = hardware concurrency "
+               "(default 4)",
+               0, 1024)
       .flag("obs",
             "audit the observability layer: replay a set of pipeline "
             "configs on the (9,3,1) scheme and check the recorded metrics, "
@@ -77,9 +66,9 @@ int main(int argc, char** argv) {
             "audit streaming == in-memory replay identity: every shared "
             "result field, registry metric, and windowed time-series point "
             "must be bit-identical between run() and run_stream() at batch "
-            "sizes 1/7/4096, through the parallel mined-ahead path, the "
-            "generator cursors, and the chunked disksim reader; the seeded "
-            "misdrain defect must trip")
+            "sizes 1/7/4096, through the generator cursors, and through "
+            "the chunked disksim reader; the seeded misdrain defect must "
+            "trip")
       .flag("daemon",
             "audit the loopback daemon: a single ordered connection served "
             "through flashqosd's wire protocol (DaemonServer + "
@@ -116,23 +105,19 @@ int main(int argc, char** argv) {
             "ThreadPool / MetricRegistry models, checked for races, "
             "deadlocks, lost wakeups and schedule-dependent results; may "
             "be used alone (skips the design audit)")
-      .value("daemon-probe", "PORT",
-             "drive one batch through an already-running flashqosd on "
-             "127.0.0.1:PORT and end the session (the loopback client leg "
-             "of scripts/check.sh's daemon lifecycle smoke); used alone")
+      .integer("daemon-probe", "PORT",
+               "drive one batch through an already-running flashqosd on "
+               "127.0.0.1:PORT and end the session (the loopback client leg "
+               "of scripts/check.sh's daemon lifecycle smoke); used alone",
+               1, std::numeric_limits<std::uint16_t>::max())
       .flag("list", "list catalog designs and exit")
       .flag("verbose", "print passing checks, not only failures");
   opts.parse_or_exit(argc, argv);
 
   if (opts.has("daemon-probe")) {
-    const auto port = std::strtoul(opts.get("daemon-probe").c_str(), nullptr, 10);
-    if (port == 0 || port > 65535) {
-      std::fprintf(stderr, "flashqos_verify: --daemon-probe needs a port\n");
-      return 2;
-    }
-    return flashqos::verify::probe_daemon(static_cast<std::uint16_t>(port))
-               ? 0
-               : 1;
+    const auto port =
+        static_cast<std::uint16_t>(opts.get_u64("daemon-probe", 0));
+    return flashqos::verify::probe_daemon(port) ? 0 : 1;
   }
 
   if (opts.has("list")) {
@@ -143,7 +128,7 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  std::uint64_t max_devices = 64;
+  const std::uint64_t max_devices = opts.get_u64("max-devices", 64);
   const std::vector<std::string> only = opts.all("design");
   const bool verbose = opts.has("verbose");
   const bool replay = opts.has("replay");
@@ -154,39 +139,22 @@ int main(int argc, char** argv) {
   const bool overload = opts.has("overload");
   const bool fairness = opts.has("fairness");
   const bool model = opts.has("model");
-  bool design_flags = !only.empty();  // explicit design-audit options given
+  // Explicit design-audit options given.
+  const bool design_flags = !only.empty() || opts.has("max-devices");
   flashqos::verify::ReplayEquivalenceParams replay_params;
   flashqos::verify::CatalogCheckParams params;
-
-  if (opts.has("max-devices")) {
-    max_devices = parse_u64("max-devices", opts.get("max-devices"));
-    design_flags = true;
-  }
-  if (opts.has("trials")) {
-    params.retrieval.trials =
-        static_cast<std::size_t>(parse_u64("trials", opts.get("trials")));
-  }
-  if (opts.has("samples")) {
-    params.guarantee.sampled_trials =
-        static_cast<std::size_t>(parse_u64("samples", opts.get("samples")));
-  }
-  if (opts.has("budget")) {
-    params.guarantee.exhaustive_budget =
-        parse_u64("budget", opts.get("budget"));
-  }
-  if (opts.has("max-accesses")) {
-    params.guarantee.max_accesses = static_cast<std::uint32_t>(
-        parse_u64("max-accesses", opts.get("max-accesses")));
-  }
-  if (opts.has("seed")) {
-    const auto seed = parse_u64("seed", opts.get("seed"));
-    params.guarantee.seed = seed;
-    params.retrieval.seed = seed;
-  }
-  if (opts.has("replay-threads")) {
-    replay_params.threads = static_cast<std::size_t>(
-        parse_u64("replay-threads", opts.get("replay-threads")));
-  }
+  params.retrieval.trials = static_cast<std::size_t>(
+      opts.get_u64("trials", params.retrieval.trials));
+  params.guarantee.sampled_trials = static_cast<std::size_t>(
+      opts.get_u64("samples", params.guarantee.sampled_trials));
+  params.guarantee.exhaustive_budget =
+      opts.get_u64("budget", params.guarantee.exhaustive_budget);
+  params.guarantee.max_accesses = static_cast<std::uint32_t>(
+      opts.get_u64("max-accesses", params.guarantee.max_accesses));
+  params.guarantee.seed = opts.get_u64("seed", params.guarantee.seed);
+  params.retrieval.seed = opts.get_u64("seed", params.retrieval.seed);
+  replay_params.threads = static_cast<std::size_t>(
+      opts.get_u64("replay-threads", replay_params.threads));
 
   bool all_ok = true;
   std::size_t checked = 0;

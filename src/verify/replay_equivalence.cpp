@@ -1,115 +1,14 @@
 #include "verify/replay_equivalence.hpp"
 
-#include <sstream>
 #include <vector>
 
+#include "core/parallel_replay.hpp"
 #include "core/sampler.hpp"
 #include "trace/synthetic.hpp"
 #include "trace/workload.hpp"
+#include "verify/result_compare.hpp"
 
 namespace flashqos::verify {
-namespace {
-
-/// Compare one double field exactly. The engines must follow the same
-/// floating-point path; a ULP of drift means accumulation order leaked.
-bool field_eq(double a, double b, const char* name, std::size_t where,
-              std::string* why) {
-  if (a == b) return true;
-  if (why != nullptr) {
-    std::ostringstream ss;
-    ss.precision(17);
-    ss << name << " diverged at index " << where << ": " << a << " vs " << b;
-    *why = ss.str();
-  }
-  return false;
-}
-
-bool count_eq(std::uint64_t a, std::uint64_t b, const char* name,
-              std::size_t where, std::string* why) {
-  if (a == b) return true;
-  if (why != nullptr) {
-    *why = std::string(name) + " diverged at index " + std::to_string(where) +
-           ": " + std::to_string(a) + " vs " + std::to_string(b);
-  }
-  return false;
-}
-
-bool reports_identical(const core::IntervalReport& a, const core::IntervalReport& b,
-                       std::size_t where, std::string* why) {
-  return count_eq(a.requests, b.requests, "requests", where, why) &&
-         field_eq(a.avg_response_ms, b.avg_response_ms, "avg_response_ms", where, why) &&
-         field_eq(a.max_response_ms, b.max_response_ms, "max_response_ms", where, why) &&
-         field_eq(a.avg_e2e_ms, b.avg_e2e_ms, "avg_e2e_ms", where, why) &&
-         field_eq(a.max_e2e_ms, b.max_e2e_ms, "max_e2e_ms", where, why) &&
-         count_eq(a.deferred, b.deferred, "deferred", where, why) &&
-         field_eq(a.pct_deferred, b.pct_deferred, "pct_deferred", where, why) &&
-         field_eq(a.avg_delay_ms, b.avg_delay_ms, "avg_delay_ms", where, why) &&
-         field_eq(a.fim_match_rate, b.fim_match_rate, "fim_match_rate", where, why) &&
-         count_eq(a.failed, b.failed, "failed", where, why) &&
-         count_eq(a.writes, b.writes, "writes", where, why) &&
-         field_eq(a.avg_write_ms, b.avg_write_ms, "avg_write_ms", where, why);
-}
-
-}  // namespace
-
-bool results_identical(const core::PipelineResult& a, const core::PipelineResult& b,
-                       std::string* why) {
-  if (!count_eq(a.outcomes.size(), b.outcomes.size(), "outcome count", 0, why)) {
-    return false;
-  }
-  for (std::size_t i = 0; i < a.outcomes.size(); ++i) {
-    const auto& x = a.outcomes[i];
-    const auto& y = b.outcomes[i];
-    if (!count_eq(static_cast<std::uint64_t>(x.arrival),
-                  static_cast<std::uint64_t>(y.arrival), "arrival", i, why) ||
-        !count_eq(static_cast<std::uint64_t>(x.dispatch),
-                  static_cast<std::uint64_t>(y.dispatch), "dispatch", i, why) ||
-        !count_eq(static_cast<std::uint64_t>(x.start),
-                  static_cast<std::uint64_t>(y.start), "start", i, why) ||
-        !count_eq(static_cast<std::uint64_t>(x.finish),
-                  static_cast<std::uint64_t>(y.finish), "finish", i, why) ||
-        !count_eq(x.device, y.device, "device", i, why) ||
-        !count_eq(static_cast<std::uint64_t>(x.fim_matched),
-                  static_cast<std::uint64_t>(y.fim_matched), "fim_matched", i, why) ||
-        !count_eq(static_cast<std::uint64_t>(x.failed),
-                  static_cast<std::uint64_t>(y.failed), "failed flag", i, why) ||
-        !count_eq(static_cast<std::uint64_t>(x.is_write),
-                  static_cast<std::uint64_t>(y.is_write), "is_write", i, why) ||
-        !count_eq(static_cast<std::uint64_t>(x.path),
-                  static_cast<std::uint64_t>(y.path), "path", i, why) ||
-        !count_eq(static_cast<std::uint64_t>(x.q_ppm),
-                  static_cast<std::uint64_t>(y.q_ppm), "q_ppm", i, why) ||
-        !count_eq(x.tenant, y.tenant, "tenant", i, why) ||
-        !count_eq(static_cast<std::uint64_t>(x.wfq_marked),
-                  static_cast<std::uint64_t>(y.wfq_marked), "wfq_marked", i, why)) {
-      return false;
-    }
-  }
-  if (!count_eq(a.tenant_usage.size(), b.tenant_usage.size(),
-                "tenant_usage count", 0, why)) {
-    return false;
-  }
-  for (std::size_t i = 0; i < a.tenant_usage.size(); ++i) {
-    const auto& x = a.tenant_usage[i];
-    const auto& y = b.tenant_usage[i];
-    if (!count_eq(x.arrivals, y.arrivals, "tenant arrivals", i, why) ||
-        !count_eq(x.admitted, y.admitted, "tenant admitted", i, why) ||
-        !count_eq(x.shed, y.shed, "tenant shed", i, why) ||
-        !count_eq(x.marked, y.marked, "tenant marked", i, why) ||
-        !count_eq(x.max_depth, y.max_depth, "tenant max_depth", i, why)) {
-      return false;
-    }
-  }
-  if (!count_eq(a.intervals.size(), b.intervals.size(), "interval count", 0, why)) {
-    return false;
-  }
-  for (std::size_t i = 0; i < a.intervals.size(); ++i) {
-    if (!reports_identical(a.intervals[i], b.intervals[i], i, why)) return false;
-  }
-  if (!reports_identical(a.overall, b.overall, 0, why)) return false;
-  return count_eq(a.deadline_violations, b.deadline_violations,
-                  "deadline_violations", 0, why);
-}
 
 Report verify_replay_equivalence(const decluster::AllocationScheme& scheme,
                                  const ReplayEquivalenceParams& params) {
@@ -129,23 +28,16 @@ Report verify_replay_equivalence(const decluster::AllocationScheme& scheme,
   const auto p_table = core::sample_optimal_probabilities(
       scheme, 24, {.samples_per_size = params.p_samples, .seed = params.seed});
 
-  core::ParallelReplayEngine engine({.threads = params.threads,
-                                     .mining_lookahead = 2});
+  core::ParallelReplayEngine engine({.threads = params.threads});
 
   const auto check_one = [&](const std::string& name,
                              const core::PipelineConfig& cfg,
                              const trace::Trace& t) {
     const auto serial = core::QosPipeline(scheme, cfg).run(t);
-    const auto parallel = engine.run(scheme, cfg, t);
+    const core::ReplayJob job{&scheme, &t, cfg};
+    const auto swept = engine.run_jobs({&job, 1});
     std::string why;
-    bool ok = results_identical(serial, parallel, &why);
-    if (ok) {
-      // The sweep path must agree with the single-replay path too.
-      const core::ReplayJob job{&scheme, &t, cfg};
-      const auto swept = engine.run_jobs({&job, 1});
-      ok = results_identical(serial, swept.at(0), &why);
-      if (!ok) why = "run_jobs path: " + why;
-    }
+    const bool ok = results_identical(serial, swept.at(0), &why);
     report.add(name, ok, ok ? "" : why);
   };
 

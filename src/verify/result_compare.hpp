@@ -1,5 +1,6 @@
 // Exact-equality result/snapshot comparators shared by the replay-identity
-// oracles (stream_oracle, daemon_oracle).
+// oracles (replay_equivalence, fault_oracle, fairness_oracle, stream_oracle,
+// daemon_oracle).
 //
 // Everything here compares bit-exactly: doubles with ==, counters value by
 // value, histograms down to the exact-value multiset. The oracles' claims
@@ -17,7 +18,7 @@
 
 namespace flashqos::verify {
 
-/// Exact double compare; on mismatch writes "<name> diverged at interval
+/// Exact double compare; on mismatch writes "<name> diverged at index
 /// <where>: a vs b" into *why (when non-null).
 [[nodiscard]] bool field_eq(double a, double b, const char* name,
                             std::size_t where, std::string* why);
@@ -29,6 +30,15 @@ namespace flashqos::verify {
 [[nodiscard]] bool interval_report_eq(const core::IntervalReport& a,
                                       const core::IntervalReport& b,
                                       std::size_t where, std::string* why);
+
+/// True iff `a` and `b` agree exactly: every RequestOutcome field, every
+/// IntervalReport field (doubles compared with ==, not a tolerance — the
+/// replays must take identical floating-point paths), tenant usage,
+/// overall, and the deadline-violation count. On mismatch, `why` (if
+/// non-null) names the first diverging field.
+[[nodiscard]] bool results_identical(const core::PipelineResult& a,
+                                     const core::PipelineResult& b,
+                                     std::string* why = nullptr);
 
 /// StreamResult carries everything PipelineResult does except the O(trace)
 /// outcomes vector; every shared field must agree exactly.

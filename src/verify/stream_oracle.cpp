@@ -1,7 +1,5 @@
 #include "verify/stream_oracle.hpp"
 
-#include <array>
-#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -29,8 +27,7 @@ namespace {
 /// accounting that depends on how the stream was chunked.
 /// Everything else must be identical instrument by instrument.
 bool excluded_instrument(std::string_view name) {
-  return name == "pipeline.interval_ns" ||
-         name.starts_with("trace.stream.") || name.starts_with("parallel.");
+  return name == "pipeline.interval_ns" || name.starts_with("trace.stream.");
 }
 
 bool metrics_snapshots_match_local(const obs::MetricsSnapshot& want,
@@ -82,9 +79,6 @@ Report verify_streaming(const decluster::AllocationScheme& scheme,
   const auto p_table = core::sample_optimal_probabilities(
       scheme, 24, {.samples_per_size = params.p_samples, .seed = params.seed});
 
-  core::ParallelReplayEngine engine(
-      {.threads = params.threads, .mining_lookahead = 2});
-
   const auto baseline = [&](const core::PipelineConfig& cfg,
                             const trace::Trace& t)
       -> std::pair<core::PipelineResult, Snapshots> {
@@ -107,11 +101,10 @@ Report verify_streaming(const decluster::AllocationScheme& scheme,
 
   /// One config × trace: run() once, then the cursor path at every batch
   /// size (1 exercises the per-event boundary, 7 straddles every
-  /// same-instant burst, 4096 is the production default), then optionally
-  /// the parallel mined-ahead path.
+  /// same-instant burst, 4096 is the production default).
   const auto audit = [&](const std::string& label,
                          const core::PipelineConfig& cfg, const trace::Trace& t,
-                         SimTime horizon, bool parallel_leg) {
+                         SimTime horizon) {
     const auto [want, snaps] = baseline(cfg, t);
     for (const std::size_t batch : {std::size_t{1}, std::size_t{7},
                                     std::size_t{4096}}) {
@@ -122,48 +115,39 @@ Report verify_streaming(const decluster::AllocationScheme& scheme,
           cursor, nullptr, {.batch_size = batch, .horizon = horizon});
       check_leg(label + " stream b=" + std::to_string(batch), want, snaps, got);
     }
-    if (parallel_leg) {
-      reg.reset();
-      tsr.reset();
-      const auto got = engine.run_stream(
-          scheme, cfg,
-          [&t] { return std::make_unique<trace::VectorCursor>(t); },
-          {.horizon = horizon});
-      check_leg(label + " parallel stream", want, snaps, got);
-    }
   };
 
   {
     core::PipelineConfig cfg;  // online deterministic: the flat line
-    audit("online/det/fim @synthetic", cfg, synthetic, 0, true);
+    audit("online/det/fim @synthetic", cfg, synthetic, 0);
   }
   {
-    core::PipelineConfig cfg;  // aligned batches + FIM mining ahead
+    core::PipelineConfig cfg;  // aligned batches + inline FIM mining
     cfg.retrieval = core::RetrievalMode::kIntervalAligned;
-    audit("aligned/det/fim @exchange", cfg, exchange, 0, true);
+    audit("aligned/det/fim @exchange", cfg, exchange, 0);
   }
   {
     core::PipelineConfig cfg;  // no admission, no mining
     cfg.retrieval = core::RetrievalMode::kIntervalAligned;
     cfg.admission = core::AdmissionMode::kNone;
     cfg.mapping = core::MappingMode::kModulo;
-    audit("aligned/none/modulo @exchange", cfg, exchange, 0, true);
+    audit("aligned/none/modulo @exchange", cfg, exchange, 0);
   }
   {
     core::PipelineConfig cfg;  // statistical admission: Q estimation state
     cfg.admission = core::AdmissionMode::kStatistical;
     cfg.epsilon = 0.01;
     cfg.p_table = p_table;
-    audit("online/stat/fim @exchange", cfg, exchange, 0, false);
+    audit("online/stat/fim @exchange", cfg, exchange, 0);
   }
   {
     core::PipelineConfig cfg;  // replicated page programs in the stream
-    audit("online/det/fim @writes", cfg, with_writes, 0, false);
+    audit("online/det/fim @writes", cfg, with_writes, 0);
   }
   {
     core::PipelineConfig cfg;  // RAID-1 baseline path
     cfg.scheduler = core::SchedulerMode::kPrimaryOnly;
-    audit("primary-only @synthetic", cfg, synthetic, 0, false);
+    audit("primary-only @synthetic", cfg, synthetic, 0);
   }
   {
     core::PipelineConfig cfg;  // multi-tenant WFQ front end, bronze sheds
@@ -177,7 +161,7 @@ Report verify_streaming(const decluster::AllocationScheme& scheme,
                     .reservation = 0,
                     .queue_capacity = 4,
                     .mark_threshold = 3}};
-    audit("tenant-wfq @multi-tenant", cfg, tenant_trace, 0, false);
+    audit("tenant-wfq @multi-tenant", cfg, tenant_trace, 0);
 
     // Same config through the generator cursor instead of the vector
     // adapter: the synthetic producers must honor the cursor contract too.
@@ -198,7 +182,7 @@ Report verify_streaming(const decluster::AllocationScheme& scheme,
          .fail_at = from_ms(2.0),
          .recover_at = fault::DeviceFailure::kNeverRecovers});
     const SimTime horizon = exchange.events.back().time + cfg.qos_interval;
-    audit("aligned/det/fim +failures @exchange", cfg, exchange, horizon, true);
+    audit("aligned/det/fim +failures @exchange", cfg, exchange, horizon);
   }
 
   // Generator cursors against their materialized twins: the streaming

@@ -144,6 +144,18 @@ TEST(Experiment, RejectsUnknownNames) {
   EXPECT_THROW(
       core::build_experiment(config_from("[workload]\nkind = mystery\n")),
       std::runtime_error);
+  // Shorthand arguments parse whole: "sts:15x" used to run bose(15,3,1),
+  // "ag:4.5" AG(2,4), "td:3,5junk" TD(3,5); "sts:-1" wrapped to 2^32 - 1.
+  for (const std::string spec : {"sts:15x", "ag:4.5", "td:3,5junk", "sts:-1",
+                                 "pg:+3", "td:3,", "sts:", "sts:4294967296"}) {
+    try {
+      (void)core::build_experiment(config_from("[design]\nname = " + spec + "\n"));
+      ADD_FAILURE() << spec << " built";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(spec), std::string::npos)
+          << spec << " -> '" << e.what() << "'";
+    }
+  }
 }
 
 TEST(Experiment, ParsesFailures) {

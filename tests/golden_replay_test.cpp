@@ -2,8 +2,7 @@
 // tests/golden/ replayed through the pipeline, with the full formatted
 // metric snapshot diffed byte-for-byte against a committed .expected.txt.
 // Any change to admission, scheduling, mapping, or the flash timing model
-// shows up as a readable text diff instead of a silent drift — and the
-// parallel engine must reproduce the same snapshot bit for bit.
+// shows up as a readable text diff instead of a silent drift.
 //
 // Regenerating after an *intended* behaviour change:
 //   FLASHQOS_GOLDEN_REGEN=1 ./build/tests/golden_replay_test
@@ -17,7 +16,6 @@
 #include <sstream>
 #include <string>
 
-#include "core/parallel_replay.hpp"
 #include "core/qos_pipeline.hpp"
 #include "core/sampler.hpp"
 #include "decluster/schemes.hpp"
@@ -25,7 +23,6 @@
 #include "trace/disksim_format.hpp"
 #include "trace/synthetic.hpp"
 #include "util/time.hpp"
-#include "verify/replay_equivalence.hpp"
 
 #ifndef FLASHQOS_GOLDEN_DIR
 #error "build must define FLASHQOS_GOLDEN_DIR"
@@ -124,23 +121,19 @@ TEST(GoldenReplay, FlatlineOnlineModulo) {
   core::PipelineConfig cfg;
   cfg.retrieval = core::RetrievalMode::kOnline;
   cfg.mapping = core::MappingMode::kModulo;
-  const auto serial = core::QosPipeline(scheme931(), cfg).run(t);
+  const auto result = core::QosPipeline(scheme931(), cfg).run(t);
 
-  ASSERT_EQ(serial.intervals.size(), 16u);
-  for (const auto& iv : serial.intervals) {
+  ASSERT_EQ(result.intervals.size(), 16u);
+  for (const auto& iv : result.intervals) {
     // Exact equality, not near: the flat line is a determinism claim.
     EXPECT_EQ(iv.avg_response_ms, 0.132507);
     EXPECT_EQ(iv.max_response_ms, 0.132507);
     EXPECT_EQ(iv.deferred, 0u);
   }
-  EXPECT_EQ(serial.overall.avg_response_ms, 0.132507);
-  EXPECT_EQ(serial.deadline_violations, 0u);
+  EXPECT_EQ(result.overall.avg_response_ms, 0.132507);
+  EXPECT_EQ(result.deadline_violations, 0u);
 
-  const auto snapshot = format_result(serial);
-  check_golden("flatline_online_modulo", snapshot);
-
-  core::ParallelReplayEngine engine({.threads = 4});
-  EXPECT_EQ(format_result(engine.run(scheme931(), cfg, t)), snapshot);
+  check_golden("flatline_online_modulo", format_result(result));
 }
 
 // Bursty co-arrivals under interval-aligned retrieval with deterministic
@@ -152,22 +145,15 @@ TEST(GoldenReplay, BurstyAlignedDetFim) {
   cfg.retrieval = core::RetrievalMode::kIntervalAligned;
   cfg.admission = core::AdmissionMode::kDeterministic;
   cfg.mapping = core::MappingMode::kFim;
-  const auto serial = core::QosPipeline(scheme931(), cfg).run(t);
+  const auto result = core::QosPipeline(scheme931(), cfg).run(t);
 
   // The fixture is built to exercise the interesting counters; if these go
   // to zero the snapshot stops guarding anything.
-  EXPECT_GT(serial.overall.deferred, 0u);
-  EXPECT_GT(serial.overall.writes, 0u);
-  EXPECT_GT(serial.overall.fim_match_rate, 0.0);
+  EXPECT_GT(result.overall.deferred, 0u);
+  EXPECT_GT(result.overall.writes, 0u);
+  EXPECT_GT(result.overall.fim_match_rate, 0.0);
 
-  const auto snapshot = format_result(serial);
-  check_golden("bursty_aligned_det_fim", snapshot);
-
-  core::ParallelReplayEngine engine({.threads = 4, .mining_lookahead = 1});
-  const auto parallel = engine.run(scheme931(), cfg, t);
-  std::string why;
-  EXPECT_TRUE(verify::results_identical(serial, parallel, &why)) << why;
-  EXPECT_EQ(format_result(parallel), snapshot);
+  check_golden("bursty_aligned_det_fim", format_result(result));
 }
 
 // Same bursty fixture through the online path — the mode Table III uses —
@@ -178,14 +164,8 @@ TEST(GoldenReplay, BurstyOnlineDetFim) {
   cfg.retrieval = core::RetrievalMode::kOnline;
   cfg.admission = core::AdmissionMode::kDeterministic;
   cfg.mapping = core::MappingMode::kFim;
-  const auto serial = core::QosPipeline(scheme931(), cfg).run(t);
-  const auto snapshot = format_result(serial);
-  check_golden("bursty_online_det_fim", snapshot);
-
-  // kOnline parallel replay is the serial fallback path; it must still
-  // match the snapshot exactly.
-  core::ParallelReplayEngine engine({.threads = 4});
-  EXPECT_EQ(format_result(engine.run(scheme931(), cfg, t)), snapshot);
+  const auto result = core::QosPipeline(scheme931(), cfg).run(t);
+  check_golden("bursty_online_det_fim", format_result(result));
 }
 
 // Multi-tenant WFQ front end fixtures: the trace is generated in-code
@@ -225,41 +205,25 @@ trace::Trace tenant_trace() {
 TEST(GoldenReplay, MultiTenantOnlineDet) {
   const auto t = tenant_trace();
   const auto cfg = tenant_cfg();
-  const auto serial = core::QosPipeline(scheme931(), cfg).run(t);
+  const auto result = core::QosPipeline(scheme931(), cfg).run(t);
 
   // The fixture must exercise the whole front end, or the snapshot stops
   // guarding anything: backpressure (marks and sheds on the flooder) and
   // an untouched reserved tenant.
-  EXPECT_GT(serial.tenant_usage[2].shed, 0u);
-  EXPECT_GT(serial.tenant_usage[2].marked, 0u);
-  EXPECT_EQ(serial.tenant_usage[0].shed, 0u);
-  EXPECT_EQ(serial.tenant_usage[0].admitted, serial.tenant_usage[0].arrivals);
+  EXPECT_GT(result.tenant_usage[2].shed, 0u);
+  EXPECT_GT(result.tenant_usage[2].marked, 0u);
+  EXPECT_EQ(result.tenant_usage[0].shed, 0u);
+  EXPECT_EQ(result.tenant_usage[0].admitted, result.tenant_usage[0].arrivals);
 
-  const auto snapshot = format_result(serial);
-  check_golden("multi_tenant_online_det", snapshot);
-
-  // kOnline parallel replay is the serial fallback path; tenant tallies
-  // must survive it bit for bit.
-  core::ParallelReplayEngine engine({.threads = 4});
-  const auto parallel = engine.run(scheme931(), cfg, t);
-  std::string why;
-  EXPECT_TRUE(verify::results_identical(serial, parallel, &why)) << why;
-  EXPECT_EQ(format_result(parallel), snapshot);
+  check_golden("multi_tenant_online_det", format_result(result));
 }
 
 TEST(GoldenReplay, MultiTenantAlignedDet) {
   const auto t = tenant_trace();
   auto cfg = tenant_cfg();
   cfg.retrieval = core::RetrievalMode::kIntervalAligned;
-  const auto serial = core::QosPipeline(scheme931(), cfg).run(t);
-  const auto snapshot = format_result(serial);
-  check_golden("multi_tenant_aligned_det", snapshot);
-
-  core::ParallelReplayEngine engine({.threads = 4, .mining_lookahead = 1});
-  const auto parallel = engine.run(scheme931(), cfg, t);
-  std::string why;
-  EXPECT_TRUE(verify::results_identical(serial, parallel, &why)) << why;
-  EXPECT_EQ(format_result(parallel), snapshot);
+  const auto result = core::QosPipeline(scheme931(), cfg).run(t);
+  check_golden("multi_tenant_aligned_det", format_result(result));
 }
 
 // Over-budget fixtures: overload.trace is four ON/OFF cycles of six
@@ -326,18 +290,11 @@ void overload_tenants(core::PipelineConfig& cfg) {
 
 void check_overload(const std::string& stem, const core::PipelineConfig& cfg) {
   const auto t = overload_trace(!cfg.tenants.empty());
-  const auto serial = core::QosPipeline(scheme931(), cfg).run(t);
+  const auto result = core::QosPipeline(scheme931(), cfg).run(t);
   // The fixture must stay over budget, or the snapshot stops guarding the
   // deferral path.
-  EXPECT_GT(serial.overall.deferred, 0u);
-  const auto snapshot = format_result(serial) + outcome_digest(serial);
-  check_golden(stem, snapshot);
-
-  core::ParallelReplayEngine engine({.threads = 4, .mining_lookahead = 1});
-  const auto parallel = engine.run(scheme931(), cfg, t);
-  std::string why;
-  EXPECT_TRUE(verify::results_identical(serial, parallel, &why)) << why;
-  EXPECT_EQ(format_result(parallel) + outcome_digest(parallel), snapshot);
+  EXPECT_GT(result.overall.deferred, 0u);
+  check_golden(stem, format_result(result) + outcome_digest(result));
 }
 
 using core::AdmissionMode;

@@ -1,7 +1,7 @@
-// Determinism-equivalence suite for the parallel replay engine: every
-// result it produces must be bit-identical to the serial QosPipeline — per
-// mode combination, under failure windows, for any thread count or
-// handoff-queue capacity, and through the sharded sweep paths.
+// Determinism-equivalence suite for sweep sharding: every result
+// ParallelReplayEngine::run_jobs and core::run_experiments produce must be
+// bit-identical to the serial QosPipeline — per mode combination, under
+// failure windows, for multi-tenant configs, and across repeated sweeps.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -16,6 +16,7 @@
 #include "trace/workload.hpp"
 #include "util/rng.hpp"
 #include "verify/replay_equivalence.hpp"
+#include "verify/result_compare.hpp"
 
 using namespace flashqos;
 
@@ -69,99 +70,11 @@ TEST(ParallelReplayEquivalence, AllModeCombinations) {
   EXPECT_GE(report.checks().size(), 2u * 3u * 2u * 2u * 2u);
 }
 
-TEST(ParallelReplayEquivalence, AlignedFimExchangeDirect) {
-  const auto t = exchange_small();
-  const auto cfg = aligned_fim();
-  const auto serial = core::QosPipeline(scheme931(), cfg).run(t);
-  core::ParallelReplayEngine engine({.threads = 4});
-  expect_identical(serial, engine.run(scheme931(), cfg, t), "aligned/det/fim");
-  // Sanity that the comparison is not vacuous: the trace actually
-  // exercises deferrals and FIM matches.
-  EXPECT_GT(serial.overall.requests, 500u);
-  EXPECT_GT(serial.overall.fim_match_rate, 0.0);
-}
-
-TEST(ParallelReplayEquivalence, ThreadCountInvariance) {
-  const auto t = exchange_small();
-  const auto cfg = aligned_fim();
-  const auto serial = core::QosPipeline(scheme931(), cfg).run(t);
-  for (const std::size_t threads : {1u, 2u, 8u}) {
-    core::ParallelReplayEngine engine({.threads = threads});
-    std::ostringstream what;
-    what << "threads=" << threads;
-    expect_identical(serial, engine.run(scheme931(), cfg, t), what.str().c_str());
-  }
-}
-
-// Capacity-1 handoff queue maximizes backpressure blocking on both sides;
-// results must not change.
-TEST(ParallelReplayEquivalence, LookaheadOneStillIdentical) {
-  const auto t = exchange_small();
-  const auto cfg = aligned_fim();
-  const auto serial = core::QosPipeline(scheme931(), cfg).run(t);
-  core::ParallelReplayEngine engine({.threads = 4, .mining_lookahead = 1});
-  expect_identical(serial, engine.run(scheme931(), cfg, t), "lookahead=1");
-}
-
-TEST(ParallelReplayEquivalence, DeviceFailureWindows) {
-  const auto t = synthetic_small();
-  for (const auto retrieval : {core::RetrievalMode::kIntervalAligned,
-                               core::RetrievalMode::kOnline}) {
-    auto cfg = aligned_fim();
-    cfg.retrieval = retrieval;
-    cfg.mapping = core::MappingMode::kModulo;  // bucket-domain trace
-    cfg.faults.outages.push_back(
-        {.device = 2, .fail_at = 0, .recover_at = from_ms(50.0)});
-    cfg.faults.outages.push_back({.device = 5,
-                            .fail_at = from_ms(10.0),
-                            .recover_at = fault::DeviceFailure::kNeverRecovers});
-    const auto serial = core::QosPipeline(scheme931(), cfg).run(t);
-    core::ParallelReplayEngine engine({.threads = 3});
-    expect_identical(serial, engine.run(scheme931(), cfg, t), "failures");
-  }
-}
-
-// Randomized full fault plans — scripted outages plus seeded transient /
-// spike generators, rebuild, and retry timeouts — must also replay
-// bit-identically: the compiled schedule is a pure function of the config,
-// so every shard sees the same faults.
-TEST(ParallelReplayEquivalence, RandomizedFaultPlans) {
-  const auto t = synthetic_small();
-  Rng g(331);
-  core::ParallelReplayEngine engine({.threads = 3});
-  for (int round = 0; round < 4; ++round) {
-    auto cfg = aligned_fim();
-    cfg.retrieval = round % 2 == 0 ? core::RetrievalMode::kOnline
-                                   : core::RetrievalMode::kIntervalAligned;
-    cfg.mapping = core::MappingMode::kModulo;  // bucket-domain trace
-    cfg.faults.seed = g.below(1000);
-    cfg.faults.transient = {.count = static_cast<std::uint32_t>(1 + g.below(3)),
-                            .mean_duration = from_ms(2.0)};
-    cfg.faults.latency_spike = {
-        .count = static_cast<std::uint32_t>(g.below(3)),
-        .mean_duration = from_ms(1.0),
-        .factor = 2.0 + static_cast<double>(g.below(3))};
-    if (round % 2 == 0) {
-      cfg.faults.outages.push_back(
-          {.device = static_cast<DeviceId>(g.below(9)),
-           .fail_at = from_ms(5.0),
-           .recover_at = fault::DeviceFailure::kNeverRecovers});
-      cfg.faults.rebuild.pages_per_second = 30000.0;
-    }
-    if (round == 3) cfg.faults.retry.timeout = from_ms(3.0);
-    const auto serial = core::QosPipeline(scheme931(), cfg).run(t);
-    std::ostringstream what;
-    what << "fault plan round " << round;
-    expect_identical(serial, engine.run(scheme931(), cfg, t),
-                     what.str().c_str());
-  }
-}
-
 // Multi-tenant front end: the WFQ scheduler runs inside the serial replay
-// core, so tenant verdicts, tallies, and dispatch order must be
-// thread-count-invariant exactly like every other stage. The mix includes
-// a pulsed tenant (idles and re-enters backlog, exercising renormalization)
-// and a flooder that sheds, so the tenant fields being compared are live.
+// core, so tenant verdicts, tallies, and dispatch order must survive
+// sharding exactly like every other stage. The mix includes a pulsed
+// tenant (idles and re-enters backlog, exercising renormalization) and a
+// flooder that sheds, so the tenant fields being compared are live.
 trace::Trace multi_tenant_small() {
   trace::MultiTenantParams mt;
   mt.intervals = 120;
@@ -189,27 +102,6 @@ core::PipelineConfig multi_tenant_cfg(core::RetrievalMode retrieval) {
   return cfg;
 }
 
-TEST(ParallelReplayEquivalence, MultiTenantThreadCountInvariance) {
-  const auto t = multi_tenant_small();
-  for (const auto retrieval : {core::RetrievalMode::kOnline,
-                               core::RetrievalMode::kIntervalAligned}) {
-    const auto cfg = multi_tenant_cfg(retrieval);
-    const auto serial = core::QosPipeline(scheme931(), cfg).run(t);
-    // Not vacuous: backpressure fired and tenant tallies are non-trivial.
-    EXPECT_GT(serial.tenant_usage[2].shed, 0u);
-    EXPECT_GT(serial.tenant_usage[2].marked, 0u);
-    EXPECT_EQ(serial.tenant_usage[0].shed, 0u);
-    for (const std::size_t threads : {1u, 2u, 8u}) {
-      core::ParallelReplayEngine engine({.threads = threads});
-      std::ostringstream what;
-      what << "tenants retrieval=" << static_cast<int>(retrieval)
-           << " threads=" << threads;
-      expect_identical(serial, engine.run(scheme931(), cfg, t),
-                       what.str().c_str());
-    }
-  }
-}
-
 TEST(ParallelReplaySweep, MultiTenantJobsMatchSerial) {
   const auto tenant_trace = multi_tenant_small();
   const auto plain_trace = synthetic_small();
@@ -230,6 +122,12 @@ TEST(ParallelReplaySweep, MultiTenantJobsMatchSerial) {
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     const auto serial =
         core::QosPipeline(*jobs[i].scheme, jobs[i].config).run(*jobs[i].trace);
+    if (i != 1) {
+      // Not vacuous: backpressure fired and tenant tallies are non-trivial.
+      EXPECT_GT(serial.tenant_usage[2].shed, 0u);
+      EXPECT_GT(serial.tenant_usage[2].marked, 0u);
+      EXPECT_EQ(serial.tenant_usage[0].shed, 0u);
+    }
     std::ostringstream what;
     what << "tenant job " << i;
     expect_identical(serial, swept[i], what.str().c_str());

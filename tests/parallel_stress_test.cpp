@@ -1,26 +1,23 @@
-// Concurrency stress for the parallel replay machinery, written to give
+// Concurrency stress for the thread handoff seams, written to give
 // ThreadSanitizer something to chew on: many producers and consumers on a
-// tiny HandoffQueue, repeated sharded sweeps, and the pipelined mining path
-// under maximum backpressure. The assertions are deliberately simple — the
-// point of these tests is the interleavings, and TSan turns any data race
-// or lock-order bug they expose into a hard failure.
+// tiny HandoffQueue, repeated sharded sweeps, and the tenant ingress under
+// contention. The assertions are deliberately simple — the point of these
+// tests is the interleavings, and TSan turns any data race or lock-order
+// bug they expose into a hard failure.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
-#include <numeric>
 #include <thread>
 #include <vector>
 
 #include "core/parallel_replay.hpp"
-#include "core/qos_pipeline.hpp"
 #include "core/tenant_scheduler.hpp"
 #include "decluster/schemes.hpp"
 #include "design/constructions.hpp"
 #include "trace/synthetic.hpp"
 #include "util/handoff_queue.hpp"
-#include "util/thread_pool.hpp"
-#include "verify/replay_equivalence.hpp"
+#include "verify/result_compare.hpp"
 
 using namespace flashqos;
 
@@ -104,31 +101,13 @@ const decluster::DesignTheoretic& scheme931() {
 
 trace::Trace tiny_interval_trace(std::uint64_t seed) {
   // Tiny intervals -> one reporting slice per QoS interval -> hundreds of
-  // mining tasks per replay, maximizing producer/consumer churn.
+  // FIM mapping rebuilds per replay.
   trace::SyntheticParams p;
   p.bucket_pool = scheme931().buckets();
   p.requests_per_interval = 3;
   p.total_requests = 900;
   p.seed = seed;
   return trace::generate_synthetic(p);
-}
-
-// Pipelined mining with lookahead 1 (every push blocks until the replay
-// core consumes the previous slice) repeated back to back; TSan watches the
-// queue handoff, the miner error path, and the metric-stage parallel_for.
-TEST(ParallelReplayStress, PipelinedMiningUnderBackpressure) {
-  const auto t = tiny_interval_trace(17);
-  core::PipelineConfig cfg;
-  cfg.retrieval = core::RetrievalMode::kIntervalAligned;
-  cfg.mapping = core::MappingMode::kFim;
-  core::ParallelReplayEngine engine({.threads = 4, .mining_lookahead = 1});
-  const auto first = engine.run(scheme931(), cfg, t);
-  for (int round = 0; round < 3; ++round) {
-    const auto again = engine.run(scheme931(), cfg, t);
-    std::string why;
-    ASSERT_TRUE(verify::results_identical(first, again, &why))
-        << "round " << round << ": " << why;
-  }
 }
 
 // Sharded sweep stress: a wide job list (several distinct traces x modes),
@@ -224,55 +203,6 @@ TEST(TenantIngressStress, CloseWakesBlockedDrainer) {
     ingress.close();
     drainer.join();  // hangs here if the wakeup is lost
   }
-}
-
-// Multi-tenant pipeline repeated on one engine: the tenant dispatch path
-// (interval rollover, wake machinery, budget draws) under the parallel
-// engine's threading, with results pinned across rounds.
-TEST(ParallelReplayStress, MultiTenantRepeatedRuns) {
-  trace::MultiTenantParams mt;
-  mt.intervals = 150;
-  mt.tenants = {
-      {.requests_per_interval = 2, .bucket_pool = 8},
-      {.requests_per_interval = 6, .bucket_pool = 12},
-  };
-  mt.seed = 41;
-  mt.jitter_slots = 2;
-  const auto t = trace::generate_multi_tenant(mt);
-  core::PipelineConfig cfg;
-  cfg.retrieval = core::RetrievalMode::kIntervalAligned;
-  cfg.admission = core::AdmissionMode::kDeterministic;
-  cfg.mapping = core::MappingMode::kModulo;
-  cfg.tenants = {
-      {.name = "gold", .weight = 2.0, .reservation = 2},
-      {.name = "flood", .weight = 1.0, .reservation = 0,
-       .queue_capacity = 8, .mark_threshold = 6},
-  };
-  core::ParallelReplayEngine engine({.threads = 4, .mining_lookahead = 1});
-  const auto first = engine.run(scheme931(), cfg, t);
-  EXPECT_GT(first.tenant_usage[1].shed, 0u);
-  for (int round = 0; round < 3; ++round) {
-    const auto again = engine.run(scheme931(), cfg, t);
-    std::string why;
-    ASSERT_TRUE(verify::results_identical(first, again, &why))
-        << "round " << round << ": " << why;
-  }
-}
-
-// Wide submit_with_future fan-out on a shared pool: futures must all
-// complete and the packaged-task plumbing must be race-free.
-TEST(ParallelReplayStress, SubmitWithFutureFanOut) {
-  ThreadPool pool(4);
-  constexpr std::size_t kTasks = 512;
-  std::vector<std::future<void>> futures;
-  futures.reserve(kTasks);
-  std::atomic<std::size_t> ran{0};
-  for (std::size_t i = 0; i < kTasks; ++i) {
-    futures.push_back(pool.submit_with_future(
-        [&ran] { ran.fetch_add(1, std::memory_order_relaxed); }));
-  }
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(ran.load(), kTasks);
 }
 
 }  // namespace

@@ -3,12 +3,18 @@
 // semantics, statistical admission behaviour, original-stand replay.
 #include <gtest/gtest.h>
 
+#include <span>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "core/qos_pipeline.hpp"
 #include "core/sampler.hpp"
 #include "decluster/schemes.hpp"
 #include "design/constructions.hpp"
 #include "trace/synthetic.hpp"
 #include "trace/workload.hpp"
+#include "verify/result_compare.hpp"
 
 namespace flashqos::core {
 namespace {
@@ -283,6 +289,56 @@ TEST(QosPipeline, OutcomesCoverEveryRequestExactlyOnce) {
     EXPECT_GE(o.dispatch, o.arrival);
     EXPECT_GE(o.start, o.dispatch);
     EXPECT_EQ(o.finish - o.start, kPageReadLatency);
+  }
+}
+
+/// Serves precomputed slices in place of inline mining, recording the
+/// order the replay asks for them.
+class PrecomputedFimSource final : public FimSource {
+ public:
+  explicit PrecomputedFimSource(std::vector<std::vector<fim::FrequentPair>> slices)
+      : slices_(std::move(slices)) {}
+
+  std::span<const fim::FrequentPair> slice(std::size_t idx) override {
+    requested.push_back(idx);
+    return slices_.at(idx);
+  }
+
+  std::vector<std::size_t> requested;
+
+ private:
+  std::vector<std::vector<fim::FrequentPair>> slices_;
+};
+
+// run_stream's FimSource seam: slices mined by mine_event_range over
+// trace::report_slices, served in place of inline mining, must replay
+// exactly like run(), which mines inline. This also pins that a caller
+// mining slices outside the engine mines the engine's slices.
+TEST(QosPipeline, FimSourceSlicesMatchInlineMining) {
+  const DesignTheoretic scheme(design931(), true);
+  PipelineConfig cfg;
+  cfg.retrieval = RetrievalMode::kIntervalAligned;
+  cfg.admission = AdmissionMode::kDeterministic;
+  cfg.mapping = MappingMode::kFim;
+  const auto t = trace::generate_workload(trace::exchange_params(0.02, 2012));
+  const auto want = QosPipeline(scheme, cfg).run(t);
+  ASSERT_GT(want.overall.fim_match_rate, 0.0) << "the comparison needs FIM matches";
+
+  std::vector<std::vector<fim::FrequentPair>> mined;
+  for (const auto& [begin, end] : trace::report_slices(t)) {
+    mined.push_back(
+        mine_event_range(t, begin, end, cfg.qos_interval, cfg.fim_min_support));
+  }
+  ASSERT_GT(mined.size(), 1u);
+  PrecomputedFimSource source(mined);
+  trace::VectorCursor cursor(t);
+  const auto got = QosPipeline(scheme, cfg).run_stream(cursor, &source);
+
+  std::string why;
+  EXPECT_TRUE(verify::stream_result_matches(want, got, &why)) << why;
+  ASSERT_FALSE(source.requested.empty());
+  for (std::size_t i = 0; i < source.requested.size(); ++i) {
+    EXPECT_EQ(source.requested[i], i) << "slices are asked for in order";
   }
 }
 

@@ -11,6 +11,8 @@
 #include <condition_variable>
 #include <mutex>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -274,6 +276,59 @@ ingress_batches = 8
   EXPECT_EQ(setup.scheme->devices(), 9u);
   EXPECT_EQ(setup.options.batch_size, 256u);
   EXPECT_EQ(setup.options.ingress_batches, 8u);
+}
+
+/// What build_service() throws for a (9,3,1) config with `extra` appended;
+/// empty when it builds.
+std::string service_error(const std::string& extra) {
+  std::istringstream in("[design]\nname = (9,3,1)\n" + extra);
+  try {
+    (void)build_service(Config::parse(in));
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return {};
+}
+
+/// The error names the key and its value.
+void expect_rejected(const std::string& extra, const std::string& key,
+                     const std::string& value) {
+  const auto err = service_error(extra);
+  EXPECT_NE(err.find(key), std::string::npos) << extra << " -> '" << err << "'";
+  EXPECT_NE(err.find(value), std::string::npos) << extra << " -> '" << err << "'";
+}
+
+// A zero batch used to abort the service thread after the daemon printed
+// its listen line; -1 wrapped to a huge size_t and threw length_error.
+TEST(PipelineService, BuildServiceRejectsCountsBelowOne) {
+  expect_rejected("[service]\nbatch = 0\n", "batch", "0");
+  expect_rejected("[service]\nbatch = -1\n", "batch", "-1");
+  expect_rejected("[service]\ningress_batches = 0\n", "ingress_batches", "0");
+  EXPECT_EQ(service_error("[service]\nbatch = 1\ningress_batches = 1\n"), "");
+}
+
+TEST(PipelineService, BuildServiceRejectsBadDurations) {
+  for (const std::string key : {"report_interval_ms", "horizon_ms"}) {
+    for (const std::string value : {"-1", "-0.5", "nan", "inf", "1e300"}) {
+      expect_rejected("[service]\n" + key + " = " + value + "\n", key, value);
+    }
+  }
+  std::istringstream in(
+      "[design]\nname = (9,3,1)\n[service]\nreport_interval_ms = 0\n"
+      "horizon_ms = 2.5\n");
+  const auto setup = build_service(Config::parse(in));
+  EXPECT_EQ(setup.options.meta.report_interval, 0);
+  EXPECT_EQ(setup.options.horizon, 2'500'000);
+}
+
+// A fault plan compiles against the horizon before the live stream's
+// length is known; without one the service thread used to abort on the
+// first submitted event.
+TEST(PipelineService, BuildServiceNeedsAHorizonForAFaultPlan) {
+  const std::string plan = "[faults]\nfail = 3 1.0 5.0\n";
+  expect_rejected(plan, "horizon_ms", "(unset)");
+  expect_rejected(plan + "[service]\nhorizon_ms = 0\n", "horizon_ms", "0");
+  EXPECT_EQ(service_error(plan + "[service]\nhorizon_ms = 100\n"), "");
 }
 
 }  // namespace

@@ -200,8 +200,8 @@ TEST(StreamingStats, MatchesTheInMemoryIntervalStats) {
 
 // The batch-size sweep: the streaming engine's results are exactly run()'s
 // whatever the cursor hands it per fill() call. (The full identity —
-// metric registry, windowed time-series, parallel engine, generator and
-// file cursors, mutation trip — is flashqos_verify --stream.)
+// metric registry, windowed time-series, generator and file cursors,
+// mutation trip — is flashqos_verify --stream.)
 TEST(StreamReplay, BatchSizeNeverChangesTheResult) {
   const auto d = design::make_9_3_1();
   const decluster::DesignTheoretic scheme(d, true);

@@ -226,7 +226,6 @@ TEST(Table, FormatsAlignedRows) {
 }  // namespace flashqos
 
 #include <atomic>
-#include <future>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -326,38 +325,6 @@ TEST(ThreadPoolStress, ZeroTaskWaitFromManyThreads) {
     });
   }
   for (auto& t : waiters) t.join();
-}
-
-// Regression: a throwing task submitted through the future-returning batch
-// path must deliver its exception to the caller via future::get(), not
-// escape on a worker thread (which would std::terminate the process).
-TEST(ThreadPool, SubmitWithFutureDeliversException) {
-  ThreadPool pool(2);
-  auto ok = pool.submit_with_future([] {});
-  auto bad = pool.submit_with_future(
-      [] { throw std::runtime_error("task failed"); });
-  ok.get();  // must not throw
-  try {
-    bad.get();
-    FAIL() << "exception was swallowed";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "task failed");
-  }
-  pool.wait();  // the pool survives a thrown task and stays usable
-  auto after = pool.submit_with_future([] {});
-  after.get();
-}
-
-TEST(ThreadPool, SubmitWithFutureCompletionOrderIndependent) {
-  ThreadPool pool(4);
-  std::vector<std::future<void>> futures;
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 64; ++i) {
-    futures.push_back(pool.submit_with_future([&ran] { ++ran; }));
-  }
-  // get() in submission order regardless of execution order.
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(ran.load(), 64);
 }
 
 // parallel_for must rethrow the failure of the *lowest* index, matching
