@@ -21,13 +21,16 @@
 #   6. the design-invariant verifier (flashqos_verify) over every catalog
 #      design with N <= 64, plus the serial ≡ sharded-sweep
 #      replay-equivalence audit (every mode combination, failure windows,
-#      mixed-mode run_jobs batches), the observability self-audit (--obs:
+#      mixed-mode run_jobs batches; every config's device ops re-simulated
+#      on flashsim::FlashArray with the same start and finish), the
+#      observability self-audit (--obs:
 #      recorded metrics, windowed time-series points, SLO burn-rate pages,
 #      and trace spans checked against the replay outcomes they describe),
 #      and the
 #      fault-injection chaos audit (--faults: randomized fault plans with
-#      request-conservation, routing, guarantee-reestablishment, and
-#      serial ≡ sharded-sweep checks), the streaming-identity audit
+#      request-conservation, routing, guarantee-reestablishment,
+#      serial ≡ sharded-sweep and device-op re-simulation checks), the
+#      streaming-identity audit
 #      (--stream: run_stream ≡ run() — results, metric registry, and
 #      windowed time-series bit-identical at every batch size, through
 #      generator and chunked-file cursors, with a seeded drain-bound
@@ -40,7 +43,10 @@
 #      zero deadline misses under online deterministic, with a seeded
 #      rescan mutation that must reproduce the outcomes and trip the bound)
 #   7. flashqosd lifecycle smoke: start the daemon on an ephemeral port
-#      from a generated config, parse its listen line, SIGTERM it, and
+#      from a generated config, parse its listen line, then either drive
+#      one batch through it with --daemon-probe (flushed 1 ns past the
+#      last arrival; every verdict must come back before the session ends,
+#      which drains the daemon) or SIGTERM it, and in both cases
 #      require a clean drain and exit 0; then start it with a bad
 #      [service] value and with an out-of-range --port, and require each
 #      to exit non-zero with a diagnostic naming the key or flag, without
@@ -125,7 +131,7 @@ else
   banner "5/9 TSan — SKIPPED (--quick)"
 fi
 
-banner "6/9 design-invariant verifier (catalog, N <= 64) + replay equivalence + obs audit + chaos audit + fairness audit + stream audit + daemon audit + overload audit"
+banner "6/9 design-invariant verifier (catalog, N <= 64) + replay equivalence + device-op re-simulation + obs audit + chaos audit + fairness audit + stream audit + daemon audit + overload audit"
 run ./build-werror/src/verify/flashqos_verify --max-devices 64 --replay --obs --faults --fairness --stream --daemon --overload
 
 banner "7/9 flashqosd lifecycle smoke (ephemeral port, loopback batch, clean drain, bad input rejected)"

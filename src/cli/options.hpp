@@ -76,11 +76,8 @@ class Options {
   void parse_or_exit(int argc, char** argv);
 
   /// Library form for tests: returns the empty string on success, the
-  /// diagnostic otherwise. --help sets help_requested() and succeeds
-  /// without parsing further.
+  /// diagnostic otherwise. --help succeeds without parsing further.
   [[nodiscard]] std::string try_parse(int argc, char** argv);
-
-  [[nodiscard]] bool help_requested() const noexcept { return help_requested_; }
 
   /// True iff the flag was passed / the value was given at least once.
   [[nodiscard]] bool has(std::string_view name) const;

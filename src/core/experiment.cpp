@@ -98,16 +98,21 @@ std::unique_ptr<design::BlockDesign> make_design(const std::string& spec) {
   if (colon != std::string::npos) {
     const std::string_view kind = std::string_view(spec).substr(0, colon);
     const std::string_view arg = std::string_view(spec).substr(colon + 1);
+    // Each constructor's precondition, checked first, so a shorthand that
+    // names no design fails config load instead of aborting.
+    const auto require = [&](bool ok, const char* why) {
+      if (!ok) fail("no such design: " + spec + " (" + why + ")");
+    };
     if (kind == "sts") {
-      return std::make_unique<design::BlockDesign>(design::sts(design_arg(arg, spec)));
+      const auto v = design_arg(arg, spec);
+      require(design::sts_exists(v) && v >= 7, "sts:v needs v = 1 or 3 mod 6, v >= 7");
+      return std::make_unique<design::BlockDesign>(design::sts(v));
     }
-    if (kind == "ag") {
+    if (kind == "ag" || kind == "pg") {
+      const auto q = design_arg(arg, spec);
+      require(design::is_prime_power(q), "the order q must be a prime power");
       return std::make_unique<design::BlockDesign>(
-          design::affine_plane_gf(design_arg(arg, spec)));
-    }
-    if (kind == "pg") {
-      return std::make_unique<design::BlockDesign>(
-          design::projective_plane_gf(design_arg(arg, spec)));
+          kind == "ag" ? design::affine_plane_gf(q) : design::projective_plane_gf(q));
     }
     if (kind == "kts" && arg == "15") {
       return std::make_unique<design::BlockDesign>(design::kirkman_15());
@@ -115,9 +120,11 @@ std::unique_ptr<design::BlockDesign> make_design(const std::string& spec) {
     if (kind == "td") {
       const auto comma = arg.find(',');
       if (comma == std::string_view::npos) fail("td needs k,n: " + spec);
-      return std::make_unique<design::BlockDesign>(design::transversal_design(
-          design_arg(arg.substr(0, comma), spec),
-          design_arg(arg.substr(comma + 1), spec)));
+      const auto k = design_arg(arg.substr(0, comma), spec);
+      const auto n = design_arg(arg.substr(comma + 1), spec);
+      require(design::is_prime(n) && k >= 2 && k <= n + 1,
+              "td:k,n needs n prime and 2 <= k <= n+1");
+      return std::make_unique<design::BlockDesign>(design::transversal_design(k, n));
     }
   }
   fail("unknown design: " + spec +

@@ -17,6 +17,7 @@
 #include "design/block_design.hpp"
 #include "fault/injector.hpp"
 #include "fim/apriori.hpp"
+#include "flashsim/flash_array.hpp"
 #include "obs/metrics.hpp"
 #include "obs/slo.hpp"
 #include "obs/timeseries.hpp"
@@ -535,13 +536,6 @@ QosPipeline::QosPipeline(const decluster::AllocationScheme& scheme, PipelineConf
 
 namespace {
 
-/// Array ids for per-replica write ops and background rebuild reads —
-/// anything whose completion is not a trace outcome. The base sits far
-/// above any realistic trace index so the id space never collides with
-/// request seqs (the simulator breaks event ties by submission sequence,
-/// never by id, so the value itself is inert).
-inline constexpr std::uint64_t kBackgroundIdBase = std::uint64_t{1} << 62;
-
 /// drain() bound that pops every queued dispatch (no real dispatch instant
 /// reaches it: recovery retries and boundary wakes are finite times).
 inline constexpr SimTime kDrainAll = std::numeric_limits<SimTime>::max();
@@ -550,10 +544,10 @@ inline constexpr SimTime kDrainAll = std::numeric_limits<SimTime>::max();
 inline constexpr SimTime kNoWake = kDrainAll;
 
 /// One in-flight request: the event, its outcome, and whether that
-/// outcome is final — failed, shed, a write, or a read whose simulator
-/// completion has been cross-checked. The window pops slots from the
-/// front once final, so resident memory tracks the in-flight span, not
-/// the trace length.
+/// outcome is final — dispatched, written, failed or shed. A read that
+/// admission defers is not final until it dispatches. The window pops
+/// slots from the front once final, so resident memory tracks the
+/// in-flight span, not the trace length.
 struct StreamSlot {
   trace::TraceEvent ev;
   RequestOutcome out;
@@ -636,14 +630,10 @@ class ReplayEngine {
     // of <): groups dispatching exactly at the ingestion frontier are
     // processed before later batches deliver their same-instant members,
     // splitting bursts — the stream oracle proves it would notice a broken
-    // bound. (The defect must stay clock-safe: draining further ahead
-    // would advance the simulator past arrivals that have not been
-    // ingested yet and trip the submit precondition instead of producing a
-    // comparable divergence.)
+    // bound.
     const auto drain_step = [&] {
-      const SimTime clock = std::max(last_time_, cursor.frontier());
-      SimTime bound = clock;
-      if (opts.misdrain_for_test) bound += 1;
+      const SimTime bound = std::max(last_time_, cursor.frontier()) +
+                            (opts.misdrain_for_test ? 1 : 0);
       // FIM slices ending at or below the bound can gain no transaction.
       // For finite cursors ingestion has already closed them; only a live
       // cursor whose frontier outruns its events closes (possibly empty)
@@ -656,16 +646,6 @@ class ReplayEngine {
       // flashqos-lint: allow(wall-clock): stage-timing metric, never a result
       const auto t0 = std::chrono::steady_clock::now();
       drain(bound);
-      // Verdict liveness for live streams: with the dispatch queue empty
-      // the simulator's clock would otherwise stall at the last dispatch
-      // instant, holding every in-flight completion hostage until end of
-      // stream. The cursor contract makes `clock` safe: no unread arrival
-      // (hence no future dispatch or simulator event) lies below it. The
-      // misdrain knob must not leak in here — its +1 would advance the
-      // simulator past arrivals not yet ingested and trip the submit
-      // precondition instead of producing a comparable divergence.
-      array_->run_until(clock);
-      absorb_completions();
       if constexpr (obs::kEnabled) drain_ns->record(stream_elapsed_ns(t0));
     };
     while (n > 0) {
@@ -694,8 +674,8 @@ class ReplayEngine {
   [[nodiscard]] StreamSlot& slot(std::size_t i) { return win_[i - win_base_]; }
   [[nodiscard]] const trace::TraceEvent& ev(std::size_t i) { return slot(i).ev; }
   [[nodiscard]] RequestOutcome& out(std::size_t i) { return slot(i).out; }
-  /// The request reached a final state with no pending simulator
-  /// cross-check (failed / shed / write).
+  /// The request's outcome can no longer change: it was dispatched,
+  /// written, failed or shed.
   void mark_final(std::size_t i) { slot(i).done = true; }
 
   // ---- setup -------------------------------------------------------------
@@ -770,11 +750,9 @@ class ReplayEngine {
     retry_timeout_ = injector_->compiled().retry_timeout;
     det_limit_now_ = det_.limit();
 
-    array_.emplace(scheme_.devices(),
-                   std::make_shared<flashsim::FixedLatencyModel>(
-                       L_, cfg_.write_latency));
     free_at_.assign(scheme_.devices(), 0);
     if constexpr (obs::kEnabled) {
+      device_tally_.assign(scheme_.devices(), {});
       if (injector_->rebuild_reads_total() > 0) {
         FaultMetrics::get().rebuild_pending.add(
             static_cast<std::int64_t>(injector_->rebuild_reads_total()));
@@ -824,19 +802,9 @@ class ReplayEngine {
 
   // ---- result fold -------------------------------------------------------
 
-  /// Cross-check the simulator's completions against the dispatch model —
-  /// in every build: outcomes report the model's times, so a divergence
-  /// would misreport reads silently — then pop every final slot off the
-  /// window front, folding outcomes into the reports and the observability
-  /// registry in trace order.
-  void absorb_completions() {
-    for (const auto& c : array_->take_completions()) {
-      if (c.id >= kBackgroundIdBase) continue;  // write replica / rebuild op
-      auto& s = slot(c.id);
-      FLASHQOS_EXPECT(s.out.start == c.start && s.out.finish == c.finish,
-                      "pipeline dispatch model diverged from the simulator");
-      s.done = true;
-    }
+  /// Pop every final slot off the window front, folding outcomes into the
+  /// reports and the observability registry in trace order.
+  void fold_final() {
     while (!win_.empty() && win_.front().done) {
       fold_outcome(win_base_, win_.front());
       win_.pop_front();
@@ -868,7 +836,7 @@ class ReplayEngine {
           queue_.empty() ? wake_ : std::min(wake_, queue_.top().dispatch);
       if (now >= bound) return;
       process_group(now);
-      absorb_completions();
+      fold_final();
     }
   }
 
@@ -922,7 +890,7 @@ class ReplayEngine {
   /// the down-set changes; tables are memoized per mask.
   void update_budgets() {
     surplus_closed_ = false;  // a new budget may accept surplus again
-    if (down_mask_.empty()) {
+    if (budget_mask_.empty()) {
       det_limit_now_ = det_.limit();
       if (stat_.has_value()) stat_->set_budget(det_.limit(), cfg_.p_table);
       if (tenant_mode_) ts_->set_live_budget(det_limit_now_);
@@ -933,7 +901,7 @@ class ReplayEngine {
       std::uint32_t dead = 0;
       std::uint32_t alive = 0;
       for (const auto d : scheme_.replicas(b)) {
-        if (down_mask_[d]) {
+        if (budget_mask_[d]) {
           ++alive;
         } else {
           ++dead;
@@ -944,7 +912,7 @@ class ReplayEngine {
     const std::uint32_t c_eff = scheme_.copies() > f ? scheme_.copies() - f : 1;
     det_limit_now_ = design::guarantee_buckets(c_eff, cfg_.access_budget);
     if (stat_.has_value()) {
-      auto [it, fresh] = degraded_tables_.try_emplace(down_mask_);
+      auto [it, fresh] = degraded_tables_.try_emplace(budget_mask_);
       if (fresh) {
         const auto max_k = static_cast<std::uint32_t>(cfg_.p_table.size() - 1);
         it->second = sample_optimal_probabilities(
@@ -952,7 +920,7 @@ class ReplayEngine {
             {.samples_per_size = cfg_.p_table_samples,
              .seed = cfg_.p_table_seed,
              .threads = 1},
-            down_mask_);
+            budget_mask_);
       }
       stat_->set_budget(det_limit_now_, it->second);
     }
@@ -960,30 +928,45 @@ class ReplayEngine {
   }
 
   /// Effective read service on `dev` for a read starting at `at`: the base
-  /// quantum stretched by any covering latency-spike window. Passed to the
-  /// simulator as a per-request override so the dispatch model and the
-  /// event simulator agree exactly.
+  /// quantum stretched by any covering latency-spike window.
   [[nodiscard]] SimTime read_service(DeviceId dev, SimTime at) const {
-    if (!faults_active_) return L_;
-    const double factor = injector_->service_multiplier(dev, at);
-    if (factor == 1.0) return L_;
-    return std::max<SimTime>(
-        1, static_cast<SimTime>(std::llround(static_cast<double>(L_) * factor)));
+    return faults_active_ ? injector_->read_service(dev, at, L_) : L_;
   }
 
+  /// The device model: every read, write replica and rebuild read occupies
+  /// its device here. Each device serves FIFO, so an op may not start
+  /// before the previous one finished (checked in every build).
+  void occupy(const DeviceOp& op) {
+    FLASHQOS_EXPECT(op.start >= free_at_[op.device],
+                    "device op starts before the device's previous op finished");
+    free_at_[op.device] = op.finish;
+    if constexpr (obs::kEnabled) {
+      auto& t = device_tally_[op.device];
+      ++t.ops;
+      t.busy_ns += static_cast<std::uint64_t>(op.finish - op.start);
+      obs::Tracer::global().record({.request = op.request,
+                                    .start = op.start,
+                                    .end = op.finish,
+                                    .value = 0,
+                                    .device = static_cast<std::int32_t>(op.device),
+                                    .kind = obs::EventKind::kDeviceService,
+                                    .detail = obs::EventDetail::kNone});
+    }
+    if (sink_ != nullptr) sink_->on_device_op(op);
+  }
+
+  /// Serve read `idx` on `dev` from `start`; its outcome is final.
   void dispatch_request(std::size_t idx, DeviceId dev, SimTime start) {
-    const SimTime svc = read_service(dev, start);
-    array_->submit(flashsim::IoRequest{.id = idx,
-                                       .device = dev,
-                                       .submit_time = start,
-                                       .pages = 1,
-                                       .service_override =
-                                           faults_active_ ? svc : SimTime{0}});
     auto& o = out(idx);
     o.device = dev;
     o.start = start;
-    o.finish = start + svc;
-    free_at_[dev] = std::max(free_at_[dev], o.finish);
+    o.finish = start + read_service(dev, start);
+    occupy({.device = dev,
+            .start = o.start,
+            .finish = o.finish,
+            .kind = DeviceOpKind::kRead,
+            .request = static_cast<std::int64_t>(idx)});
+    mark_final(idx);
     if constexpr (obs::kEnabled) {
       ++dispatches_tally_;
       // Window tallies key on the dispatch instant (== the loop's `now` at
@@ -1010,21 +993,16 @@ class ReplayEngine {
     }
   }
 
-  /// Hot-spare rebuild reads are paced background work: submitted to the
-  /// simulator like foreground dispatches (they occupy real device time, so
-  /// the dispatch model folds them into free_at), but their completions are
-  /// not trace outcomes.
+  /// Hot-spare rebuild reads are paced background work: they occupy real
+  /// device time like foreground dispatches, but are not trace outcomes.
   void submit_rebuild_due(SimTime now) {
     const auto due = injector_->take_rebuild_due(now);
     for (const auto& rr : due) {
       const SimTime start = std::max(free_at_[rr.source], rr.time);
-      const SimTime svc = read_service(rr.source, start);
-      array_->submit(flashsim::IoRequest{.id = next_background_op_++,
-                                         .device = rr.source,
-                                         .submit_time = start,
-                                         .pages = 1,
-                                         .service_override = svc});
-      free_at_[rr.source] = start + svc;
+      occupy({.device = rr.source,
+              .start = start,
+              .finish = start + read_service(rr.source, start),
+              .kind = DeviceOpKind::kRebuild});
     }
     if constexpr (obs::kEnabled) {
       if (!due.empty()) {
@@ -1211,7 +1189,6 @@ class ReplayEngine {
     if (carried_) wake_ = kNoWake;
     carry_base_ = carried_ ? 0 : carry_.size();
     if (faults_active_) submit_rebuild_due(now);
-    array_->run_until(now);
 
     // Reporting-interval rollover: rebuild the FIM mapping from the slice
     // that just closed (paper: "we use the trace one previous than the
@@ -1293,8 +1270,8 @@ class ReplayEngine {
       } else {
         available_ = mask_scratch_;
       }
-      if (available_ != down_mask_) {
-        down_mask_ = available_;
+      if (available_ != budget_mask_) {
+        budget_mask_ = available_;
         update_budgets();
       }
       if (down > 0) {
@@ -1355,16 +1332,12 @@ class ReplayEngine {
           if (!available_.empty() && !available_[dev]) continue;
           const SimTime start = std::max(free_at_[dev], now);
           const SimTime finish = start + cfg_.write_latency;
-          // Submitted at the model's start, like reads: the simulator serves
-          // each device FIFO by submit time, so a program submitted at `now`
-          // would jump ahead of reads already queued there for later starts.
-          array_->submit(flashsim::IoRequest{.id = next_background_op_++,
-                                             .device = dev,
-                                             .submit_time = start,
-                                             .pages = 1,
-                                             .is_write = true});
+          occupy({.device = dev,
+                  .start = start,
+                  .finish = finish,
+                  .kind = DeviceOpKind::kWrite,
+                  .request = static_cast<std::int64_t>(group_[i].seq)});
           if constexpr (obs::kEnabled) ++write_ops_tally_;
-          free_at_[dev] = finish;
           if (start < first_start) {
             first_start = start;
             first_dev = dev;
@@ -1723,6 +1696,15 @@ class ReplayEngine {
     m.deferral_events.inc(deferrals_tally_);
     m.admission_offers.inc(offers_tally_);
     m.write_replica_ops.inc(write_ops_tally_);
+    auto& reg = obs::MetricRegistry::global();
+    std::uint64_t device_ops = 0;
+    for (std::size_t d = 0; d < device_tally_.size(); ++d) {
+      const std::string label = "device=\"" + std::to_string(d) + "\"";
+      reg.counter("flashsim.device.requests", label).inc(device_tally_[d].ops);
+      reg.counter("flashsim.device.busy_ns", label).inc(device_tally_[d].busy_ns);
+      device_ops += device_tally_[d].ops;
+    }
+    reg.counter("flashsim.submits").inc(device_ops);
     if (faults_active_) {
       auto& fm = FaultMetrics::get();
       fm.injected_outages.inc(injector_->compiled().outages.size());
@@ -1743,7 +1725,6 @@ class ReplayEngine {
       // Per-tenant WFQ tallies, published once per replay like everything
       // else; wfq.vtime accumulates virtual-clock progress (micro-units)
       // across replays.
-      auto& reg = obs::MetricRegistry::global();
       reg.gauge("wfq.vtime").add(std::llround(ts_->virtual_time() * 1e6));
       for (std::size_t k = 0; k < ts_->tenants(); ++k) {
         const auto& u = ts_->usage(k);
@@ -1767,8 +1748,6 @@ class ReplayEngine {
         res.tenant_usage[k] = ts_->usage(k);
       }
     }
-    array_->run();
-    absorb_completions();
     FLASHQOS_ASSERT(win_.empty(),
                     "every request must reach a final state by end of stream");
     if constexpr (obs::kEnabled) {
@@ -1859,7 +1838,9 @@ class ReplayEngine {
   bool faults_active_ = false;
   SimTime retry_timeout_ = 0;
   std::uint64_t det_limit_now_ = 0;
-  std::vector<bool> down_mask_;     // empty = all devices up
+  // Availability the live budgets were computed for (true = up; empty =
+  // all up); update_budgets() runs whenever available_ moves off it.
+  std::vector<bool> budget_mask_;
   std::vector<bool> mask_scratch_;
   std::map<std::vector<bool>, std::vector<double>> degraded_tables_;
   std::uint64_t retries_tally_ = 0;
@@ -1867,9 +1848,7 @@ class ReplayEngine {
   std::uint64_t degraded_interval_tally_ = 0;
   std::int64_t last_degraded_qi_ = -1;
 
-  std::optional<flashsim::FlashArray> array_;
-  std::uint64_t next_background_op_ = kBackgroundIdBase;
-  std::vector<SimTime> free_at_;
+  std::vector<SimTime> free_at_;  // per device: when its last op finishes
   std::priority_queue<Pending, std::vector<Pending>, std::greater<>> queue_;
   // Deferred reads (single-tenant), in seq order, all due at wake_. In
   // tenant mode the WFQ queues hold the backlog and wake_ alone brings the
@@ -1897,6 +1876,12 @@ class ReplayEngine {
   std::uint64_t deferrals_tally_ = 0;
   std::uint64_t offers_tally_ = 0;
   std::uint64_t write_ops_tally_ = 0;
+  // Per-device op count and busy time (the flashsim.device.* family).
+  struct DeviceTally {
+    std::uint64_t ops = 0;
+    std::uint64_t busy_ns = 0;
+  };
+  std::vector<DeviceTally> device_tally_;
 
   // Per-instant buffers, hoisted out of the dispatch loop so steady-state
   // scheduling reuses their capacity instead of reallocating every group.
@@ -1920,29 +1905,36 @@ class ReplayEngine {
   std::vector<SimTime> svc_now_;  // per-device effective quanta under spikes
 };
 
-/// Keeps every outcome at its trace position.
+/// Keeps every outcome at its trace position and forwards every callback
+/// to an optional observer.
 class OutcomeCollector final : public OutcomeSink {
  public:
-  explicit OutcomeCollector(std::vector<RequestOutcome>& outcomes)
-      : outcomes_(outcomes) {}
+  OutcomeCollector(std::vector<RequestOutcome>& outcomes, OutcomeSink* observer)
+      : outcomes_(outcomes), observer_(observer) {}
 
-  void on_outcome(std::uint64_t seq, const trace::TraceEvent& /*ev*/,
+  void on_outcome(std::uint64_t seq, const trace::TraceEvent& ev,
                   const RequestOutcome& out) override {
     outcomes_[seq] = out;
+    if (observer_ != nullptr) observer_->on_outcome(seq, ev, out);
+  }
+
+  void on_device_op(const DeviceOp& op) override {
+    if (observer_ != nullptr) observer_->on_device_op(op);
   }
 
  private:
   std::vector<RequestOutcome>& outcomes_;
+  OutcomeSink* observer_;
 };
 
 }  // namespace
 
-PipelineResult QosPipeline::run(const trace::Trace& t) {
+PipelineResult QosPipeline::run(const trace::Trace& t, OutcomeSink* observer) {
   FLASHQOS_EXPECT(trace::valid_trace(t), "pipeline input must be a valid trace");
   PipelineResult result;
   result.outcomes.resize(t.events.size());
   trace::VectorCursor cursor(t);
-  OutcomeCollector collector(result.outcomes);
+  OutcomeCollector collector(result.outcomes, observer);
   auto res = run_stream(cursor, nullptr,
                         {.horizon = t.duration() + cfg_.qos_interval,
                          .sink = &collector});

@@ -1,8 +1,8 @@
 // End-to-end QoS pipeline (the paper's full system, §III-§IV).
 //
 // A pipeline owns the glue: trace events → FIM block mapping → admission
-// control → retrieval scheduling → flash-array simulation → per-interval
-// metrics. Two retrieval modes:
+// control → retrieval scheduling → device model → per-interval metrics.
+// Two retrieval modes:
 //
 //  * kIntervalAligned — requests arriving inside an interval are deferred
 //    to the next interval boundary and scheduled as one batch with
@@ -35,7 +35,7 @@
 #include "decluster/allocation.hpp"
 #include "fault/fault_plan.hpp"
 #include "fim/transaction.hpp"
-#include "flashsim/flash_array.hpp"
+#include "flashsim/module_model.hpp"
 #include "obs/slo.hpp"
 #include "retrieval/retriever.hpp"
 #include "trace/event.hpp"
@@ -190,19 +190,37 @@ struct PipelineResult {
   std::vector<TenantUsage> tenant_usage;
 };
 
+/// A trace read, one replica's page program of a trace write, or a rebuild read.
+enum class DeviceOpKind : std::uint8_t { kRead, kWrite, kRebuild };
+
+/// One span of device time the engine scheduled. Each device serves FIFO,
+/// so its ops never overlap: each starts at or after the previous finish.
+struct DeviceOp {
+  DeviceId device = kInvalidDevice;
+  SimTime start = 0;
+  SimTime finish = 0;
+  DeviceOpKind kind = DeviceOpKind::kRead;
+  std::int64_t request = -1;  // seq of the read or write served; -1 = rebuild
+
+  friend bool operator==(const DeviceOp&, const DeviceOp&) = default;
+};
+
 /// Observer of finalized streaming outcomes. run_stream() calls
 /// on_outcome() once per event, in trace order (seq is the 0-based global
 /// ingestion index, strictly increasing), at the moment the outcome folds
 /// into the reports — which is exactly when the engine guarantees no field
 /// can change again. This is how the service facade routes completions
 /// back to live clients without materializing an outcomes vector. The
-/// callback runs on the replay thread; implementations must not re-enter
+/// callbacks run on the replay thread; implementations must not re-enter
 /// the pipeline.
 class OutcomeSink {
  public:
   virtual ~OutcomeSink() = default;
   virtual void on_outcome(std::uint64_t seq, const trace::TraceEvent& ev,
                           const RequestOutcome& out) = 0;
+  /// Every device op, in the order the engine schedules them (not trace
+  /// order). The default ignores them.
+  virtual void on_device_op(const DeviceOp& /*op*/) {}
 };
 
 /// Options for the replay core (QosPipeline::run_stream).
@@ -326,8 +344,10 @@ class QosPipeline {
   /// whose ids are < buckets() passes through unchanged. This is
   /// run_stream() over a trace::VectorCursor with horizon = last arrival +
   /// qos_interval and a sink that keeps every outcome, so the two agree by
-  /// construction.
-  [[nodiscard]] PipelineResult run(const trace::Trace& t);
+  /// construction. A non-null `observer` also sees every outcome and
+  /// device op.
+  [[nodiscard]] PipelineResult run(const trace::Trace& t,
+                                   OutcomeSink* observer = nullptr);
 
   /// Streaming replay: pull events from `cursor` in batches without
   /// materializing the trace or the outcomes vector — resident memory is

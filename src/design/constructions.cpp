@@ -2,20 +2,10 @@
 
 #include <array>
 
+#include "design/galois.hpp"
 #include "util/expect.hpp"
 
 namespace flashqos::design {
-namespace {
-
-[[nodiscard]] bool is_prime(std::uint32_t q) noexcept {
-  if (q < 2) return false;
-  for (std::uint32_t d = 2; d * d <= q; ++d) {
-    if (q % d == 0) return false;
-  }
-  return true;
-}
-
-}  // namespace
 
 BlockDesign make_9_3_1() {
   // Exactly the paper's Figure 2 columns, left to right.

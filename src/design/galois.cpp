@@ -8,14 +8,6 @@
 namespace flashqos::design {
 namespace {
 
-[[nodiscard]] bool is_prime(std::uint32_t q) noexcept {
-  if (q < 2) return false;
-  for (std::uint32_t d = 2; d * d <= q; ++d) {
-    if (q % d == 0) return false;
-  }
-  return true;
-}
-
 /// Digits of `label` base p, low-to-high, padded to `len`.
 std::vector<std::uint32_t> digits(std::uint32_t label, std::uint32_t p,
                                   std::uint32_t len) {
@@ -181,6 +173,14 @@ std::uint32_t GaloisField::mul(std::uint32_t a, std::uint32_t b) const {
 std::uint32_t GaloisField::inv(std::uint32_t a) const {
   FLASHQOS_EXPECT(a > 0 && a < order_, "inverse of zero or out-of-field element");
   return inv_table_[a];
+}
+
+bool is_prime(std::uint32_t q) noexcept {
+  if (q < 2) return false;
+  for (std::uint32_t d = 2; d * d <= q; ++d) {
+    if (q % d == 0) return false;
+  }
+  return true;
 }
 
 bool is_prime_power(std::uint32_t q) {

@@ -23,8 +23,6 @@ class GaloisField {
   GaloisField(std::uint32_t p, std::uint32_t k);
 
   [[nodiscard]] std::uint32_t order() const noexcept { return order_; }
-  [[nodiscard]] std::uint32_t characteristic() const noexcept { return p_; }
-  [[nodiscard]] std::uint32_t degree() const noexcept { return k_; }
 
   [[nodiscard]] std::uint32_t add(std::uint32_t a, std::uint32_t b) const;
   [[nodiscard]] std::uint32_t sub(std::uint32_t a, std::uint32_t b) const;
@@ -49,6 +47,9 @@ class GaloisField {
   std::vector<std::uint32_t> mul_table_;  // order x order
   std::vector<std::uint32_t> inv_table_;
 };
+
+/// True iff q is prime.
+[[nodiscard]] bool is_prime(std::uint32_t q) noexcept;
 
 /// True iff q is a prime power (the orders for which these fields and
 /// planes exist).

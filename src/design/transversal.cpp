@@ -1,19 +1,9 @@
 #include "design/transversal.hpp"
 
+#include "design/galois.hpp"
 #include "util/expect.hpp"
 
 namespace flashqos::design {
-namespace {
-
-[[nodiscard]] bool is_prime(std::uint32_t q) noexcept {
-  if (q < 2) return false;
-  for (std::uint32_t d = 2; d * d <= q; ++d) {
-    if (q % d == 0) return false;
-  }
-  return true;
-}
-
-}  // namespace
 
 BlockDesign transversal_design(std::uint32_t k, std::uint32_t n) {
   FLASHQOS_EXPECT(is_prime(n), "transversal_design implemented for prime n");

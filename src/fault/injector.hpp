@@ -6,18 +6,20 @@
 //
 //   * fill_availability — which devices are up right now (and how many are
 //     down), feeding both dispatch masking and the adaptive S' budget;
-//   * service_multiplier — how much slower a device currently serves reads
-//     (latency spikes), feeding per-dispatch service overrides and the
-//     slot matcher's capacity math;
+//   * read_service — how long a read takes on a device right now (the base
+//     service stretched by latency spikes), feeding the engine's device
+//     model and the slot matcher's capacity math;
 //   * take_rebuild_due — the paced background rebuild reads that have come
-//     due, which the pipeline submits to the simulator ahead of foreground
-//     traffic.
+//     due, which the pipeline schedules on their source devices ahead of
+//     foreground traffic.
 //
 // The injector is plain sequential state over plain data; it performs no
 // randomness of its own, which is what keeps every fault schedule exactly
 // replayable.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <span>
 #include <vector>
 
@@ -79,10 +81,10 @@ class FaultInjector {
     return now;
   }
 
-  /// Service-time multiplier for a read starting on `device` at `now`.
-  /// Overlapping spikes compound as the max of their factors (the slowest
-  /// cause dominates); 1.0 when no spike covers the instant.
-  [[nodiscard]] double service_multiplier(DeviceId device, SimTime now) const {
+  /// Service of a read on `device` starting at `now`: `base` stretched by
+  /// the strongest latency spike covering it (at least 1 ns).
+  [[nodiscard]] SimTime read_service(DeviceId device, SimTime now,
+                                     SimTime base) const {
     double factor = 1.0;
     for (const auto& s : compiled_.spikes) {
       if (s.device == device && s.start <= now && now < s.end &&
@@ -90,7 +92,9 @@ class FaultInjector {
         factor = s.factor;
       }
     }
-    return factor;
+    if (factor == 1.0) return base;
+    return std::max<SimTime>(
+        1, static_cast<SimTime>(std::llround(static_cast<double>(base) * factor)));
   }
 
   /// True when any spike window covers `now` on any device — lets the

@@ -1,8 +1,8 @@
 #include "flashsim/flash_array.hpp"
 
 #include <algorithm>
-#include <limits>
-#include <string>
+
+#include "util/expect.hpp"
 
 namespace flashqos::flashsim {
 namespace {
@@ -19,39 +19,6 @@ FlashArray::FlashArray(std::uint32_t devices, std::shared_ptr<const ModuleModel>
   FLASHQOS_EXPECT(model_ != nullptr, "array needs a timing model");
   const std::uint32_t ways = std::max<std::uint32_t>(1, model_->ways());
   for (auto& m : modules_) m.package_free.assign(ways, 0);
-  if constexpr (obs::kEnabled) {
-    auto& reg = obs::MetricRegistry::global();
-    device_obs_.resize(devices);
-    device_tally_.resize(devices);
-    for (std::uint32_t d = 0; d < devices; ++d) {
-      const std::string label = "device=\"" + std::to_string(d) + "\"";
-      device_obs_[d].requests = &reg.counter("flashsim.device.requests", label);
-      device_obs_[d].busy_ns = &reg.counter("flashsim.device.busy_ns", label);
-    }
-    submits_ = &reg.counter("flashsim.submits");
-    completions_count_ = &reg.counter("flashsim.completions");
-    queue_depth_ = &reg.histogram("flashsim.queue_depth");
-  }
-}
-
-void FlashArray::flush_observability() noexcept {
-  if constexpr (obs::kEnabled) {
-    if (submits_tally_ > 0) submits_->inc(submits_tally_);
-    if (completions_tally_ > 0) completions_count_->inc(completions_tally_);
-    submits_tally_ = 0;
-    completions_tally_ = 0;
-    for (std::size_t d = 0; d < device_tally_.size(); ++d) {
-      auto& t = device_tally_[d];
-      if (t.requests > 0) device_obs_[d].requests->inc(t.requests);
-      if (t.busy_ns > 0) device_obs_[d].busy_ns->inc(t.busy_ns);
-      t = {};
-    }
-    for (std::size_t depth = 0; depth < depth_tally_.size(); ++depth) {
-      queue_depth_->record_n(static_cast<std::int64_t>(depth),
-                             depth_tally_[depth]);
-    }
-    depth_tally_.clear();
-  }
 }
 
 void FlashArray::submit(const IoRequest& req) {
@@ -65,8 +32,6 @@ void FlashArray::submit(const IoRequest& req) {
                      .device = req.device,
                      .request = req,
                      .completion = {}});
-  ++pending_;
-  if constexpr (obs::kEnabled) ++submits_tally_;
 }
 
 void FlashArray::run_until(SimTime t) {
@@ -97,32 +62,11 @@ void FlashArray::process(const Event& e) {
   switch (e.type) {
     case EventType::kArrival:
       m.queue.push_back(e.request);
-      if constexpr (obs::kEnabled) {
-        const std::size_t depth = m.queue.size();
-        if (depth >= depth_tally_.size()) depth_tally_.resize(depth + 1, 0);
-        ++depth_tally_[depth];
-      }
       try_start(e.device, e.time);
       break;
     case EventType::kCompletion:
       completions_.push_back(e.completion);
       --m.busy_ways;
-      --pending_;
-      if constexpr (obs::kEnabled) {
-        const auto& c = e.completion;
-        auto& t = device_tally_[e.device];
-        ++t.requests;
-        t.busy_ns += static_cast<std::uint64_t>(c.finish - c.start);
-        ++completions_tally_;
-        obs::Tracer::global().record(
-            {.request = static_cast<std::int64_t>(c.id),
-             .start = c.start,
-             .end = c.finish,
-             .value = 0,
-             .device = static_cast<std::int32_t>(e.device),
-             .kind = obs::EventKind::kDeviceService,
-             .detail = obs::EventDetail::kNone});
-      }
       try_start(e.device, e.time);
       break;
   }
@@ -151,18 +95,6 @@ void FlashArray::try_start(DeviceId d, SimTime at) {
                                                   .start = start,
                                                   .finish = finish}});
   }
-}
-
-SimTime FlashArray::device_free_at(DeviceId d) const {
-  FLASHQOS_EXPECT(d < modules_.size(), "device id out of range");
-  const Module& m = modules_[d];
-  // Pending queue entries serialize after the busiest package horizon; the
-  // conservative next-free estimate is max(now, min package_free) plus the
-  // queued work. For the common ways == 1 case this is exact.
-  SimTime free = *std::min_element(m.package_free.begin(), m.package_free.end());
-  free = std::max(free, now_);
-  for (const auto& q : m.queue) free += service_of(*model_, q);
-  return free;
 }
 
 std::vector<IoCompletion> FlashArray::take_completions() {

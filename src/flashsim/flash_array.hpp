@@ -7,7 +7,10 @@
 // tie-breaking by submission sequence, integer-nanosecond clock.
 //
 // This is the substitute for the paper's modified DiskSim + MSR SSD
-// extension; see DESIGN.md for the substitution argument.
+// extension; see DESIGN.md for the substitution argument. The replay
+// engine keeps its own per-device model; this simulator is the reference
+// it is checked against (src/verify/resim_oracle) and the substrate of the
+// original-volume baseline (core::replay_original).
 #pragma once
 
 #include <deque>
@@ -17,16 +20,12 @@
 
 #include "flashsim/module_model.hpp"
 #include "flashsim/request.hpp"
-#include "obs/metrics.hpp"
-#include "obs/tracer.hpp"
-#include "util/expect.hpp"
 
 namespace flashqos::flashsim {
 
 class FlashArray {
  public:
   FlashArray(std::uint32_t devices, std::shared_ptr<const ModuleModel> model);
-  ~FlashArray() { flush_observability(); }
   FlashArray(const FlashArray&) = delete;
   FlashArray& operator=(const FlashArray&) = delete;
 
@@ -48,25 +47,12 @@ class FlashArray {
   /// Simulated clock: time of the last processed event.
   [[nodiscard]] SimTime now() const noexcept { return now_; }
 
-  /// Earliest time at which the device could start a new request, given
-  /// everything queued so far. For ways > 1, the earliest-free package.
-  [[nodiscard]] SimTime device_free_at(DeviceId d) const;
-
   /// Completions recorded so far, in completion order. take_completions()
   /// hands them off and clears the internal buffer.
   [[nodiscard]] const std::vector<IoCompletion>& completions() const noexcept {
     return completions_;
   }
   [[nodiscard]] std::vector<IoCompletion> take_completions();
-
-  [[nodiscard]] std::size_t pending_requests() const noexcept { return pending_; }
-
-  /// Publish this array's metric tallies to the process-wide registry and
-  /// zero them. An array instance is single-threaded, so the event loop
-  /// counts into plain members and only this flush touches the shared
-  /// atomics — called from the destructor; call it explicitly before
-  /// taking a registry snapshot while the array is still alive.
-  void flush_observability() noexcept;
 
  private:
   struct Module {
@@ -93,38 +79,12 @@ class FlashArray {
   void process(const Event& e);
   void try_start(DeviceId d, SimTime at);
 
-  /// Per-device registry handles, resolved once at construction. Counters
-  /// accumulate across every array instance in the process (labels are
-  /// device="N"), which is what the load-balance view wants: total
-  /// accesses and busy time per device position.
-  struct DeviceInstruments {
-    obs::Counter* requests = nullptr;  // flashsim.device.requests
-    obs::Counter* busy_ns = nullptr;   // flashsim.device.busy_ns
-  };
-
   std::shared_ptr<const ModuleModel> model_;
   std::vector<Module> modules_;
   std::priority_queue<Event, std::vector<Event>, std::greater<>> events_;
   std::vector<IoCompletion> completions_;
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
-  std::size_t pending_ = 0;
-
-  // Observability (empty / null when FLASHQOS_OBS=OFF). The event loop
-  // accumulates into the plain per-instance tallies; flush_observability()
-  // publishes them to the registry instruments in one pass.
-  struct DeviceTally {
-    std::uint64_t requests = 0;
-    std::uint64_t busy_ns = 0;
-  };
-  std::vector<DeviceInstruments> device_obs_;
-  std::vector<DeviceTally> device_tally_;
-  std::vector<std::uint64_t> depth_tally_;  // queue depth -> occurrences
-  std::uint64_t submits_tally_ = 0;
-  std::uint64_t completions_tally_ = 0;
-  obs::Counter* submits_ = nullptr;
-  obs::Counter* completions_count_ = nullptr;
-  obs::LatencyHistogram* queue_depth_ = nullptr;
 };
 
 }  // namespace flashqos::flashsim

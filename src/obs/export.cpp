@@ -381,10 +381,6 @@ bool consume_output_flag(const char* arg) {
   return false;
 }
 
-const std::string& metrics_out_path() { return g_metrics_out; }
-const std::string& trace_out_path() { return g_trace_out; }
-const std::string& series_out_path() { return g_series_out; }
-
 bool write_requested_outputs() {
   bool ok = true;
   if (!g_metrics_out.empty()) {

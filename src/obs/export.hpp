@@ -60,11 +60,6 @@ bool write_series(const TimeSeriesSnapshot& snap, const std::string& path);
 /// during argument parsing.
 bool consume_output_flag(const char* arg);
 
-/// Paths captured by consume_output_flag (empty when the flag was absent).
-[[nodiscard]] const std::string& metrics_out_path();
-[[nodiscard]] const std::string& trace_out_path();
-[[nodiscard]] const std::string& series_out_path();
-
 /// Write the global registry / tracer to the captured paths, if any.
 /// Returns false if any requested write failed.
 bool write_requested_outputs();

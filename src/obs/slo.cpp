@@ -120,11 +120,6 @@ void SloMonitor::configure(std::vector<SloSpec> specs) {
   log_dropped_ = 0;
 }
 
-std::size_t SloMonitor::spec_count() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return specs_.size();
-}
-
 SloSpec SloMonitor::spec(std::size_t index) const {
   const std::lock_guard<std::mutex> lock(mutex_);
   FLASHQOS_EXPECT(index < specs_.size(), "SLO spec index out of range");

@@ -115,7 +115,6 @@ class SloMonitor {
   /// Install specs and reset every sample/state/log. Specs must validate.
   void configure(std::vector<SloSpec> specs);
 
-  [[nodiscard]] std::size_t spec_count() const;
   [[nodiscard]] SloSpec spec(std::size_t index) const;
 
   /// Feed one evaluated window for spec `index`; windows must arrive in

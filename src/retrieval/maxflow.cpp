@@ -434,11 +434,6 @@ Schedule optimal_schedule(std::span<const BucketId> batch,
   return std::move(*s);
 }
 
-std::uint32_t optimal_rounds(std::span<const BucketId> batch,
-                             const decluster::AllocationScheme& scheme) {
-  return optimal_schedule(batch, scheme).rounds;
-}
-
 void integrated_optimal_schedule(std::span<const BucketId> batch,
                                  const decluster::AllocationScheme& scheme,
                                  FlowWorkspace& ws, Schedule& out) {

@@ -210,11 +210,6 @@ class FlowWorkspace {
                                     const std::vector<bool>& available,
                                     FlowWorkspace& ws, Schedule& out);
 
-/// Just the minimum round count (same search, no schedule extraction cost
-/// difference — provided for call-site clarity).
-[[nodiscard]] std::uint32_t optimal_rounds(std::span<const BucketId> batch,
-                                           const decluster::AllocationScheme& scheme);
-
 /// Integrated min-rounds solver (paper ref [15], Altiparmak & Tosun,
 /// ICPP 2012): builds the retrieval flow network once and *grows* the
 /// device capacities round by round, keeping all previously routed flow.

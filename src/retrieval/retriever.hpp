@@ -81,12 +81,6 @@ class Retriever {
     return online_.device_free_at(d);
   }
 
-  /// Latest finish time across all devices in the online state.
-  [[nodiscard]] SimTime online_horizon() const noexcept { return online_.horizon(); }
-
-  /// Forget all online device state (offline methods carry none).
-  void reset_online() noexcept { online_.reset(); }
-
   [[nodiscard]] const decluster::AllocationScheme& scheme() const noexcept {
     return scheme_;
   }

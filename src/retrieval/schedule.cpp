@@ -24,13 +24,4 @@ bool valid_schedule(std::span<const BucketId> batch,
   return batch.empty() ? schedule.rounds == 0 : schedule.rounds == max_round;
 }
 
-std::vector<std::uint32_t> device_loads(const Schedule& schedule,
-                                        std::uint32_t devices) {
-  std::vector<std::uint32_t> load(devices, 0);
-  for (const auto& a : schedule.assignments) {
-    if (a.device < devices) ++load[a.device];
-  }
-  return load;
-}
-
 }  // namespace flashqos::retrieval

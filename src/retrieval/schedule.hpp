@@ -43,8 +43,4 @@ struct Schedule {
                                   const decluster::AllocationScheme& scheme,
                                   const Schedule& schedule);
 
-/// Per-device load (requests assigned to each device) of a schedule.
-[[nodiscard]] std::vector<std::uint32_t> device_loads(
-    const Schedule& schedule, std::uint32_t devices);
-
 }  // namespace flashqos::retrieval

@@ -29,7 +29,6 @@ bool MappedFile::open(const std::string& path) {
     // POSIX rejects zero-length mappings; an empty trace file is simply an
     // empty view.
     ::close(fd);
-    open_ = true;
     return true;
   }
   void* p = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
@@ -40,7 +39,6 @@ bool MappedFile::open(const std::string& path) {
   }
   data_ = static_cast<const char*>(p);
   size_ = size;
-  open_ = true;
   return true;
 }
 
@@ -50,7 +48,6 @@ void MappedFile::unmap() noexcept {
   }
   data_ = nullptr;
   size_ = 0;
-  open_ = false;
 }
 
 }  // namespace flashqos::trace

@@ -33,7 +33,6 @@ class MappedFile {
   /// with size() == 0.
   [[nodiscard]] bool open(const std::string& path);
 
-  [[nodiscard]] bool is_open() const noexcept { return open_; }
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] const char* data() const noexcept { return data_; }
   [[nodiscard]] std::string_view view() const noexcept {
@@ -45,14 +44,12 @@ class MappedFile {
   void swap(MappedFile& other) noexcept {
     std::swap(data_, other.data_);
     std::swap(size_, other.size_);
-    std::swap(open_, other.open_);
     std::swap(error_, other.error_);
   }
   void unmap() noexcept;
 
   const char* data_ = nullptr;
   std::size_t size_ = 0;
-  bool open_ = false;
   std::string error_;
 };
 

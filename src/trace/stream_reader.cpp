@@ -203,11 +203,4 @@ std::unique_ptr<DisksimCursor> open_disksim_cursor(const std::string& path,
                                          volumes, report_interval);
 }
 
-std::unique_ptr<MsrCursor> open_msr_cursor(const std::string& path,
-                                           std::string name,
-                                           const MsrReadOptions& msr) {
-  // flashqos-lint: allow(hot-path-alloc): one-time cursor construction
-  return std::make_unique<MsrCursor>(open_source(path), std::move(name), msr);
-}
-
 }  // namespace flashqos::trace

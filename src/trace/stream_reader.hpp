@@ -189,10 +189,4 @@ class MsrCursor final : public LineCursor {
     const std::string& path, std::string name, std::uint32_t volumes,
     SimTime report_interval);
 
-/// Open `path` as a streaming MSR CSV cursor (mmap, 1 MiB chunks). Throws
-/// std::runtime_error when the file cannot be opened; requires
-/// msr.volumes != 0.
-[[nodiscard]] std::unique_ptr<MsrCursor> open_msr_cursor(
-    const std::string& path, std::string name, const MsrReadOptions& msr);
-
 }  // namespace flashqos::trace

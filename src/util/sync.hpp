@@ -95,7 +95,6 @@ class FLASHQOS_SCOPED_CAPABILITY UniqueLock {
     owns_ = false;
   }
   [[nodiscard]] M* mutex() const noexcept { return m_; }
-  [[nodiscard]] bool owns_lock() const noexcept { return owns_; }
 
  private:
   M* m_;

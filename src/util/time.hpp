@@ -28,10 +28,6 @@ inline constexpr SimTime kBaseInterval = 133 * kMicrosecond;
   return static_cast<double>(t) / static_cast<double>(kMillisecond);
 }
 
-[[nodiscard]] constexpr double to_us(SimTime t) noexcept {
-  return static_cast<double>(t) / static_cast<double>(kMicrosecond);
-}
-
 [[nodiscard]] constexpr double to_sec(SimTime t) noexcept {
   return static_cast<double>(t) / static_cast<double>(kSecond);
 }

@@ -534,12 +534,24 @@ bool probe_daemon(std::uint16_t port, std::size_t batch) {
         static_cast<std::int64_t>(i) * client.welcome().interval_ns;
     evs[i].block = static_cast<std::uint64_t>(i % std::max(devices, 1u));
   }
-  if (!client.submit(evs) ||
-      !client.flush(static_cast<std::int64_t>(batch) *
-                    client.welcome().interval_ns)) {
+  // Reads are answered when they dispatch, so a floor 1 ns past the last
+  // arrival must bring every completion back while the session is open.
+  bool wire_ok = client.submit(evs) && client.flush(evs.back().time + 1);
+  for (int tries = 0; wire_ok && client.completions.size() < batch && tries < 100;
+       ++tries) {
+    wire_ok = client.pump(100);
+  }
+  if (!wire_ok) {
     // flashqos-lint: allow(adhoc-logging): --daemon-probe verdict line for check.sh
     std::printf("FAIL daemon-probe: wire error: %s\n",
                 client.last_error().c_str());
+    return false;
+  }
+  if (client.completions.size() != batch || !client.pushbacks.empty()) {
+    // flashqos-lint: allow(adhoc-logging): --daemon-probe verdict line for check.sh
+    std::printf("FAIL daemon-probe: %zu of %zu completions before the session "
+                "ended, %zu pushbacks\n",
+                client.completions.size(), batch, client.pushbacks.size());
     return false;
   }
   // finish() ends the session; as the only connection that asks the
@@ -547,12 +559,6 @@ bool probe_daemon(std::uint16_t port, std::size_t batch) {
   if (!client.finish()) {
     // flashqos-lint: allow(adhoc-logging): --daemon-probe verdict line for check.sh
     std::printf("FAIL daemon-probe: drain: %s\n", client.last_error().c_str());
-    return false;
-  }
-  if (client.completions.size() != batch || !client.pushbacks.empty()) {
-    // flashqos-lint: allow(adhoc-logging): --daemon-probe verdict line for check.sh
-    std::printf("FAIL daemon-probe: %zu of %zu completions, %zu pushbacks\n",
-                client.completions.size(), batch, client.pushbacks.size());
     return false;
   }
   for (std::size_t i = 0; i < batch; ++i) {

@@ -39,9 +39,9 @@ struct DaemonCheckParams {
 
 /// Drive one batch through an ALREADY-RUNNING flashqosd on
 /// 127.0.0.1:`port` (scripts/check.sh's lifecycle smoke): submit a
-/// one-event-per-interval batch, flush past it, require every completion
-/// back with live verdict fields, then end the session — which, as the
-/// only connection, asks the daemon to drain and exit. True on success;
+/// one-event-per-interval batch, flush 1 ns past it, require every causal
+/// completion back before ending the session — which, as the only
+/// connection, asks the daemon to drain and exit. True on success;
 /// failures are printed.
 [[nodiscard]] bool probe_daemon(std::uint16_t port, std::size_t batch = 64);
 

@@ -10,6 +10,7 @@
 #include "fault/fault_plan.hpp"
 #include "trace/synthetic.hpp"
 #include "util/rng.hpp"
+#include "verify/resim_oracle.hpp"
 #include "verify/result_compare.hpp"
 
 namespace flashqos::verify {
@@ -153,7 +154,8 @@ Report verify_fault_tolerance(const decluster::AllocationScheme& scheme,
       const std::string tag =
           "plan " + std::to_string(r) + " " + combo.name;
 
-      const auto result = core::QosPipeline(scheme, cfg).run(t);
+      const auto result =
+          run_resimulated(scheme, cfg, t, report, tag + " re-simulation");
 
       // (a) Request conservation: each trace event resolves to exactly one
       // terminal outcome — served with a real device and a coherent

@@ -18,7 +18,9 @@
 //       (statistical admission is excluded: its surplus path queues by
 //       design);
 //   (d) serial ≡ parallel — the sharded sweep (run_jobs) stays
-//       bit-identical to the serial pipeline under every fault plan.
+//       bit-identical to the serial pipeline under every fault plan;
+//   (e) re-simulation — every device op of the serial replay re-simulates
+//       on flashsim::FlashArray unchanged (verify/resim_oracle.hpp).
 #pragma once
 
 #include <cstdint>

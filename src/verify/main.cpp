@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
       .flag("replay",
             "also audit serial == sharded-sweep replay equivalence (every "
             "mode combination, failure windows, mixed-mode sweeps) on the "
-            "(9,3,1) and (13,3,1) schemes")
+            "(9,3,1) and (13,3,1) schemes; re-simulate each config's device ops")
       .integer("replay-threads", "N",
                "sweep pool width for --replay, 0 = hardware concurrency "
                "(default 4)",
@@ -90,8 +90,8 @@ int main(int argc, char** argv) {
             "chaos-audit the fault subsystem: randomized fault plans "
             "(outages, spikes, rebuild, retry timeouts) replayed on every "
             "selected design, checking request conservation, down-device "
-            "routing, guarantee re-establishment, and serial == parallel "
-            "identity")
+            "routing, guarantee re-establishment, serial == parallel "
+            "identity, and device-op re-simulation on flashsim::FlashArray")
       .flag("fairness",
             "audit the multi-tenant WFQ front end: randomized tenant mixes "
             "(always including a flooder) checked against an independent "

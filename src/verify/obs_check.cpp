@@ -37,6 +37,7 @@ struct Tally {
   std::uint64_t deferred = 0;
   std::uint64_t violations = 0;
   std::int64_t response_sum = 0;
+  std::int64_t service_sum = 0;  // device time of served reads
   std::array<std::uint64_t, kPathCount> by_path{};
 };
 
@@ -55,6 +56,7 @@ void tally(const core::PipelineResult& r, Tally& t) {
     }
     ++t.reads;
     t.response_sum += o.response();
+    t.service_sum += o.finish - o.start;
     if (o.deferred()) ++t.deferred;
   }
 }
@@ -209,12 +211,14 @@ std::uint64_t window_divergences(const WindowOracle& oracle,
   return diverged;
 }
 
+/// `nonzero` also fails 0 == 0: an instrument nothing records into must
+/// not pass by matching another one.
 void check_eq(Report& report, const std::string& name, std::uint64_t got,
-              std::uint64_t want) {
-  report.add(name, got == want,
-             got == want ? std::string{}
-                         : std::to_string(got) + " != expected " +
-                               std::to_string(want));
+              std::uint64_t want, bool nonzero = false) {
+  const bool ok = got == want && (!nonzero || want > 0);
+  report.add(nonzero ? name + " (> 0)" : name, ok,
+             ok ? std::string{}
+                : std::to_string(got) + " != expected " + std::to_string(want));
 }
 
 std::uint64_t cval(const obs::MetricsSnapshot& snap, std::string_view name,
@@ -449,22 +453,24 @@ Report verify_observability(const decluster::AllocationScheme& scheme,
                            core::RetrievalPath::kAlignedMaxFlow)] >
                    0);
 
-    // Device accounting: per-device service counters sum to total array
-    // accesses, which equal submissions, which equal read dispatches plus
-    // per-replica write ops.
+    // Device accounting: the engine's device ops are its read dispatches,
+    // write replica ops and rebuild reads; their busy time is the reads'
+    // service plus one page program per write replica op.
     const auto submits = cval(snap, "flashsim.submits");
-    const auto completions = cval(snap, "flashsim.completions");
-    check_eq(report, "sum(flashsim.device.requests) == flashsim.completions",
-             snap.counter_family_total("flashsim.device.requests"), completions);
-    check_eq(report, "flashsim.completions == flashsim.submits", completions,
-             submits);
-    check_eq(report, "flashsim.submits == dispatches + write replica ops",
+    const auto write_ops = cval(snap, "pipeline.write_replica_ops");
+    check_eq(report, "sum(flashsim.device.requests) == flashsim.submits",
+             snap.counter_family_total("flashsim.device.requests"), submits, true);
+    check_eq(report, "flashsim.submits == dispatches + write replica ops + rebuild reads",
              submits,
-             cval(snap, "pipeline.dispatches") +
-                 cval(snap, "pipeline.write_replica_ops"));
-    const auto* qd = snap.find_histogram("flashsim.queue_depth");
-    check_eq(report, "flashsim.queue_depth count == flashsim.submits",
-             qd != nullptr ? qd->count : 0, submits);
+             cval(snap, "pipeline.dispatches") + write_ops +
+                 cval(snap, "fault.rebuild.reads"),
+             true);
+    check_eq(report, "sum(flashsim.device.busy_ns) == read service + write ops * write_latency",
+             snap.counter_family_total("flashsim.device.busy_ns"),
+             static_cast<std::uint64_t>(want.service_sum +
+                                        online_writes.write_latency *
+                                            static_cast<SimTime>(write_ops)),
+             true);
 
     // Retrieval identity: every retrieve() call either took the DTR fast
     // path or fell back to max-flow; degraded retrievals are counted apart
@@ -555,7 +561,7 @@ Report verify_observability(const decluster::AllocationScheme& scheme,
 
     // Trace-ring audit on a fresh small run: one arrival/admission/retrieval
     // span triple per request, three stage slices per served read, one
-    // service slice per completed array access, nothing dropped.
+    // service slice per device op, nothing dropped.
     reg.reset();
     tracer.clear();
     tracer.set_enabled(true);
@@ -583,9 +589,9 @@ Report verify_observability(const decluster::AllocationScheme& scheme,
     check_eq(report, "trace: one retrieval span per request",
              by_kind[static_cast<std::size_t>(obs::EventKind::kRetrieval)],
              traced_requests);
-    check_eq(report, "trace: one service slice per completed access",
+    check_eq(report, "trace: one service slice per device op",
              by_kind[static_cast<std::size_t>(obs::EventKind::kDeviceService)],
-             cval(traced_snap, "flashsim.completions"));
+             cval(traced_snap, "flashsim.submits"), true);
     check_eq(report, "trace: three stage slices per served read",
              by_kind[static_cast<std::size_t>(obs::EventKind::kStage)],
              3 * traced_reads);

@@ -6,6 +6,7 @@
 #include "core/sampler.hpp"
 #include "trace/synthetic.hpp"
 #include "trace/workload.hpp"
+#include "verify/resim_oracle.hpp"
 #include "verify/result_compare.hpp"
 
 namespace flashqos::verify {
@@ -33,7 +34,8 @@ Report verify_replay_equivalence(const decluster::AllocationScheme& scheme,
   const auto check_one = [&](const std::string& name,
                              const core::PipelineConfig& cfg,
                              const trace::Trace& t) {
-    const auto serial = core::QosPipeline(scheme, cfg).run(t);
+    const auto serial =
+        run_resimulated(scheme, cfg, t, report, name + " re-simulation");
     const core::ReplayJob job{&scheme, &t, cfg};
     const auto swept = engine.run_jobs({&job, 1});
     std::string why;

@@ -8,7 +8,8 @@
 // works: recompute both sides and compare field by field with exact
 // (bitwise for doubles) equality, so any accumulation-order drift or shard
 // cross-talk in a future refactor turns into a named failing check rather
-// than a silently shifted figure.
+// than a silently shifted figure. Each serial replay's device ops are also
+// re-simulated (verify/resim_oracle.hpp), one check per config.
 #pragma once
 
 #include <cstdint>

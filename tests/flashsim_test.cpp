@@ -78,10 +78,8 @@ TEST(FlashArray, RunUntilProcessesPrefixOnly) {
   a.run_until(150);
   EXPECT_EQ(a.completions().size(), 1u);
   EXPECT_EQ(a.now(), 150);
-  EXPECT_EQ(a.pending_requests(), 1u);
   a.run();
   EXPECT_EQ(a.completions().size(), 2u);
-  EXPECT_EQ(a.pending_requests(), 0u);
 }
 
 TEST(FlashArray, InterleavedSubmitAndRun) {
@@ -100,14 +98,6 @@ TEST(FlashArray, RejectsSubmitIntoPast) {
   a.submit({.id = 0, .device = 0, .submit_time = 100});
   a.run();
   EXPECT_DEATH(a.submit({.id = 1, .device = 0, .submit_time = 50}), "past");
-}
-
-TEST(FlashArray, DeviceFreeAtAccountsQueue) {
-  FlashArray a(1, fixed_model(100));
-  a.submit({.id = 0, .device = 0, .submit_time = 0});
-  a.submit({.id = 1, .device = 0, .submit_time = 0});
-  a.run_until(0);
-  EXPECT_EQ(a.device_free_at(0), 200);
 }
 
 TEST(FlashArray, ConservationEveryRequestCompletesOnce) {

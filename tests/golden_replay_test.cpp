@@ -23,6 +23,7 @@
 #include "trace/disksim_format.hpp"
 #include "trace/synthetic.hpp"
 #include "util/time.hpp"
+#include "verify/resim_oracle.hpp"
 
 #ifndef FLASHQOS_GOLDEN_DIR
 #error "build must define FLASHQOS_GOLDEN_DIR"
@@ -36,6 +37,20 @@ const decluster::DesignTheoretic& scheme931() {
   static const auto d = design::make_9_3_1();
   static const decluster::DesignTheoretic s(d, true);
   return s;
+}
+
+// Every golden replay also re-simulates its device ops on flashsim's
+// FlashArray (verify/resim_oracle.hpp): each op must keep its start and
+// finish, and each served read must be exactly one read op.
+core::PipelineResult replay(const core::PipelineConfig& cfg, const trace::Trace& t) {
+  verify::DeviceOpLog log;
+  auto result = core::QosPipeline(scheme931(), cfg).run(t, &log);
+  const auto resim =
+      verify::resimulate(scheme931(), cfg, t.duration() + cfg.qos_interval, log);
+  EXPECT_GT(resim.ops, 0u);
+  EXPECT_TRUE(resim.ok()) << resim.mismatches << " re-simulation mismatches; first: "
+                          << resim.first;
+  return result;
 }
 
 trace::Trace load_trace(const std::string& stem, SimTime report_interval) {
@@ -121,7 +136,7 @@ TEST(GoldenReplay, FlatlineOnlineModulo) {
   core::PipelineConfig cfg;
   cfg.retrieval = core::RetrievalMode::kOnline;
   cfg.mapping = core::MappingMode::kModulo;
-  const auto result = core::QosPipeline(scheme931(), cfg).run(t);
+  const auto result = replay(cfg, t);
 
   ASSERT_EQ(result.intervals.size(), 16u);
   for (const auto& iv : result.intervals) {
@@ -145,7 +160,7 @@ TEST(GoldenReplay, BurstyAlignedDetFim) {
   cfg.retrieval = core::RetrievalMode::kIntervalAligned;
   cfg.admission = core::AdmissionMode::kDeterministic;
   cfg.mapping = core::MappingMode::kFim;
-  const auto result = core::QosPipeline(scheme931(), cfg).run(t);
+  const auto result = replay(cfg, t);
 
   // The fixture is built to exercise the interesting counters; if these go
   // to zero the snapshot stops guarding anything.
@@ -164,7 +179,7 @@ TEST(GoldenReplay, BurstyOnlineDetFim) {
   cfg.retrieval = core::RetrievalMode::kOnline;
   cfg.admission = core::AdmissionMode::kDeterministic;
   cfg.mapping = core::MappingMode::kFim;
-  const auto result = core::QosPipeline(scheme931(), cfg).run(t);
+  const auto result = replay(cfg, t);
   check_golden("bursty_online_det_fim", format_result(result));
 }
 
@@ -205,7 +220,7 @@ trace::Trace tenant_trace() {
 TEST(GoldenReplay, MultiTenantOnlineDet) {
   const auto t = tenant_trace();
   const auto cfg = tenant_cfg();
-  const auto result = core::QosPipeline(scheme931(), cfg).run(t);
+  const auto result = replay(cfg, t);
 
   // The fixture must exercise the whole front end, or the snapshot stops
   // guarding anything: backpressure (marks and sheds on the flooder) and
@@ -222,7 +237,7 @@ TEST(GoldenReplay, MultiTenantAlignedDet) {
   const auto t = tenant_trace();
   auto cfg = tenant_cfg();
   cfg.retrieval = core::RetrievalMode::kIntervalAligned;
-  const auto result = core::QosPipeline(scheme931(), cfg).run(t);
+  const auto result = replay(cfg, t);
   check_golden("multi_tenant_aligned_det", format_result(result));
 }
 
@@ -290,7 +305,7 @@ void overload_tenants(core::PipelineConfig& cfg) {
 
 void check_overload(const std::string& stem, const core::PipelineConfig& cfg) {
   const auto t = overload_trace(!cfg.tenants.empty());
-  const auto result = core::QosPipeline(scheme931(), cfg).run(t);
+  const auto result = replay(cfg, t);
   // The fixture must stay over budget, or the snapshot stops guarding the
   // deferral path.
   EXPECT_GT(result.overall.deferred, 0u);

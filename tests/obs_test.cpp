@@ -199,7 +199,7 @@ bool snapshots_identical(const HistogramSnapshot& a, const HistogramSnapshot& b)
 }
 
 TEST(LatencyHistogram, RecordNEquivalentToRepeatedRecord) {
-  // record_n (the batched-flush path FlashArray and the outcome fold use)
+  // record_n (the batched-flush path the outcome fold uses)
   // must leave the histogram in the same state as n individual records —
   // in the exact regime and after tracker overflow alike.
   LatencyHistogram batched;
@@ -504,8 +504,14 @@ TEST(PipelineObservability, CountersMatchReplayOutcomes) {
     const auto* reads = snap.find_counter("pipeline.reads_served");
     ASSERT_NE(reads, nullptr);
     EXPECT_EQ(resp->count, reads->value);
+    // Every read is one device op: the engine's per-device op counters
+    // sum to its submits, which equal the reads served (no writes here).
+    const auto* submits = snap.find_counter("flashsim.submits");
+    ASSERT_NE(submits, nullptr);
+    EXPECT_EQ(submits->value, reads->value);
+    EXPECT_GT(submits->value, 0u);
     EXPECT_EQ(snap.counter_family_total("flashsim.device.requests"),
-              snap.find_counter("flashsim.completions")->value);
+              submits->value);
     reg.reset();
   }
 }

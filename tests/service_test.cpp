@@ -231,33 +231,37 @@ TEST(PipelineService, DrainIsIdempotentAndSubmitAfterDrainRefused) {
 TEST(PipelineService, FlushReleasesVerdictsMidSession) {
   // The marker-carried frontier: flush(floor) must let everything strictly
   // below the floor dispatch and answer while the stream stays open — no
-  // drain, no further submits.
+  // drain, no further submits. A read is final when it dispatches, so a
+  // floor 1 ns past its arrival is enough, well before its finish.
   const auto d = design::make_9_3_1();
   const decluster::DesignTheoretic scheme(d, true);
-  ServiceOptions so;
-  so.pipeline = basic_config();
-  so.meta.name = "flush";
-  PipelineService svc(scheme, so);
-  CollectSink sink;
-  ASSERT_TRUE(svc.start(sink));
-
   trace::TraceEvent ev;
   ev.block = 9;
   ev.time = 0;
-  const std::uint64_t tag = 42;
-  ASSERT_TRUE(svc.submit(1, {&ev, 1}, {&tag, 1}));
-  svc.flush(so.pipeline.qos_interval * 4);
+  for (const SimTime floor : {basic_config().qos_interval * 4, ev.time + 1}) {
+    SCOPED_TRACE("floor " + std::to_string(floor));
+    ServiceOptions so;
+    so.pipeline = basic_config();
+    so.meta.name = "flush";
+    PipelineService svc(scheme, so);
+    CollectSink sink;
+    ASSERT_TRUE(svc.start(sink));
 
-  {
-    std::unique_lock<std::mutex> lock(sink.mutex);
-    const bool served = sink.cv.wait_for(
-        lock, std::chrono::seconds(10), [&] { return !sink.served.empty(); });
-    ASSERT_TRUE(served) << "flush did not release the verdict";
-    EXPECT_EQ(sink.served[0].tag, 42u);
+    const std::uint64_t tag = 42;
+    ASSERT_TRUE(svc.submit(1, {&ev, 1}, {&tag, 1}));
+    svc.flush(floor);
+
+    {
+      std::unique_lock<std::mutex> lock(sink.mutex);
+      const bool served = sink.cv.wait_for(
+          lock, std::chrono::seconds(10), [&] { return !sink.served.empty(); });
+      ASSERT_TRUE(served) << "flush did not release the verdict";
+      EXPECT_EQ(sink.served[0].tag, 42u);
+    }
+    EXPECT_TRUE(svc.accepting()) << "session must still be open";
+    (void)svc.drain();
+    EXPECT_EQ(sink.count(), 1u);
   }
-  EXPECT_TRUE(svc.accepting()) << "session must still be open";
-  (void)svc.drain();
-  EXPECT_EQ(sink.count(), 1u);
 }
 
 TEST(PipelineService, BuildServiceFromConfig) {

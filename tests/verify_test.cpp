@@ -9,12 +9,15 @@
 #include <algorithm>
 #include <limits>
 
+#include "core/qos_pipeline.hpp"
 #include "decluster/schemes.hpp"
 #include "design/catalog.hpp"
 #include "design/constructions.hpp"
 #include "retrieval/maxflow.hpp"
+#include "trace/workload.hpp"
 #include "verify/guarantee.hpp"
 #include "verify/invariants.hpp"
+#include "verify/resim_oracle.hpp"
 
 namespace flashqos {
 namespace {
@@ -235,6 +238,113 @@ TEST(VerifyGuaranteeMutation, BrokenDesignFailsTheBound) {
   p.max_accesses = 1;
   const auto r = verify::verify_guarantee(bad, p);
   EXPECT_FALSE(r.passed()) << r.to_string();
+}
+
+// ------------------------------------------------ device-op re-simulation
+
+/// Exchange-style replay with writes, a spike on every device, and a
+/// permanent loss with hot-spare rebuild: every device op kind occurs.
+/// No admission, so reads are served inside the spike (deterministic
+/// admission would defer them past it).
+struct ResimFixture {
+  design::BlockDesign d = design::make_9_3_1();
+  DesignTheoretic scheme{d, true};
+  trace::Trace t;
+  core::PipelineConfig cfg;
+  verify::DeviceOpLog log;
+  SimTime spike_start = 0;  // a 4x spike on every device covers
+  SimTime spike_end = 0;    // [spike_start, spike_end)
+
+  ResimFixture() {
+    auto wp = trace::exchange_params(0.02, 2012);
+    wp.write_fraction = 0.2;
+    t = trace::generate_workload(wp);
+    cfg.admission = core::AdmissionMode::kNone;
+    const auto at = [&](std::size_t num) { return t.events[t.events.size() * num / 8].time; };
+    spike_start = at(2);
+    spike_end = at(4);
+    for (DeviceId dev = 0; dev < scheme.devices(); ++dev) {
+      cfg.faults.spikes.push_back(
+          {.device = dev, .start = spike_start, .end = spike_end, .factor = 4.0});
+    }
+    cfg.faults.outages.push_back({.device = 3, .fail_at = at(3)});
+    cfg.faults.rebuild.pages_per_second = 50000.0;
+    (void)core::QosPipeline(scheme, cfg).run(t, &log);
+  }
+
+  [[nodiscard]] verify::ResimResult resim(const verify::DeviceOpLog& l) const {
+    return verify::resimulate(scheme, cfg, t.duration() + cfg.qos_interval, l);
+  }
+
+  /// Rewrite op `k`'s span, and its served read's outcome with it, so only
+  /// the re-simulation itself can notice.
+  static void move_op(verify::DeviceOpLog& l, std::size_t k, SimTime start,
+                      SimTime finish) {
+    auto& op = l.ops[k];
+    for (auto& r : l.reads) {
+      if (op.kind == core::DeviceOpKind::kRead && r.request == op.request) {
+        r.start = start;
+        r.finish = finish;
+      }
+    }
+    op.start = start;
+    op.finish = finish;
+  }
+};
+
+TEST(ResimOracle, EngineOpsResimulateExactly) {
+  const ResimFixture f;
+  std::size_t kinds[3] = {};
+  for (const auto& op : f.log.ops) ++kinds[static_cast<std::size_t>(op.kind)];
+  EXPECT_GT(kinds[0], 0u) << "no reads";
+  EXPECT_GT(kinds[1], 0u) << "no write replicas";
+  EXPECT_GT(kinds[2], 0u) << "no rebuild reads";
+  const auto r = f.resim(f.log);
+  EXPECT_EQ(r.ops, f.log.ops.size());
+  EXPECT_TRUE(r.ok()) << r.mismatches << " mismatches; first: " << r.first;
+}
+
+TEST(ResimOracleMutation, OverlappingOpIsDetected) {
+  const ResimFixture f;
+  // The first op whose device already served one: start it 1 ns before
+  // that predecessor finishes.
+  std::vector<std::size_t> last(f.scheme.devices(), f.log.ops.size());
+  auto bad = f.log;
+  bool moved = false;
+  for (std::size_t k = 0; k < bad.ops.size() && !moved; ++k) {
+    const auto dev = bad.ops[k].device;
+    if (last[dev] < bad.ops.size()) {
+      const SimTime start = bad.ops[last[dev]].finish - 1;
+      ResimFixture::move_op(bad, k, start,
+                            start + bad.ops[k].finish - bad.ops[k].start);
+      moved = true;
+    }
+    last[dev] = k;
+  }
+  ASSERT_TRUE(moved);
+  const auto r = f.resim(bad);
+  EXPECT_FALSE(r.ok());
+  EXPECT_NE(r.first.find("!= simulator"), std::string::npos) << r.first;
+}
+
+TEST(ResimOracleMutation, SpikeReadWithBaseServiceIsDetected) {
+  const ResimFixture f;
+  auto bad = f.log;
+  bool moved = false;
+  for (std::size_t k = 0; k < bad.ops.size() && !moved; ++k) {
+    const auto& op = bad.ops[k];
+    if (op.kind != core::DeviceOpKind::kRead || op.start < f.spike_start ||
+        op.start >= f.spike_end) {
+      continue;
+    }
+    ASSERT_EQ(op.finish - op.start, 4 * f.cfg.service_time);
+    ResimFixture::move_op(bad, k, op.start, op.start + f.cfg.service_time);
+    moved = true;
+  }
+  ASSERT_TRUE(moved);
+  const auto r = f.resim(bad);
+  EXPECT_FALSE(r.ok());
+  EXPECT_NE(r.first.find("!= simulator"), std::string::npos) << r.first;
 }
 
 }  // namespace
