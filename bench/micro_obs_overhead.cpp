@@ -6,11 +6,17 @@
 // -DFLASHQOS_OBS=OFF build of this driver. The acceptance target is < 3%
 // overhead for ON vs OFF; BENCH_obs.json records one run of each.
 //
-// Three timed sections, repeated and min-of-N to shave scheduler noise:
+// Timed sections, repeated and min-of-N to shave scheduler noise:
 //  (1) online replay   — the per-request dispatch loop (relaxed counter
 //      increments are the only live instrumentation there);
 //  (2) aligned replay  — batch retrieval, where the retrieval counters sit;
-//  (3) outcome fold    — included in both, since the engine folds every
+//  (3) over budget     — an ON/OFF stream shaped like perfbench's
+//      onoff_overload (64 intervals of 10 distinct buckets, 2 x S on
+//      (9,3,1), then 128 idle), online: deferral-heavy outcomes spread the
+//      e2e/queue/delay histograms over many distinct values;
+//  (4) window per instant — one read per QoS interval, aligned: every
+//      dispatch instant rolls a time-series window;
+//  (5) outcome fold    — included in all, since the engine folds every
 //      finalized outcome into the registry as it leaves the replay
 //      window; its cost is part of what OFF elides.
 //
@@ -69,8 +75,23 @@ int main(int argc, char** argv) {
   sp.seed = 2012;
   const auto synthetic = trace::generate_synthetic(sp);
 
+  // Over budget: 10 distinct buckets at each of 64 interval starts, then
+  // 128 idle intervals, repeated.
+  constexpr std::size_t kOn = 64, kOff = 128, kPerInterval = 10;
+  sp.requests_per_interval = kPerInterval;
+  auto overload = trace::generate_synthetic(sp);
+  for (std::size_t i = 0; i < overload.events.size(); ++i) {
+    const std::size_t interval = i / kPerInterval;
+    overload.events[i].time = static_cast<SimTime>(
+        (interval / kOn) * (kOn + kOff) + interval % kOn) * sp.interval;
+  }
+  // One read per QoS interval: every dispatch instant is a new window.
+  sp.requests_per_interval = 1;
+  const auto sparse = trace::generate_synthetic(sp);
+
   const int reps = smoke ? 2 : 7;
   const auto requests = synthetic.events.size() + exchange.events.size();
+  const auto per_leg = synthetic.events.size();  // the two new legs' size
 
   core::PipelineConfig online;  // slot matching — the tightest loop
   core::PipelineConfig aligned;
@@ -88,6 +109,10 @@ int main(int argc, char** argv) {
   obs::Tracer::global().set_enabled(false);
   const double online_s = min_seconds(reps, [&] { replay_both(online); });
   const double aligned_s = min_seconds(reps, [&] { replay_both(aligned); });
+  const double overload_s = min_seconds(
+      reps, [&] { (void)core::QosPipeline(scheme, online).run(overload); });
+  const double sparse_s = min_seconds(
+      reps, [&] { (void)core::QosPipeline(scheme, aligned).run(sparse); });
 
   // Tracing on top (runtime gate; only meaningful when compiled in). The
   // ring is cleared between runs so every rep pays the same record cost.
@@ -100,20 +125,23 @@ int main(int argc, char** argv) {
   obs::Tracer::global().clear();
 
   Table table({"section", "time (s)", "ns/request"});
-  const auto row = [&](const char* name, double s) {
+  const auto row = [&](const char* name, double s, std::size_t n) {
     table.add_row({name, Table::num(s, 4),
-                   Table::num(s * 1e9 / static_cast<double>(requests), 1)});
+                   Table::num(s * 1e9 / static_cast<double>(n), 1)});
   };
-  row("online replay", online_s);
-  row("aligned replay", aligned_s);
+  row("online replay", online_s, requests);
+  row("aligned replay", aligned_s, requests);
+  row("over budget (on/off, online)", overload_s, per_leg);
+  row("window per instant (aligned)", sparse_s, per_leg);
   row(obs::kEnabled ? "online replay + tracer" : "online replay (tracer n/a)",
-      traced_s);
+      traced_s, requests);
   table.print();
 
   std::printf("\nmachine-readable: {\"obs\":\"%s\",\"requests\":%zu,"
-              "\"online_s\":%.6f,\"aligned_s\":%.6f,\"traced_s\":%.6f}\n",
-              obs::kEnabled ? "on" : "off", requests, online_s, aligned_s,
-              traced_s);
+              "\"leg_requests\":%zu,\"online_s\":%.6f,\"aligned_s\":%.6f,"
+              "\"overload_s\":%.6f,\"sparse_s\":%.6f,\"traced_s\":%.6f}\n",
+              obs::kEnabled ? "on" : "off", requests, per_leg, online_s, aligned_s,
+              overload_s, sparse_s, traced_s);
   std::printf("compare against the opposite -DFLASHQOS_OBS build for the "
               "<3%% overhead target (BENCH_obs.json records both).\n");
   return 0;

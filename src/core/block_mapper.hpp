@@ -9,20 +9,19 @@
 // paper's modulo rule: bucket = block % buckets.
 #pragma once
 
-#include <optional>
+#include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "decluster/allocation.hpp"
+#include "fim/block_table.hpp"
 #include "fim/transaction.hpp"
 
 namespace flashqos::core {
 
 class BlockMapper {
  public:
-  explicit BlockMapper(const decluster::AllocationScheme& scheme)
-      : scheme_(scheme) {}
+  explicit BlockMapper(const decluster::AllocationScheme& scheme);
 
   /// Rebuild the FIM table from frequent pairs (highest support first gets
   /// the strongest separation). Replaces any previous table.
@@ -33,19 +32,30 @@ class BlockMapper {
     bool matched = false;  // true if the block came from the FIM table
   };
 
-  [[nodiscard]] MapResult map(DataBlockId block) const;
+  [[nodiscard]] MapResult map(DataBlockId block) const {
+    if (!table_.empty()) {
+      if (const auto b = table_.find(block); b != fim::BlockTable::kAbsent) {
+        return {b, true};
+      }
+    }
+    return {static_cast<BucketId>(block % buckets_), false};
+  }
 
   [[nodiscard]] std::size_t table_size() const noexcept { return table_.size(); }
 
  private:
-  /// Pick the next bucket for `block`, preferring device sets disjoint from
-  /// `partner_bucket` (its frequent co-requestee), scanning a small window
-  /// from the round-robin cursor.
-  [[nodiscard]] BucketId pick_bucket(std::optional<BucketId> partner_bucket);
+  static constexpr BucketId kNoPartner = kInvalidBucket;
 
-  const decluster::AllocationScheme& scheme_;
-  std::unordered_map<DataBlockId, BucketId> table_;
-  std::vector<std::size_t> usage_;  // blocks mapped per bucket (per rebuild)
+  /// Pick the next bucket for a block whose frequent co-requestee sits on
+  /// `partner` (kNoPartner if none), scanning cyclically from the cursor.
+  [[nodiscard]] BucketId pick_bucket(BucketId partner);
+
+  std::size_t buckets_;
+  std::size_t words_;                  // ⌈devices / 64⌉
+  std::vector<std::uint64_t> devices_;  // bucket b's replica-device bitset
+                                        // at [b * words_, (b + 1) * words_)
+  fim::BlockTable table_;               // block -> bucket
+  std::vector<std::uint32_t> usage_;    // blocks mapped per bucket (per rebuild)
   std::size_t cursor_ = 0;
 };
 

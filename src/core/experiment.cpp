@@ -111,6 +111,8 @@ std::unique_ptr<design::BlockDesign> make_design(const std::string& spec) {
     if (kind == "ag" || kind == "pg") {
       const auto q = design_arg(arg, spec);
       require(design::is_prime_power(q), "the order q must be a prime power");
+      require(design::field_degree(q) <= design::kMaxFieldDegree,
+              "GF(q) is built for q = p^k with k <= 6 only");
       return std::make_unique<design::BlockDesign>(
           kind == "ag" ? design::affine_plane_gf(q) : design::projective_plane_gf(q));
     }

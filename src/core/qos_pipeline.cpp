@@ -408,7 +408,7 @@ void SliceTransactions::add(const trace::TraceEvent& e) {
   if (!e.is_read) return;  // the paper mines read requests
   const std::int64_t w = e.time / qos_interval_;
   if (w != window_) {
-    open_.add(std::exchange(tx_, {}));  // an empty transaction adds nothing
+    close_transaction();
     window_ = w;
   }
   tx_.push_back(e.block);
@@ -428,8 +428,13 @@ fim::TransactionDb SliceTransactions::take() {
   return db;
 }
 
+void SliceTransactions::close_transaction() {
+  open_.add_in_place(tx_);  // an empty transaction adds nothing
+  tx_.clear();
+}
+
 void SliceTransactions::close_slice() {
-  open_.add(std::exchange(tx_, {}));
+  close_transaction();
   window_ = -1;  // a QoS interval's transaction never straddles a slice
   done_.push_back(std::exchange(open_, {}));
   ++slice_;

@@ -290,7 +290,8 @@ class FimSource {
 /// builds one transaction database per reporting slice, where each QoS
 /// interval's read blocks (event order) form one transaction, cut at slice
 /// boundaries. Slices complete in order and wait until taken. A zero
-/// report interval makes the whole input one slice.
+/// report interval makes the whole input one slice. Transactions append
+/// into the open slice's flat database through one reused buffer.
 class SliceTransactions {
  public:
   SliceTransactions(SimTime qos_interval, SimTime report_interval)
@@ -310,13 +311,14 @@ class SliceTransactions {
   [[nodiscard]] fim::TransactionDb take();
 
  private:
+  void close_transaction();
   void close_slice();
 
   SimTime qos_interval_;
   SimTime report_interval_;
   std::deque<fim::TransactionDb> done_;
   fim::TransactionDb open_;         // the slice under construction
-  std::vector<fim::Item> tx_;       // its open transaction
+  std::vector<fim::Item> tx_;       // its open transaction (reused buffer)
   std::int64_t window_ = -1;        // QoS interval of tx_; -1 = none yet
   std::size_t slice_ = 0;           // index of open_
 };

@@ -93,7 +93,7 @@ bool is_irreducible(const std::vector<std::uint32_t>& mod, std::uint32_t p) {
 
 GaloisField::GaloisField(std::uint32_t p, std::uint32_t k) : p_(p), k_(k) {
   FLASHQOS_EXPECT(is_prime(p), "field characteristic must be prime");
-  FLASHQOS_EXPECT(k >= 1 && k <= 6, "supported field degrees: 1..6");
+  FLASHQOS_EXPECT(k >= 1 && k <= kMaxFieldDegree, "supported field degrees: 1..6");
   order_ = 1;
   for (std::uint32_t i = 0; i < k; ++i) {
     FLASHQOS_EXPECT(order_ < UINT32_MAX / p, "field order overflow");
@@ -183,17 +183,16 @@ bool is_prime(std::uint32_t q) noexcept {
   return true;
 }
 
-bool is_prime_power(std::uint32_t q) {
-  if (q < 2) return false;
+bool is_prime_power(std::uint32_t q) { return field_degree(q) != 0; }
+
+std::uint32_t field_degree(std::uint32_t q) {
+  if (q < 2) return 0;
   // Smallest prime factor must exhaust q.
   std::uint32_t p = 2;
-  while (q % p != 0) {
-    ++p;
-    if (p > q) return false;
-  }
-  std::uint32_t x = q;
-  while (x % p == 0) x /= p;
-  return x == 1;
+  while (q % p != 0) ++p;
+  std::uint32_t k = 0;
+  for (; q % p == 0; q /= p) ++k;
+  return q == 1 ? k : 0;
 }
 
 BlockDesign affine_plane_gf(std::uint32_t q) {

@@ -55,6 +55,12 @@ class GaloisField {
 /// planes exist).
 [[nodiscard]] bool is_prime_power(std::uint32_t q);
 
+/// Largest degree k GaloisField builds GF(p^k) for.
+inline constexpr std::uint32_t kMaxFieldDegree = 6;
+
+/// k for a prime power q = p^k; 0 if q is not a prime power.
+[[nodiscard]] std::uint32_t field_degree(std::uint32_t q);
+
 /// Affine plane AG(2, q) over GF(q) for any prime power q: a (q², q, 1)
 /// design. Generalizes constructions.hpp's prime-only version.
 [[nodiscard]] BlockDesign affine_plane_gf(std::uint32_t q);

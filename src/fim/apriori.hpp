@@ -19,13 +19,14 @@ namespace flashqos::fim {
 
 struct MiningResult {
   std::vector<FrequentPair> pairs;
-  double elapsed_seconds = 0.0;
-  std::size_t peak_memory_bytes = 0;   // process VmHWM after the run
   std::size_t transactions = 0;
   std::size_t total_items = 0;
   std::size_t frequent_items = 0;      // items surviving pass 1
 };
 
+/// Linear in item and pair occurrences: pass 1 counts supports in a
+/// BlockTable, pass 2 radix-sorts the pair keys of frequent items and
+/// run-counts them.
 [[nodiscard]] MiningResult mine_pairs_apriori(const TransactionDb& db,
                                               std::uint64_t min_support);
 

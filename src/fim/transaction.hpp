@@ -17,34 +17,47 @@ namespace flashqos::fim {
 
 using Item = DataBlockId;
 
+/// Flat storage: every transaction's items back to back in one array, plus
+/// the end offset of each transaction, so a slice costs two growing
+/// arrays rather than one allocation per transaction.
 class TransactionDb {
  public:
   TransactionDb() = default;
 
   /// Add one transaction; duplicates within it are collapsed and items
-  /// sorted (canonical form required by the miners).
-  void add(std::vector<Item> items) {
+  /// sorted (canonical form required by the miners). An empty transaction
+  /// adds nothing.
+  void add(std::vector<Item> items) { add_in_place(items); }
+
+  /// Same rule, canonicalizing `items` in place so the caller can reuse
+  /// its buffer.
+  void add_in_place(std::span<Item> items) {
     std::sort(items.begin(), items.end());
-    items.erase(std::unique(items.begin(), items.end()), items.end());
-    if (!items.empty()) transactions_.push_back(std::move(items));
+    const auto last = std::unique(items.begin(), items.end());
+    if (last == items.begin()) return;
+    items_.insert(items_.end(), items.begin(), last);
+    ends_.push_back(items_.size());
   }
 
-  [[nodiscard]] std::size_t size() const noexcept { return transactions_.size(); }
-  [[nodiscard]] bool empty() const noexcept { return transactions_.empty(); }
-  [[nodiscard]] std::span<const std::vector<Item>> transactions() const noexcept {
-    return transactions_;
+  [[nodiscard]] std::size_t size() const noexcept { return ends_.size(); }
+  [[nodiscard]] bool empty() const noexcept { return ends_.empty(); }
+
+  /// Transaction `i` (sorted, distinct items).
+  [[nodiscard]] std::span<const Item> transaction(std::size_t i) const noexcept {
+    const std::size_t begin = i == 0 ? 0 : ends_[i - 1];
+    return {items_.data() + begin, ends_[i] - begin};
   }
+
+  /// Every item occurrence, transaction after transaction.
+  [[nodiscard]] std::span<const Item> items() const noexcept { return items_; }
 
   /// Total item occurrences across transactions (the "requests size" the
   /// paper quotes for FIM inputs in Table IV).
-  [[nodiscard]] std::size_t total_items() const noexcept {
-    std::size_t n = 0;
-    for (const auto& t : transactions_) n += t.size();
-    return n;
-  }
+  [[nodiscard]] std::size_t total_items() const noexcept { return items_.size(); }
 
  private:
-  std::vector<std::vector<Item>> transactions_;
+  std::vector<Item> items_;
+  std::vector<std::size_t> ends_;  // one past each transaction's last item
 };
 
 struct FrequentPair {

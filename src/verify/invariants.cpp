@@ -9,10 +9,11 @@
 
 #include "core/block_mapper.hpp"
 #include "design/bucket_table.hpp"
-#include "fim/transaction.hpp"
+#include "fim/apriori.hpp"
 #include "retrieval/dtr.hpp"
 #include "retrieval/maxflow.hpp"
 #include "util/rng.hpp"
+#include "verify/fim_oracle.hpp"
 
 namespace flashqos::verify {
 namespace {
@@ -422,6 +423,26 @@ Report verify_block_mapper(const decluster::AllocationScheme& s,
   }
   r.add("top pair achieves minimum device overlap", achieved == best,
         format("overlap {}, minimum possible {}", achieved, best));
+
+  // The fast rebuild against the reference placement, on pairs mined from
+  // model slices: every block the slice reads must map as the reference maps
+  // it.
+  for (const auto& slice : model_slices()) {
+    const auto mined = fim::mine_pairs_apriori(slice.db, 1).pairs;
+    const auto reference = reference_placement(s, mined);
+    core::BlockMapper fast(s);
+    fast.rebuild(mined);
+    std::string why;
+    bool same = fast.table_size() == reference.size();
+    if (!same) {
+      why = format("table holds {} blocks, reference {}", fast.table_size(),
+                   reference.size());
+    }
+    same = same && mapping_matches(reference, buckets, fast, slice.db.items(), &why);
+    r.add(slice.name + " slice maps as the reference placement", same,
+          same ? format("{} blocks, {} placed", slice.db.total_items(), reference.size())
+               : why);
+  }
   return r;
 }
 

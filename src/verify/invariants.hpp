@@ -84,8 +84,10 @@ struct AllocationExpectations {
                                        const AllocationExpectations& expect = {});
 
 /// BlockMapper audit: modulo fallback for unmapped blocks, FIM-table range
-/// and determinism, and first-placed frequent pair achieving the minimum
-/// possible device overlap.
+/// and determinism, first-placed frequent pair achieving the minimum
+/// possible device overlap, and — on pairs mined from each model slice
+/// (fim_oracle.hpp) — every block of the slice mapping as the reference
+/// placement maps it.
 [[nodiscard]] Report verify_block_mapper(const decluster::AllocationScheme& s,
                                          std::uint64_t seed = 1);
 

@@ -22,6 +22,7 @@
 #include "verify/daemon_oracle.hpp"
 #include "verify/fairness_oracle.hpp"
 #include "verify/fault_oracle.hpp"
+#include "verify/fim_oracle.hpp"
 #include "verify/guarantee.hpp"
 #include "verify/invariants.hpp"
 #include "verify/obs_check.hpp"
@@ -168,7 +169,10 @@ int main(int argc, char** argv) {
     // front.
     const auto arithmetic = flashqos::verify::verify_guarantee_arithmetic();
     std::printf("%s\n", arithmetic.to_string(verbose).c_str());
-    all_ok = arithmetic.passed();
+    // So is the pair miner the block-mapper checks feed from.
+    const auto miner = flashqos::verify::verify_miner();
+    std::printf("%s\n", miner.to_string(verbose).c_str());
+    all_ok = arithmetic.passed() && miner.passed();
 
     for (const auto& e : flashqos::design::catalog()) {
       if (only.empty()) {

@@ -148,11 +148,12 @@ TEST(Experiment, RejectsUnknownNames) {
   // "ag:4.5" AG(2,4), "td:3,5junk" TD(3,5); "sts:-1" wrapped to 2^32 - 1.
   // Whole arguments that name no design (no STS on 4 points, no plane of
   // order 6, TD needs a prime n and k <= n+1) used to abort in the
-  // constructor.
+  // constructor, and so did planes over GF(2^7), a field degree GaloisField
+  // does not build.
   for (const std::string spec :
        {"sts:15x", "ag:4.5", "td:3,5junk", "sts:-1", "pg:+3", "td:3,", "sts:",
         "sts:4294967296", "sts:3", "sts:4", "ag:1", "ag:6", "pg:6", "td:9,4",
-        "td:7,5"}) {
+        "td:7,5", "ag:128", "pg:128"}) {
     try {
       (void)core::build_experiment(config_from("[design]\nname = " + spec + "\n"));
       ADD_FAILURE() << spec << " built";

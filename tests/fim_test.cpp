@@ -4,6 +4,7 @@
 
 #include "fim/apriori.hpp"
 #include "util/rng.hpp"
+#include "verify/fim_oracle.hpp"
 
 namespace flashqos::fim {
 namespace {
@@ -21,7 +22,8 @@ TEST(TransactionDb, CanonicalizesTransactions) {
   TransactionDb db;
   db.add({5, 3, 5, 1, 3});
   ASSERT_EQ(db.size(), 1u);
-  EXPECT_EQ(db.transactions()[0], (std::vector<Item>{1, 3, 5}));
+  const auto t = db.transaction(0);
+  EXPECT_EQ(std::vector<Item>(t.begin(), t.end()), (std::vector<Item>{1, 3, 5}));
   EXPECT_EQ(db.total_items(), 3u);
 }
 
@@ -72,8 +74,6 @@ TEST(Apriori, ReportsInstrumentation) {
   const auto res = mine_pairs_apriori(tiny_db(), 1);
   EXPECT_EQ(res.transactions, 4u);
   EXPECT_EQ(res.total_items, 10u);
-  EXPECT_GE(res.elapsed_seconds, 0.0);
-  EXPECT_GT(res.peak_memory_bytes, 0u);
 }
 
 // Property: on random databases, apriori == naive for every support level.
@@ -100,6 +100,20 @@ TEST_P(MinerAgreement, AllThreeMinersAgree) {
 
 INSTANTIATE_TEST_SUITE_P(RandomDbs, MinerAgreement,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u));
+
+// The random databases above draw from 25 items; a model TPC-E-like slice
+// has thousands of distinct blocks, so the survivor table grows and the
+// radix sort runs several passes.
+TEST(MinerAgreement, ModelSliceAgrees) {
+  const auto& slice = verify::model_slices().back();
+  EXPECT_GT(mine_pairs_apriori(slice.db, 1).frequent_items, 512u);
+  for (const std::uint64_t support : {1u, 2u, 3u}) {
+    const auto a = mine_pairs_apriori(slice.db, support);
+    EXPECT_FALSE(a.pairs.empty());
+    EXPECT_EQ(a.pairs, mine_pairs_naive(slice.db, support))
+        << slice.name << ", support=" << support;
+  }
+}
 
 TEST(Apriori, LargeItemIdsSupported) {
   TransactionDb db;

@@ -202,7 +202,12 @@ TEST(SliceTransactions, CutsAtQosIntervalsAndSliceBoundaries) {
   }
   using Txs = std::vector<std::vector<fim::Item>>;
   const auto txs = [](const fim::TransactionDb& db) {
-    return Txs(db.transactions().begin(), db.transactions().end());
+    Txs out;
+    for (std::size_t i = 0; i < db.size(); ++i) {
+      const auto t = db.transaction(i);
+      out.emplace_back(t.begin(), t.end());
+    }
+    return out;
   };
   ASSERT_TRUE(slices.ready());
   EXPECT_EQ(txs(slices.take()), (Txs{{1, 2}, {3}, {5}}));  // the write is skipped

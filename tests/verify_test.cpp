@@ -13,8 +13,10 @@
 #include "decluster/schemes.hpp"
 #include "design/catalog.hpp"
 #include "design/constructions.hpp"
+#include "fim/apriori.hpp"
 #include "retrieval/maxflow.hpp"
 #include "trace/workload.hpp"
+#include "verify/fim_oracle.hpp"
 #include "verify/guarantee.hpp"
 #include "verify/invariants.hpp"
 #include "verify/resim_oracle.hpp"
@@ -345,6 +347,45 @@ TEST(ResimOracleMutation, SpikeReadWithBaseServiceIsDetected) {
   const auto r = f.resim(bad);
   EXPECT_FALSE(r.ok());
   EXPECT_NE(r.first.find("!= simulator"), std::string::npos) << r.first;
+}
+
+TEST(VerifyMiner, AprioriMatchesNaiveOnModelSlices) {
+  const auto r = verify::verify_miner();
+  EXPECT_TRUE(r.passed()) << r.to_string(true);
+  EXPECT_EQ(r.checks().size(), 2u * 3u) << "two slices, supports 1..3";
+}
+
+TEST(FimOracleMutation, SupportOffByOneIsDetected) {
+  const auto& slice = verify::model_slices().front();
+  const auto pairs = fim::mine_pairs_apriori(slice.db, 1).pairs;
+  ASSERT_FALSE(pairs.empty());
+  std::string why;
+  EXPECT_TRUE(verify::pairs_match(pairs, pairs, &why)) << why;
+  auto bad = pairs;
+  ++bad[bad.size() / 2].support;
+  EXPECT_FALSE(verify::pairs_match(pairs, bad, &why));
+  EXPECT_NE(why.find("pair " + std::to_string(bad.size() / 2)), std::string::npos) << why;
+}
+
+TEST(FimOracleMutation, MovedBlockIsDetected) {
+  const auto d = design::make_13_3_1();
+  const DesignTheoretic s(d, true);
+  for (const auto& slice : verify::model_slices()) {
+    const auto pairs = fim::mine_pairs_apriori(slice.db, 1).pairs;
+    auto reference = verify::reference_placement(s, pairs);
+    core::BlockMapper mapper(s);
+    mapper.rebuild(pairs);
+    const auto blocks = slice.db.items();
+    std::string why;
+    EXPECT_TRUE(verify::mapping_matches(reference, s.buckets(), mapper, blocks, &why))
+        << slice.name << ": " << why;
+    ASSERT_FALSE(reference.empty());
+    auto& [block, bucket] = *reference.begin();
+    bucket = static_cast<BucketId>((bucket + 1) % s.buckets());
+    EXPECT_FALSE(verify::mapping_matches(reference, s.buckets(), mapper, blocks, &why))
+        << slice.name;
+    EXPECT_NE(why.find("block " + std::to_string(block)), std::string::npos) << why;
+  }
 }
 
 }  // namespace
