@@ -17,8 +17,8 @@
 // Before any timing is accepted, a small-scale identity gate checks
 // run_stream against run() field for field (exact doubles) in both
 // retrieval modes — a fast wrong replay would be worthless. The full
-// identity contract (registry + time-series + batch sweep + parallel) is
-// flashqos_verify --stream's job.
+// identity contract (registry + time-series + batch sweep + misdrain
+// mutation) is flashqos_verify --stream's job.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>

@@ -19,17 +19,16 @@
 #      compiles them out)
 #   5. the test suite under ThreadSanitizer
 #   6. the design-invariant verifier (flashqos_verify) over every catalog
-#      design with N <= 64, plus the serial ≡ sharded-sweep
-#      replay-equivalence audit (every mode combination, failure windows,
-#      mixed-mode run_jobs batches; every config's device ops re-simulated
-#      on flashsim::FlashArray with the same start and finish), the
-#      observability self-audit (--obs:
+#      design with N <= 64, plus the device-op re-simulation audit
+#      (--replay: one replay per mode combination and two failure-window
+#      configs, every device op re-simulated on flashsim::FlashArray with
+#      the same start and finish), the observability self-audit (--obs:
 #      recorded metrics, windowed time-series points, SLO burn-rate pages,
 #      and trace spans checked against the replay outcomes they describe),
 #      and the
 #      fault-injection chaos audit (--faults: randomized fault plans with
-#      request-conservation, routing, guarantee-reestablishment,
-#      serial ≡ sharded-sweep and device-op re-simulation checks), the
+#      request-conservation, routing, guarantee-reestablishment and
+#      device-op re-simulation checks), the
 #      streaming-identity audit
 #      (--stream: run_stream ≡ run() — results, metric registry, and
 #      windowed time-series bit-identical at every batch size, through
@@ -131,7 +130,7 @@ else
   banner "5/9 TSan — SKIPPED (--quick)"
 fi
 
-banner "6/9 design-invariant verifier (catalog, N <= 64) + replay equivalence + device-op re-simulation + obs audit + chaos audit + fairness audit + stream audit + daemon audit + overload audit"
+banner "6/9 design-invariant verifier (catalog, N <= 64) + device-op re-simulation audit + obs audit + chaos audit + fairness audit + stream audit + daemon audit + overload audit"
 run ./build-werror/src/verify/flashqos_verify --max-devices 64 --replay --obs --faults --fairness --stream --daemon --overload
 
 banner "7/9 flashqosd lifecycle smoke (ephemeral port, loopback batch, clean drain, bad input rejected)"

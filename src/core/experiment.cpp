@@ -8,10 +8,9 @@
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
+#include <type_traits>
 
-#include "core/parallel_replay.hpp"
 #include "core/sampler.hpp"
-#include "obs/metrics.hpp"
 #include "decluster/schemes.hpp"
 #include "design/catalog.hpp"
 #include "design/constructions.hpp"
@@ -57,12 +56,19 @@ class Fields {
 
  private:
   /// A field must stop at whitespace or the end of the line: "5O.0" reads
-  /// as 5 and leaves "O.0", which is a typo, not the next field.
+  /// as 5 and leaves "O.0", which is a typo, not the next field. An integer
+  /// field must also fit its type ("-1" is not a device or a count).
   template <typename T>
   void read(T& field) {
-    if (!(ss_ >> field)) reject();
-    const auto next = ss_.peek();
-    if (next != std::char_traits<char>::eof() && std::isspace(next) == 0) reject();
+    if constexpr (std::is_integral_v<T>) {
+      std::string text;
+      if (!(ss_ >> text)) reject();
+      field = Config::parse_int<T>(section_, key_, ss_.str(), text);
+    } else {
+      if (!(ss_ >> field)) reject();
+      const auto next = ss_.peek();
+      if (next != std::char_traits<char>::eof() && std::isspace(next) == 0) reject();
+    }
   }
   bool ended() { return (ss_ >> std::ws).eof(); }
   [[noreturn]] void reject() const {
@@ -142,33 +148,27 @@ trace::Trace make_workload(const Config& cfg) {
                                 : trace::tpce_params(scale, seed);
     p.write_fraction = cfg.get_double("workload", "write_fraction", 0.0);
     if (cfg.has("workload", "report_intervals")) {
-      p.report_intervals = static_cast<std::size_t>(
-          cfg.get_int("workload", "report_intervals", 0));
+      p.report_intervals = cfg.get_int<std::size_t>("workload", "report_intervals", 0);
     }
     return trace::generate_workload(p);
   }
   if (kind == "synthetic") {
     trace::SyntheticParams p;
-    p.bucket_pool =
-        static_cast<std::size_t>(cfg.get_int("workload", "bucket_pool", 36));
+    p.bucket_pool = cfg.get_int<std::size_t>("workload", "bucket_pool", 36);
     p.interval = from_ms(cfg.get_double("workload", "interval_ms", 0.133));
-    p.requests_per_interval = static_cast<std::uint32_t>(
-        cfg.get_int("workload", "requests_per_interval", 5));
-    p.total_requests =
-        static_cast<std::size_t>(cfg.get_int("workload", "total_requests", 10000));
+    p.requests_per_interval =
+        cfg.get_int<std::uint32_t>("workload", "requests_per_interval", 5);
+    p.total_requests = cfg.get_int<std::size_t>("workload", "total_requests", 10000);
     p.seed = seed;
     return trace::generate_synthetic(p);
   }
   if (kind == "multi_tenant") {
     trace::MultiTenantParams p;
     p.interval = from_ms(cfg.get_double("workload", "interval_ms", 0.133));
-    p.intervals =
-        static_cast<std::size_t>(cfg.get_int("workload", "intervals", 100));
-    p.bucket_base =
-        static_cast<std::size_t>(cfg.get_int("workload", "bucket_base", 0));
+    p.intervals = cfg.get_int<std::size_t>("workload", "intervals", 100);
+    p.bucket_base = cfg.get_int<std::size_t>("workload", "bucket_base", 0);
     p.seed = seed;
-    p.jitter_slots = static_cast<std::uint32_t>(
-        cfg.get_int("workload", "jitter_slots", 0));
+    p.jitter_slots = cfg.get_int<std::uint32_t>("workload", "jitter_slots", 0);
     for (const auto& spec : cfg.all("tenants", "load")) {
       Fields f("tenants", "load", spec,
                "requests_per_interval bucket_pool [active_intervals]");
@@ -192,8 +192,7 @@ trace::Trace make_workload(const Config& cfg) {
     if (path.empty()) fail("workload kind " + kind + " needs a path");
     std::ifstream in(path);
     if (!in) fail("cannot open workload file: " + path);
-    const auto volumes =
-        static_cast<std::uint32_t>(cfg.get_int("workload", "volumes", 0));
+    const auto volumes = cfg.get_int<std::uint32_t>("workload", "volumes", 0);
     if (kind == "disksim") {
       if (volumes == 0) fail("disksim workloads need volumes = N");
       return trace::read_disksim_ascii(in, path, volumes, kSecond);
@@ -227,7 +226,7 @@ Experiment build_experiment_config(const Config& cfg) {
 
   e.pipeline.qos_interval = from_ms(cfg.get_double("pipeline", "interval_ms", 0.133));
   e.pipeline.access_budget =
-      static_cast<std::uint32_t>(cfg.get_int("pipeline", "access_budget", 1));
+      cfg.get_int<std::uint32_t>("pipeline", "access_budget", 1, 1);
 
   const std::string retrieval = cfg.get("pipeline", "retrieval", "online");
   if (retrieval == "online") {
@@ -338,10 +337,10 @@ Experiment build_experiment_config(const Config& cfg) {
       static_cast<std::uint64_t>(cfg.get_int("faults", "seed", 1));
 
   if (e.pipeline.admission == AdmissionMode::kStatistical) {
-    const auto samples = static_cast<std::size_t>(
-        cfg.get_int("pipeline", "samples", 2000));
-    const auto max_k =
-        static_cast<std::uint32_t>(cfg.get_int("pipeline", "p_table_max_k", 48));
+    const auto samples = cfg.get_int<std::size_t>("pipeline", "samples", 2000);
+    // The table holds max_k + 1 entries, which must not wrap to 0.
+    const auto max_k = cfg.get_int<std::uint32_t>("pipeline", "p_table_max_k", 48, 0,
+                                                  UINT32_MAX - 1);
     e.pipeline.p_table = sample_optimal_probabilities(
         *e.scheme, max_k, {.samples_per_size = samples, .seed = 7});
     e.pipeline.p_table_samples = samples;
@@ -366,29 +365,6 @@ Experiment build_experiment(const Config& cfg) {
 PipelineResult run_experiment(const Config& cfg) {
   const auto e = build_experiment(cfg);
   return QosPipeline(*e.scheme, e.pipeline).run(e.workload);
-}
-
-std::vector<PipelineResult> run_experiments(std::span<const Config> cfgs,
-                                            std::size_t threads) {
-  ParallelReplayEngine engine({.threads = threads});
-  // Build stage, sharded: each config materializes into its own slot;
-  // parallel_for rethrows the lowest-index build error (bad design name,
-  // unreadable trace file, ...) so sweep callers see the same exception a
-  // serial build_experiment would have thrown.
-  std::vector<Experiment> experiments(cfgs.size());
-  if constexpr (obs::kEnabled) {
-    obs::MetricRegistry::global().counter("experiments.sweep_configs")
-        .inc(cfgs.size());
-  }
-  parallel_for(engine.pool(), cfgs.size(), [&](std::size_t i) {
-    experiments[i] = build_experiment(cfgs[i]);
-  });
-  std::vector<ReplayJob> jobs;
-  jobs.reserve(cfgs.size());
-  for (const auto& e : experiments) {
-    jobs.push_back({e.scheme.get(), &e.workload, e.pipeline});
-  }
-  return engine.run_jobs(jobs);
 }
 
 std::string experiment_template() {

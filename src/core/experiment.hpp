@@ -37,15 +37,14 @@
 // [tenants] (see experiment_template()) and the daemon's [service] are the
 // two other sections. Any other section is an error, as is a value that
 // does not parse whole (a numeric prefix, or a field left over after the
-// last one a line takes). build_experiment() runs
+// last one a line takes) and an integer outside its range (a negative
+// count, or one its type cannot hold). build_experiment() runs
 // PipelineConfig::validate() and throws with the joined diagnostics when
 // the combination is incoherent.
 #pragma once
 
 #include <memory>
-#include <span>
 #include <string>
-#include <vector>
 
 #include "core/qos_pipeline.hpp"
 #include "util/config.hpp"
@@ -73,14 +72,6 @@ struct Experiment {
 
 /// Build and run; returns the pipeline result.
 [[nodiscard]] PipelineResult run_experiment(const Config& cfg);
-
-/// Run a multi-configuration sweep sharded across a thread pool (0 picks
-/// the hardware concurrency): building (trace generation, P_k sampling)
-/// and replaying both run on the workers. results[i] is bit-identical to
-/// run_experiment(cfgs[i]); if any config is invalid or a replay fails,
-/// the lowest-index error is rethrown after all shards finish.
-[[nodiscard]] std::vector<PipelineResult> run_experiments(
-    std::span<const Config> cfgs, std::size_t threads = 0);
 
 /// A documented template config (what flashqos_sim --template prints).
 [[nodiscard]] std::string experiment_template();

@@ -404,7 +404,7 @@ struct OutcomeFold {
 }  // namespace
 
 void SliceTransactions::add(const trace::TraceEvent& e) {
-  close_until(e.time);
+  if (e.time >= cut_) close_until(e.time);
   if (!e.is_read) return;  // the paper mines read requests
   const std::int64_t w = e.time / qos_interval_;
   if (w != window_) {
@@ -415,17 +415,39 @@ void SliceTransactions::add(const trace::TraceEvent& e) {
 }
 
 void SliceTransactions::close_until(SimTime t) {
-  if (report_interval_ <= 0) return;
-  while (static_cast<SimTime>(slice_ + 1) * report_interval_ <= t) close_slice();
+  if (t < cut_ || cut_ == kNoCut) return;
+  // The open slice ends at cut_ <= t. Every slice after it and before the
+  // one containing t ends by t too, and no event reached any of them.
+  const auto open = static_cast<std::size_t>(t / report_interval_);
+  close_slice();
+  push_empty(open - slice_);
+  slice_ = open;
+  // The open slice ends at (slice_ + 1) * RI, or never within SimTime.
+  const auto whole = static_cast<std::size_t>(kNoCut / report_interval_);
+  cut_ = slice_ < whole ? static_cast<SimTime>(slice_ + 1) * report_interval_ : kNoCut;
 }
 
 void SliceTransactions::finish() { close_slice(); }
 
 fim::TransactionDb SliceTransactions::take() {
   FLASHQOS_EXPECT(!done_.empty(), "no completed FIM slice to take");
-  auto db = std::move(done_.front());
+  auto& front = done_.front();
+  if (front.count > 1) {
+    --front.count;
+    return {};
+  }
+  auto db = std::move(front.db);
   done_.pop_front();
   return db;
+}
+
+std::size_t SliceTransactions::skip_empty(std::size_t max) {
+  if (done_.empty() || !done_.front().db.empty()) return 0;
+  auto& front = done_.front();
+  const std::size_t n = std::min(front.count, max);
+  front.count -= n;
+  if (front.count == 0) done_.pop_front();
+  return n;
 }
 
 void SliceTransactions::close_transaction() {
@@ -436,8 +458,21 @@ void SliceTransactions::close_transaction() {
 void SliceTransactions::close_slice() {
   close_transaction();
   window_ = -1;  // a QoS interval's transaction never straddles a slice
-  done_.push_back(std::exchange(open_, {}));
+  if (open_.empty()) {
+    push_empty(1);
+  } else {
+    done_.push_back({std::exchange(open_, {}), 1});
+  }
   ++slice_;
+}
+
+void SliceTransactions::push_empty(std::size_t n) {
+  if (n == 0) return;
+  if (!done_.empty() && done_.back().db.empty()) {
+    done_.back().count += n;
+  } else {
+    done_.push_back({{}, n});
+  }
 }
 
 std::vector<fim::FrequentPair> mine_event_range(const trace::Trace& t,
@@ -747,9 +782,9 @@ class ReplayEngine {
     }
 
     // Fault state. The compiled plan is a pure function of (plan, scheme,
-    // horizon), so the serial engine and every parallel shard materialize
-    // identical fault schedules — serial ≡ parallel bit-identity holds
-    // under any plan. An empty plan takes none of the fault branches.
+    // horizon), so every replay of a config sees the same fault schedule,
+    // and the fault and re-simulation oracles recompile it on their own.
+    // An empty plan takes none of the fault branches.
     injector_.emplace(cfg_.faults, scheme_, horizon);
     faults_active_ = injector_->active();
     retry_timeout_ = injector_->compiled().retry_timeout;
@@ -768,8 +803,8 @@ class ReplayEngine {
   // ---- ingestion ---------------------------------------------------------
 
   void ingest_event(const trace::TraceEvent& e) {
-    FLASHQOS_EXPECT(e.time >= last_time_ && e.time >= 0,
-                    "stream cursor must yield time-sorted events");
+    FLASHQOS_EXPECT(e.time >= last_time_ && e.time >= 0 && e.time <= kMaxEventTime,
+                    "stream cursor must yield time-sorted events in [0, kMaxEventTime]");
     last_time_ = e.time;
     const std::uint64_t seq = ingested_++;
     win_.push_back(StreamSlot{e, RequestOutcome{}, false});
@@ -1199,17 +1234,26 @@ class ReplayEngine {
     // that just closed (paper: "we use the trace one previous than the
     // current interval for mining").
     if (cfg_.mapping == MappingMode::kFim && report_interval_ > 0) {
-      const auto target = static_cast<std::size_t>(now / report_interval_);
-      while (report_idx_ < target && report_idx_ < total_slices()) {
+      const auto target =
+          std::min(static_cast<std::size_t>(now / report_interval_), total_slices());
+      while (report_idx_ < target) {
         if (fim_ != nullptr) {
           mapper_.rebuild(fim_->slice(report_idx_));
+          ++report_idx_;
+        } else if (const auto run = fim_tx_->skip_empty(target - report_idx_);
+                   run > 0) {
+          // An empty slice mines no pair, and a rebuild from no pairs
+          // resets the mapper whatever came before: one rebuild stands for
+          // the whole run of empty slices.
+          mapper_.rebuild({});
+          report_idx_ += run;
         } else {
           // Slices are taken in order, so this is slice report_idx_.
           mapper_.rebuild(
               fim::mine_pairs_apriori(fim_tx_->take(), cfg_.fim_min_support)
                   .pairs);
+          ++report_idx_;
         }
-        ++report_idx_;
       }
     }
 

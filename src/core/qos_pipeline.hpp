@@ -24,6 +24,7 @@
 #pragma once
 
 #include <deque>
+#include <limits>
 #include <memory>
 #include <span>
 #include <string>
@@ -104,8 +105,7 @@ struct PipelineConfig {
   /// specs count WFQ enqueue attempts vs sheds. A spec naming a tenant
   /// applies to that tenant's requests only (the name must exist in
   /// `tenants`); an empty tenant means all traffic. One SLO-configured
-  /// pipeline at a time — the monitor is process-global, so concurrent
-  /// sweep jobs must leave this empty.
+  /// pipeline at a time: the monitor is process-global.
   std::vector<obs::SloSpec> slos;
 
   /// Readable diagnostics; empty means the config is coherent. `devices`
@@ -116,9 +116,9 @@ struct PipelineConfig {
 };
 
 /// Which serving path a request took. Recorded for observability but part
-/// of the result contract: a serial replay and its sharded sweep job must
-/// agree on it exactly (audited by flashqos_verify --replay), so instrumentation
-/// cannot silently change behaviour.
+/// of the result contract: a request served through the daemon must report
+/// the in-process replay's path exactly (audited by flashqos_verify
+/// --daemon), so instrumentation cannot silently change behaviour.
 enum class RetrievalPath : std::uint8_t {
   kUnset = 0,
   kPrimary,         // primary-only scheduler: first live replica
@@ -149,7 +149,7 @@ struct RequestOutcome {
   /// Integral so the equivalence audit can compare exactly.
   std::int32_t q_ppm = 0;
   /// Tenant class index (0 outside multi-tenant configs). Part of the
-  /// serial ≡ parallel result contract like every other field here.
+  /// result contract like every other field here.
   std::uint32_t tenant = 0;
   /// ECN-style congestion bit: the tenant queue was at or past its mark
   /// threshold when this request was accepted into it.
@@ -186,7 +186,7 @@ struct PipelineResult {
   IntervalReport overall;                 // aggregate over all requests
   std::size_t deadline_violations = 0;    // response > qos_interval
   /// Per-tenant WFQ tallies, indexed like PipelineConfig::tenants (empty
-  /// for single-tenant configs). Part of the serial ≡ parallel contract.
+  /// for single-tenant configs). The multi-tenant goldens pin them.
   std::vector<TenantUsage> tenant_usage;
 };
 
@@ -291,11 +291,15 @@ class FimSource {
 /// interval's read blocks (event order) form one transaction, cut at slice
 /// boundaries. Slices complete in order and wait until taken. A zero
 /// report interval makes the whole input one slice. Transactions append
-/// into the open slice's flat database through one reused buffer.
+/// into the open slice's flat database through one reused buffer. A run
+/// of consecutive empty slices (an idle gap in the arrivals) is held as
+/// one count, so a gap costs O(1) however many slices it spans.
 class SliceTransactions {
  public:
   SliceTransactions(SimTime qos_interval, SimTime report_interval)
-      : qos_interval_(qos_interval), report_interval_(report_interval) {}
+      : qos_interval_(qos_interval),
+        report_interval_(report_interval),
+        cut_(report_interval > 0 ? report_interval : kNoCut) {}
 
   /// Append one event (trace order), first closing every slice that ends
   /// at or before its arrival.
@@ -309,18 +313,36 @@ class SliceTransactions {
   [[nodiscard]] bool ready() const noexcept { return !done_.empty(); }
   /// Remove and return the oldest completed slice.
   [[nodiscard]] fim::TransactionDb take();
+  /// Remove up to `max` completed slices from the front while they have no
+  /// transaction; returns how many were removed (0 when the oldest slice
+  /// has one, or none is waiting).
+  [[nodiscard]] std::size_t skip_empty(std::size_t max);
+  /// Completed slices held as separate records; a run of empty slices is
+  /// one record.
+  [[nodiscard]] std::size_t held() const noexcept { return done_.size(); }
 
  private:
+  static constexpr SimTime kNoCut = std::numeric_limits<SimTime>::max();
+
+  /// `count` completed slices, all equal to `db`: more than one only for a
+  /// run of empty slices.
+  struct Closed {
+    fim::TransactionDb db;
+    std::size_t count = 1;
+  };
+
   void close_transaction();
   void close_slice();
+  void push_empty(std::size_t n);
 
   SimTime qos_interval_;
   SimTime report_interval_;
-  std::deque<fim::TransactionDb> done_;
+  std::deque<Closed> done_;
   fim::TransactionDb open_;         // the slice under construction
   std::vector<fim::Item> tx_;       // its open transaction (reused buffer)
   std::int64_t window_ = -1;        // QoS interval of tx_; -1 = none yet
   std::size_t slice_ = 0;           // index of open_
+  SimTime cut_;                     // where open_ ends; kNoCut = never
 };
 
 /// Mine events [begin, end) of `t` as one slice (see SliceTransactions);
@@ -366,8 +388,7 @@ class QosPipeline {
   const decluster::AllocationScheme& scheme_;
   PipelineConfig cfg_;
   /// Retrieval facade owning the solver scratch, reused across every batch
-  /// the pipeline schedules. One per pipeline is one per thread: a sharded
-  /// sweep constructs a fresh QosPipeline inside each job.
+  /// the pipeline schedules. One per pipeline: a replay runs on one thread.
   retrieval::Retriever retriever_;
 };
 

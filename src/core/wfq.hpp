@@ -21,8 +21,8 @@
 // kShed when the queue is full (the request is dropped, never queued).
 //
 // Single-threaded by design: this runs inside the serial replay core, so
-// serial ≡ parallel bit-identity holds the same way it does for every
-// other pipeline stage. The concurrent producer seam is
+// its verdicts are a pure function of the trace and config, like every
+// other pipeline stage's. The concurrent producer seam is
 // core::BasicTenantIngress (tenant_scheduler.hpp), which hands arrivals
 // to this structure from one draining thread.
 #pragma once

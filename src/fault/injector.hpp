@@ -1,8 +1,8 @@
 // FaultInjector: the replay-time query surface over a compiled fault plan.
 //
 // The pipeline builds one injector per replay (compile() is deterministic,
-// so serial and parallel replays of the same config see identical faults)
-// and asks it three questions at each simulated instant:
+// so every replay of the same config sees identical faults) and asks it
+// three questions at each simulated instant:
 //
 //   * fill_availability — which devices are up right now (and how many are
 //     down), feeding both dispatch masking and the adaptive S' budget;

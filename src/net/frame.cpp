@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "util/time.hpp"
+
 namespace flashqos::net {
 
 namespace {
@@ -200,6 +202,7 @@ bool decode_submit(const Frame& f, std::vector<WireEvent>& out) {
     e.size_blocks = r.get<std::uint32_t>();
     e.tenant = r.get<std::uint32_t>();
     e.flags = r.get<std::uint8_t>();
+    if (e.time > kMaxEventTime) return false;
     out.push_back(e);
   }
   return r.done();
@@ -209,7 +212,7 @@ bool decode_flush(const Frame& f, std::int64_t& floor) {
   if (f.type != FrameType::kFlush) return false;
   Reader r{f.payload};
   floor = r.get<std::int64_t>();
-  return r.done();
+  return r.done() && floor <= kMaxEventTime;
 }
 
 bool decode_welcome(const Frame& f, WelcomeFrame& out) {

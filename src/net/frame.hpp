@@ -12,11 +12,13 @@
 //   kSubmit      u32 count, count × WireEvent — a read/write batch. Each
 //                entry carries the client's opaque tag, echoed on its
 //                verdict, and the event's simulated arrival time (the
-//                daemon clamps times below its ingestion frontier).
+//                daemon clamps times below its ingestion frontier; a
+//                time past kMaxEventTime, util/time.hpp, is malformed).
 //   kFlush       i64 floor — promise that every future event of this
 //                session arrives at or after `floor`: lets the daemon
 //                dispatch (and answer) everything strictly below it
-//                without waiting for more input.
+//                without waiting for more input. A floor past
+//                kMaxEventTime is malformed.
 //   kEndSession  end of the request stream: the daemon drains the
 //                pipeline, flushes every outstanding completion, then
 //                answers kDrained.

@@ -4,7 +4,7 @@
 // bounds, miss probability Q vs ε, balanced load across c replicas — so
 // end-of-run aggregates are not enough to explain a run. This registry is
 // the substrate the instrumented hot paths (pipeline, retrieval, flashsim,
-// parallel replay) record into:
+// the daemon) record into:
 //
 //  * Counter  — monotone uint64, sharded across kShards cache-line-padded
 //    atomic slots; threads pick a slot once (thread-local) and fetch_add

@@ -14,10 +14,10 @@
 //
 //  * Values are int64 and each window keeps {sum, count, min, max,
 //    first_time}. Every per-window stat is an associative, commutative
-//    merge, so folding shard- or job-local tallies into the shared ring in
-//    ANY order yields bit-identical window content — the serial ≡ parallel
-//    snapshot contract the replay verifier enforces. (No "last value"
-//    stat: last-writer-wins is order-dependent and would break identity.)
+//    merge, so folding thread-local tallies into the shared ring in ANY
+//    order yields bit-identical window content — the snapshot identity the
+//    stream and daemon oracles enforce. (No "last value" stat:
+//    last-writer-wins is order-dependent and would break identity.)
 //  * The ring holds `capacity` windows; window w lives in slot
 //    w % capacity. A record for a NEWER window evicts the slot's previous
 //    occupant; a record for an OLDER window than the occupant is dropped.

@@ -8,8 +8,8 @@
 // scratch. The value-returning overloads remain available and are
 // bit-identical — they simply run the same code over a throwaway scratch.
 // A scratch is not thread-safe: QosPipeline owns one per pipeline instance
-// (a sharded sweep builds one pipeline per job), the P_k
-// sampler one per (k)-task, OnlineRetriever one per retriever.
+// (a replay runs on one thread), the P_k sampler one per (k)-task,
+// OnlineRetriever one per retriever.
 #pragma once
 
 #include <cstdint>

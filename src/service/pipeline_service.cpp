@@ -287,14 +287,6 @@ namespace {
                            cfg.get("service", key, "(unset)") + " " + why);
 }
 
-/// A [service] count: at least 1.
-std::size_t service_count(const Config& cfg, const std::string& key,
-                          std::int64_t fallback) {
-  const auto v = cfg.get_int("service", key, fallback);
-  if (v < 1) reject_service_value(cfg, key, "must be at least 1");
-  return static_cast<std::size_t>(v);
-}
-
 /// A [service] duration in milliseconds: finite, non-negative, and within
 /// the simulated clock's range (NaN fails both comparisons).
 SimTime service_ms(const Config& cfg, const std::string& key, double fallback) {
@@ -324,8 +316,10 @@ ServiceSetup build_service(const Config& cfg) {
     reject_service_value(cfg, "horizon_ms",
                          "must be positive when [faults] has a plan");
   }
-  s.options.batch_size = service_count(cfg, "batch", 1024);
-  s.options.ingress_batches = service_count(cfg, "ingress_batches", 64);
+  // Counts of at least 1.
+  s.options.batch_size = cfg.get_int<std::size_t>("service", "batch", 1024, 1);
+  s.options.ingress_batches =
+      cfg.get_int<std::size_t>("service", "ingress_batches", 64, 1);
   s.options.keep_intervals = cfg.get_bool("service", "keep_intervals", false);
   return s;
 }

@@ -1,6 +1,7 @@
 #include "trace/disksim_format.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
@@ -62,8 +63,12 @@ DisksimParse parse_disksim_line(std::string_view line, DisksimLine& out) {
 }
 
 TraceEvent disksim_to_event(const DisksimLine& l) {
+  // A time past kMaxEventTime (or not a number) becomes kMaxEventTime + 1,
+  // which every range check rejects; from_ms would overflow first.
+  const double ns = l.time_ms * static_cast<double>(kMillisecond);
   return TraceEvent{
-      .time = from_ms(l.time_ms),
+      .time = std::abs(ns) <= static_cast<double>(kMaxEventTime) ? from_ms(l.time_ms)
+                                                                 : kMaxEventTime + 1,
       .block = l.block,
       .device = static_cast<DeviceId>(l.device),
       .size_blocks = static_cast<std::uint32_t>(l.sectors / kSectorsPerBlock),

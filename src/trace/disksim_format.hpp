@@ -41,6 +41,8 @@ enum class DisksimParse {
                                               DisksimLine& out);
 
 /// Convert a parsed line to a trace event (ms → SimTime, sectors → blocks).
+/// A time past kMaxEventTime comes out as kMaxEventTime + 1, which
+/// valid_trace and the cursor reject.
 [[nodiscard]] TraceEvent disksim_to_event(const DisksimLine& l);
 
 /// Parse DiskSim ASCII; returns the trace with metadata fields

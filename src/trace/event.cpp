@@ -5,7 +5,7 @@ namespace flashqos::trace {
 bool valid_trace(const Trace& t) {
   SimTime prev = 0;
   for (const auto& e : t.events) {
-    if (e.time < prev) return false;
+    if (e.time < prev || e.time > kMaxEventTime) return false;
     if (t.volumes != 0 && e.device >= t.volumes) return false;
     if (e.size_blocks == 0) return false;
     prev = e.time;

@@ -42,7 +42,8 @@ struct Trace {
   }
 };
 
-/// Verify events are sorted by time with in-range devices.
+/// Verify events are sorted by time within [0, kMaxEventTime], with
+/// in-range devices and non-zero sizes.
 [[nodiscard]] bool valid_trace(const Trace& t);
 
 /// Slice a trace's events into reporting intervals; result has

@@ -66,6 +66,16 @@ MsrParse parse_msr_row(std::string_view line, bool reads_only, MsrRow& out) {
   return MsrParse::kOk;
 }
 
+SimTime msr_event_time(std::int64_t ts, std::int64_t first_ts) noexcept {
+  if (ts < first_ts) return -1;
+  // ts >= first_ts, so the difference fits in 64 unsigned bits.
+  const auto ticks =
+      static_cast<std::uint64_t>(ts) - static_cast<std::uint64_t>(first_ts);
+  constexpr auto kMaxTicks = static_cast<std::uint64_t>(kMaxEventTime / kFiletimeTick);
+  return ticks <= kMaxTicks ? static_cast<SimTime>(ticks) * kFiletimeTick
+                            : kMaxEventTime + 1;
+}
+
 Trace read_msr_csv(std::istream& in, std::string name, const MsrReadOptions& opts) {
   FLASHQOS_EXPECT(opts.block_bytes > 0, "block size must be positive");
   Trace t;
@@ -113,13 +123,16 @@ Trace read_msr_csv(std::istream& in, std::string name, const MsrReadOptions& opt
   t.events.reserve(rows.size());
   for (const auto& r : rows) {
     t.events.push_back(TraceEvent{
-        .time = (r.ts - first_ts) * kFiletimeTick,
+        .time = msr_event_time(r.ts, first_ts),
         .block = r.block,
         .device = static_cast<DeviceId>(r.disk % t.volumes),
         .size_blocks = r.blocks,
         .is_read = r.is_read});
   }
-  FLASHQOS_ASSERT(valid_trace(t), "parsed MSR trace must be valid");
+  if (!valid_trace(t)) {
+    throw std::runtime_error(
+        "msr csv: timestamp before the first row's, or more than 2^62 ns after it");
+  }
   return t;
 }
 

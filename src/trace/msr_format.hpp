@@ -51,10 +51,17 @@ enum class MsrParse {
 [[nodiscard]] MsrParse parse_msr_row(std::string_view line, bool reads_only,
                                      MsrRow& out);
 
+/// A row's event time in ns: `ts` rebased on `first_ts`, in filetime
+/// ticks of 100 ns. A row before `first_ts` comes out negative, and one
+/// more than kMaxEventTime after it as kMaxEventTime + 1 (the product
+/// would overflow first), so valid_trace and the cursor reject both.
+[[nodiscard]] SimTime msr_event_time(std::int64_t ts, std::int64_t first_ts) noexcept;
+
 /// Parse an MSR-Cambridge CSV stream. Timestamps are rebased so the first
 /// event is at t = 0; events are sorted by time. Lines starting with '#'
 /// and blank lines are skipped. Throws std::runtime_error on malformed
-/// rows.
+/// rows, and on a timestamp before the first row's or more than
+/// kMaxEventTime after it.
 [[nodiscard]] Trace read_msr_csv(std::istream& in, std::string name,
                                  const MsrReadOptions& opts = {});
 

@@ -97,9 +97,9 @@ std::size_t LineCursor::fill(std::span<TraceEvent> out) {
     if (line.empty() || line.front() == '#') continue;
     TraceEvent ev;
     if (!parse_line(line, ev)) continue;
-    if (ev.time < prev_time_ ||
+    if (ev.time < prev_time_ || ev.time > kMaxEventTime ||
         (meta_.volumes != 0 && ev.device >= meta_.volumes)) {
-      report("event out of order or device out of range");
+      report("event out of order, or its time or device out of range");
       continue;
     }
     prev_time_ = ev.time;
@@ -153,7 +153,6 @@ MsrCursor::MsrCursor(std::unique_ptr<ByteSource> src, std::string name,
 }
 
 bool MsrCursor::parse_line(std::string_view line, TraceEvent& ev) {
-  constexpr SimTime kFiletimeTick = 100;  // 100 ns per Windows filetime tick
   MsrRow row;
   switch (parse_msr_row(line, opts_.reads_only, row)) {
     case MsrParse::kSkipped:
@@ -173,7 +172,7 @@ bool MsrCursor::parse_line(std::string_view line, TraceEvent& ev) {
     return false;
   }
   ev = TraceEvent{
-      .time = (row.ts - first_ts_) * kFiletimeTick,
+      .time = msr_event_time(row.ts, first_ts_),
       .block = row.offset / opts_.block_bytes,
       .device = static_cast<DeviceId>(row.disk % opts_.volumes),
       .size_blocks = static_cast<std::uint32_t>(std::max<std::uint64_t>(

@@ -15,22 +15,6 @@ std::string trim(const std::string& s) {
   return s.substr(begin, end - begin + 1);
 }
 
-/// Runs `parse` (std::stod or std::stoll) and requires it to consume the
-/// whole value: "2x" is not 2. Throws naming the key otherwise.
-template <typename Parse>
-auto parse_whole(const std::string& section, const std::string& key,
-                 const std::string& value, const char* what, Parse parse) {
-  std::size_t used = 0;
-  try {
-    const auto v = parse(value, &used);
-    if (used == value.size()) return v;
-  } catch (const std::exception&) {
-    // No digits at all, or out of range: reported below.
-  }
-  throw std::runtime_error("config: [" + section + "] " + key + " is not " +
-                           what + ": " + value);
-}
-
 }  // namespace
 
 Config Config::parse(std::istream& in) {
@@ -99,20 +83,33 @@ double Config::get_double(const std::string& section, const std::string& key,
                           double fallback) const {
   const auto s = get(section, key);
   if (s.empty()) return fallback;
-  return parse_whole(section, key, s, "a number",
-                     [](const std::string& v, std::size_t* used) {
-                       return std::stod(v, used);
-                     });
+  // The whole value must parse: "0.133ms" is not 0.133.
+  std::size_t used = 0;
+  try {
+    const double v = std::stod(s, &used);
+    if (used == s.size()) return v;
+  } catch (const std::exception&) {
+    // No digits at all, or out of range: reported below.
+  }
+  throw std::runtime_error("config: [" + section + "] " + key +
+                           " is not a number: " + s);
 }
 
-std::int64_t Config::get_int(const std::string& section, const std::string& key,
-                             std::int64_t fallback) const {
-  const auto s = get(section, key);
-  if (s.empty()) return fallback;
-  return parse_whole(section, key, s, "an integer",
-                     [](const std::string& v, std::size_t* used) {
-                       return static_cast<std::int64_t>(std::stoll(v, used));
-                     });
+std::int64_t Config::parse_int64(const std::string& section, const std::string& key,
+                                 const std::string& value, const std::string& text,
+                                 std::int64_t lo, std::int64_t hi) {
+  std::size_t used = 0;
+  try {
+    const auto v = static_cast<std::int64_t>(std::stoll(text, &used));
+    if (used == text.size() && lo <= v && v <= hi) return v;
+  } catch (const std::exception&) {
+    // No digits at all, or past int64: reported below.
+  }
+  const std::string range =
+      "an integer in [" + std::to_string(lo) + ", " + std::to_string(hi) + "]";
+  throw std::runtime_error("config: [" + section + "] " + key + " = " + value +
+                           (text == value ? " is not " : " has " + text + ", not ") +
+                           range);
 }
 
 bool Config::get_bool(const std::string& section, const std::string& key,

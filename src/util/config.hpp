@@ -4,13 +4,18 @@
 // `[section]` headers, `key = value` pairs, `#`/`;` comments. Repeated keys
 // accumulate (used for failure lists). Values are strings; typed getters
 // parse on access, fall back to defaults when the key is absent, and throw
-// when the value does not parse whole ("2x" is not an integer).
+// when the value does not parse whole ("2x" is not an integer). Integers
+// are read within a range, so a count never wraps on its way to its type.
 #pragma once
 
+#include <concepts>
 #include <cstdint>
 #include <iosfwd>
+#include <limits>
 #include <map>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace flashqos {
@@ -33,9 +38,32 @@ class Config {
                                 const std::string& fallback = {}) const;
   [[nodiscard]] double get_double(const std::string& section, const std::string& key,
                                   double fallback) const;
-  [[nodiscard]] std::int64_t get_int(const std::string& section,
-                                     const std::string& key,
-                                     std::int64_t fallback) const;
+
+  /// An integer as T, within [lo, hi] (by default every value T holds):
+  /// the fallback when the key is absent, otherwise the value read by
+  /// parse_int.
+  template <std::integral T = std::int64_t>
+  [[nodiscard]] T get_int(const std::string& section, const std::string& key,
+                          std::type_identity_t<T> fallback,
+                          std::type_identity_t<T> lo = std::numeric_limits<T>::min(),
+                          std::type_identity_t<T> hi = std::numeric_limits<T>::max()) const {
+    const auto s = get(section, key);
+    return s.empty() ? fallback : parse_int<T>(section, key, s, s, lo, hi);
+  }
+
+  /// The integer reader: `text`, all of `value` or one field of it, must
+  /// parse whole as a decimal integer within [lo, hi] (by default every
+  /// value T holds), so nothing wraps or truncates on its way to T. Throws
+  /// naming the section, key, value and range otherwise.
+  template <std::integral T>
+  [[nodiscard]] static T parse_int(
+      const std::string& section, const std::string& key, const std::string& value,
+      const std::string& text, std::type_identity_t<T> lo = std::numeric_limits<T>::min(),
+      std::type_identity_t<T> hi = std::numeric_limits<T>::max()) {
+    return static_cast<T>(
+        parse_int64(section, key, value, text, to_int64(lo), to_int64(hi)));
+  }
+
   [[nodiscard]] bool get_bool(const std::string& section, const std::string& key,
                               bool fallback) const;
 
@@ -45,6 +73,21 @@ class Config {
   }
 
  private:
+  [[nodiscard]] static std::int64_t parse_int64(const std::string& section,
+                                                const std::string& key,
+                                                const std::string& value,
+                                                const std::string& text,
+                                                std::int64_t lo, std::int64_t hi);
+
+  /// `v` as an int64 bound: an unsigned bound past INT64_MAX saturates
+  /// (parse_int64 reads nothing larger).
+  template <std::integral T>
+  [[nodiscard]] static constexpr std::int64_t to_int64(T v) noexcept {
+    return std::cmp_greater(v, std::numeric_limits<std::int64_t>::max())
+               ? std::numeric_limits<std::int64_t>::max()
+               : static_cast<std::int64_t>(v);
+  }
+
   // (section, key) -> values in file order.
   std::map<std::pair<std::string, std::string>, std::vector<std::string>> values_;
   std::vector<std::string> section_order_;

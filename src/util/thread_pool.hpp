@@ -1,7 +1,6 @@
 // Minimal fixed-size thread pool for embarrassingly parallel work.
 //
-// Used by the Monte-Carlo P_k sampler and the sharded experiment sweep
-// (core::ParallelReplayEngine::run_jobs), whose shards are independent.
+// Used by the Monte-Carlo P_k sampler, whose per-k shards are independent.
 // Tasks are closures; parallel_for covers the common indexed pattern and
 // reports failures to the submitter. Results must not depend on execution
 // order — callers seed any randomness per shard (see shard_seed in

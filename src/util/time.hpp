@@ -24,6 +24,13 @@ inline constexpr SimTime kPageReadLatency = 132507 * kNanosecond;
 /// time of one block request": 0.133 ms.
 inline constexpr SimTime kBaseInterval = 133 * kMicrosecond;
 
+/// The latest arrival time the simulator accepts: 2^62 ns, about 146
+/// years. Every place an arrival time enters (the wire decoder, the trace
+/// readers and cursors, valid_trace, the engine's ingest check) rejects a
+/// later one, which leaves the engine's interval and service arithmetic
+/// (next boundary, (q + 1) * T, start + service) far from overflow.
+inline constexpr SimTime kMaxEventTime = SimTime{1} << 62;
+
 [[nodiscard]] constexpr double to_ms(SimTime t) noexcept {
   return static_cast<double>(t) / static_cast<double>(kMillisecond);
 }

@@ -5,12 +5,10 @@
 #include <string>
 #include <vector>
 
-#include "core/parallel_replay.hpp"
 #include "core/qos_pipeline.hpp"
 #include "design/block_design.hpp"
 #include "trace/synthetic.hpp"
 #include "util/rng.hpp"
-#include "verify/result_compare.hpp"
 
 namespace flashqos::verify {
 namespace {
@@ -204,11 +202,9 @@ bool simulate_reference(const Mix& mix, const trace::Trace& t, std::uint64_t S,
 }
 
 /// Replay one mix through the pipeline (with the given knobs) and check
-/// every fairness property against the honest reference. `equivalence`
-/// additionally audits serial == parallel (skipped on mutation runs).
+/// every fairness property against the honest reference.
 Report check_mix(const decluster::AllocationScheme& scheme, const Mix& mix,
-                 core::WfqKnobs knobs, const FairnessOracleParams& params,
-                 core::ParallelReplayEngine* engine, bool equivalence) {
+                 core::WfqKnobs knobs, const FairnessOracleParams& params) {
   Report report(mix.name);
   const SimTime T = kBaseInterval;
   const SimTime L = kPageReadLatency;
@@ -423,22 +419,6 @@ Report check_mix(const decluster::AllocationScheme& scheme, const Mix& mix,
     }
   }
   report.add("usage-accounting", usage_ok, usage_ok ? "" : why);
-
-  // (h) serial == sharded sweep, online and aligned.
-  if (equivalence && engine != nullptr) {
-    for (const auto aligned : {false, true}) {
-      core::PipelineConfig c2 = cfg;
-      c2.retrieval = aligned ? core::RetrievalMode::kIntervalAligned
-                             : core::RetrievalMode::kOnline;
-      const auto serial = core::QosPipeline(scheme, c2).run(t);
-      const core::ReplayJob job{&scheme, &t, c2};
-      const auto swept = engine->run_jobs({&job, 1});
-      const bool identical = results_identical(serial, swept.at(0), &why);
-      report.add(std::string(aligned ? "aligned" : "online") +
-                     " serial==parallel",
-                 identical, identical ? "" : why);
-    }
-  }
   return report;
 }
 
@@ -449,23 +429,21 @@ Report verify_fairness(const decluster::AllocationScheme& scheme,
   Report report("fairness N=" + std::to_string(scheme.devices()));
   const auto S = design::guarantee_buckets(scheme.copies(), 1);
 
-  core::ParallelReplayEngine engine({.threads = params.threads});
   for (std::size_t r = 0; r < params.mixes; ++r) {
     const auto mix = make_mix(S, params.seed, r, params.intervals);
     std::size_t pool = 0;
     for (const auto& l : mix.loads) pool += l.bucket_pool;
     FLASHQOS_EXPECT(pool <= scheme.buckets(),
                     "fairness mix needs disjoint tenant bucket pools");
-    report.merge(check_mix(scheme, mix, {}, params, &engine, true));
+    report.merge(check_mix(scheme, mix, {}, params));
   }
 
   // Mutation liveness: every deliberate defect must trip at least one
-  // check, otherwise the oracle is decoration. Mutants skip the
-  // equivalence pass — they break fairness, not determinism. The mix is
-  // hand-built for maximum sensitivity: a pulsed mid-weight tenant whose
-  // bursts spill into flooder contention (virtual-time order decides which
-  // interval each spilled request lands in), plus a low-weight reserved
-  // victim whose floor is the only thing keeping it whole.
+  // check, otherwise the oracle is decoration. The mix is hand-built for
+  // maximum sensitivity: a pulsed mid-weight tenant whose bursts spill
+  // into flooder contention (virtual-time order decides which interval
+  // each spilled request lands in), plus a low-weight reserved victim
+  // whose floor is the only thing keeping it whole.
   if (params.mutations) {
     Mix mix;
     mix.name = "mutation mix";
@@ -495,7 +473,7 @@ Report verify_fairness(const decluster::AllocationScheme& scheme,
         {"leak-budget", {.leak_budget = true}},
     };
     for (const auto& m : mutants) {
-      const auto sub = check_mix(scheme, mix, m.knobs, params, nullptr, false);
+      const auto sub = check_mix(scheme, mix, m.knobs, params);
       std::string tripped;
       for (const auto& c : sub.checks()) {
         if (!c.passed) tripped += (tripped.empty() ? "" : ", ") + c.name;

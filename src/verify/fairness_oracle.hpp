@@ -21,9 +21,7 @@
 //   (f) flood pressure — the flooder really overflowed (the mix exercised
 //       backpressure, or the other checks were vacuous);
 //   (g) usage accounting — PipelineResult::tenant_usage matches tallies
-//       recomputed from the outcomes alone;
-//   (h) serial ≡ parallel — the sharded sweep (run_jobs) stays
-//       bit-identical on multi-tenant configs (aligned and online modes).
+//       recomputed from the outcomes alone.
 //
 // The oracle also proves its own teeth: each WfqKnobs mutation (FIFO
 // order, frozen renormalization, ignored reservations, leaked budget) is
@@ -43,7 +41,6 @@ struct FairnessOracleParams {
   /// Trace length in QoS intervals (arrivals stop here; the replay keeps
   /// dispensing until every queue drains).
   std::size_t intervals = 60;
-  std::size_t threads = 3;  // sweep pool width for check (h)
   /// Also run the mutation-liveness pass (check that every deliberate
   /// defect in WfqKnobs is detected). Disable for quick smoke runs.
   bool mutations = true;

@@ -4,14 +4,12 @@
 #include <string>
 #include <vector>
 
-#include "core/parallel_replay.hpp"
 #include "core/qos_pipeline.hpp"
 #include "core/sampler.hpp"
 #include "fault/fault_plan.hpp"
 #include "trace/synthetic.hpp"
 #include "util/rng.hpp"
 #include "verify/resim_oracle.hpp"
-#include "verify/result_compare.hpp"
 
 namespace flashqos::verify {
 namespace {
@@ -103,7 +101,6 @@ Report verify_fault_tolerance(const decluster::AllocationScheme& scheme,
 
   const auto p_table = core::sample_optimal_probabilities(
       scheme, 16, {.samples_per_size = 200, .seed = params.seed});
-  core::ParallelReplayEngine engine({.threads = params.threads});
 
   for (std::size_t r = 0; r < params.plans; ++r) {
     const auto plan = make_plan(scheme, params.seed, r, T);
@@ -236,12 +233,6 @@ Report verify_fault_tolerance(const decluster::AllocationScheme& scheme,
                    bound ? std::to_string(covered) + " post-recovery requests"
                          : why);
       }
-
-      // (d) Serial ≡ sharded sweep, plan and all.
-      const core::ReplayJob job{&scheme, &t, cfg};
-      const auto swept = engine.run_jobs({&job, 1});
-      const bool identical = results_identical(result, swept.at(0), &why);
-      report.add(tag + " serial==parallel", identical, identical ? "" : why);
     }
   }
   return report;

@@ -17,10 +17,8 @@
 //       last disruption meets the paper's response bound M·L again
 //       (statistical admission is excluded: its surplus path queues by
 //       design);
-//   (d) serial ≡ parallel — the sharded sweep (run_jobs) stays
-//       bit-identical to the serial pipeline under every fault plan;
-//   (e) re-simulation — every device op of the serial replay re-simulates
-//       on flashsim::FlashArray unchanged (verify/resim_oracle.hpp).
+//   (d) re-simulation — every device op of the replay re-simulates on
+//       flashsim::FlashArray unchanged (verify/resim_oracle.hpp).
 #pragma once
 
 #include <cstdint>
@@ -34,8 +32,7 @@ struct FaultOracleParams {
   /// pipeline configurations.
   std::size_t plans = 3;
   std::uint64_t seed = 2026;
-  std::size_t threads = 3;       // sweep pool width for check (d)
-  std::size_t intervals = 120;   // synthetic trace length in QoS intervals
+  std::size_t intervals = 120;  // synthetic trace length in QoS intervals
   std::uint32_t per_interval = 4;
 };
 

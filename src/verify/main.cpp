@@ -27,7 +27,7 @@
 #include "verify/invariants.hpp"
 #include "verify/obs_check.hpp"
 #include "verify/overload_oracle.hpp"
-#include "verify/replay_equivalence.hpp"
+#include "verify/resim_oracle.hpp"
 #include "verify/stream_oracle.hpp"
 
 int main(int argc, char** argv) {
@@ -50,13 +50,9 @@ int main(int argc, char** argv) {
                std::numeric_limits<std::uint32_t>::max())
       .integer("seed", "S", "RNG seed for sampled checks (default 1)")
       .flag("replay",
-            "also audit serial == sharded-sweep replay equivalence (every "
-            "mode combination, failure windows, mixed-mode sweeps) on the "
-            "(9,3,1) and (13,3,1) schemes; re-simulate each config's device ops")
-      .integer("replay-threads", "N",
-               "sweep pool width for --replay, 0 = hardware concurrency "
-               "(default 4)",
-               0, 1024)
+            "also re-simulate every device op of one replay per mode "
+            "combination (and two failure-window configs) on "
+            "flashsim::FlashArray, on the (9,3,1) and (13,3,1) schemes")
       .flag("obs",
             "audit the observability layer: replay a set of pipeline "
             "configs on the (9,3,1) scheme and check the recorded metrics, "
@@ -91,15 +87,14 @@ int main(int argc, char** argv) {
             "chaos-audit the fault subsystem: randomized fault plans "
             "(outages, spikes, rebuild, retry timeouts) replayed on every "
             "selected design, checking request conservation, down-device "
-            "routing, guarantee re-establishment, serial == parallel "
-            "identity, and device-op re-simulation on flashsim::FlashArray")
+            "routing, guarantee re-establishment, and device-op "
+            "re-simulation on flashsim::FlashArray")
       .flag("fairness",
             "audit the multi-tenant WFQ front end: randomized tenant mixes "
             "(always including a flooder) checked against an independent "
             "WFQ reference simulation, reservation isolation, work "
-            "conservation, the per-interval budget, and serial == parallel "
-            "identity; every deliberate WfqKnobs defect must trip at least "
-            "one check")
+            "conservation and the per-interval budget; every deliberate "
+            "WfqKnobs defect must trip at least one check")
       .flag("model",
             "exhaustively model-check the concurrency primitives "
             "(src/check): every schedule of the bounded HandoffQueue / "
@@ -142,7 +137,12 @@ int main(int argc, char** argv) {
   const bool model = opts.has("model");
   // Explicit design-audit options given.
   const bool design_flags = !only.empty() || opts.has("max-devices");
-  flashqos::verify::ReplayEquivalenceParams replay_params;
+  using flashqos::design::CatalogEntry;
+  // The designs --max-devices / --design select.
+  const auto selected = [&](const CatalogEntry& e) {
+    return only.empty() ? e.devices <= max_devices
+                        : std::find(only.begin(), only.end(), e.name) != only.end();
+  };
   flashqos::verify::CatalogCheckParams params;
   params.retrieval.trials = static_cast<std::size_t>(
       opts.get_u64("trials", params.retrieval.trials));
@@ -154,8 +154,6 @@ int main(int argc, char** argv) {
       opts.get_u64("max-accesses", params.guarantee.max_accesses));
   params.guarantee.seed = opts.get_u64("seed", params.guarantee.seed);
   params.retrieval.seed = opts.get_u64("seed", params.retrieval.seed);
-  replay_params.threads = static_cast<std::size_t>(
-      opts.get_u64("replay-threads", replay_params.threads));
 
   bool all_ok = true;
   std::size_t checked = 0;
@@ -175,11 +173,7 @@ int main(int argc, char** argv) {
     all_ok = arithmetic.passed() && miner.passed();
 
     for (const auto& e : flashqos::design::catalog()) {
-      if (only.empty()) {
-        if (e.devices > max_devices) continue;
-      } else if (std::find(only.begin(), only.end(), e.name) == only.end()) {
-        continue;
-      }
+      if (!selected(e)) continue;
       const auto report = flashqos::verify::verify_catalog_entry(e, params);
       std::printf("%s\n", report.to_string(verbose).c_str());
       std::fflush(stdout);
@@ -212,106 +206,69 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (replay) {
-    // Serial ≡ parallel replay audit on the paper's two evaluation designs.
-    for (const char* name : {"(9,3,1)", "(13,3,1)"}) {
-      for (const auto& e : flashqos::design::catalog()) {
-        if (e.name != name) continue;
-        const auto d = e.make();
-        const flashqos::decluster::DesignTheoretic scheme(d, true);
-        const auto report =
-            flashqos::verify::verify_replay_equivalence(scheme, replay_params);
-        std::printf("%s\n", report.to_string(verbose).c_str());
-        std::fflush(stdout);
-        all_ok = all_ok && report.passed();
-        ++checked;
-      }
+  // The audits below run on rotated design-theoretic schemes, one report
+  // per catalog design `chosen` picks, in catalog order.
+  const auto audit_designs = [&](const auto& chosen, const auto& audit) {
+    for (const auto& e : flashqos::design::catalog()) {
+      if (!chosen(e)) continue;
+      const auto d = e.make();
+      const flashqos::decluster::DesignTheoretic scheme(d, true);
+      const flashqos::verify::Report report = audit(scheme);
+      std::printf("%s\n", report.to_string(verbose).c_str());
+      std::fflush(stdout);
+      all_ok = all_ok && report.passed();
+      ++checked;
     }
+  };
+  // The paper's primary design, and its two evaluation designs.
+  const auto primary = [](const CatalogEntry& e) { return e.name == "(9,3,1)"; };
+  const auto evaluation = [](const CatalogEntry& e) {
+    return e.name == "(9,3,1)" || e.name == "(13,3,1)";
+  };
+  using Scheme = flashqos::decluster::AllocationScheme;
+
+  if (replay) {
+    // Device-op re-simulation over every mode combination.
+    audit_designs(evaluation, [](const Scheme& s) {
+      return flashqos::verify::verify_resimulation(s);
+    });
   }
   if (obs) {
     // Observability self-audit: the registry's numbers must be derivable
     // from the replay results they claim to describe.
-    for (const auto& e : flashqos::design::catalog()) {
-      if (e.name != "(9,3,1)") continue;
-      const auto d = e.make();
-      const flashqos::decluster::DesignTheoretic scheme(d, true);
-      const auto report = flashqos::verify::verify_observability(scheme);
-      std::printf("%s\n", report.to_string(verbose).c_str());
-      std::fflush(stdout);
-      all_ok = all_ok && report.passed();
-      ++checked;
-    }
+    audit_designs(primary, [](const Scheme& s) {
+      return flashqos::verify::verify_observability(s);
+    });
   }
   if (stream) {
-    // Streaming ≡ in-memory identity audit on the paper's primary design.
-    for (const auto& e : flashqos::design::catalog()) {
-      if (e.name != "(9,3,1)") continue;
-      const auto d = e.make();
-      const flashqos::decluster::DesignTheoretic scheme(d, true);
-      const auto report = flashqos::verify::verify_streaming(scheme);
-      std::printf("%s\n", report.to_string(verbose).c_str());
-      std::fflush(stdout);
-      all_ok = all_ok && report.passed();
-      ++checked;
-    }
+    // Streaming ≡ in-memory identity audit.
+    audit_designs(primary, [](const Scheme& s) {
+      return flashqos::verify::verify_streaming(s);
+    });
   }
   if (daemon) {
-    // Loopback-served ≡ in-process identity audit on the primary design.
-    for (const auto& e : flashqos::design::catalog()) {
-      if (e.name != "(9,3,1)") continue;
-      const auto d = e.make();
-      const flashqos::decluster::DesignTheoretic scheme(d, true);
-      const auto report = flashqos::verify::verify_daemon(scheme);
-      std::printf("%s\n", report.to_string(verbose).c_str());
-      std::fflush(stdout);
-      all_ok = all_ok && report.passed();
-      ++checked;
-    }
+    // Loopback-served ≡ in-process identity audit.
+    audit_designs(primary, [](const Scheme& s) {
+      return flashqos::verify::verify_daemon(s);
+    });
   }
   if (fairness) {
-    // Multi-tenant fairness audit on the paper's two evaluation designs.
-    for (const char* name : {"(9,3,1)", "(13,3,1)"}) {
-      for (const auto& e : flashqos::design::catalog()) {
-        if (e.name != name) continue;
-        const auto d = e.make();
-        const flashqos::decluster::DesignTheoretic scheme(d, true);
-        const auto report = flashqos::verify::verify_fairness(scheme);
-        std::printf("%s\n", report.to_string(verbose).c_str());
-        std::fflush(stdout);
-        all_ok = all_ok && report.passed();
-        ++checked;
-      }
-    }
+    // Multi-tenant fairness audit.
+    audit_designs(evaluation, [](const Scheme& s) {
+      return flashqos::verify::verify_fairness(s);
+    });
   }
   if (overload) {
-    // Sustained-overload audit on the paper's primary design.
-    for (const auto& e : flashqos::design::catalog()) {
-      if (e.name != "(9,3,1)") continue;
-      const auto d = e.make();
-      const flashqos::decluster::DesignTheoretic scheme(d, true);
-      const auto report = flashqos::verify::verify_overload(scheme);
-      std::printf("%s\n", report.to_string(verbose).c_str());
-      std::fflush(stdout);
-      all_ok = all_ok && report.passed();
-      ++checked;
-    }
+    // Sustained-overload audit.
+    audit_designs(primary, [](const Scheme& s) {
+      return flashqos::verify::verify_overload(s);
+    });
   }
   if (faults) {
     // Chaos audit: randomized fault plans over every selected design.
-    for (const auto& e : flashqos::design::catalog()) {
-      if (only.empty()) {
-        if (e.devices > max_devices) continue;
-      } else if (std::find(only.begin(), only.end(), e.name) == only.end()) {
-        continue;
-      }
-      const auto d = e.make();
-      const flashqos::decluster::DesignTheoretic scheme(d, true);
-      const auto report = flashqos::verify::verify_fault_tolerance(scheme);
-      std::printf("%s\n", report.to_string(verbose).c_str());
-      std::fflush(stdout);
-      all_ok = all_ok && report.passed();
-      ++checked;
-    }
+    audit_designs(selected, [](const Scheme& s) {
+      return flashqos::verify::verify_fault_tolerance(s);
+    });
   }
 
   std::printf("%s: %zu subject%s checked\n", all_ok ? "OK" : "FAILED", checked,

@@ -3,9 +3,13 @@
 #include <algorithm>
 #include <iterator>
 #include <memory>
+#include <utility>
 
+#include "core/sampler.hpp"
 #include "fault/injector.hpp"
 #include "flashsim/flash_array.hpp"
+#include "trace/synthetic.hpp"
+#include "trace/workload.hpp"
 
 namespace flashqos::verify {
 namespace {
@@ -98,6 +102,81 @@ core::PipelineResult run_resimulated(const decluster::AllocationScheme& scheme,
              std::to_string(resim.mismatches) + " of " + std::to_string(resim.ops) +
                  " device ops mismatch" + (resim.ok() ? "" : "; first: " + resim.first));
   return result;
+}
+
+Report verify_resimulation(const decluster::AllocationScheme& scheme) {
+  Report report("re-simulation N=" + std::to_string(scheme.devices()));
+  constexpr std::uint64_t kSeed = 2012;
+
+  // Traces: a bucket-domain synthetic stream and a block-domain
+  // Exchange-style stream (bursty, hot-set drift — what the figures use).
+  trace::SyntheticParams sp;
+  sp.bucket_pool = scheme.buckets();
+  sp.requests_per_interval = 4;
+  sp.total_requests = 2000;
+  sp.seed = kSeed;
+  const auto synthetic = trace::generate_synthetic(sp);
+  const auto exchange =
+      trace::generate_workload(trace::exchange_params(0.02, kSeed));
+
+  const auto p_table = core::sample_optimal_probabilities(
+      scheme, 24, {.samples_per_size = 200, .seed = kSeed});
+
+  const std::pair<core::RetrievalMode, const char*> retrievals[] = {
+      {core::RetrievalMode::kOnline, "online"},
+      {core::RetrievalMode::kIntervalAligned, "aligned"}};
+  const std::pair<core::AdmissionMode, const char*> admissions[] = {
+      {core::AdmissionMode::kNone, "none"},
+      {core::AdmissionMode::kDeterministic, "det"},
+      {core::AdmissionMode::kStatistical, "stat"}};
+  const std::pair<core::MappingMode, const char*> mappings[] = {
+      {core::MappingMode::kModulo, "modulo"}, {core::MappingMode::kFim, "fim"}};
+  const std::pair<core::SchedulerMode, const char*> schedulers[] = {
+      {core::SchedulerMode::kReplicaScheduled, "replica"},
+      {core::SchedulerMode::kPrimaryOnly, "primary"}};
+
+  for (const auto& [retrieval, rname] : retrievals) {
+    for (const auto& [admission, aname] : admissions) {
+      for (const auto& [mapping, mname] : mappings) {
+        for (const auto& [scheduler, sname] : schedulers) {
+          core::PipelineConfig cfg;
+          cfg.retrieval = retrieval;
+          cfg.admission = admission;
+          cfg.mapping = mapping;
+          cfg.scheduler = scheduler;
+          if (admission == core::AdmissionMode::kStatistical) {
+            cfg.epsilon = 0.01;
+            cfg.p_table = p_table;
+          }
+          const std::string combo = std::string(rname) + "/" + aname + "/" +
+                                    mname + "/" + sname;
+          run_resimulated(scheme, cfg, synthetic, report,
+                          combo + " @synthetic re-simulation");
+          run_resimulated(scheme, cfg, exchange, report,
+                          combo + " @exchange re-simulation");
+        }
+      }
+    }
+  }
+
+  // Failure windows: a transient outage and a permanent loss, in both
+  // retrieval modes under deterministic admission with FIM mapping.
+  for (const auto& [retrieval, rname] : retrievals) {
+    core::PipelineConfig cfg;
+    cfg.retrieval = retrieval;
+    cfg.admission = core::AdmissionMode::kDeterministic;
+    cfg.mapping = core::MappingMode::kFim;
+    cfg.faults.outages.push_back({.device = 0,
+                                  .fail_at = from_ms(1.0),
+                                  .recover_at = from_ms(6.0)});
+    cfg.faults.outages.push_back({.device = scheme.devices() - 1,
+                                  .fail_at = from_ms(2.0),
+                                  .recover_at = fault::DeviceFailure::kNeverRecovers});
+    run_resimulated(
+        scheme, cfg, exchange, report,
+        std::string(rname) + "/det/fim/replica +failures @exchange re-simulation");
+  }
+  return report;
 }
 
 }  // namespace flashqos::verify

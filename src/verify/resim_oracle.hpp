@@ -4,6 +4,8 @@
 // start to a fresh array, which must serve it with the same start and
 // finish; every served read must be exactly one read op. This checks the
 // device physics, not the schedule (the goldens pin that).
+// verify_resimulation runs it over every pipeline mode combination
+// (flashqos_verify --replay).
 #pragma once
 
 #include <string>
@@ -48,5 +50,10 @@ core::PipelineResult run_resimulated(const decluster::AllocationScheme& scheme,
                                      const core::PipelineConfig& cfg,
                                      const trace::Trace& t, Report& report,
                                      const std::string& name);
+
+/// Re-simulate one replay per {retrieval × admission × mapping ×
+/// scheduler} combination on a synthetic trace and on an Exchange-style
+/// trace, plus two failure-window configs: 50 replays, one check each.
+[[nodiscard]] Report verify_resimulation(const decluster::AllocationScheme& scheme);
 
 }  // namespace flashqos::verify

@@ -46,14 +46,9 @@ bool interval_report_eq(const core::IntervalReport& a,
          field_eq(a.avg_write_ms, b.avg_write_ms, "avg_write_ms", where, why);
 }
 
-namespace {
-
-/// The fields a PipelineResult shares with `got` (a PipelineResult or a
-/// StreamResult, which has `got_requests` requests).
-template <class Result>
-bool summaries_match(const core::PipelineResult& want, const Result& got,
-                     std::uint64_t got_requests, std::string* why) {
-  if (!count_eq(got_requests, want.outcomes.size(), "request count", 0, why) ||
+bool stream_result_matches(const core::PipelineResult& want,
+                           const core::StreamResult& got, std::string* why) {
+  if (!count_eq(got.requests, want.outcomes.size(), "request count", 0, why) ||
       !count_eq(got.deadline_violations, want.deadline_violations,
                 "deadline_violations", 0, why) ||
       !count_eq(got.tenant_usage.size(), want.tenant_usage.size(),
@@ -81,40 +76,6 @@ bool summaries_match(const core::PipelineResult& want, const Result& got,
     }
   }
   return interval_report_eq(want.overall, got.overall, 0, why);
-}
-
-}  // namespace
-
-bool results_identical(const core::PipelineResult& a,
-                       const core::PipelineResult& b, std::string* why) {
-  if (!count_eq(a.outcomes.size(), b.outcomes.size(), "outcome count", 0, why)) {
-    return false;
-  }
-  for (std::size_t i = 0; i < a.outcomes.size(); ++i) {
-    const auto& x = a.outcomes[i];
-    const auto& y = b.outcomes[i];
-    const auto eq = [&](auto p, auto q, const char* name) {
-      return count_eq(static_cast<std::uint64_t>(p),
-                      static_cast<std::uint64_t>(q), name, i, why);
-    };
-    if (!eq(x.arrival, y.arrival, "arrival") ||
-        !eq(x.dispatch, y.dispatch, "dispatch") ||
-        !eq(x.start, y.start, "start") || !eq(x.finish, y.finish, "finish") ||
-        !eq(x.device, y.device, "device") ||
-        !eq(x.fim_matched, y.fim_matched, "fim_matched") ||
-        !eq(x.failed, y.failed, "failed flag") ||
-        !eq(x.is_write, y.is_write, "is_write") || !eq(x.path, y.path, "path") ||
-        !eq(x.q_ppm, y.q_ppm, "q_ppm") || !eq(x.tenant, y.tenant, "tenant") ||
-        !eq(x.wfq_marked, y.wfq_marked, "wfq_marked")) {
-      return false;
-    }
-  }
-  return summaries_match(a, b, b.outcomes.size(), why);
-}
-
-bool stream_result_matches(const core::PipelineResult& want,
-                           const core::StreamResult& got, std::string* why) {
-  return summaries_match(want, got, got.requests, why);
 }
 
 namespace {

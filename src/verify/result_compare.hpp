@@ -1,6 +1,5 @@
 // Exact-equality result/snapshot comparators shared by the replay-identity
-// oracles (replay_equivalence, fault_oracle, fairness_oracle, stream_oracle,
-// daemon_oracle).
+// oracles (stream_oracle, daemon_oracle).
 //
 // Everything here compares bit-exactly: doubles with ==, counters value by
 // value, histograms down to the exact-value multiset. The oracles' claims
@@ -31,17 +30,12 @@ namespace flashqos::verify {
                                       const core::IntervalReport& b,
                                       std::size_t where, std::string* why);
 
-/// True iff `a` and `b` agree exactly: every RequestOutcome field, every
-/// IntervalReport field (doubles compared with ==, not a tolerance — the
-/// replays must take identical floating-point paths), tenant usage,
-/// overall, and the deadline-violation count. On mismatch, `why` (if
-/// non-null) names the first diverging field.
-[[nodiscard]] bool results_identical(const core::PipelineResult& a,
-                                     const core::PipelineResult& b,
-                                     std::string* why = nullptr);
-
 /// StreamResult carries everything PipelineResult does except the O(trace)
-/// outcomes vector; every shared field must agree exactly.
+/// outcomes vector; every shared field must agree exactly: the request
+/// count, every IntervalReport field (doubles compared with ==, not a
+/// tolerance — the replays must take identical floating-point paths),
+/// tenant usage, overall, and the deadline-violation count. On mismatch,
+/// `why` (if non-null) names the first diverging field.
 [[nodiscard]] bool stream_result_matches(const core::PipelineResult& want,
                                          const core::StreamResult& got,
                                          std::string* why);

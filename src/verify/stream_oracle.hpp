@@ -5,12 +5,11 @@
 // violations, tenant usage, every registry metric, and every windowed
 // time-series point — at any batch size and through any cursor (vector
 // adapter, generator, chunked file reader). This verifier enforces that
-// promise the way verify_replay_equivalence does for serial ≡ sharded
-// sweep: recompute both sides and compare field by field with exact
-// (bitwise for doubles) equality, plus absolute registry/time-series
-// snapshot identity modulo the instruments that legitimately differ
-// (wall-clock stage timings, byte/batch accounting that depends on how the
-// stream was chunked).
+// promise the way the rest of src/verify works: recompute both sides and
+// compare field by field with exact (bitwise for doubles) equality, plus
+// absolute registry/time-series snapshot identity modulo the instruments
+// that legitimately differ (wall-clock stage timings, byte/batch
+// accounting that depends on how the stream was chunked).
 // run() is itself run_stream over a VectorCursor at the default batch
 // size, so what this audits is independence of batch size and cursor
 // kind.

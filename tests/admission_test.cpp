@@ -6,6 +6,7 @@
 #include "core/sampler.hpp"
 #include "decluster/schemes.hpp"
 #include "design/constructions.hpp"
+#include "util/rng.hpp"
 
 namespace flashqos::core {
 namespace {
@@ -140,8 +141,11 @@ TEST(Sampler, ParallelSamplingIsThreadCountInvariant) {
   const auto parallel = sample_optimal_probabilities(scheme, 10, quad);
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t k = 0; k < serial.size(); ++k) {
-    EXPECT_DOUBLE_EQ(serial[k], parallel[k]) << "k=" << k;
+    EXPECT_EQ(serial[k], parallel[k]) << "k=" << k;  // bit-identical
   }
+  // Per-shard streams are distinct across shards and across seeds.
+  EXPECT_NE(shard_seed(5, 1), shard_seed(5, 2));
+  EXPECT_NE(shard_seed(5, 1), shard_seed(6, 1));
 }
 
 TEST(Sampler, Fig4ShapeFor931) {

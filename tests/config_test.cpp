@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "core/experiment.hpp"
 #include "trace/msr_format.hpp"
@@ -100,6 +103,19 @@ TEST(MsrFormat, RoundTripsThroughWriter) {
   EXPECT_EQ(back.events[1].block, 7u);
   EXPECT_EQ(back.events[1].size_blocks, 2u);
   EXPECT_FALSE(back.events[1].is_read);
+}
+
+// Filetime ticks are 100 ns: a row more than 2^62 / 100 ticks after the
+// first one is past the simulated-time ceiling (and past 2^63 / 100 the
+// product would overflow), so the reader throws.
+TEST(MsrFormat, RejectsTimestampsPastTheCeiling) {
+  std::istringstream ok("0,h,0,Read,0,8192,0\n46116860184273879,h,0,Read,0,8192,0\n");
+  EXPECT_EQ(trace::read_msr_csv(ok, "x").events.at(1).time, 4611686018427387900);
+  for (const char* ts : {"46116860184273880", "92233720368547758"}) {
+    std::istringstream in("0,h,0,Read,0,8192,0\n" + std::string(ts) +
+                          ",h,0,Read,0,8192,0\n");
+    EXPECT_THROW(trace::read_msr_csv(in, "x"), std::runtime_error) << ts;
+  }
 }
 
 TEST(MsrFormat, RejectsMalformedRows) {
@@ -210,6 +226,32 @@ TEST(Experiment, RejectsAFieldThatDoesNotParseWhole) {
                "fail", "3 1.0 5O.0");
   expect_names(build_error(kTinyWorkload + "[faults]\nspike = 2 5.0 2O.0 4.0\n"),
                "spike", "2 5.0 2O.0 4.0");
+}
+
+// Integers load within their type's range and the key's own floor,
+// instead of wrapping: access_budget = -1 ran as M = 4294967295 and died of
+// bad_alloc mid-replay, 4294967297 ran as M = 1, p_table_max_k = -1 left a
+// P_k table of zero entries that the sampler wrote past, total_requests =
+// -1 asked for 2^64 - 1 events, and a [faults] count of -1 asked for
+// 4294967295 generated outages.
+TEST(Experiment, RejectsIntegersOutsideTheirRange) {
+  const std::string pipeline = kTinyWorkload + "[pipeline]\n";
+  const std::string faults = kTinyWorkload + "[faults]\n";
+  const std::vector<std::tuple<std::string, std::string, std::string>> cases = {
+      {pipeline, "access_budget", "-1"},
+      {pipeline, "access_budget", "0"},
+      {pipeline, "access_budget", "4294967297"},
+      {pipeline + "admission = statistical\n", "p_table_max_k", "-1"},
+      {"[workload]\nkind = synthetic\n", "total_requests", "-1"},
+      {faults, "transient", "-1 5.0"},
+      {faults, "fail", "-1 10.0"},
+  };
+  for (const auto& [prefix, key, value] : cases) {
+    const auto error = build_error(prefix + key + " = " + value + "\n");
+    expect_names(error, key, value);
+    EXPECT_NE(error.find("an integer in ["), std::string::npos) << error;
+  }
+  EXPECT_EQ(build_error(pipeline + "access_budget = 2\n"), "");
 }
 
 TEST(Experiment, RejectsFieldsAfterTheLastOne) {

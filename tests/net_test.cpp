@@ -17,6 +17,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <limits>
 #include <random>
 #include <string>
 #include <thread>
@@ -40,7 +41,7 @@ std::vector<WireEvent> random_events(std::mt19937& rng, std::size_t n) {
   std::vector<WireEvent> evs(n);
   for (auto& e : evs) {
     e.tag = u64(rng);
-    e.time = static_cast<std::int64_t>(u64(rng) >> 1);
+    e.time = static_cast<std::int64_t>(u64(rng) >> 2);  // <= kMaxEventTime
     e.block = u64(rng);
     e.device = u32(rng);
     e.size_blocks = u32(rng);
@@ -265,6 +266,22 @@ TEST(Frame, MalformedPayloadsRefuseToDecode) {
   d.payload = "1234";  // drained is exactly 8 bytes
   std::uint64_t served = 0;
   EXPECT_FALSE(decode_drained(d, served));
+
+  // An arrival time or flush floor past kMaxEventTime; the ceiling itself
+  // decodes.
+  WireEvent e;
+  e.time = kMaxEventTime;
+  ASSERT_TRUE(decode_submit(reassemble(encode_submit({&e, 1}), 64).at(0), evs));
+  EXPECT_EQ(evs.at(0).time, kMaxEventTime);
+  std::int64_t floor = 0;
+  ASSERT_TRUE(decode_flush(reassemble(encode_flush(kMaxEventTime), 64).at(0), floor));
+  for (const std::int64_t time :
+       {kMaxEventTime + 1, std::numeric_limits<std::int64_t>::max()}) {
+    e.time = time;
+    EXPECT_FALSE(decode_submit(reassemble(encode_submit({&e, 1}), 64).at(0), evs))
+        << time;
+    EXPECT_FALSE(decode_flush(reassemble(encode_flush(time), 64).at(0), floor)) << time;
+  }
 }
 
 TEST(SendAll, SurvivesShortWrites) {
@@ -375,12 +392,37 @@ struct DaemonFixture {
   }
 };
 
+/// Send hello then `frame` on a fresh connection: true when the server
+/// answers with a kMalformed error.
+bool answers_malformed(DaemonFixture& fx, const std::string& frame) {
+  const int fd = connect_loopback(fx.server.port());
+  if (fd < 0) return false;
+  bool malformed = false;
+  if (send_all(fd, encode_hello()) && send_all(fd, frame)) {
+    FrameReader r;
+    char buf[4096];
+    bool got_error = false;
+    for (int spins = 0; spins < 100 && !got_error; ++spins) {
+      const ssize_t n = recv_some(fd, buf, sizeof(buf), 100);
+      if (n == 0) break;
+      if (n < 0) continue;
+      r.feed(buf, static_cast<std::size_t>(n));
+      while (auto f = r.next()) {
+        ErrorFrame e;
+        if (f->type == FrameType::kError && decode_error(*f, e)) {
+          got_error = true;
+          malformed = e.code == static_cast<std::uint16_t>(ErrorCode::kMalformed);
+        }
+      }
+    }
+  }
+  ::close(fd);
+  return malformed;
+}
+
 TEST(DaemonServer, MalformedFrameAnswersErrorAndCounts) {
   DaemonFixture fx;
   ASSERT_TRUE(fx.server.start());
-  const int fd = connect_loopback(fx.server.port());
-  ASSERT_GE(fd, 0);
-  ASSERT_TRUE(send_all(fd, encode_hello()));
   // A submit whose count promises far more entries than the payload holds.
   std::string bad;
   const std::uint32_t len = 1 + 4;  // type + count, no entries
@@ -388,29 +430,19 @@ TEST(DaemonServer, MalformedFrameAnswersErrorAndCounts) {
   bad.append(reinterpret_cast<const char*>(&len), 4);
   bad.push_back(static_cast<char>(FrameType::kSubmit));
   bad.append(reinterpret_cast<const char*>(&count), 4);
-  ASSERT_TRUE(send_all(fd, bad));
-
-  FrameReader r;
-  bool got_error = false;
-  char buf[4096];
-  for (int spins = 0; spins < 100 && !got_error; ++spins) {
-    const ssize_t n = recv_some(fd, buf, sizeof(buf), 100);
-    if (n == 0) break;
-    if (n < 0) continue;
-    r.feed(buf, static_cast<std::size_t>(n));
-    while (auto f = r.next()) {
-      if (f->type == FrameType::kError) {
-        ErrorFrame e;
-        ASSERT_TRUE(decode_error(*f, e));
-        EXPECT_EQ(e.code, static_cast<std::uint16_t>(ErrorCode::kMalformed));
-        got_error = true;
-      }
-    }
-  }
-  EXPECT_TRUE(got_error);
-  ::close(fd);
+  EXPECT_TRUE(answers_malformed(fx, bad));
   fx.server.stop();
   EXPECT_GE(fx.server.parse_errors(), 1u);
+}
+
+// A flush floor past kMaxEventTime is answered like any malformed frame.
+// (A server serves one session, so this is its own server.)
+TEST(DaemonServer, FlushPastTheCeilingIsMalformed) {
+  DaemonFixture fx;
+  ASSERT_TRUE(fx.server.start());
+  EXPECT_TRUE(answers_malformed(fx, encode_flush(kMaxEventTime + 1)));
+  fx.server.stop();
+  EXPECT_EQ(fx.server.parse_errors(), 1u);
 }
 
 TEST(DaemonServer, SubmitBeforeHelloIsABadSequence) {

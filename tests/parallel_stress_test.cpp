@@ -1,9 +1,9 @@
 // Concurrency stress for the thread handoff seams, written to give
 // ThreadSanitizer something to chew on: many producers and consumers on a
-// tiny HandoffQueue, repeated sharded sweeps, and the tenant ingress under
-// contention. The assertions are deliberately simple — the point of these
-// tests is the interleavings, and TSan turns any data race or lock-order
-// bug they expose into a hard failure.
+// tiny HandoffQueue, and the tenant ingress under contention. The
+// assertions are deliberately simple — the point of these tests is the
+// interleavings, and TSan turns any data race or lock-order bug they
+// expose into a hard failure.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,13 +11,8 @@
 #include <thread>
 #include <vector>
 
-#include "core/parallel_replay.hpp"
 #include "core/tenant_scheduler.hpp"
-#include "decluster/schemes.hpp"
-#include "design/constructions.hpp"
-#include "trace/synthetic.hpp"
 #include "util/handoff_queue.hpp"
-#include "verify/result_compare.hpp"
 
 using namespace flashqos;
 
@@ -91,54 +86,6 @@ TEST(HandoffQueueStress, CloseUnblocksStalledProducers) {
   while (queue.pop()) {
   }
   EXPECT_FALSE(queue.pop().has_value());
-}
-
-const decluster::DesignTheoretic& scheme931() {
-  static const auto d = design::make_9_3_1();
-  static const decluster::DesignTheoretic s(d, true);
-  return s;
-}
-
-trace::Trace tiny_interval_trace(std::uint64_t seed) {
-  // Tiny intervals -> one reporting slice per QoS interval -> hundreds of
-  // FIM mapping rebuilds per replay.
-  trace::SyntheticParams p;
-  p.bucket_pool = scheme931().buckets();
-  p.requests_per_interval = 3;
-  p.total_requests = 900;
-  p.seed = seed;
-  return trace::generate_synthetic(p);
-}
-
-// Sharded sweep stress: a wide job list (several distinct traces x modes),
-// run twice on the same engine; slots must be populated identically while
-// workers complete in whatever order the scheduler picks.
-TEST(ParallelReplayStress, ShardedSweepRepeatedRuns) {
-  std::vector<trace::Trace> traces;
-  for (std::uint64_t s = 0; s < 4; ++s) traces.push_back(tiny_interval_trace(s));
-  std::vector<core::ReplayJob> jobs;
-  for (const auto& t : traces) {
-    for (const auto retrieval : {core::RetrievalMode::kOnline,
-                                 core::RetrievalMode::kIntervalAligned}) {
-      for (const auto mapping :
-           {core::MappingMode::kModulo, core::MappingMode::kFim}) {
-        core::PipelineConfig cfg;
-        cfg.retrieval = retrieval;
-        cfg.mapping = mapping;
-        jobs.push_back({&scheme931(), &t, cfg});
-      }
-    }
-  }
-  ASSERT_EQ(jobs.size(), 16u);
-  core::ParallelReplayEngine engine({.threads = 4});
-  const auto first = engine.run_jobs(jobs);
-  const auto second = engine.run_jobs(jobs);
-  ASSERT_EQ(first.size(), jobs.size());
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    std::string why;
-    ASSERT_TRUE(verify::results_identical(first[i], second[i], &why))
-        << "job " << i << ": " << why;
-  }
 }
 
 // Tenant-ingress seam under contention: many producer threads try_push

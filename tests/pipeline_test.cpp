@@ -3,6 +3,8 @@
 // semantics, statistical admission behaviour, original-stand replay.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <map>
 #include <span>
 #include <string>
 #include <utility>
@@ -12,6 +14,7 @@
 #include "core/sampler.hpp"
 #include "decluster/schemes.hpp"
 #include "design/constructions.hpp"
+#include "trace/cursor.hpp"
 #include "trace/synthetic.hpp"
 #include "trace/workload.hpp"
 #include "verify/result_compare.hpp"
@@ -219,6 +222,121 @@ TEST(SliceTransactions, CutsAtQosIntervalsAndSliceBoundaries) {
   slices.close_until(100);
   ASSERT_TRUE(slices.ready());
   EXPECT_EQ(txs(slices.take()), (Txs{{7}}));
+}
+
+// An idle gap of a million reporting slices is one held record, not a
+// million empty transaction databases, and the slices still come out one
+// by one (take) or as a run (skip_empty).
+TEST(SliceTransactions, AnIdleGapIsHeldAsOneRun) {
+  constexpr std::size_t kGap = 1'000'000;  // empty slices between the reads
+  SliceTransactions slices(10, 25);
+  slices.add({.time = 0, .block = 1});
+  slices.add({.time = static_cast<SimTime>(kGap + 1) * 25, .block = 2});
+  EXPECT_EQ(slices.held(), 2u) << "slice 0, then one run of empty slices";
+  const auto items = [](const fim::TransactionDb& db) {
+    return std::vector<fim::Item>(db.items().begin(), db.items().end());
+  };
+  ASSERT_TRUE(slices.ready());
+  EXPECT_EQ(items(slices.take()), std::vector<fim::Item>{1});
+  EXPECT_EQ(slices.skip_empty(0), 0u);
+  EXPECT_TRUE(slices.take().empty());  // the run's first slice, alone
+  EXPECT_EQ(slices.skip_empty(10), 10u);
+  EXPECT_EQ(slices.held(), 1u);
+  EXPECT_EQ(slices.skip_empty(kGap), kGap - 11);
+  EXPECT_FALSE(slices.ready());
+  slices.close_until(std::numeric_limits<SimTime>::max());
+  EXPECT_EQ(slices.held(), 2u) << "the read's slice, then one run";
+  EXPECT_EQ(slices.skip_empty(1), 0u) << "the oldest slice has a transaction";
+  EXPECT_EQ(items(slices.take()), std::vector<fim::Item>{2});
+  slices.finish();
+  EXPECT_EQ(slices.held(), 1u);
+}
+
+/// Serves slice `idx` mined from the events that fall in it, so a replay
+/// through it rebuilds the mapper once per reporting slice, empty or not.
+class PerSliceFimSource final : public FimSource {
+ public:
+  PerSliceFimSource(const trace::Trace& t, SimTime qos_interval) {
+    for (std::size_t begin = 0; begin < t.events.size();) {
+      const auto idx = static_cast<std::size_t>(t.events[begin].time / t.report_interval);
+      std::size_t end = begin;
+      while (end < t.events.size() &&
+             static_cast<std::size_t>(t.events[end].time / t.report_interval) == idx) {
+        ++end;
+      }
+      mined_[idx] = mine_event_range(t, begin, end, qos_interval, 1);
+      begin = end;
+    }
+  }
+
+  std::span<const fim::FrequentPair> slice(std::size_t idx) override {
+    ++served;
+    const auto it = mined_.find(idx);
+    return it == mined_.end() ? std::span<const fim::FrequentPair>{} : it->second;
+  }
+
+  std::size_t served = 0;
+
+ private:
+  std::map<std::size_t, std::vector<fim::FrequentPair>> mined_;
+};
+
+class OutcomeLog final : public OutcomeSink {
+ public:
+  void on_outcome(std::uint64_t /*seq*/, const trace::TraceEvent& /*ev*/,
+                  const RequestOutcome& out) override {
+    outcomes.push_back(out);
+  }
+  std::vector<RequestOutcome> outcomes;
+};
+
+// A million empty reporting slices between two bursts: the inline rollover
+// crosses them with one rebuild, and every outcome matches a replay that
+// rebuilds once per slice. The bursts pair blocks 0 and 1, so slice 1's
+// reads match the pairs mined from slice 0, and the reads after the gap
+// match nothing (the empty slices reset the mapper).
+TEST(QosPipeline, IdleGapReplaysLikeOneRebuildPerSlice) {
+  constexpr std::size_t kGap = 1'000'000;
+  const DesignTheoretic scheme(design931(), true);
+  PipelineConfig cfg;
+  cfg.retrieval = RetrievalMode::kIntervalAligned;
+  cfg.mapping = MappingMode::kFim;
+  trace::Trace t;
+  t.name = "gap";
+  t.report_interval = kMillisecond;
+  const auto burst = [&](std::size_t slice) {
+    for (SimTime q = 0; q < 4; ++q) {
+      const SimTime at = static_cast<SimTime>(slice) * kMillisecond + q * kBaseInterval;
+      t.events.push_back({.time = at, .block = 0});
+      t.events.push_back({.time = at, .block = 1});
+    }
+  };
+  burst(0);
+  burst(1);
+  burst(kGap + 2);
+  const auto replay = [&](FimSource* fim) {
+    OutcomeLog log;
+    trace::VectorCursor cursor(t);
+    const auto r = QosPipeline(scheme, cfg).run_stream(
+        cursor, fim, {.keep_intervals = false, .sink = &log});
+    EXPECT_EQ(r.requests, t.events.size());
+    return log.outcomes;
+  };
+  const auto got = replay(nullptr);
+  PerSliceFimSource source(t, cfg.qos_interval);
+  const auto want = replay(&source);
+  EXPECT_EQ(source.served, kGap + 2) << "the reference rebuilds per slice";
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].dispatch, want[i].dispatch) << i;
+    EXPECT_EQ(got[i].start, want[i].start) << i;
+    EXPECT_EQ(got[i].finish, want[i].finish) << i;
+    EXPECT_EQ(got[i].device, want[i].device) << i;
+    EXPECT_EQ(got[i].fim_matched, want[i].fim_matched) << i;
+    EXPECT_EQ(got[i].path, want[i].path) << i;
+  }
+  EXPECT_TRUE(got[8].fim_matched) << "slice 1 maps by slice 0's pairs";
+  EXPECT_FALSE(got.back().fim_matched) << "the gap reset the mapper";
 }
 
 TEST(ReplayOriginal, QueueingShowsInResponseTimes) {

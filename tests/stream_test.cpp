@@ -128,6 +128,43 @@ TEST(StreamReader, MalformedLinesAreSkippedCountedAndCapped) {
   EXPECT_EQ(cursor.diagnostics()[1].line, 3u);
 }
 
+// A line past the simulated-time ceiling (2^62 ns) is skipped with a
+// diagnostic and does not move the ordering check: the next in-order line
+// still reads. MSR's ticks are 100 ns, so its ceiling is 2^62 / 100 ticks
+// after the first row, and past 2^63 / 100 the product would overflow.
+TEST(StreamReader, TimesPastTheCeilingAreSkipped) {
+  Trace like;
+  like.volumes = 4;
+  like.report_interval = kMillisecond;
+  auto disksim = disksim_cursor_over(
+      "0.5 1 100 16 1\n"
+      "4611686018428 1 200 16 1\n"
+      "1e300 1 300 16 1\n"
+      "1.5 1 400 16 1\n",
+      8, like);
+  const auto lines = drain_cursor(disksim);
+  ASSERT_EQ(lines.events.size(), 2u);
+  EXPECT_EQ(lines.events[1].block, 400u);
+  EXPECT_EQ(disksim.parse_errors(), 2u);
+  ASSERT_EQ(disksim.diagnostics().size(), 2u);
+  EXPECT_EQ(disksim.diagnostics()[0].line, 2u);
+  EXPECT_EQ(disksim.diagnostics()[1].line, 3u);
+
+  MsrReadOptions opts;
+  opts.volumes = 1;
+  MsrCursor msr(std::make_unique<MemoryByteSource>(
+                    "0,h,0,Read,0,8192,0\n"
+                    "46116860184273880,h,0,Read,8192,8192,0\n"
+                    "92233720368547758,h,0,Read,16384,8192,0\n"
+                    "10,h,0,Read,24576,8192,0\n",
+                    16),
+                "msr", opts);
+  const auto rows = drain_cursor(msr);
+  ASSERT_EQ(rows.events.size(), 2u);
+  EXPECT_EQ(rows.events[1].time, 1000);
+  EXPECT_EQ(msr.parse_errors(), 2u);
+}
+
 TEST(StreamReader, EmptyInputYieldsNothing) {
   Trace like;
   like.volumes = 1;
@@ -202,6 +239,26 @@ TEST(StreamingStats, MatchesTheInMemoryIntervalStats) {
 // whatever the cursor hands it per fill() call. (The full identity —
 // metric registry, windowed time-series, generator and file cursors,
 // mutation trip — is flashqos_verify --stream.)
+// The engine holds the ceiling at ingest too, for cursors that do not
+// range-check their own times. (Intervals are not kept: an event at 2^62
+// ns would otherwise ask for 2^62 / 1 s interval reports.)
+TEST(StreamReplayDeathTest, AnEventPastTheCeilingIsRejectedAtIngest) {
+  const auto d = design::make_9_3_1();
+  const decluster::DesignTheoretic scheme(d, true);
+  Trace t;
+  t.report_interval = kSecond;
+  t.events = {{.time = 0, .block = 1}, {.time = kMaxEventTime + 1, .block = 2}};
+  core::PipelineConfig cfg;
+  cfg.mapping = core::MappingMode::kModulo;
+  EXPECT_DEATH(
+      {
+        VectorCursor cursor(t);
+        (void)core::QosPipeline(scheme, cfg).run_stream(cursor, nullptr,
+                                                        {.keep_intervals = false});
+      },
+      "kMaxEventTime");
+}
+
 TEST(StreamReplay, BatchSizeNeverChangesTheResult) {
   const auto d = design::make_9_3_1();
   const decluster::DesignTheoretic scheme(d, true);

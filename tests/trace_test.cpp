@@ -26,6 +26,10 @@ TEST(TraceEventChecks, ValidityRules) {
   t.events.pop_back();
   t.events.push_back({.time = 20, .block = 3, .device = 7});  // device range
   EXPECT_FALSE(valid_trace(t));
+  t.events.back() = {.time = kMaxEventTime, .block = 3, .device = 1};
+  EXPECT_TRUE(valid_trace(t));
+  t.events.push_back({.time = kMaxEventTime + 1, .block = 4, .device = 1});
+  EXPECT_FALSE(valid_trace(t)) << "past the simulated-time ceiling";
 }
 
 TEST(ReportSlices, PartitionsEvents) {
@@ -79,6 +83,20 @@ TEST(DiskSimFormat, RoundTrips) {
 TEST(DiskSimFormat, RejectsMalformedLine) {
   std::stringstream ss("0.1 0 100 not-a-number 1\n");
   EXPECT_THROW(read_disksim_ascii(ss, "x", 1, kMillisecond), std::runtime_error);
+}
+
+// 2^62 ns is 4611686018427.387904 ms: a time past it throws, whether it
+// would fit in 64 bits (4611686018428 ms) or not (1e300 ms) — instead of
+// replaying at a wrapped or overflowing instant.
+TEST(DiskSimFormat, RejectsTimesPastTheCeiling) {
+  std::stringstream ok("4611686018427 0 1 16 1\n");
+  EXPECT_EQ(read_disksim_ascii(ok, "x", 1, kMillisecond).events.at(0).time,
+            from_ms(4611686018427.0));  // just below, to double precision
+  for (const char* time : {"4611686018428", "1e300", "-1e300"}) {
+    std::stringstream ss(std::string(time) + " 0 1 16 1\n");
+    EXPECT_THROW(read_disksim_ascii(ss, "x", 1, kMillisecond), std::runtime_error)
+        << time;
+  }
 }
 
 TEST(DiskSimFormat, SkipsComments) {

@@ -349,6 +349,20 @@ TEST(ResimOracleMutation, SpikeReadWithBaseServiceIsDetected) {
   EXPECT_NE(r.first.find("!= simulator"), std::string::npos) << r.first;
 }
 
+// The --replay audit: one replay per {retrieval × admission × mapping ×
+// scheduler} combination on a synthetic and an Exchange-style trace, plus
+// two failure-window configs. One assertion per check, so a regression
+// names the exact combination.
+TEST(ResimOracle, AllModeCombinations) {
+  const auto d = design::make_9_3_1();
+  const DesignTheoretic scheme(d, true);
+  const auto report = verify::verify_resimulation(scheme);
+  for (const auto& check : report.checks()) {
+    EXPECT_TRUE(check.passed) << check.name << ": " << check.detail;
+  }
+  EXPECT_EQ(report.checks().size(), 2u * 3u * 2u * 2u * 2u + 2u);
+}
+
 TEST(VerifyMiner, AprioriMatchesNaiveOnModelSlices) {
   const auto r = verify::verify_miner();
   EXPECT_TRUE(r.passed()) << r.to_string(true);

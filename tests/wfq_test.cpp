@@ -408,7 +408,6 @@ TEST(FairnessOracleTest, SmokeHonestChecksAndMutationLiveness) {
   verify::FairnessOracleParams p;
   p.mixes = 1;
   p.intervals = 24;
-  p.threads = 2;
   p.mutations = true;
   const auto report = verify::verify_fairness(scheme, p);
   EXPECT_TRUE(report.passed()) << report.to_string(true);
