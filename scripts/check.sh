@@ -11,8 +11,8 @@
 #      file under src/, bench/, examples/ or perfbench/ other than its own
 #      .cpp (a module only tests reach is dead weight; not transitive)
 #   3. schedule-exhaustive model checking (flashqos_verify --model): every
-#      interleaving of the bounded ThreadPool / HandoffQueue / MetricRegistry
-#      models, with vector-clock race, deadlock, and lost-wakeup detection
+#      interleaving of the bounded HandoffQueue / MetricRegistry models,
+#      with vector-clock race, deadlock, and lost-wakeup detection
 #   4. the test suite under AddressSanitizer + UndefinedBehaviorSanitizer,
 #      built as RelWithDebInfo without -DNDEBUG so the engine's
 #      FLASHQOS_ASSERT invariants are checked too (every other build here

@@ -1,11 +1,13 @@
 // ModelSyncPolicy: the model checker's side of the util::StdSyncPolicy seam.
 //
-// Instantiating a sync-policy-templated primitive (util::BasicThreadPool,
-// util::HandoffQueue, obs::BasicMetricRegistry) with ModelSyncPolicy swaps
-// every std::atomic / std::mutex / std::condition_variable / std::thread
-// for a model type that hands each operation to the active check::Sched as
-// a scheduling transition. The production instantiation never sees any of
-// this — StdSyncPolicy compiles to the raw std primitives.
+// Instantiating a sync-policy-templated primitive (util::HandoffQueue,
+// obs::BasicMetricRegistry) with ModelSyncPolicy swaps every std::atomic /
+// std::mutex / std::condition_variable for a model type that hands each
+// operation to the active check::Sched as a scheduling transition. The
+// production instantiation never sees any of this — StdSyncPolicy compiles
+// to the raw std primitives. ModelThread (ModelSyncPolicy::Thread) is the
+// models' own std::thread stand-in: the primitives start no threads, so
+// only the scenarios that drive them spawn one.
 //
 // Faithfulness notes:
 //  * Atomics are sequentially consistent in *value* (the explorer
@@ -272,11 +274,6 @@ class ModelThread {
     tid_ = kNoThread;
   }
 
-  [[nodiscard]] static unsigned int hardware_concurrency() noexcept {
-    return 2;  // models bound their own widths; this is the `threads==0`
-               // default a modeled pool resolves to
-  }
-
  private:
   Sched* sched_ = nullptr;
   ThreadId tid_ = kNoThread;
@@ -308,7 +305,7 @@ class ModelShared {
 };
 
 /// The model checker's sync policy (see util::StdSyncPolicy for the seam
-/// contract).
+/// contract), plus Thread for the scenarios that drive it.
 struct ModelSyncPolicy {
   template <typename T>
   using Atomic = ModelAtomic<T>;

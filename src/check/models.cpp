@@ -3,19 +3,15 @@
 #include <string>
 
 #include "check/model_sync.hpp"
-#include "core/tenant_scheduler.hpp"
 #include "obs/metrics.hpp"
 #include "util/handoff_queue.hpp"
-#include "util/thread_pool.hpp"
 
 namespace flashqos::check {
 namespace {
 
 using ModelQueue = HandoffQueue<int, ModelSyncPolicy>;
-using ModelPool = BasicThreadPool<ModelSyncPolicy>;
 using ModelRegistry =
     obs::BasicMetricRegistry<ModelSyncPolicy, obs::NullHistogram>;
-using ModelIngress = core::BasicTenantIngress<int, ModelSyncPolicy>;
 
 // Keep models at 2–3 virtual threads and a handful of operations each: the
 // schedule count is roughly multinomial in the per-thread op counts, and
@@ -63,45 +59,6 @@ SchedResult handoff_queue_mpsc() {
   });
 }
 
-/// One worker, two submitted tasks, wait(), then destructor drain.
-/// Verifies the task_ready/all_done wakeup protocol, that wait() creates
-/// the happens-before edge making task side effects visible (the task
-/// writes are plain Shared state — a missing edge is a detected race), and
-/// that the stop-and-join handshake in the destructor terminates on every
-/// schedule.
-SchedResult thread_pool_submit_wait_drain() {
-  return explore([] {
-    ModelShared<int> a{0};
-    ModelShared<int> b{0};
-    {
-      ModelPool pool(1);
-      pool.submit([&a] { a.rw() = 1; });
-      pool.submit([&b] { b.rw() = 2; });
-      pool.wait();
-      // Reads ride on the mutex edge from each task's completion
-      // bookkeeping; the race checker proves that, not convention.
-      model_expect(a.rd() == 1 && b.rd() == 2, "both tasks ran before wait()");
-    }  // ~BasicThreadPool: stop flag, notify, join
-    return std::string("a=") + std::to_string(a.rd()) +
-           ",b=" + std::to_string(b.rd());
-  });
-}
-
-/// Destructor drain with a task still queued: a pool destroyed right after
-/// submit must still run the queued task before joining (stop-and-drain,
-/// not stop-and-discard).
-SchedResult thread_pool_drain_pending() {
-  return explore([] {
-    ModelShared<int> ran{0};
-    {
-      ModelPool pool(1);
-      pool.submit([&ran] { ran.rw() = 1; });
-    }
-    model_expect(ran.rd() == 1, "queued task must run before pool teardown");
-    return std::string("ran");
-  });
-}
-
 /// Registry register+fold: two threads concurrently create/look up
 /// instruments (map mutation under the registry mutex) and bump a shared
 /// counter with relaxed fetch_adds; after both joins, the snapshot fold
@@ -128,48 +85,6 @@ SchedResult metric_registry_register_fold() {
   });
 }
 
-/// The multi-tenant arrival seam (core::BasicTenantIngress): a producer
-/// fills two capacity-1 tenant queues — plus one maybe-shed extra, racing
-/// the drain — then closes; main drains via pop_any(). Exactly-once
-/// conservation, per-tenant FIFO, shed-on-full, and the close/drain
-/// handshake (no lost wakeup while main blocks on empty queues) must hold
-/// on every schedule. The digest folds away the schedule-dependent shed
-/// count; the invariants are the model_expects.
-SchedResult tenant_ingress_mpsc_drain() {
-  return explore([] {
-    ModelIngress ing(2, 1);
-    ModelShared<int> accepted{0};
-    ModelSyncPolicy::Thread producer([&ing, &accepted] {
-      int n = 0;
-      model_expect(ing.try_push(0, 10), "empty tenant-0 queue must accept");
-      ++n;
-      model_expect(ing.try_push(1, 21), "empty tenant-1 queue must accept");
-      ++n;
-      if (ing.try_push(1, 22)) ++n;  // sheds iff 21 is not yet drained
-      accepted.rw() = n;
-      ing.close();
-    });
-    int popped = 0;
-    int prev1 = 0;
-    while (auto item = ing.pop_any()) {
-      ++popped;
-      if (item->first == 1) {
-        model_expect(item->second > prev1, "tenant-1 items must stay FIFO");
-        prev1 = item->second;
-      } else {
-        model_expect(item->second == 10, "tenant 0 delivers its one item");
-      }
-    }
-    model_expect(!ing.pop_any().has_value(),
-                 "closed+drained ingress must stay empty");
-    producer.join();
-    model_expect(popped == accepted.rd(),
-                 "every accepted item is drained exactly once");
-    model_expect(!ing.try_push(0, 99), "closed ingress must refuse pushes");
-    return std::string("conserved");
-  });
-}
-
 }  // namespace
 
 std::vector<ModelRun> run_builtin_models() {
@@ -182,18 +97,6 @@ std::vector<ModelRun> run_builtin_models() {
                   "two producers race one consumer: exactly-once delivery "
                   "under backpressure",
                   handoff_queue_mpsc()});
-  runs.push_back({"thread_pool.submit_wait_drain",
-                  "submit x2 + wait + destructor: completion visibility and "
-                  "stop/join handshake",
-                  thread_pool_submit_wait_drain()});
-  runs.push_back({"thread_pool.drain_pending",
-                  "destructor with a queued task: stop-and-drain, not "
-                  "stop-and-discard",
-                  thread_pool_drain_pending()});
-  runs.push_back({"tenant_ingress.mpsc_drain",
-                  "per-tenant bounded queues with shed-on-full: exactly-once "
-                  "drain, per-tenant FIFO, close/drain handshake",
-                  tenant_ingress_mpsc_drain()});
   runs.push_back({"metric_registry.register_fold",
                   "concurrent instrument registration + relaxed increments; "
                   "fold after joins is exact and schedule-invariant",

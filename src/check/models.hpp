@@ -1,8 +1,8 @@
 // Built-in bounded models of the project's concurrency primitives.
 //
 // Each model instantiates a *production* template (util::HandoffQueue,
-// flashqos::BasicThreadPool, obs::BasicMetricRegistry) with
-// check::ModelSyncPolicy and drives a small bounded scenario through
+// obs::BasicMetricRegistry) with check::ModelSyncPolicy and drives a
+// small bounded scenario through
 // check::explore() — every interleaving of its synchronization operations
 // is executed and checked for data races, deadlocks, lost wakeups, and
 // schedule-dependent results. These are the same class templates the

@@ -5,6 +5,7 @@
 #include <cctype>
 #include <charconv>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
@@ -139,6 +140,31 @@ std::unique_ptr<design::BlockDesign> make_design(const std::string& spec) {
        " (catalog name, or sts:v / ag:q / pg:q / td:k,n / kts:15)");
 }
 
+/// [workload] interval_ms in ns, within [0, kMaxEventTime]: NaN and 1e300
+/// have no SimTime, and a negative interval runs arrivals backwards.
+SimTime workload_interval(const Config& cfg) {
+  const double ms = cfg.get_double("workload", "interval_ms", 0.133);
+  if (!(ms >= 0.0 && ms * static_cast<double>(kMillisecond) <=
+                         static_cast<double>(kMaxEventTime))) {
+    fail("config: [workload] interval_ms = " + cfg.get("workload", "interval_ms", "0.133") +
+         " is not a time in [0, " + std::to_string(to_ms(kMaxEventTime)) + "] ms");
+  }
+  return from_ms(ms);
+}
+
+/// The workload's last arrival, `spread` past the start of interval
+/// `last`, must not pass kMaxEventTime, or the replay would refuse the
+/// trace after load.
+void check_last_arrival(const Config& cfg, SimTime interval, std::uint64_t last,
+                        SimTime spread) {
+  const auto room = static_cast<std::uint64_t>(kMaxEventTime - spread);
+  if (interval > 0 && last > room / static_cast<std::uint64_t>(interval)) {
+    fail("config: [workload] interval_ms = " + cfg.get("workload", "interval_ms", "0.133") +
+         " puts interval " + std::to_string(last) +
+         " past the latest arrival time, 2^62 ns");
+  }
+}
+
 trace::Trace make_workload(const Config& cfg) {
   const std::string kind = cfg.get("workload", "kind", "synthetic");
   const double scale = cfg.get_double("workload", "scale", 0.25);
@@ -154,21 +180,38 @@ trace::Trace make_workload(const Config& cfg) {
   }
   if (kind == "synthetic") {
     trace::SyntheticParams p;
-    p.bucket_pool = cfg.get_int<std::size_t>("workload", "bucket_pool", 36);
-    p.interval = from_ms(cfg.get_double("workload", "interval_ms", 0.133));
-    p.requests_per_interval =
-        cfg.get_int<std::uint32_t>("workload", "requests_per_interval", 5);
+    p.bucket_pool = cfg.get_int<std::size_t>("workload", "bucket_pool", 36, 1);
+    p.interval = workload_interval(cfg);
+    // Each interval draws distinct buckets, so a batch fits in the pool.
+    p.requests_per_interval = cfg.get_int<std::uint32_t>(
+        "workload", "requests_per_interval", 5, 1,
+        static_cast<std::uint32_t>(
+            std::min<std::size_t>(p.bucket_pool, std::numeric_limits<std::uint32_t>::max())));
     p.total_requests = cfg.get_int<std::size_t>("workload", "total_requests", 10000);
     p.seed = seed;
+    if (p.total_requests > 0) {
+      check_last_arrival(cfg, p.interval,
+                         (p.total_requests - 1) / p.requests_per_interval, 0);
+    }
     return trace::generate_synthetic(p);
   }
   if (kind == "multi_tenant") {
     trace::MultiTenantParams p;
-    p.interval = from_ms(cfg.get_double("workload", "interval_ms", 0.133));
-    p.intervals = cfg.get_int<std::size_t>("workload", "intervals", 100);
+    p.interval = workload_interval(cfg);
+    p.intervals = cfg.get_int<std::size_t>("workload", "intervals", 100, 1);
     p.bucket_base = cfg.get_int<std::size_t>("workload", "bucket_base", 0);
     p.seed = seed;
-    p.jitter_slots = cfg.get_int<std::uint32_t>("workload", "jitter_slots", 0);
+    // Jittered arrivals sit up to jitter_slots steps of interval /
+    // (jitter_slots + 1) ns past their boundary. A step must be at least
+    // 1 ns, so jitter_slots stays below the interval's length in ns; past
+    // it, arrivals spill into later intervals and come out of order.
+    const auto max_jitter = static_cast<std::uint32_t>(std::clamp<SimTime>(
+        p.interval - 1, 0, std::numeric_limits<std::uint32_t>::max() - 1));
+    p.jitter_slots =
+        cfg.get_int<std::uint32_t>("workload", "jitter_slots", 0, 0, max_jitter);
+    const SimTime slots = p.jitter_slots;
+    check_last_arrival(cfg, p.interval, p.intervals - 1,
+                       slots * (p.interval / (slots + 1)));
     for (const auto& spec : cfg.all("tenants", "load")) {
       Fields f("tenants", "load", spec,
                "requests_per_interval bucket_pool [active_intervals]");
@@ -176,6 +219,9 @@ trace::Trace make_workload(const Config& cfg) {
       f.need(l.requests_per_interval, l.bucket_pool);
       f.maybe(l.active_intervals);
       f.end();
+      if (l.bucket_pool == 0) {
+        fail("config: [tenants] load = " + spec + " has bucket_pool 0, not at least 1");
+      }
       p.tenants.push_back(l);
     }
     if (p.tenants.empty()) {

@@ -957,9 +957,7 @@ class ReplayEngine {
         const auto max_k = static_cast<std::uint32_t>(cfg_.p_table.size() - 1);
         it->second = sample_optimal_probabilities(
             scheme_, max_k,
-            {.samples_per_size = cfg_.p_table_samples,
-             .seed = cfg_.p_table_seed,
-             .threads = 1},
+            {.samples_per_size = cfg_.p_table_samples, .seed = cfg_.p_table_seed},
             budget_mask_);
       }
       stat_->set_budget(det_limit_now_, it->second);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <tuple>
 
@@ -10,7 +9,6 @@
 #include "obs/metrics.hpp"
 #include "retrieval/maxflow.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace flashqos::core {
 namespace {
@@ -32,9 +30,9 @@ double estimate_one_size(const decluster::AllocationScheme& scheme, std::uint32_
                          const std::vector<bool>& available,
                          const std::vector<BucketId>& pool,
                          std::uint32_t live_devices) {
-  // Per-size RNG stream: P_k is the same whether sizes run serially or on
-  // a pool. With an empty mask the pool is the identity over all buckets,
-  // so the draws (and the table) are bit-identical to the healthy sampler.
+  // Per-size RNG stream: P_k is the same whatever max_k the table runs to.
+  // With an empty mask the pool is the identity over all buckets, so the
+  // draws (and the table) are bit-identical to the healthy sampler.
   Rng rng(shard_seed(seed, k));
   std::vector<BucketId> batch(k);
   const auto lower =
@@ -82,26 +80,15 @@ std::vector<double> compute_probabilities(const decluster::AllocationScheme& sch
   }
   FLASHQOS_EXPECT(live_devices > 0 && !pool.empty(),
                   "degraded sampling needs at least one live device");
-  if (params.threads == 1) {
-    for (std::uint32_t k = 1; k <= max_k; ++k) {
-      p[k] = estimate_one_size(scheme, k, params.samples_per_size, params.seed,
-                               available, pool, live_devices);
-    }
-    return p;
-  }
-  ThreadPool pool_threads(params.threads);
-  parallel_for(pool_threads, max_k, [&](std::size_t i) {
-    const auto k = static_cast<std::uint32_t>(i + 1);
+  for (std::uint32_t k = 1; k <= max_k; ++k) {
     p[k] = estimate_one_size(scheme, k, params.samples_per_size, params.seed,
                              available, pool, live_devices);
-  });
+  }
   return p;
 }
 
 /// Everything that determines the sampled table bit for bit: the scheme's
 /// geometry and full replica table, plus the sampling parameters.
-/// `threads` is excluded on purpose (per-size RNG streams make the result
-/// thread-count invariant — see SamplerParams).
 struct PkKey {
   std::uint32_t devices;
   std::uint32_t copies;
@@ -117,14 +104,6 @@ struct PkKey {
            std::tie(b.devices, b.copies, b.max_k, b.samples, b.seed, b.table,
                     b.mask);
   }
-};
-
-/// One memo slot. The value is computed under a once_flag so concurrent
-/// sweep jobs asking for the same key dedupe: the first computes (outside
-/// the map mutex), the rest block on the flag and then share the table.
-struct PkEntry {
-  std::once_flag once;
-  std::vector<double> table;
 };
 
 }  // namespace
@@ -152,29 +131,27 @@ std::vector<double> sample_optimal_probabilities(
     key.table.insert(key.table.end(), reps.begin(), reps.end());
   }
 
+  // The lock is held across the compute: a second caller of a key being
+  // computed waits, then hits.
   static std::mutex mutex;
-  static std::map<PkKey, std::shared_ptr<PkEntry>> memo;
-  std::shared_ptr<PkEntry> entry;
-  bool inserted = false;
-  {
-    const std::lock_guard<std::mutex> lock(mutex);
-    auto [it, fresh] = memo.try_emplace(std::move(key));
-    // flashqos-lint: allow(hot-path-alloc): memo miss; once per configuration
-    if (fresh) it->second = std::make_shared<PkEntry>();
-    entry = it->second;
-    inserted = fresh;
-  }
+  static std::map<PkKey, std::vector<double>> memo;
+  const std::lock_guard<std::mutex> lock(mutex);
+  auto it = memo.find(key);
+  const bool hit = it != memo.end();
   if constexpr (obs::kEnabled) {
-    if (inserted) {
-      PkCacheMetrics::get().miss.inc();
-    } else {
+    if (hit) {
       PkCacheMetrics::get().hit.inc();
+    } else {
+      PkCacheMetrics::get().miss.inc();
     }
   }
-  std::call_once(entry->once, [&] {
-    entry->table = compute_probabilities(scheme, max_k, params, available);
-  });
-  return entry->table;
+  if (!hit) {
+    // flashqos-lint: allow(hot-path-alloc): memo miss; once per configuration
+    it = memo.emplace(std::move(key),
+                      compute_probabilities(scheme, max_k, params, available))
+             .first;
+  }
+  return it->second;
 }
 
 }  // namespace flashqos::core

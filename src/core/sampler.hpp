@@ -17,10 +17,6 @@ namespace flashqos::core {
 struct SamplerParams {
   std::size_t samples_per_size = 5000;
   std::uint64_t seed = 7;
-  /// Worker threads for the per-size Monte Carlo (0 = hardware
-  /// concurrency, 1 = serial). Results are identical for any thread count:
-  /// each request size gets its own deterministic RNG stream.
-  std::size_t threads = 1;
   /// Consult the process-wide P_k memo (below). The memo never changes
   /// results — a cached table is the stored output of the same
   /// deterministic computation — so this exists only for benchmarks and
@@ -29,17 +25,16 @@ struct SamplerParams {
 };
 
 /// P[k] for k = 0..max_k (P[0] = 1). Each P[k] estimated by Monte Carlo
-/// with the exact max-flow optimality check.
+/// with the exact max-flow optimality check, from its own RNG stream
+/// (shard_seed(seed, k)), so P[k] does not depend on max_k.
 ///
 /// Results are memoized process-wide, keyed by the scheme's full replica
 /// table (not its name) plus (max_k, samples_per_size, seed) — the inputs
-/// that determine the output bit for bit; `threads` is deliberately
-/// excluded because per-size RNG streams make the table thread-count
-/// invariant. Replay sweeps hammer identical (scheme, seed) configs across
-/// jobs, so the memo collapses 16 samplings into one; concurrent callers
-/// of the same key dedupe (one computes, the rest block and share).
-/// Hit/miss counts are exported as `retrieval.pk_cache.{hit,miss}` and
-/// audited by `flashqos_verify --obs`.
+/// that determine the output bit for bit — so repeated replays of one
+/// configuration sample once. A caller asking for a key that another
+/// thread is computing waits for it and shares the table. Hit/miss counts
+/// are exported as `retrieval.pk_cache.{hit,miss}` and audited by
+/// `flashqos_verify --obs`.
 [[nodiscard]] std::vector<double> sample_optimal_probabilities(
     const decluster::AllocationScheme& scheme, std::uint32_t max_k,
     const SamplerParams& params = {});

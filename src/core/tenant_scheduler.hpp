@@ -16,25 +16,19 @@
 // floors scale as floor(res_i · S′/S) — guarantees shrink proportionally,
 // exactly like the admission budget itself.
 //
-// The scheduler is single-threaded replay-core state (see wfq.hpp). The
-// concurrent seam for a future daemon front end is BasicTenantIngress
-// below: per-tenant bounded MPSC queues with shed-on-full backpressure,
-// model-checked via check::Sched ("tenant_ingress.mpsc_drain") and
-// TSan-stressed in tests/parallel_stress_test.cpp.
+// The scheduler is single-threaded replay-core state (see wfq.hpp): the
+// daemon reaches it through PipelineService's ingress, on the one thread
+// that runs the replay.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/wfq.hpp"
-#include "util/annotations.hpp"
 #include "util/expect.hpp"
-#include "util/sync.hpp"
 
 namespace flashqos::core {
 
@@ -132,85 +126,5 @@ class TenantScheduler {
   WfqKnobs knobs_;
   mutable std::vector<bool> exclude_;  // next_candidate() scratch
 };
-
-/// Concurrent arrival seam: per-tenant bounded MPSC queues between
-/// producer threads (a future daemon's connection handlers) and the
-/// single replay/scheduler thread that drains them. try_push() sheds on a
-/// full queue — the ECN backpressure signal crosses the thread boundary as
-/// a false return the producer can surface to its client. pop_any() is the
-/// blocking drain: lowest-index non-empty tenant first (the WFQ stamp is
-/// applied *after* the handoff, by the single consumer, so fairness
-/// ordering never depends on producer interleaving).
-///
-/// Templated on the sync policy so check::Sched can exhaustively model the
-/// blocking protocol (lost-wakeup freedom of the close/drain handshake).
-template <typename T, typename Sync = util::StdSyncPolicy>
-class BasicTenantIngress {
- public:
-  BasicTenantIngress(std::size_t tenants, std::size_t capacity)
-      : capacity_(capacity), queues_(tenants) {
-    FLASHQOS_EXPECT(tenants > 0, "tenant ingress needs at least one tenant");
-    FLASHQOS_EXPECT(capacity > 0, "tenant ingress capacity must be positive");
-  }
-
-  BasicTenantIngress(const BasicTenantIngress&) = delete;
-  BasicTenantIngress& operator=(const BasicTenantIngress&) = delete;
-
-  [[nodiscard]] std::size_t tenants() const noexcept {
-    return queues_.rd().size();
-  }
-
-  /// Non-blocking enqueue for `tenant`. False = shed (queue at capacity)
-  /// or closed; the item is dropped either way.
-  bool try_push(std::size_t tenant, T item) {
-    {
-      const typename Sync::LockGuard lock(mutex_);
-      if (closed_.rd()) return false;
-      auto& q = queues_.rw()[tenant];
-      if (q.size() >= capacity_) return false;
-      q.push_back(std::move(item));
-    }
-    not_empty_.notify_one();
-    return true;
-  }
-
-  /// Blocking drain: (tenant, item) from the lowest-index non-empty
-  /// queue; nullopt iff closed and fully drained.
-  std::optional<std::pair<std::size_t, T>> pop_any() {
-    typename Sync::UniqueLock lock(mutex_);
-    while (true) {
-      auto& qs = queues_.rw();
-      for (std::size_t t = 0; t < qs.size(); ++t) {
-        if (qs[t].empty()) continue;
-        std::pair<std::size_t, T> out{t, std::move(qs[t].front())};
-        qs[t].pop_front();
-        return out;
-      }
-      if (closed_.rd()) return std::nullopt;
-      not_empty_.wait(lock);
-    }
-  }
-
-  /// Refuse further pushes and wake the consumer; queued items remain
-  /// poppable (close-then-drain, like HandoffQueue).
-  void close() {
-    {
-      const typename Sync::LockGuard lock(mutex_);
-      closed_.rw() = true;
-    }
-    not_empty_.notify_all();
-  }
-
- private:
-  const std::size_t capacity_;
-  mutable typename Sync::Mutex mutex_;
-  typename Sync::CondVar not_empty_;
-  typename Sync::template Shared<std::vector<std::deque<T>>> queues_
-      FLASHQOS_GUARDED_BY(mutex_);
-  typename Sync::template Shared<bool> closed_ FLASHQOS_GUARDED_BY(mutex_){
-      false};
-};
-
-using TenantIngress = BasicTenantIngress<std::uint64_t>;
 
 }  // namespace flashqos::core

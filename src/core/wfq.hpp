@@ -22,9 +22,7 @@
 //
 // Single-threaded by design: this runs inside the serial replay core, so
 // its verdicts are a pure function of the trace and config, like every
-// other pipeline stage's. The concurrent producer seam is
-// core::BasicTenantIngress (tenant_scheduler.hpp), which hands arrivals
-// to this structure from one draining thread.
+// other pipeline stage's.
 #pragma once
 
 #include <cstddef>

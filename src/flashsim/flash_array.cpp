@@ -17,8 +17,6 @@ FlashArray::FlashArray(std::uint32_t devices, std::shared_ptr<const ModuleModel>
     : model_(std::move(model)), modules_(devices) {
   FLASHQOS_EXPECT(devices > 0, "array needs at least one module");
   FLASHQOS_EXPECT(model_ != nullptr, "array needs a timing model");
-  const std::uint32_t ways = std::max<std::uint32_t>(1, model_->ways());
-  for (auto& m : modules_) m.package_free.assign(ways, 0);
 }
 
 void FlashArray::submit(const IoRequest& req) {
@@ -66,7 +64,7 @@ void FlashArray::process(const Event& e) {
       break;
     case EventType::kCompletion:
       completions_.push_back(e.completion);
-      --m.busy_ways;
+      m.busy = false;
       try_start(e.device, e.time);
       break;
   }
@@ -74,27 +72,22 @@ void FlashArray::process(const Event& e) {
 
 void FlashArray::try_start(DeviceId d, SimTime at) {
   Module& m = modules_[d];
-  while (!m.queue.empty() && m.busy_ways < m.package_free.size()) {
-    // Earliest-free package; all are <= `at` when busy_ways < ways is the
-    // only dispatch condition, but keep the general form for clarity.
-    const auto it = std::min_element(m.package_free.begin(), m.package_free.end());
-    const IoRequest req = m.queue.front();
-    m.queue.pop_front();
-    const SimTime start = std::max(at, *it);
-    const SimTime finish = start + service_of(*model_, req);
-    *it = finish;
-    ++m.busy_ways;
-    events_.push(Event{.time = finish,
-                       .seq = next_seq_++,
-                       .type = EventType::kCompletion,
-                       .device = d,
-                       .request = {},
-                       .completion = IoCompletion{.id = req.id,
-                                                  .device = d,
-                                                  .submit_time = req.submit_time,
-                                                  .start = start,
-                                                  .finish = finish}});
-  }
+  if (m.busy || m.queue.empty()) return;
+  // An idle module's last completion was processed at or before `at`.
+  const IoRequest req = m.queue.front();
+  m.queue.pop_front();
+  const SimTime finish = at + service_of(*model_, req);
+  m.busy = true;
+  events_.push(Event{.time = finish,
+                     .seq = next_seq_++,
+                     .type = EventType::kCompletion,
+                     .device = d,
+                     .request = {},
+                     .completion = IoCompletion{.id = req.id,
+                                                .device = d,
+                                                .submit_time = req.submit_time,
+                                                .start = at,
+                                                .finish = finish}});
 }
 
 std::vector<IoCompletion> FlashArray::take_completions() {

@@ -1,8 +1,8 @@
 // Discrete-event simulator of a flash storage array.
 //
 // The array is N flash modules behind a controller (paper Fig. 1). Each
-// module serves requests FIFO across `ways` concurrent packages with a
-// pluggable timing model. The simulator is a classic event-driven core:
+// module serves one request at a time, FIFO, with a pluggable timing
+// model. The simulator is a classic event-driven core:
 // a time-ordered heap of arrival/completion events, deterministic
 // tie-breaking by submission sequence, integer-nanosecond clock.
 //
@@ -56,9 +56,8 @@ class FlashArray {
 
  private:
   struct Module {
-    std::deque<IoRequest> queue;          // waiting, FIFO
-    std::vector<SimTime> package_free;    // per-way next-free time
-    std::uint32_t busy_ways = 0;
+    std::deque<IoRequest> queue;  // waiting, FIFO
+    bool busy = false;            // a request is in service, its completion pending
   };
 
   enum class EventType : std::uint8_t { kArrival, kCompletion };

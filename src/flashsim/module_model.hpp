@@ -2,11 +2,9 @@
 //
 // The paper's evaluation needs exactly one number from its simulator: an
 // 8 KB read takes 0.132507 ms on a flash module (the MSR SSD-extension
-// parameter set). FixedLatencyModel reproduces that. DetailedModel breaks
-// the figure into flash-package cell read plus channel transfer so that
-// multi-page requests and intra-module package parallelism can be studied
-// (the substrate a flash *module* in Fig. 1 actually contains: FMC, DRAM,
-// multiple packages on a shared channel).
+// parameter set). FixedLatencyModel reproduces that, with a separate page
+// program time for mixed workloads. Every module serves one request at a
+// time, FIFO.
 #pragma once
 
 #include <cstdint>
@@ -23,10 +21,6 @@ class ModuleModel {
 
   /// Busy time the module spends serving one request.
   [[nodiscard]] virtual SimTime service_time(const IoRequest& req) const = 0;
-
-  /// Number of requests the module can serve concurrently (package-level
-  /// parallelism behind the module controller). 1 = strict FIFO unit server.
-  [[nodiscard]] virtual std::uint32_t ways() const noexcept { return 1; }
 };
 
 /// Default 8 KB page program time. The paper's evaluation is read-only;
@@ -49,32 +43,6 @@ class FixedLatencyModel final : public ModuleModel {
  private:
   SimTime read_per_page_;
   SimTime write_per_page_;
-};
-
-/// Cell read + channel transfer decomposition. The first page pays the cell
-/// read; subsequent pages pipeline reads behind transfers, so an n-page
-/// request costs cell_read + n·transfer. Package parallelism (`ways`) lets
-/// the module overlap independent requests.
-struct DetailedModelParams {
-  SimTime cell_read = 32507 * kNanosecond;     // flash array cell access
-  SimTime cell_program = 100 * kMicrosecond;   // page program pulse
-  SimTime transfer = 100000 * kNanosecond;     // 8 KB over the module channel
-  std::uint32_t packages = 1;                  // concurrent ways
-};
-
-class DetailedModel final : public ModuleModel {
- public:
-  explicit DetailedModel(DetailedModelParams p) noexcept : p_(p) {}
-
-  [[nodiscard]] SimTime service_time(const IoRequest& req) const override {
-    const SimTime cell = req.is_write ? p_.cell_program : p_.cell_read;
-    return cell + p_.transfer * req.pages;
-  }
-
-  [[nodiscard]] std::uint32_t ways() const noexcept override { return p_.packages; }
-
- private:
-  DetailedModelParams p_;
 };
 
 }  // namespace flashqos::flashsim

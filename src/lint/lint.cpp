@@ -149,7 +149,7 @@ void harvest_allows(std::string_view comment, std::size_t line, Lexed& out) {
 
 // --- rule configuration ----------------------------------------------------
 
-enum class Scope { kAll, kHotPath };
+enum class Scope { kAll, kHotPath, kReplayEngine };
 
 struct WordRule {
   const char* name;
@@ -200,6 +200,12 @@ struct WordRule {
        "wall-clock/sleep in simulation code; results may only depend on "
        "SimTime (allow-comment opt-in self-timing that never feeds results)",
        {}},
+      {"thread-spawn",
+       Scope::kReplayEngine,
+       {"thread", "jthread", "async"},
+       "thread start in a library the replay engine links; a replay is one "
+       "serial run (threads belong to the serving stack: net, service, obs)",
+       {}},
   };
   return rules;
 }
@@ -212,6 +218,16 @@ struct WordRule {
          path == "trace/stream_reader.cpp" || path == "core/slot_matcher.cpp";
 }
 
+[[nodiscard]] bool in_replay_engine(std::string_view path) {
+  // Every library the replay engine links, src/core included.
+  for (const std::string_view dir :
+       {"core/", "retrieval/", "fim/", "trace/", "fault/", "flashsim/",
+        "design/", "decluster/", "util/"}) {
+    if (path.rfind(dir, 0) == 0) return true;
+  }
+  return false;
+}
+
 [[nodiscard]] bool is_main_cpp(std::string_view path) {
   if (path == "main.cpp") return true;
   return path.size() > 9 && path.substr(path.size() - 9) == "/main.cpp";
@@ -219,6 +235,7 @@ struct WordRule {
 
 [[nodiscard]] bool rule_applies(const WordRule& rule, std::string_view path) {
   if (rule.scope == Scope::kHotPath && !in_hot_path(path)) return false;
+  if (rule.scope == Scope::kReplayEngine && !in_replay_engine(path)) return false;
   if (std::string_view(rule.name) == "adhoc-logging" && is_main_cpp(path)) {
     return false;
   }

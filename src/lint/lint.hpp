@@ -21,6 +21,12 @@
 //   wall-clock       No wall-clock reads or sleeps in src/: simulated time
 //                    (SimTime) is the only clock results may depend on.
 //                    Self-timing of phases is opt-in via allow-comments.
+//   thread-spawn     No std::thread / std::jthread / std::async (nor
+//                    <thread>) in the libraries the replay engine links
+//                    (core, retrieval, fim, trace, fault, flashsim, design,
+//                    decluster, util): a replay is one serial run, and
+//                    threads belong to the serving stack (net, service,
+//                    obs).
 //   include-hygiene  Headers start with #pragma once; quoted includes are
 //                    repo-rooted (contain '/'); no duplicate includes.
 //

@@ -7,14 +7,9 @@ namespace flashqos::obs {
 
 // --- LatencyHistogram ------------------------------------------------------
 
-LatencyHistogram::LatencyHistogram() {
-  for (auto& shard : shards_) {
-    shard.buckets = std::vector<std::atomic<std::uint64_t>>(kBucketEntries);
-  }
-}
+LatencyHistogram::LatencyHistogram() : buckets_(kBucketEntries) {}
 
-bool LatencyHistogram::exact_insert(Shard& s, std::int64_t v,
-                                    std::uint64_t n) noexcept {
+bool LatencyHistogram::exact_insert(std::int64_t v, std::uint64_t n) noexcept {
   // Open-addressed probe starting at the value's hash slot (wrapping). A
   // slot is claimed by CAS-ing value from kEmptySlot; counts are plain
   // fetch_adds. Slots are never released, so a claimed slot's value is
@@ -24,7 +19,7 @@ bool LatencyHistogram::exact_insert(Shard& s, std::int64_t v,
   // record once the tracker fills (measurable on the replay hot path).
   const std::size_t start = exact_slot_hint(v);
   for (std::size_t i = 0; i < kExactCapacity; ++i) {
-    auto& slot = s.exact[(start + i) & (kExactCapacity - 1)];
+    auto& slot = exact_[(start + i) & (kExactCapacity - 1)];
     std::int64_t cur = slot.value.load(std::memory_order_acquire);
     if (cur == kEmptySlot) {
       if (slot.value.compare_exchange_strong(cur, v, std::memory_order_acq_rel,
@@ -54,65 +49,42 @@ void LatencyHistogram::record_n(std::int64_t v, std::uint64_t n) noexcept {
          !max_.compare_exchange_weak(seen_max, v, std::memory_order_relaxed)) {
   }
 
-  Shard& s = shards_[thread_shard()];
-  s.count.fetch_add(n, std::memory_order_relaxed);
-  s.sum.fetch_add(v * static_cast<std::int64_t>(n), std::memory_order_relaxed);
+  count_.fetch_add(n, std::memory_order_relaxed);
+  sum_.fetch_add(v * static_cast<std::int64_t>(n), std::memory_order_relaxed);
 
   const std::int64_t clamped = std::clamp<std::int64_t>(v, 0, kMaxTrackable);
-  s.buckets[bucket_index(clamped)].fetch_add(n, std::memory_order_relaxed);
-  // Once a shard's tracker has overflowed its values are discarded at
-  // snapshot anyway — skip the probe so high-cardinality histograms pay
-  // one relaxed load here, not a full-table miss scan per record.
-  if (!s.overflowed.load(std::memory_order_relaxed) &&
-      !exact_insert(s, clamped, n)) {
-    s.overflowed.store(true, std::memory_order_relaxed);
+  buckets_[bucket_index(clamped)].fetch_add(n, std::memory_order_relaxed);
+  // Once the tracker has overflowed its values are discarded at snapshot
+  // anyway — skip the probe so high-cardinality histograms pay one relaxed
+  // load here, not a full-table miss scan per record.
+  if (!overflowed_.load(std::memory_order_relaxed) && !exact_insert(clamped, n)) {
+    overflowed_.store(true, std::memory_order_relaxed);
   }
 }
 
 HistogramSnapshot LatencyHistogram::snapshot() const {
   HistogramSnapshot snap;
-  bool exact = true;
-  std::vector<std::pair<std::int64_t, std::uint64_t>> values;
-  std::vector<std::uint64_t> buckets(kBucketEntries, 0);
+  snap.count = count_.load(std::memory_order_relaxed);
+  snap.sum = sum_.load(std::memory_order_relaxed);
 
-  for (const auto& s : shards_) {
-    snap.count += s.count.load(std::memory_order_relaxed);
-    snap.sum += s.sum.load(std::memory_order_relaxed);
-    if (s.overflowed.load(std::memory_order_relaxed)) exact = false;
-    for (const auto& slot : s.exact) {
+  // Past kExactCapacity distinct values the tracker holds only the first
+  // ones to claim a slot — drop them entirely (percentile() and the
+  // exporters use the buckets then), so the snapshot is a function of the
+  // recorded multiset alone.
+  snap.exact = !overflowed_.load(std::memory_order_relaxed);
+  if (snap.exact) {
+    for (const auto& slot : exact_) {
       const std::int64_t v = slot.value.load(std::memory_order_acquire);
       if (v == kEmptySlot) continue;  // hash-probed: occupancy is sparse
       const std::uint64_t c = slot.count.load(std::memory_order_relaxed);
-      if (c > 0) values.emplace_back(v, c);
+      if (c > 0) snap.values.emplace_back(v, c);
     }
-    for (std::size_t i = 0; i < kBucketEntries; ++i) {
-      buckets[i] += s.buckets[i].load(std::memory_order_relaxed);
-    }
-  }
-
-  // Deterministic fold: merge same-value entries from different shards and
-  // sort, so the snapshot is a function of the recorded multiset alone.
-  // When any shard overflowed, the trackers hold a schedule-dependent
-  // *subset* of the values — drop them entirely (percentile() and the
-  // exporters use the buckets then) so the snapshot stays deterministic.
-  snap.exact = exact;
-  if (exact) {
-    std::sort(values.begin(), values.end());
-    std::vector<std::pair<std::int64_t, std::uint64_t>> merged;
-    for (const auto& [v, c] : values) {
-      if (!merged.empty() && merged.back().first == v) {
-        merged.back().second += c;
-      } else {
-        merged.emplace_back(v, c);
-      }
-    }
-    snap.values = std::move(merged);
+    std::sort(snap.values.begin(), snap.values.end());
   }
 
   for (std::size_t i = 0; i < kBucketEntries; ++i) {
-    if (buckets[i] > 0) {
-      snap.buckets.push_back({bucket_lo(i), bucket_hi(i), buckets[i]});
-    }
+    const std::uint64_t c = buckets_[i].load(std::memory_order_relaxed);
+    if (c > 0) snap.buckets.push_back({bucket_lo(i), bucket_hi(i), c});
   }
 
   const std::int64_t lo = min_.load(std::memory_order_relaxed);
@@ -123,16 +95,14 @@ HistogramSnapshot LatencyHistogram::snapshot() const {
 }
 
 void LatencyHistogram::reset() noexcept {
-  for (auto& s : shards_) {
-    s.count.store(0, std::memory_order_relaxed);
-    s.sum.store(0, std::memory_order_relaxed);
-    s.overflowed.store(false, std::memory_order_relaxed);
-    for (auto& slot : s.exact) {
-      slot.count.store(0, std::memory_order_relaxed);
-      slot.value.store(kEmptySlot, std::memory_order_release);
-    }
-    for (auto& b : s.buckets) b.store(0, std::memory_order_relaxed);
+  count_.store(0, std::memory_order_relaxed);
+  sum_.store(0, std::memory_order_relaxed);
+  overflowed_.store(false, std::memory_order_relaxed);
+  for (auto& slot : exact_) {
+    slot.count.store(0, std::memory_order_relaxed);
+    slot.value.store(kEmptySlot, std::memory_order_release);
   }
+  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
   min_.store(INT64_MAX, std::memory_order_relaxed);
   max_.store(INT64_MIN, std::memory_order_relaxed);
 }

@@ -12,17 +12,19 @@
 //  * Gauge    — like a counter but signed and allowed to go down
 //    (queue occupancy, in-flight work).
 //  * LatencyHistogram — log-bucketed (HDR-style: 256 exact sub-buckets,
-//    then 128 sub-buckets per power of two up to 2^42 ns) PLUS a per-shard
-//    exact value↦count tracker of bounded size. Simulated latencies take
-//    few distinct values (fixed service times), so in practice the exact
+//    then 128 sub-buckets per power of two up to 2^42 ns) PLUS an exact
+//    value↦count tracker of bounded size. Simulated latencies take few
+//    distinct values (fixed service times), so in practice the exact
 //    tracker holds and p50/p95/p99/max are *exact* against a sorted-vector
-//    oracle; when a shard sees more than kExactCapacity distinct values the
-//    snapshot falls back to the log buckets (relative error ≤ 2^-8).
-//    min/max/sum/count are always exact.
+//    oracle; when a histogram sees more than kExactCapacity distinct values
+//    the snapshot falls back to the log buckets (relative error ≤ 2^-8).
+//    min/max/sum/count are always exact. One thread records each
+//    histogram in practice (the replay or service thread), so it keeps one
+//    set of atomics rather than shards.
 //
-// Shards are folded *deterministically* at snapshot time: slots are summed
-// in index order, exact maps are merged by value, and instruments are kept
-// in name order — the same recorded multiset yields byte-identical
+// Snapshots are *deterministic*: counter and gauge shards are summed in
+// index order, the exact tracker is sorted by value, and instruments are
+// kept in name order — the same recorded multiset yields byte-identical
 // snapshots at any thread count. Snapshots may be taken concurrently with
 // writers (relaxed reads; a snapshot is then a consistent-enough live
 // view); exact identities are only guaranteed at quiescence.
@@ -66,14 +68,9 @@ namespace flashqos::obs {
 /// instrumented hot path uses.
 inline constexpr bool kEnabled = FLASHQOS_OBS_ENABLED != 0;
 
-/// Number of per-instrument shards. Threads hash onto shards; collisions
-/// are correct (slots are atomic), they only cost contention.
+/// Number of shards per counter or gauge. Threads hash onto shards;
+/// collisions are correct (slots are atomic), they only cost contention.
 inline constexpr std::size_t kShards = 8;
-
-/// Shard slot of the calling thread (assigned once, round-robin).
-[[nodiscard]] inline std::size_t thread_shard() noexcept {
-  return util::StdSyncPolicy::thread_index() % kShards;
-}
 
 // The whole sharded-slot design presumes a plain lock-free RMW per event;
 // if uint64 atomics ever needed a lock on a target, the "one uncontended
@@ -98,14 +95,14 @@ struct alignas(64) PaddedSlot {
 /// garbage. But relaxed operations publish no happens-before edge, so a
 /// fold is only guaranteed to equal the full recorded total when every
 /// inc() happens-before the value() call through some EXTERNAL
-/// synchronization edge — in this codebase always a ThreadPool::wait() /
-/// thread join / HandoffQueue pop of the producer's last batch. A fold
-/// without such an edge is a legitimate *live* read (monitoring exporters
-/// use it), not an exact total, and code asserting exact counts off a
-/// concurrent fold is wrong even on x86. The model checker enforces the
-/// distinction mechanically: the modeled fold-after-join digest is
-/// schedule-invariant, while a fold racing an inc() is flagged if any
-/// plain state piggybacks on it.
+/// synchronization edge — in this codebase always a thread join or a
+/// HandoffQueue pop of the producer's last batch. A fold without such an
+/// edge is a legitimate *live* read (monitoring exporters use it), not an
+/// exact total, and code asserting exact counts off a concurrent fold is
+/// wrong even on x86. The model checker enforces the distinction
+/// mechanically: the modeled fold-after-join digest is schedule-invariant,
+/// while a fold racing an inc() is flagged if any plain state piggybacks
+/// on it.
 template <typename Sync>
 class BasicCounter {
  public:
@@ -201,13 +198,13 @@ inline constexpr std::size_t kBucketEntries =
   return idx + 1 < kBucketEntries ? bucket_lo(idx + 1) : kMaxTrackable + 1;
 }
 
-/// Distinct values the exact tracker holds per shard before falling back
+/// Distinct values a histogram's exact tracker holds before falling back
 /// to buckets. Power of two: probe sequences wrap with a mask.
 inline constexpr std::size_t kExactCapacity = 64;
 
 /// Preferred tracker slot for a value (SplitMix64 finalizer). Probing
 /// starts here and wraps, so a lookup touches ~1 slot regardless of how
-/// many distinct values the shard already holds.
+/// many distinct values the tracker already holds.
 [[nodiscard]] constexpr std::size_t exact_slot_hint(std::int64_t v) noexcept {
   auto x = static_cast<std::uint64_t>(v);
   x ^= x >> 30;
@@ -232,8 +229,8 @@ struct HistogramSnapshot {
   std::int64_t sum = 0;
   std::int64_t min = 0;  // exact (0 when empty)
   std::int64_t max = 0;  // exact (0 when empty)
-  /// True when every shard's exact tracker held: `values` is the complete
-  /// value↦count multiset and percentiles are exact.
+  /// True when the exact tracker held: `values` is the complete value↦count
+  /// multiset and percentiles are exact.
   bool exact = false;
   std::vector<std::pair<std::int64_t, std::uint64_t>> values;  // sorted by value
   std::vector<HistogramBucket> buckets;                        // non-zero only
@@ -245,8 +242,9 @@ struct HistogramSnapshot {
 };
 
 /// Log-bucketed latency histogram with an exact bounded value tracker.
-/// record() is wait-free on the shard fast path: count/sum/bucket
-/// fetch_adds plus a bounded scan of the exact slots.
+/// record() is wait-free: count/sum/bucket fetch_adds plus a bounded scan
+/// of the exact slots. Any thread may record; every recorder shares the
+/// one set of atomics.
 ///
 /// Deliberately NOT sync-policy-templated: its lock-free probe/CAS guts
 /// are checked by TSan + stress tests, and modeling every bucket slot
@@ -259,7 +257,7 @@ class LatencyHistogram {
   void record(std::int64_t v) noexcept { record_n(v, 1); }
 
   /// Record `n` observations of the same value with one pass over the
-  /// shard state — what instrumentation that batches locally (per-run
+  /// histogram state — what instrumentation that batches locally (per-run
   /// tallies flushed at quiescence) uses to keep hot loops free of
   /// atomic RMWs.
   void record_n(std::int64_t v, std::uint64_t n) noexcept;
@@ -274,20 +272,16 @@ class LatencyHistogram {
     std::atomic<std::uint64_t> count{0};
   };
 
-  struct alignas(64) Shard {
-    std::atomic<std::uint64_t> count{0};
-    std::atomic<std::int64_t> sum{0};
-    std::atomic<bool> overflowed{false};
-    std::array<ExactSlot, kExactCapacity> exact{};
-    std::vector<std::atomic<std::uint64_t>> buckets;  // kBucketEntries
-  };
-
   static constexpr std::int64_t kEmptySlot = INT64_MIN;
 
-  /// True iff the value landed in the shard's exact tracker.
-  static bool exact_insert(Shard& s, std::int64_t v, std::uint64_t n) noexcept;
+  /// True iff the value landed in the exact tracker.
+  bool exact_insert(std::int64_t v, std::uint64_t n) noexcept;
 
-  std::array<Shard, kShards> shards_;
+  std::atomic<std::uint64_t> count_{0};
+  std::atomic<std::int64_t> sum_{0};
+  std::atomic<bool> overflowed_{false};
+  std::array<ExactSlot, kExactCapacity> exact_{};
+  std::vector<std::atomic<std::uint64_t>> buckets_;  // kBucketEntries
   std::atomic<std::int64_t> min_{INT64_MAX};
   std::atomic<std::int64_t> max_{INT64_MIN};
 };

@@ -8,7 +8,7 @@
 // scratch. The value-returning overloads remain available and are
 // bit-identical — they simply run the same code over a throwaway scratch.
 // A scratch is not thread-safe: QosPipeline owns one per pipeline instance
-// (a replay runs on one thread), the P_k sampler one per (k)-task,
+// (a replay runs on one thread), the P_k sampler one per request size,
 // OnlineRetriever one per retriever.
 #pragma once
 

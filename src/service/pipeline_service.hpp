@@ -10,9 +10,8 @@
 //
 //  * Live (multi-threaded): start() spawns a dedicated service thread that
 //    runs the streaming replay engine over an MPSC ingress (a bounded
-//    HandoffQueue of submit batches — the same seam PR 7's
-//    BasicTenantIngress and PR 9's TraceCursor proved out). Any number of
-//    producer threads submit(); verdicts come back through a ServedSink
+//    HandoffQueue of submit batches read through a TraceCursor). Any number
+//    of producer threads submit(); verdicts come back through a ServedSink
 //    in global ingestion order with full latency attribution. Admission
 //    stays interval-clocked: the engine is the unmodified replay core, so
 //    every guarantee the oracles audit (S = (c-1)M² + cM, Q ≤ ε, WFQ

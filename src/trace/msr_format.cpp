@@ -84,7 +84,6 @@ Trace read_msr_csv(std::istream& in, std::string name, const MsrReadOptions& opt
 
   std::string line;
   std::size_t line_no = 0;
-  std::int64_t first_ts = -1;
   std::uint32_t max_disk = 0;
   struct Row {
     std::int64_t ts;
@@ -113,12 +112,12 @@ Trace read_msr_csv(std::istream& in, std::string name, const MsrReadOptions& opt
     const DataBlockId first_block = row.offset / opts.block_bytes;
     const auto nblocks = static_cast<std::uint32_t>(std::max<std::uint64_t>(
         1, (row.size + opts.block_bytes - 1) / opts.block_bytes));
-    if (first_ts < 0) first_ts = row.ts;
     max_disk = std::max(max_disk, row.disk);
     rows.push_back({row.ts, row.disk, first_block, nblocks, row.is_read});
   }
   std::stable_sort(rows.begin(), rows.end(),
                    [](const Row& a, const Row& b) { return a.ts < b.ts; });
+  const std::int64_t first_ts = rows.empty() ? 0 : rows.front().ts;
   t.volumes = opts.volumes != 0 ? opts.volumes : max_disk + 1;
   t.events.reserve(rows.size());
   for (const auto& r : rows) {
@@ -131,7 +130,7 @@ Trace read_msr_csv(std::istream& in, std::string name, const MsrReadOptions& opt
   }
   if (!valid_trace(t)) {
     throw std::runtime_error(
-        "msr csv: timestamp before the first row's, or more than 2^62 ns after it");
+        "msr csv: timestamp more than 2^62 ns after the earliest row's");
   }
   return t;
 }

@@ -57,11 +57,11 @@ enum class MsrParse {
 /// would overflow first), so valid_trace and the cursor reject both.
 [[nodiscard]] SimTime msr_event_time(std::int64_t ts, std::int64_t first_ts) noexcept;
 
-/// Parse an MSR-Cambridge CSV stream. Timestamps are rebased so the first
-/// event is at t = 0; events are sorted by time. Lines starting with '#'
-/// and blank lines are skipped. Throws std::runtime_error on malformed
-/// rows, and on a timestamp before the first row's or more than
-/// kMaxEventTime after it.
+/// Parse an MSR-Cambridge CSV stream. Rows may come in any order: events
+/// are sorted by time and rebased so the earliest is at t = 0. Lines
+/// starting with '#' and blank lines are skipped. Throws
+/// std::runtime_error on malformed rows, and on a timestamp more than
+/// kMaxEventTime after the earliest row's.
 [[nodiscard]] Trace read_msr_csv(std::istream& in, std::string name,
                                  const MsrReadOptions& opts = {});
 

@@ -61,20 +61,6 @@ class HandoffQueue {
     return true;
   }
 
-  /// Non-blocking push: enqueue iff there is room right now. False iff the
-  /// queue was full or closed (the item is dropped). Producers that must
-  /// never stall on a slow consumer (the daemon's completion routing) use
-  /// this and count the drop instead of blocking the pipeline.
-  bool try_push(T item) {
-    {
-      typename Sync::UniqueLock lock(mutex_);
-      if (closed_.rd() || items_.rd().size() >= capacity_) return false;
-      items_.rw().push_back(std::move(item));
-    }
-    not_empty_.notify_one();
-    return true;
-  }
-
   /// Block until an item is available (or the queue closes and drains).
   std::optional<T> pop() {
     typename Sync::UniqueLock lock(mutex_);

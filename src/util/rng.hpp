@@ -13,12 +13,12 @@
 
 namespace flashqos {
 
-/// Derive a decorrelated per-shard seed from (seed, shard). Sharded code
-/// (the P_k sampler, the fault-plan generators, the oracles' randomized
-/// plans and mixes) must never share one stream across shards — that would
-/// make results depend on execution order. SplitMix64 finalizer over the
-/// combined words, so adjacent shards land in unrelated regions of the
-/// sequence space.
+/// Derive a decorrelated per-shard seed from (seed, shard). Code that splits
+/// one seeded computation into parts (the P_k sampler's request sizes, the
+/// fault-plan generators, the oracles' randomized plans and mixes) gives
+/// each part its own stream, so a part's draws never depend on which parts
+/// ran before it. SplitMix64 finalizer over the combined words, so adjacent
+/// shards land in unrelated regions of the sequence space.
 [[nodiscard]] constexpr std::uint64_t shard_seed(std::uint64_t seed,
                                                  std::uint64_t shard) noexcept {
   std::uint64_t z = seed + 0x9E3779B97F4A7C15ULL * (shard + 1);

@@ -18,30 +18,4 @@ double percentile_sorted(const std::vector<double>& sorted, double q) {
   return sorted[lo] * (1.0 - frac) + sorted[lo + 1] * frac;
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), width_((hi - lo) / static_cast<double>(bins)), counts_(bins, 0) {
-  FLASHQOS_EXPECT(bins > 0, "histogram needs at least one bin");
-  FLASHQOS_EXPECT(hi > lo, "histogram range must be non-empty");
-}
-
-void Histogram::add(double x) noexcept {
-  auto idx = static_cast<std::ptrdiff_t>((x - lo_) / width_);
-  idx = std::clamp<std::ptrdiff_t>(idx, 0,
-                                   static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-std::size_t Histogram::bin_count(std::size_t i) const {
-  FLASHQOS_EXPECT(i < counts_.size(), "histogram bin out of range");
-  return counts_[i];
-}
-
-double Histogram::bin_lo(std::size_t i) const {
-  FLASHQOS_EXPECT(i < counts_.size(), "histogram bin out of range");
-  return lo_ + width_ * static_cast<double>(i);
-}
-
-double Histogram::bin_hi(std::size_t i) const { return bin_lo(i) + width_; }
-
 }  // namespace flashqos

@@ -69,24 +69,4 @@ class Accumulator {
 /// In-place variant for repeated queries on the same (pre-sorted) data.
 [[nodiscard]] double percentile_sorted(const std::vector<double>& sorted, double q);
 
-/// Fixed-width histogram over [lo, hi); out-of-range values clamp to the
-/// edge bins. Used by benches to print figure series.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x) noexcept;
-  [[nodiscard]] std::size_t bin_count(std::size_t i) const;
-  [[nodiscard]] double bin_lo(std::size_t i) const;
-  [[nodiscard]] double bin_hi(std::size_t i) const;
-  [[nodiscard]] std::size_t bins() const noexcept { return counts_.size(); }
-  [[nodiscard]] std::size_t total() const noexcept { return total_; }
-
- private:
-  double lo_;
-  double width_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-};
-
 }  // namespace flashqos

@@ -1,22 +1,20 @@
 // Synchronization policy seam.
 //
 // The concurrency primitives whose interleavings carry the project's
-// correctness claims (util::ThreadPool, util::HandoffQueue, the obs metric
-// registry) are templates over a *sync policy*: the set of atomic / mutex /
-// condvar / thread types they synchronize through. Production code
-// instantiates them with StdSyncPolicy — every alias below is a raw std
-// primitive (or a zero-cost annotated wrapper around one), so the seam
-// compiles away entirely. The schedule-exhaustive model checker
-// (src/check) instantiates the *same* templates with check::ModelSyncPolicy,
-// whose types hand every operation to a deterministic scheduler that
-// enumerates interleavings. One implementation, verified and shipped.
+// correctness claims (util::HandoffQueue and the obs metric registry) are
+// templates over a *sync policy*: the set of atomic / mutex / condvar
+// types they synchronize through. Production code instantiates them with
+// StdSyncPolicy — every alias below is a raw std primitive (or a zero-cost
+// annotated wrapper around one), so the seam compiles away entirely. The
+// schedule-exhaustive model checker (src/check) instantiates the *same*
+// templates with check::ModelSyncPolicy, whose types hand every operation
+// to a deterministic scheduler that enumerates interleavings. One
+// implementation, verified and shipped.
 //
 // Policy surface a sync policy must provide:
 //   template <typename T> Atomic  — std::atomic-compatible
 //   Mutex                          — BasicLockable (+ try_lock)
 //   CondVar                        — wait(UniqueLock&[, pred]) / notify_*
-//   Thread                         — std::thread-compatible (join, static
-//                                    hardware_concurrency)
 //   UniqueLock / LockGuard         — RAII locks over Mutex; UniqueLock has
 //                                    lock()/unlock()/mutex()
 //   template <typename T> Shared   — holder for plain (non-atomic) state
@@ -25,13 +23,16 @@
 //   static thread_index()          — small dense id of the calling thread
 //                                    (shard selection must be deterministic
 //                                    under the model)
+//
+// The primitives never start threads themselves; the threads that share
+// them belong to their callers (the daemon's acceptor, connection and
+// service threads; the model checker's virtual threads).
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <mutex>
-#include <thread>
 #include <utility>
 
 #include "util/annotations.hpp"
@@ -127,7 +128,6 @@ struct StdSyncPolicy {
   // BasicLockable, which the annotated Mutex/UniqueLock are. The extra cost
   // is one internal mutex per condvar, paid only on the blocking path.
   using CondVar = std::condition_variable_any;
-  using Thread = std::thread;
   using UniqueLock = util::UniqueLock<Mutex>;
   using LockGuard = util::LockGuard<Mutex>;
   template <typename T>

@@ -98,9 +98,9 @@ int main(int argc, char** argv) {
       .flag("model",
             "exhaustively model-check the concurrency primitives "
             "(src/check): every schedule of the bounded HandoffQueue / "
-            "ThreadPool / MetricRegistry models, checked for races, "
-            "deadlocks, lost wakeups and schedule-dependent results; may "
-            "be used alone (skips the design audit)")
+            "MetricRegistry models, checked for races, deadlocks, lost "
+            "wakeups and schedule-dependent results; may be used alone "
+            "(skips the design audit)")
       .integer("daemon-probe", "PORT",
                "drive one batch through an already-running flashqosd on "
                "127.0.0.1:PORT and end the session (the loopback client leg "

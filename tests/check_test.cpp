@@ -71,8 +71,8 @@ TEST(CheckModels, ReleaseAcquirePublicationIsClean) {
 // ---------------------------------------------------------------------------
 // Seeded mutations: one per detector, one per modeled primitive.
 
-/// Mutation: unguarded writes to plain shared state (a ThreadPool whose
-/// in_flight bookkeeping lost its mutex would look exactly like this).
+/// Mutation: unguarded writes to plain shared state (a HandoffQueue whose
+/// items_ bookkeeping lost its mutex would look exactly like this).
 TEST(CheckMutations, DetectsUnguardedSharedWrite) {
   const auto r = explore([] {
     Policy::Shared<int> counter{0};
@@ -128,8 +128,8 @@ TEST(CheckMutations, DetectsLockOrderDeadlock) {
 }
 
 /// Mutation: a waiter whose producer forgot to notify — the lost-wakeup
-/// shape. (HandoffQueue::close() without its notify_all calls, or a
-/// ThreadPool submit without task_ready.notify_one, reduce to this.)
+/// shape. (HandoffQueue::close() without its notify_all calls, or a push
+/// without not_empty_.notify_one, reduce to this.)
 TEST(CheckMutations, DetectsLostWakeup) {
   const auto r = explore([] {
     Policy::Mutex m;

@@ -75,6 +75,18 @@ TEST(MsrFormat, ParsesAndRebasesTimestamps) {
   EXPECT_EQ(t.volumes, 2u);
 }
 
+// Rows need not come in time order: the reader sorts them and rebases on
+// the earliest, not on the file's first row.
+TEST(MsrFormat, RebasesOnTheEarliestRow) {
+  std::istringstream in("10,h,0,Read,0,8192,0\n5,h,0,Read,8192,8192,0\n");
+  const auto t = trace::read_msr_csv(in, "x");
+  ASSERT_EQ(t.events.size(), 2u);
+  EXPECT_EQ(t.events[0].time, 0);
+  EXPECT_EQ(t.events[0].block, 1u) << "the tick-5 row comes first";
+  EXPECT_EQ(t.events[1].time, 500);
+  EXPECT_TRUE(trace::valid_trace(t));
+}
+
 TEST(MsrFormat, ReadsOnlyFilterAndVolumeOverride) {
   std::istringstream in(
       "100,h,5,Read,0,8192,0\n"
@@ -252,6 +264,64 @@ TEST(Experiment, RejectsIntegersOutsideTheirRange) {
     EXPECT_NE(error.find("an integer in ["), std::string::npos) << error;
   }
   EXPECT_EQ(build_error(pipeline + "access_budget = 2\n"), "");
+}
+
+// [workload] values the generators cannot honour fail at load with the key
+// named, instead of aborting in the cursor's precondition or in the
+// replay's trace check after load.
+struct BadWorkload {
+  const char* name;    // what the test is named by
+  std::string config;  // a whole config
+  std::string key;     // what the error must name
+  std::string value;
+
+  friend void PrintTo(const BadWorkload& bad, std::ostream* os) { *os << bad.name; }
+};
+
+class RejectsWorkload : public ::testing::TestWithParam<BadWorkload> {};
+
+TEST_P(RejectsWorkload, AtLoadNamingTheKey) {
+  const auto& bad = GetParam();
+  expect_names(build_error(bad.config), bad.key, bad.value);
+}
+
+const std::string kSynthetic = "[workload]\nkind = synthetic\ntotal_requests = 15\n";
+const std::string kTenants =
+    "[workload]\nkind = multi_tenant\nintervals = 4\n"
+    "[tenants]\ntenant = gold 1.0 0\nload = 2 8\n[workload]\n";
+
+INSTANTIATE_TEST_SUITE_P(
+    Experiment, RejectsWorkload,
+    ::testing::Values(
+        BadWorkload{"ZeroBucketPool", kSynthetic + "bucket_pool = 0\n", "bucket_pool", "0"},
+        BadWorkload{"ZeroRequestsPerInterval", kSynthetic + "requests_per_interval = 0\n",
+                    "requests_per_interval", "0"},
+        BadWorkload{"BatchLargerThanPool",
+                    kSynthetic + "bucket_pool = 4\nrequests_per_interval = 5\n",
+                    "requests_per_interval", "5"},
+        BadWorkload{"NegativeInterval", kSynthetic + "interval_ms = -1\n", "interval_ms", "-1"},
+        BadWorkload{"NanInterval", kSynthetic + "interval_ms = nan\n", "interval_ms", "nan"},
+        BadWorkload{"HugeInterval", kSynthetic + "interval_ms = 1e300\n", "interval_ms",
+                    "1e300"},
+        // 15 requests at 5 per interval arrive at 0, T and 2T = 6e18 ns.
+        BadWorkload{"LastArrivalPastTheCeiling", kSynthetic + "interval_ms = 3e12\n",
+                    "interval_ms", "3e12"},
+        BadWorkload{"ZeroIntervals", kTenants + "intervals = 0\n", "intervals", "0"},
+        BadWorkload{"ZeroTenantPool",
+                    "[workload]\nkind = multi_tenant\nintervals = 4\n"
+                    "[tenants]\ntenant = gold 1.0 0\nload = 2 0\n",
+                    "load", "2 0"},
+        BadWorkload{"TenantArrivalPastTheCeiling", kTenants + "interval_ms = 3e12\n",
+                    "interval_ms", "3e12"},
+        // 1000 ns intervals: 1000 slots round the step to 0 ns.
+        BadWorkload{"JitterSlotsReachTheInterval",
+                    kTenants + "interval_ms = 0.001\njitter_slots = 1000\n", "jitter_slots",
+                    "1000"}));
+
+TEST(Experiment, AcceptsTheWorkloadLimits) {
+  EXPECT_EQ(build_error(kSynthetic + "bucket_pool = 5\nrequests_per_interval = 5\n"), "");
+  EXPECT_EQ(build_error(kSynthetic + "interval_ms = 2e12\n"), "");
+  EXPECT_EQ(build_error(kTenants + "interval_ms = 0.001\njitter_slots = 999\n"), "");
 }
 
 TEST(Experiment, RejectsFieldsAfterTheLastOne) {

@@ -1,6 +1,5 @@
-// Unit tests for src/flashsim: event ordering, FIFO service, fixed and
-// detailed timing models, package parallelism, and the simulator
-// conservation invariants.
+// Unit tests for src/flashsim: event ordering, FIFO service, the fixed
+// timing model, and the simulator conservation invariants.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -135,28 +134,6 @@ TEST(FlashArray, ConservationEveryRequestCompletesOnce) {
           << "device " << dev << " served two requests at once";
     }
   }
-}
-
-TEST(DetailedModel, PipelinedPageReads) {
-  const DetailedModel m({.cell_read = 30, .transfer = 10, .packages = 1});
-  EXPECT_EQ(m.service_time({.pages = 1}), 40);
-  EXPECT_EQ(m.service_time({.pages = 4}), 70);
-  EXPECT_EQ(m.ways(), 1u);
-}
-
-TEST(DetailedModel, PackageParallelismOverlapsRequests) {
-  auto model = std::make_shared<DetailedModel>(
-      DetailedModelParams{.cell_read = 50, .transfer = 50, .packages = 2});
-  FlashArray a(1, model);
-  a.submit({.id = 0, .device = 0, .submit_time = 0});
-  a.submit({.id = 1, .device = 0, .submit_time = 0});
-  a.submit({.id = 2, .device = 0, .submit_time = 0});
-  a.run();
-  const auto& c = a.completions();
-  ASSERT_EQ(c.size(), 3u);
-  EXPECT_EQ(c[0].finish, 100);
-  EXPECT_EQ(c[1].finish, 100);  // second way
-  EXPECT_EQ(c[2].start, 100);   // third waits for a free way
 }
 
 TEST(FlashArray, TakeCompletionsDrains) {

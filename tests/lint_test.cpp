@@ -95,6 +95,37 @@ TEST(LintRules, AcceptIsNotAWallClockWord) {
   EXPECT_FALSE(has_rule(fs, "wall-clock"));
 }
 
+TEST(LintRules, FlagsThreadSpawnInTheReplayEngine) {
+  const std::string body =
+      "#include <thread>\n"
+      "void f() {\n"
+      "  std::thread t([] {});\n"
+      "  std::jthread j([] {});\n"
+      "  auto r = std::async([] { return 1; });\n"
+      "  thread_local int n = 0;\n"
+      "  std::this_thread::yield();\n"
+      "}\n";
+  const auto fs = lint_file("core/qos_pipeline.cpp", body);
+  // <thread>, thread, jthread, async; thread_local and this_thread are
+  // other identifiers.
+  EXPECT_EQ(count_rule(fs, "thread-spawn"), 4u);
+  EXPECT_TRUE(has_rule(lint_file("util/pool.hpp", body), "thread-spawn"));
+  // The serving stack starts threads by design.
+  EXPECT_FALSE(has_rule(lint_file("net/server.cpp", body), "thread-spawn"));
+  EXPECT_FALSE(has_rule(lint_file("service/pipeline_service.cpp", body),
+                        "thread-spawn"));
+}
+
+TEST(LintAllow, ThreadSpawnAllowComment) {
+  const auto fs = lint_file(
+      "trace/reader.cpp",
+      "// flashqos-lint: allow(thread-spawn): joined before the replay starts\n"
+      "void f() { std::thread t([] {}); t.join(); }\n"
+      "void g() { std::thread t([] {}); t.join(); }\n");
+  ASSERT_EQ(count_rule(fs, "thread-spawn"), 1u);
+  EXPECT_EQ(fs.front().line, 3u);
+}
+
 TEST(LintAllow, BlockingWaitAllowedOnPreviousLine) {
   const auto fs = lint_file(
       "obs/server.cpp",
@@ -204,7 +235,7 @@ TEST(LintLexer, FindingsAreOrderedAndFormatted) {
 TEST(LintApi, RuleNamesStable) {
   const auto& names = rule_names();
   for (const char* expected : {"adhoc-logging", "hot-path-alloc", "raw-random",
-                               "wall-clock", "include-hygiene"}) {
+                               "wall-clock", "thread-spawn", "include-hygiene"}) {
     EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
         << expected;
   }

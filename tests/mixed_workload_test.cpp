@@ -35,14 +35,6 @@ TEST(FlashSimWrites, ProgramsAreSlowerThanReads) {
   EXPECT_EQ(c[1].finish, 100 + 700);
 }
 
-TEST(FlashSimWrites, DetailedModelUsesProgramPulse) {
-  const flashsim::DetailedModel m(
-      {.cell_read = 30, .cell_program = 500, .transfer = 10, .packages = 1});
-  EXPECT_EQ(m.service_time({.pages = 1, .is_write = false}), 40);
-  EXPECT_EQ(m.service_time({.pages = 1, .is_write = true}), 510);
-  EXPECT_EQ(m.service_time({.pages = 3, .is_write = true}), 530);
-}
-
 trace::Trace rw_trace(std::vector<std::tuple<SimTime, DataBlockId, bool>> events) {
   trace::Trace t;
   t.report_interval = kSecond;

@@ -255,6 +255,25 @@ TEST(LatencyHistogram, SnapshotDeterministicAcrossThreadCounts) {
   }
 }
 
+TEST(LatencyHistogram, ExactLimitIsPerHistogramNotPerThread) {
+  // The exact tracker holds kExactCapacity distinct values per histogram,
+  // however many threads record: two threads with 40 distinct values each
+  // make 80 > 64, so the snapshot falls back to the buckets.
+  static_assert(kExactCapacity < 2 * 40);
+  LatencyHistogram h;
+  std::vector<std::thread> workers;
+  for (std::int64_t t = 0; t < 2; ++t) {
+    workers.emplace_back([&h, t] {
+      for (std::int64_t v = 0; v < 40; ++v) h.record(t * 40 + v);
+    });
+  }
+  for (auto& w : workers) w.join();
+  const auto snap = h.snapshot();
+  EXPECT_EQ(snap.count, 80u);
+  EXPECT_FALSE(snap.exact);
+  EXPECT_TRUE(snap.values.empty());
+}
+
 TEST(MetricRegistry, ConcurrentMixedRecordingIsComplete) {
   // Many threads hammering the same named instruments through the registry
   // (the TSan-relevant path: lookups + sharded writes).

@@ -1,10 +1,11 @@
 // Unit tests for src/util: rng determinism and distributions, statistics
-// accumulators, histograms, time conversions, table formatting.
+// accumulators, time conversions, table formatting, contract macros.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <set>
 
+#include "util/expect.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -126,6 +127,13 @@ TEST(Rng, ShufflePreservesElements) {
   EXPECT_EQ(v, original);
 }
 
+// The P_k sampler draws each request size from shard_seed(seed, k), and the
+// fault-plan generators split their streams the same way.
+TEST(Rng, ShardSeedStreamsAreDistinct) {
+  EXPECT_NE(shard_seed(5, 1), shard_seed(5, 2));
+  EXPECT_NE(shard_seed(5, 1), shard_seed(6, 1));
+}
+
 TEST(Accumulator, BasicMoments) {
   Accumulator a;
   for (const double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) a.add(x);
@@ -181,19 +189,6 @@ TEST(Percentile, Interpolates) {
   EXPECT_DOUBLE_EQ(percentile(v, 0.25), 2.5);
 }
 
-TEST(Histogram, BinningAndClamping) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.5);
-  h.add(9.5);
-  h.add(-100.0);  // clamps into first bin
-  h.add(100.0);   // clamps into last bin
-  EXPECT_EQ(h.bin_count(0), 2u);
-  EXPECT_EQ(h.bin_count(9), 2u);
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_DOUBLE_EQ(h.bin_lo(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(9), 10.0);
-}
-
 TEST(Time, RoundTripConversions) {
   EXPECT_EQ(from_ms(0.133), 133 * kMicrosecond);
   EXPECT_DOUBLE_EQ(to_ms(kPageReadLatency), 0.132507);
@@ -220,147 +215,6 @@ TEST(Table, FormatsAlignedRows) {
   EXPECT_EQ(Table::num(1.23456, 2), "1.23");
   EXPECT_EQ(Table::pct(0.1234, 1), "12.3%");
   EXPECT_EQ(Table::ms(0.132507, 3), "0.133 ms");
-}
-
-}  // namespace
-}  // namespace flashqos
-
-#include <atomic>
-#include <stdexcept>
-#include <string>
-#include <thread>
-#include <vector>
-
-#include "util/expect.hpp"
-#include "util/thread_pool.hpp"
-
-namespace flashqos {
-namespace {
-
-TEST(ThreadPool, RunsEveryTask) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.size(), 4u);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&counter] { counter.fetch_add(1, std::memory_order_relaxed); });
-  }
-  pool.wait();
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPool, WaitOnIdlePoolReturns) {
-  ThreadPool pool(2);
-  pool.wait();  // no tasks: must not hang
-  SUCCEED();
-}
-
-TEST(ThreadPool, ParallelForCoversAllIndices) {
-  ThreadPool pool(3);
-  std::vector<std::atomic<int>> hits(50);
-  parallel_for(pool, 50, [&](std::size_t i) {
-    hits[i].fetch_add(1, std::memory_order_relaxed);
-  });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, ReusableAcrossWaves) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  for (int wave = 0; wave < 3; ++wave) {
-    for (int i = 0; i < 10; ++i) {
-      pool.submit([&counter] { ++counter; });
-    }
-    pool.wait();
-  }
-  EXPECT_EQ(counter.load(), 30);
-}
-
-// TSan-oriented stress: an external producer keeps submitting while the
-// main thread sits in wait(). Every submitted task must run exactly once
-// and wait() must only return with the queue drained at that instant.
-TEST(ThreadPoolStress, ConcurrentSubmitDuringWait) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  constexpr int kProducerTasks = 400;
-  std::thread producer([&] {
-    for (int i = 0; i < kProducerTasks; ++i) {
-      pool.submit([&counter] { ++counter; });
-      if (i % 64 == 0) std::this_thread::yield();
-    }
-  });
-  // Interleave waits with the producer's submissions; each wait observes
-  // some consistent drained state, never a torn one.
-  for (int i = 0; i < 50; ++i) pool.wait();
-  producer.join();
-  pool.wait();
-  EXPECT_EQ(counter.load(), kProducerTasks);
-}
-
-TEST(ThreadPoolStress, ManyProducersManyWaiters) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  constexpr int kProducers = 4;
-  constexpr int kPerProducer = 250;
-  std::vector<std::thread> producers;
-  producers.reserve(kProducers);
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        pool.submit([&counter] { counter.fetch_add(1, std::memory_order_relaxed); });
-      }
-    });
-  }
-  for (auto& t : producers) t.join();
-  pool.wait();
-  EXPECT_EQ(counter.load(), kProducers * kPerProducer);
-}
-
-TEST(ThreadPoolStress, ZeroTaskWaitFromManyThreads) {
-  ThreadPool pool(2);
-  std::vector<std::thread> waiters;
-  waiters.reserve(4);
-  for (int i = 0; i < 4; ++i) {
-    waiters.emplace_back([&pool] {
-      for (int j = 0; j < 100; ++j) pool.wait();
-    });
-  }
-  for (auto& t : waiters) t.join();
-}
-
-// parallel_for must rethrow the failure of the *lowest* index, matching
-// what a serial loop would have surfaced first, and still complete or skip
-// the remaining work without wedging the pool.
-TEST(ThreadPool, ParallelForPropagatesLowestIndexException) {
-  ThreadPool pool(4);
-  try {
-    parallel_for(pool, 100, [](std::size_t i) {
-      if (i % 7 == 3) {
-        throw std::runtime_error("boom at " + std::to_string(i));
-      }
-    });
-    FAIL() << "parallel_for swallowed the error";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "boom at 3");
-  }
-  // Pool remains usable afterwards.
-  std::atomic<int> counter{0};
-  parallel_for(pool, 10, [&](std::size_t) { ++counter; });
-  EXPECT_EQ(counter.load(), 10);
-}
-
-// Destruction with work still queued: the destructor must drain the queue,
-// not drop it — every task submitted before ~ThreadPool runs to completion.
-TEST(ThreadPoolStress, DestructionDrainsQueuedTasks) {
-  std::atomic<int> counter{0};
-  constexpr int kTasks = 300;
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < kTasks; ++i) {
-      pool.submit([&counter] { ++counter; });
-    }
-    // No wait(): destructor races the queue.
-  }
-  EXPECT_EQ(counter.load(), kTasks);
 }
 
 // ------------------------------------------------------- contract macros
@@ -399,11 +253,6 @@ TEST(ContractDeathTest, AssertNeverEvaluatesInRelease) {
 #else
   EXPECT_EQ(evaluations, 1);
 #endif
-}
-
-TEST(ContractDeathTest, SubmittingEmptyTaskDies) {
-  ThreadPool pool(1);
-  EXPECT_DEATH(pool.submit(nullptr), "empty task");
 }
 
 }  // namespace
