@@ -55,7 +55,11 @@
 #      engine change that breaks a benchmark gate (outcome identity, the
 #      onoff_overload N/2N deferral check, zero clamps on the wire) fails
 #      here instead of at measurement time
-#   9. clang-tidy over src/ (skipped with a warning if clang-tidy is not
+#   9. the FLASHQOS_OBS=OFF configuration: a warnings-as-errors build with
+#      every instrumentation site compiled out, and the plain ctest suite
+#      on it (goldens and the --replay matrix must pass bit-identically
+#      without obs; this is what catches a misplaced obs guard)
+#  10. clang-tidy over src/ (skipped with a warning if clang-tidy is not
 #      installed — stages 2–3 are the always-on static gate; clang-tidy is
 #      an extra when a clang toolchain is around)
 #
@@ -84,13 +88,13 @@ banner() {
   echo "==================================================================="
 }
 
-banner "1/9 warnings-as-errors build + ctest"
+banner "1/10 warnings-as-errors build + ctest"
 run cmake -B build-werror -S . -DFLASHQOS_WERROR=ON \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
 run cmake --build build-werror -j "$JOBS"
 run ctest --test-dir build-werror --output-on-failure -j "$JOBS"
 
-banner "2/9 flashqos_lint (contract linter) + test-only header check"
+banner "2/10 flashqos_lint (contract linter) + test-only header check"
 run ./build-werror/src/lint/flashqos_lint --root src \
   --baseline scripts/lint_baseline.txt
 test_only=0
@@ -105,10 +109,10 @@ done
 [[ $test_only -eq 0 ]] || exit 1
 echo "test-only header check: every src header has a non-test includer"
 
-banner "3/9 schedule-exhaustive model checking"
+banner "3/10 schedule-exhaustive model checking"
 run ./build-werror/src/verify/flashqos_verify --model
 
-banner "4/9 ASan + UBSan (asserts on)"
+banner "4/10 ASan + UBSan (asserts on)"
 run cmake -B build-asan -S . -DFLASHQOS_WERROR=ON -DFLASHQOS_SANITIZE=address \
   -DFLASHQOS_BUILD_BENCH=OFF -DFLASHQOS_BUILD_EXAMPLES=OFF \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo -DCMAKE_CXX_FLAGS_RELWITHDEBINFO="-O2 -g" \
@@ -119,7 +123,7 @@ UBSAN_OPTIONS="print_stacktrace=1" \
   run ctest --test-dir build-asan --output-on-failure -j "$JOBS"
 
 if [[ $QUICK -eq 0 ]]; then
-  banner "5/9 TSan"
+  banner "5/10 TSan"
   run cmake -B build-tsan -S . -DFLASHQOS_WERROR=ON -DFLASHQOS_SANITIZE=thread \
     -DFLASHQOS_BUILD_BENCH=OFF -DFLASHQOS_BUILD_EXAMPLES=OFF \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
@@ -127,13 +131,13 @@ if [[ $QUICK -eq 0 ]]; then
   TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
     run ctest --test-dir build-tsan --output-on-failure -j "$JOBS"
 else
-  banner "5/9 TSan — SKIPPED (--quick)"
+  banner "5/10 TSan — SKIPPED (--quick)"
 fi
 
-banner "6/9 design-invariant verifier (catalog, N <= 64) + device-op re-simulation audit + obs audit + chaos audit + fairness audit + stream audit + daemon audit + overload audit"
+banner "6/10 design-invariant verifier (catalog, N <= 64) + device-op re-simulation audit + obs audit + chaos audit + fairness audit + stream audit + daemon audit + overload audit"
 run ./build-werror/src/verify/flashqos_verify --max-devices 64 --replay --obs --faults --fairness --stream --daemon --overload
 
-banner "7/9 flashqosd lifecycle smoke (ephemeral port, loopback batch, clean drain, bad input rejected)"
+banner "7/10 flashqosd lifecycle smoke (ephemeral port, loopback batch, clean drain, bad input rejected)"
 daemon_smoke() {
   # $1: "probe" (drive one batch; end-session drains the daemon) or
   #     "sigterm" (no traffic; the signal forces the drain).
@@ -186,10 +190,17 @@ daemon_rejects() {
 daemon_rejects '[service]\nbatch = 0\n' 0 '[service] batch'
 daemon_rejects '' 70000 "'--port'"
 
-banner "8/9 benchmark smoke (perfbench --smoke: every workload, both modes, every gate)"
+banner "8/10 benchmark smoke (perfbench --smoke: every workload, both modes, every gate)"
 run python3 perfbench/run.py --smoke
 
-banner "9/9 clang-tidy (optional extra)"
+banner "9/10 FLASHQOS_OBS=OFF build + ctest"
+run cmake -B build-obs-off -S . -DFLASHQOS_WERROR=ON -DFLASHQOS_OBS=OFF \
+  -DFLASHQOS_BUILD_BENCH=OFF -DFLASHQOS_BUILD_EXAMPLES=OFF \
+  -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
+run cmake --build build-obs-off -j "$JOBS"
+run ctest --test-dir build-obs-off --output-on-failure -j "$JOBS"
+
+banner "10/10 clang-tidy (optional extra)"
 if command -v clang-tidy > /dev/null 2>&1; then
   run cmake -B build-tidy -S . -DCMAKE_EXPORT_COMPILE_COMMANDS=ON \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
@@ -197,7 +208,7 @@ if command -v clang-tidy > /dev/null 2>&1; then
     | xargs -0 -n 1 -P "$JOBS" clang-tidy -p build-tidy --quiet --warnings-as-errors='*'
 else
   echo "NOTE: clang-tidy not found on PATH; skipping the optional pass" >&2
-  echo "      (the in-tree flashqos_lint gate already ran in stage 2/9)." >&2
+  echo "      (the in-tree flashqos_lint gate already ran in stage 2/10)." >&2
 fi
 
 banner "all checks passed"

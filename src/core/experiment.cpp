@@ -55,6 +55,11 @@ class Fields {
     if (!ended()) reject();
   }
 
+  /// A field read in milliseconds, as SimTime (Config::parse_ms).
+  [[nodiscard]] SimTime ms(double field) const {
+    return Config::parse_ms(section_, key_, ss_.str(), field);
+  }
+
  private:
   /// A field must stop at whitespace or the end of the line: "5O.0" reads
   /// as 5 and leaves "O.0", which is a typo, not the next field. An integer
@@ -140,18 +145,6 @@ std::unique_ptr<design::BlockDesign> make_design(const std::string& spec) {
        " (catalog name, or sts:v / ag:q / pg:q / td:k,n / kts:15)");
 }
 
-/// [workload] interval_ms in ns, within [0, kMaxEventTime]: NaN and 1e300
-/// have no SimTime, and a negative interval runs arrivals backwards.
-SimTime workload_interval(const Config& cfg) {
-  const double ms = cfg.get_double("workload", "interval_ms", 0.133);
-  if (!(ms >= 0.0 && ms * static_cast<double>(kMillisecond) <=
-                         static_cast<double>(kMaxEventTime))) {
-    fail("config: [workload] interval_ms = " + cfg.get("workload", "interval_ms", "0.133") +
-         " is not a time in [0, " + std::to_string(to_ms(kMaxEventTime)) + "] ms");
-  }
-  return from_ms(ms);
-}
-
 /// The workload's last arrival, `spread` past the start of interval
 /// `last`, must not pass kMaxEventTime, or the replay would refuse the
 /// trace after load.
@@ -181,7 +174,7 @@ trace::Trace make_workload(const Config& cfg) {
   if (kind == "synthetic") {
     trace::SyntheticParams p;
     p.bucket_pool = cfg.get_int<std::size_t>("workload", "bucket_pool", 36, 1);
-    p.interval = workload_interval(cfg);
+    p.interval = cfg.get_ms("workload", "interval_ms", 0.133);
     // Each interval draws distinct buckets, so a batch fits in the pool.
     p.requests_per_interval = cfg.get_int<std::uint32_t>(
         "workload", "requests_per_interval", 5, 1,
@@ -197,7 +190,7 @@ trace::Trace make_workload(const Config& cfg) {
   }
   if (kind == "multi_tenant") {
     trace::MultiTenantParams p;
-    p.interval = workload_interval(cfg);
+    p.interval = cfg.get_ms("workload", "interval_ms", 0.133);
     p.intervals = cfg.get_int<std::size_t>("workload", "intervals", 100, 1);
     p.bucket_base = cfg.get_int<std::size_t>("workload", "bucket_base", 0);
     p.seed = seed;
@@ -270,9 +263,9 @@ Experiment build_experiment_config(const Config& cfg) {
   e.scheme = std::make_unique<decluster::DesignTheoretic>(
       *e.design, cfg.get_bool("design", "rotations", true));
 
-  e.pipeline.qos_interval = from_ms(cfg.get_double("pipeline", "interval_ms", 0.133));
+  e.pipeline.qos_interval = cfg.get_ms("pipeline", "interval_ms", 0.133);
   e.pipeline.access_budget =
-      cfg.get_int<std::uint32_t>("pipeline", "access_budget", 1, 1);
+      cfg.get_int<std::uint32_t>("pipeline", "access_budget", 1, 1, kMaxAccessBudget);
 
   const std::string retrieval = cfg.get("pipeline", "retrieval", "online");
   if (retrieval == "online") {
@@ -341,9 +334,9 @@ Experiment build_experiment_config(const Config& cfg) {
     f.end();
     e.pipeline.faults.outages.push_back(
         {.device = device,
-         .fail_at = from_ms(fail_ms),
-         .recover_at = recover_ms < 0 ? fault::DeviceFailure::kNeverRecovers
-                                      : from_ms(recover_ms)});
+         .fail_at = f.ms(fail_ms),
+         .recover_at =
+             recover_ms < 0 ? fault::DeviceFailure::kNeverRecovers : f.ms(recover_ms)});
   }
 
   // Scripted spikes, seeded generators, rebuild policy, retry timeout.
@@ -353,8 +346,7 @@ Experiment build_experiment_config(const Config& cfg) {
     double start_ms = 0.0, end_ms = 0.0, factor = 0.0;
     f.need(device, start_ms, end_ms, factor);
     f.end();
-    e.pipeline.faults.spikes.push_back(
-        {device, from_ms(start_ms), from_ms(end_ms), factor});
+    e.pipeline.faults.spikes.push_back({device, f.ms(start_ms), f.ms(end_ms), factor});
   }
   if (cfg.has("faults", "transient")) {
     Fields f("faults", "transient", cfg.get("faults", "transient"), "count mean_ms");
@@ -362,7 +354,7 @@ Experiment build_experiment_config(const Config& cfg) {
     double mean_ms = 0.0;
     f.need(count, mean_ms);
     f.end();
-    e.pipeline.faults.transient = {count, from_ms(mean_ms)};
+    e.pipeline.faults.transient = {count, f.ms(mean_ms)};
   }
   if (cfg.has("faults", "latency_spike")) {
     Fields f("faults", "latency_spike", cfg.get("faults", "latency_spike"),
@@ -371,13 +363,12 @@ Experiment build_experiment_config(const Config& cfg) {
     double mean_ms = 0.0, factor = 0.0;
     f.need(count, mean_ms, factor);
     f.end();
-    e.pipeline.faults.latency_spike = {count, from_ms(mean_ms), factor};
+    e.pipeline.faults.latency_spike = {count, f.ms(mean_ms), factor};
   }
   e.pipeline.faults.rebuild.pages_per_second =
       cfg.get_double("faults", "rebuild", 0.0);
   if (cfg.has("faults", "retry_timeout_ms")) {
-    e.pipeline.faults.retry.timeout =
-        from_ms(cfg.get_double("faults", "retry_timeout_ms", 0.0));
+    e.pipeline.faults.retry.timeout = cfg.get_ms("faults", "retry_timeout_ms", 0.0);
   }
   e.pipeline.faults.seed =
       static_cast<std::uint64_t>(cfg.get_int("faults", "seed", 1));

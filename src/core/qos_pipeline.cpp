@@ -1,8 +1,6 @@
 #include "core/qos_pipeline.hpp"
 
 #include <algorithm>
-#include <array>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <deque>
@@ -12,16 +10,13 @@
 #include <queue>
 #include <utility>
 
+#include "core/replay_obs.hpp"
 #include "core/sampler.hpp"
 #include "core/slot_matcher.hpp"
 #include "design/block_design.hpp"
 #include "fault/injector.hpp"
 #include "fim/apriori.hpp"
 #include "flashsim/flash_array.hpp"
-#include "obs/metrics.hpp"
-#include "obs/slo.hpp"
-#include "obs/timeseries.hpp"
-#include "obs/tracer.hpp"
 #include "retrieval/dtr.hpp"
 #include "trace/cursor.hpp"
 #include "util/stats.hpp"
@@ -45,298 +40,6 @@ const char* to_string(RetrievalPath path) noexcept {
 }
 
 namespace {
-
-inline constexpr std::size_t kPathCount = 10;
-
-/// Pipeline-level registry handles, resolved once. The loop tallies
-/// (dispatches, deferrals, offers, write replica ops) and the per-outcome
-/// fold (OutcomeObsFolder) count in plain locals and publish once per
-/// replay, so the hot loop's cost stays negligible.
-struct PipelineMetrics {
-  obs::Counter& requests;
-  obs::Counter& reads_served;
-  obs::Counter& writes;
-  obs::Counter& failed;
-  obs::Counter& deferred;
-  obs::Counter& deadline_violations;
-  obs::Counter& dispatches;
-  obs::Counter& write_replica_ops;
-  obs::Counter& deferral_events;
-  obs::Counter& admission_offers;
-  obs::LatencyHistogram& response_ns;
-  obs::LatencyHistogram& delay_ns;
-  obs::LatencyHistogram& e2e_ns;
-  // Per-request latency attribution (obs v2): where each served read spent
-  // its life — queue (arrival → dispatch), schedule (dispatch → first
-  // device access), service (first access → completion).
-  obs::LatencyHistogram& stage_queue_ns;
-  obs::LatencyHistogram& stage_schedule_ns;
-  obs::LatencyHistogram& stage_service_ns;
-  std::array<obs::Counter*, kPathCount> by_path;
-
-  static PipelineMetrics& get() {
-    static PipelineMetrics m = [] {
-      auto& reg = obs::MetricRegistry::global();
-      PipelineMetrics p{reg.counter("pipeline.requests"),
-                        reg.counter("pipeline.reads_served"),
-                        reg.counter("pipeline.writes"),
-                        reg.counter("pipeline.failed"),
-                        reg.counter("pipeline.deferred"),
-                        reg.counter("pipeline.deadline_violations"),
-                        reg.counter("pipeline.dispatches"),
-                        reg.counter("pipeline.write_replica_ops"),
-                        reg.counter("pipeline.deferral_events"),
-                        reg.counter("pipeline.admission_offers"),
-                        reg.histogram("pipeline.response_ns"),
-                        reg.histogram("pipeline.delay_ns"),
-                        reg.histogram("pipeline.e2e_ns"),
-                        reg.histogram("pipeline.stage_ns", "stage=\"queue\""),
-                        reg.histogram("pipeline.stage_ns", "stage=\"schedule\""),
-                        reg.histogram("pipeline.stage_ns", "stage=\"service\""),
-                        {}};
-      for (std::size_t i = 0; i < kPathCount; ++i) {
-        const std::string label =
-            std::string("path=\"") +
-            to_string(static_cast<RetrievalPath>(i)) + "\"";
-        p.by_path[i] = &reg.counter("pipeline.path", label);
-      }
-      return p;
-    }();
-    return m;
-  }
-};
-
-/// Fault-subsystem registry handles. Tallied in replay-loop locals and
-/// published once per replay, like PipelineMetrics.
-struct FaultMetrics {
-  obs::Counter& injected_outages;
-  obs::Counter& injected_spikes;
-  obs::Counter& degraded_intervals;
-  obs::Counter& retries;
-  obs::Counter& timeouts;
-  obs::Counter& rebuild_reads;
-  obs::Gauge& rebuild_pending;
-
-  static FaultMetrics& get() {
-    static FaultMetrics m = [] {
-      auto& reg = obs::MetricRegistry::global();
-      return FaultMetrics{reg.counter("fault.injected.outages"),
-                          reg.counter("fault.injected.spikes"),
-                          reg.counter("fault.degraded_intervals"),
-                          reg.counter("fault.retries"),
-                          reg.counter("fault.timeouts"),
-                          reg.counter("fault.rebuild.reads"),
-                          reg.gauge("fault.rebuild.pending_reads")};
-    }();
-    return m;
-  }
-};
-
-obs::EventDetail trace_detail(RetrievalPath path) noexcept {
-  switch (path) {
-    case RetrievalPath::kUnset: return obs::EventDetail::kNone;
-    case RetrievalPath::kPrimary: return obs::EventDetail::kPrimary;
-    case RetrievalPath::kSlotMatched: return obs::EventDetail::kSlotMatched;
-    case RetrievalPath::kSurplus: return obs::EventDetail::kSurplus;
-    case RetrievalPath::kAlignedDtr: return obs::EventDetail::kDtrFastPath;
-    case RetrievalPath::kAlignedMaxFlow: return obs::EventDetail::kMaxFlowFallback;
-    case RetrievalPath::kDegraded: return obs::EventDetail::kDegraded;
-    case RetrievalPath::kWrite: return obs::EventDetail::kWrite;
-    case RetrievalPath::kFailed: return obs::EventDetail::kNone;
-    case RetrievalPath::kShed: return obs::EventDetail::kNone;
-  }
-  return obs::EventDetail::kNone;
-}
-
-/// Value→count tally for one histogram, flushed with record_n on scope
-/// exit. Latency multisets here usually hold a few distinct values (fixed
-/// service quanta — the flat line), so a short linear scan beats one
-/// shared-atomic record() per outcome; genuinely high-cardinality series
-/// blow past the cap and fall through to direct records, where the
-/// histogram's overflowed-tracker fast path keeps the cost bounded.
-class HistogramTally {
- public:
-  explicit HistogramTally(obs::LatencyHistogram& h) : hist_(h) {}
-  HistogramTally(const HistogramTally&) = delete;
-  HistogramTally& operator=(const HistogramTally&) = delete;
-  ~HistogramTally() {
-    for (const auto& [v, n] : items_) hist_.record_n(v, n);
-  }
-
-  void add(std::int64_t v) {
-    for (auto& [val, n] : items_) {
-      if (val == v) {
-        ++n;
-        return;
-      }
-    }
-    if (items_.size() < kCap) {
-      items_.emplace_back(v, 1);
-    } else {
-      hist_.record(v);
-    }
-  }
-
- private:
-  static constexpr std::size_t kCap = 16;
-  obs::LatencyHistogram& hist_;
-  std::vector<std::pair<std::int64_t, std::uint64_t>> items_;
-};
-
-/// One QoS window's in-flight tally for a windowed time-series. The replay
-/// loop adds into these plain locals (no locking) and merges each non-empty
-/// tally into its obs::TimeSeries exactly once, at the interval rollover —
-/// all stats are the associative/commutative merges the series contract
-/// requires, so this batching cannot change exported window content.
-struct WindowAgg {
-  std::uint64_t count = 0;
-  std::int64_t sum = 0;
-  std::int64_t min = 0;
-  std::int64_t max = 0;
-  SimTime first_time = 0;
-
-  void add(SimTime at, std::int64_t value) {
-    if (count == 0) {
-      min = value;
-      max = value;
-      first_time = at;
-    } else {
-      min = std::min(min, value);
-      max = std::max(max, value);
-      first_time = std::min(first_time, at);
-    }
-    sum += value;
-    ++count;
-  }
-};
-
-/// Single-pass fold of finished outcomes into the observability registry:
-/// add() takes one outcome (trace order) — counters, histogram tallies,
-/// and (when tracing) that request's arrival → admission → retrieval spans
-/// plus one stage slice per lifecycle segment — and publish() writes the
-/// whole-run counter increments. The engine folds each request as it
-/// leaves the window, so registry content is identical at any batch size.
-/// Reads finished outcomes only — it cannot perturb the replay. Per-request
-/// *tracer* records interleave with the replay's kInterval records by
-/// batch; registry snapshots are order-insensitive, and the stream oracle
-/// keeps tracing off while comparing.
-class OutcomeObsFolder {
- public:
-  OutcomeObsFolder()
-      : m_(PipelineMetrics::get()),
-        response_(m_.response_ns),
-        e2e_(m_.e2e_ns),
-        delay_(m_.delay_ns),
-        stage_queue_(m_.stage_queue_ns),
-        stage_schedule_(m_.stage_schedule_ns),
-        stage_service_(m_.stage_service_ns),
-        tracer_(obs::Tracer::global()),
-        trace_on_(tracer_.enabled()) {}
-
-  void add(std::uint64_t idx, const RequestOutcome& o) {
-    ++by_path_[static_cast<std::size_t>(o.path)];
-    if (o.failed) {
-      ++failed_;
-    } else if (o.is_write) {
-      ++writes_;
-    } else {
-      ++reads_;
-      response_.add(o.response());
-      e2e_.add(o.end_to_end());
-      stage_queue_.add(o.dispatch - o.arrival);
-      stage_schedule_.add(o.start - o.dispatch);
-      stage_service_.add(o.finish - o.start);
-      if (o.deferred()) {
-        ++deferred_;
-        delay_.add(o.delay());
-      }
-    }
-    if (trace_on_) trace_outcome(idx, o);
-  }
-
-  void publish(std::size_t requests, std::size_t deadline_violations) {
-    m_.requests.inc(requests);
-    m_.reads_served.inc(reads_);
-    m_.writes.inc(writes_);
-    m_.failed.inc(failed_);
-    m_.deferred.inc(deferred_);
-    m_.deadline_violations.inc(deadline_violations);
-    for (std::size_t i = 0; i < kPathCount; ++i) {
-      if (by_path_[i] > 0) m_.by_path[i]->inc(by_path_[i]);
-    }
-  }
-
- private:
-  void trace_outcome(std::uint64_t idx, const RequestOutcome& o) {
-    const auto req = static_cast<std::int64_t>(idx);
-    tracer_.record({.request = req,
-                    .start = o.arrival,
-                    .end = o.arrival,
-                    .value = 0,
-                    .device = -1,
-                    .kind = obs::EventKind::kArrival,
-                    .detail = obs::EventDetail::kNone});
-    tracer_.record({.request = req,
-                    .start = o.dispatch,
-                    .end = o.dispatch,
-                    .value = o.q_ppm,
-                    .device = -1,
-                    .kind = obs::EventKind::kAdmission,
-                    .detail = o.failed      ? obs::EventDetail::kRejected
-                              : o.deferred() ? obs::EventDetail::kDeferred
-                                             : obs::EventDetail::kAdmitted});
-    tracer_.record({.request = req,
-                    .start = o.dispatch,
-                    .end = o.finish,
-                    .value = 0,
-                    .device = o.device == kInvalidDevice
-                                  ? -1
-                                  : static_cast<std::int32_t>(o.device),
-                    .kind = obs::EventKind::kRetrieval,
-                    .detail = trace_detail(o.path)});
-    // Stage slices exist only for served reads: failed/shed requests never
-    // reach the device and writes follow the replication path instead.
-    if (o.failed || o.is_write) return;
-    tracer_.record({.request = req,
-                    .start = o.arrival,
-                    .end = o.dispatch,
-                    .value = o.dispatch - o.arrival,
-                    .device = -1,
-                    .kind = obs::EventKind::kStage,
-                    .detail = obs::EventDetail::kStageQueue});
-    tracer_.record({.request = req,
-                    .start = o.dispatch,
-                    .end = o.start,
-                    .value = o.start - o.dispatch,
-                    .device = -1,
-                    .kind = obs::EventKind::kStage,
-                    .detail = obs::EventDetail::kStageSchedule});
-    tracer_.record({.request = req,
-                    .start = o.start,
-                    .end = o.finish,
-                    .value = o.finish - o.start,
-                    .device = o.device == kInvalidDevice
-                                  ? -1
-                                  : static_cast<std::int32_t>(o.device),
-                    .kind = obs::EventKind::kStage,
-                    .detail = obs::EventDetail::kStageService});
-  }
-
-  PipelineMetrics& m_;
-  HistogramTally response_;
-  HistogramTally e2e_;
-  HistogramTally delay_;
-  HistogramTally stage_queue_;
-  HistogramTally stage_schedule_;
-  HistogramTally stage_service_;
-  obs::Tracer& tracer_;
-  bool trace_on_;
-  std::uint64_t reads_ = 0;
-  std::uint64_t writes_ = 0;
-  std::uint64_t failed_ = 0;
-  std::uint64_t deferred_ = 0;
-  std::array<std::uint64_t, kPathCount> by_path_{};
-};
 
 /// A request waiting for dispatch: a fresh arrival or a fault retry.
 /// Ordered by (dispatch time, seq); seq is the 0-based ingestion index.
@@ -491,6 +194,9 @@ std::vector<std::string> PipelineConfig::validate(std::uint32_t devices) const {
   if (access_budget < 1) {
     out.push_back("access_budget must be at least 1 (a zero budget admits nothing)");
   }
+  if (access_budget > kMaxAccessBudget) {
+    out.push_back("access_budget must be at most " + std::to_string(kMaxAccessBudget));
+  }
   if (service_time <= 0) out.push_back("service_time must be positive");
   if (write_latency <= 0) out.push_back("write_latency must be positive");
   if (fim_min_support < 1) out.push_back("fim_min_support must be at least 1");
@@ -594,16 +300,6 @@ struct StreamSlot {
   bool done = false;
 };
 
-/// Wall-clock nanoseconds since `t0`, for the streaming stage histograms.
-[[nodiscard]] std::int64_t stream_elapsed_ns(
-    // flashqos-lint: allow(wall-clock): stage-timing metric, never a result
-    std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             // flashqos-lint: allow(wall-clock): stage-timing metric only
-             std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
 /// The replay core behind run() and run_stream(). One instance is one
 /// replay.
 ///
@@ -613,8 +309,8 @@ struct StreamSlot {
 /// no same-instant dispatch group popped under the bound can ever gain a
 /// member from unread input — which is why results do not depend on the
 /// batch size. Requests live in a seq-indexed sliding window and fold into
-/// per-interval / overall reports (and the observability registry) in
-/// trace order as their slots become final.
+/// per-interval / overall reports (and ReplayObs, the engine's one
+/// observability member) in trace order as their slots become final.
 class ReplayEngine {
  public:
   ReplayEngine(const decluster::AllocationScheme& scheme, const PipelineConfig& cfg,
@@ -654,13 +350,6 @@ class ReplayEngine {
     init(opts.horizon, fim);
     sink_ = opts.sink;
     rescan_ = opts.rescan_for_test;
-    obs::LatencyHistogram* ingest_ns = nullptr;
-    obs::LatencyHistogram* drain_ns = nullptr;
-    if constexpr (obs::kEnabled) {
-      auto& reg = obs::MetricRegistry::global();
-      ingest_ns = &reg.histogram("pipeline.interval_ns", "stage=\"ingest\"");
-      drain_ns = &reg.histogram("pipeline.interval_ns", "stage=\"drain\"");
-    }
     // Read-ahead rule: every unread arrival has time >= the last ingested
     // event's time AND >= the cursor's declared frontier, so dispatch
     // instants strictly before max(last, frontier) can never gain
@@ -683,16 +372,14 @@ class ReplayEngine {
       // identity keep the frontier at or below the final event time (the
       // daemon oracle does).
       if (fim_tx_.has_value()) fim_tx_->close_until(bound);
-      // flashqos-lint: allow(wall-clock): stage-timing metric, never a result
-      const auto t0 = std::chrono::steady_clock::now();
+      const auto t0 = ReplayObs::wall_now();
       drain(bound);
-      if constexpr (obs::kEnabled) drain_ns->record(stream_elapsed_ns(t0));
+      obs_->drained(t0);
     };
     while (n > 0) {
-      // flashqos-lint: allow(wall-clock): stage-timing metric, never a result
-      const auto t0 = std::chrono::steady_clock::now();
+      const auto t0 = ReplayObs::wall_now();
       for (std::size_t i = 0; i < n; ++i) ingest_event(buf[i]);
-      if constexpr (obs::kEnabled) ingest_ns->record(stream_elapsed_ns(t0));
+      obs_->ingested(t0);
       drain_step();
       n = cursor.fill(buf);
       while (n == 0 && !cursor.exhausted()) {
@@ -730,56 +417,6 @@ class ReplayEngine {
       stat_.emplace(cfg_.p_table, det_.limit(), cfg_.epsilon);
     }
     if (tenant_mode_) ts_.emplace(cfg_.tenants, det_.limit(), cfg_.wfq_knobs);
-    if constexpr (obs::kEnabled) {
-      if (tenant_mode_) {
-        auto& reg = obs::MetricRegistry::global();
-        depth_hist_.reserve(cfg_.tenants.size());
-        for (const auto& s : cfg_.tenants) {
-          depth_hist_.push_back(
-              &reg.histogram("wfq.queue_depth", "tenant=\"" + s.name + "\""));
-        }
-      }
-      auto& tsr = obs::TimeSeriesRegistry::global();
-      const auto series = [&](const char* name, const std::string& labels = {}) {
-        return &tsr.series(name, labels, T_);
-      };
-      win_reads_ = series("win.reads");
-      win_writes_ = series("win.writes");
-      win_failed_ = series("win.failed");
-      win_degraded_ = series("win.degraded");
-      win_response_ = series("win.response_ns");
-      if (stat_.has_value()) win_q_ = series("win.q_ppm");
-      win_device_.reserve(scheme_.devices());
-      agg_device_.resize(scheme_.devices());
-      for (DeviceId d = 0; d < scheme_.devices(); ++d) {
-        win_device_.push_back(
-            series("win.device.reads", "device=\"" + std::to_string(d) + "\""));
-      }
-      if (tenant_mode_) {
-        win_shed_ = series("win.shed");
-        agg_tenant_reads_.resize(cfg_.tenants.size());
-        agg_tenant_shed_.resize(cfg_.tenants.size());
-        for (const auto& s : cfg_.tenants) {
-          const std::string label = "tenant=\"" + s.name + "\"";
-          win_tenant_reads_.push_back(series("win.tenant.reads", label));
-          win_tenant_shed_.push_back(series("win.tenant.shed", label));
-        }
-      }
-      if (!cfg_.slos.empty()) {
-        obs::SloMonitor::global().configure(cfg_.slos);
-        slo_tallies_.reserve(cfg_.slos.size());
-        for (const auto& spec : cfg_.slos) {
-          std::int32_t tid = -1;
-          for (std::size_t k = 0; k < cfg_.tenants.size(); ++k) {
-            if (cfg_.tenants[k].name == spec.tenant) {
-              tid = static_cast<std::int32_t>(k);
-            }
-          }
-          slo_tallies_.push_back({spec.kind, spec.threshold_ns, tid, 0, 0});
-        }
-      }
-      obs_folder_.emplace();
-    }
 
     // Fault state. The compiled plan is a pure function of (plan, scheme,
     // horizon), so every replay of a config sees the same fault schedule,
@@ -791,13 +428,7 @@ class ReplayEngine {
     det_limit_now_ = det_.limit();
 
     free_at_.assign(scheme_.devices(), 0);
-    if constexpr (obs::kEnabled) {
-      device_tally_.assign(scheme_.devices(), {});
-      if (injector_->rebuild_reads_total() > 0) {
-        FaultMetrics::get().rebuild_pending.add(
-            static_cast<std::int64_t>(injector_->rebuild_reads_total()));
-      }
-    }
+    obs_.emplace(cfg_, scheme_.devices(), *injector_, ts_.has_value() ? &*ts_ : nullptr);
   }
 
   // ---- ingestion ---------------------------------------------------------
@@ -843,7 +474,7 @@ class ReplayEngine {
   // ---- result fold -------------------------------------------------------
 
   /// Pop every final slot off the window front, folding outcomes into the
-  /// reports and the observability registry in trace order.
+  /// reports and the observability plane in trace order.
   void fold_final() {
     while (!win_.empty() && win_.front().done) {
       fold_outcome(win_base_, win_.front());
@@ -863,7 +494,7 @@ class ReplayEngine {
     if (!s.out.failed && !s.out.is_write && s.out.response() > cfg_.qos_interval) {
       ++deadline_violations_;
     }
-    if constexpr (obs::kEnabled) obs_folder_->add(seq, s.out);
+    obs_->outcome(seq, s.out);
   }
 
   // ---- dispatch core -----------------------------------------------------
@@ -877,38 +508,6 @@ class ReplayEngine {
       if (now >= bound) return;
       process_group(now);
       fold_final();
-    }
-  }
-
-  /// Merge every non-empty window tally into its series and feed the SLO
-  /// monitor one sample per spec. Called with the window index that just
-  /// closed; windows with no dispatch instants are simply never flushed
-  /// (they hold no data and contribute no SLO sample).
-  void flush_windows(std::int64_t window) {
-    const auto fl = [&](obs::TimeSeries* s, WindowAgg& a) {
-      if (s == nullptr || a.count == 0) return;
-      s->merge(window, a.first_time, a.sum, a.count, a.min, a.max);
-      a = WindowAgg{};
-    };
-    fl(win_reads_, agg_reads_);
-    fl(win_writes_, agg_writes_);
-    fl(win_shed_, agg_shed_);
-    fl(win_failed_, agg_failed_);
-    fl(win_degraded_, agg_degraded_);
-    fl(win_response_, agg_response_);
-    fl(win_q_, agg_q_);
-    for (std::size_t d = 0; d < win_device_.size(); ++d) {
-      fl(win_device_[d], agg_device_[d]);
-    }
-    for (std::size_t k = 0; k < win_tenant_reads_.size(); ++k) {
-      fl(win_tenant_reads_[k], agg_tenant_reads_[k]);
-      fl(win_tenant_shed_[k], agg_tenant_shed_[k]);
-    }
-    for (std::size_t si = 0; si < slo_tallies_.size(); ++si) {
-      auto& st = slo_tallies_[si];
-      obs::SloMonitor::global().record(si, window, st.total, st.bad);
-      st.total = 0;
-      st.bad = 0;
     }
   }
 
@@ -978,18 +577,7 @@ class ReplayEngine {
     FLASHQOS_EXPECT(op.start >= free_at_[op.device],
                     "device op starts before the device's previous op finished");
     free_at_[op.device] = op.finish;
-    if constexpr (obs::kEnabled) {
-      auto& t = device_tally_[op.device];
-      ++t.ops;
-      t.busy_ns += static_cast<std::uint64_t>(op.finish - op.start);
-      obs::Tracer::global().record({.request = op.request,
-                                    .start = op.start,
-                                    .end = op.finish,
-                                    .value = 0,
-                                    .device = static_cast<std::int32_t>(op.device),
-                                    .kind = obs::EventKind::kDeviceService,
-                                    .detail = obs::EventDetail::kNone});
-    }
+    obs_->device_op(op);
     if (sink_ != nullptr) sink_->on_device_op(op);
   }
 
@@ -1005,30 +593,7 @@ class ReplayEngine {
             .kind = DeviceOpKind::kRead,
             .request = static_cast<std::int64_t>(idx)});
     mark_final(idx);
-    if constexpr (obs::kEnabled) {
-      ++dispatches_tally_;
-      // Window tallies key on the dispatch instant (== the loop's `now` at
-      // every call site), which always lies in the open QoS window.
-      const SimTime at = o.dispatch;
-      const std::int64_t resp = o.finish - o.dispatch;
-      agg_reads_.add(at, 1);
-      agg_response_.add(at, resp);
-      agg_device_[dev].add(at, 1);
-      if (win_q_ != nullptr) agg_q_.add(at, o.q_ppm);
-      if (o.path == RetrievalPath::kDegraded) agg_degraded_.add(at, 1);
-      if (tenant_mode_) {
-        agg_tenant_reads_[static_cast<std::size_t>(o.tenant)].add(at, 1);
-      }
-      for (auto& st : slo_tallies_) {
-        if (st.kind == obs::SloKind::kAdmissionFloor) continue;
-        if (st.tenant >= 0 &&
-            static_cast<std::uint32_t>(st.tenant) != o.tenant) {
-          continue;
-        }
-        ++st.total;
-        if (resp > st.threshold_ns) ++st.bad;
-      }
-    }
+    obs_->read_dispatched(o);
   }
 
   /// Hot-spare rebuild reads are paced background work: they occupy real
@@ -1042,13 +607,7 @@ class ReplayEngine {
               .finish = start + read_service(rr.source, start),
               .kind = DeviceOpKind::kRebuild});
     }
-    if constexpr (obs::kEnabled) {
-      if (!due.empty()) {
-        auto& fm = FaultMetrics::get();
-        fm.rebuild_reads.inc(due.size());
-        fm.rebuild_pending.add(-static_cast<std::int64_t>(due.size()));
-      }
-    }
+    obs_->rebuild_reads(due.size());
   }
 
   /// Resolve a read's bucket through the mapper and stamp its dispatch
@@ -1085,7 +644,7 @@ class ReplayEngine {
   /// or the group's next member, whichever is older — and its bucket.
   /// Fault retries re-enter the group with old seqs, hence the merge.
   std::pair<std::size_t, BucketId> next_offer(SimTime now) {
-    if constexpr (obs::kEnabled) ++offers_tally_;
+    obs_->offer();
     if (carried_ && !carry_.empty() &&
         (gi_ == group_.size() || carry_.front() < group_[gi_].seq)) {
       const std::size_t idx = carry_.front();
@@ -1193,14 +752,14 @@ class ReplayEngine {
           next_dispatch - o.arrival <= retry_timeout_) {
         return next_dispatch;
       }
-      ++timeouts_tally_;
+      obs_->timeout();
     }
     o.dispatch = now;
     o.failed = true;
     o.start = now;
     o.finish = now;
     o.path = RetrievalPath::kFailed;
-    if constexpr (obs::kEnabled) agg_failed_.add(now, 1);
+    obs_->read_failed(now);
     mark_final(idx);
     return std::nullopt;
   }
@@ -1261,19 +820,7 @@ class ReplayEngine {
       if (stat_.has_value() && current_qi_ >= 0) {
         stat_->end_interval(demand_, admitted_);
       }
-      if constexpr (obs::kEnabled) {
-        if (current_qi_ >= 0) {
-          obs::Tracer::global().record(
-              {.request = -1,
-               .start = now,
-               .end = now,
-               .value = static_cast<std::int64_t>(admitted_),
-               .device = -1,
-               .kind = obs::EventKind::kInterval,
-               .detail = obs::EventDetail::kNone});
-          flush_windows(current_qi_);
-        }
-      }
+      obs_->qos_rollover(now, current_qi_, admitted_);
       current_qi_ = qi;
       admitted_ = 0;
       demand_ = 0;
@@ -1281,11 +828,6 @@ class ReplayEngine {
       if (tenant_mode_) {
         // Depth sampled at the boundary = backlog carried across it.
         ts_->observe_depths();
-        if constexpr (obs::kEnabled) {
-          for (std::size_t k = 0; k < depth_hist_.size(); ++k) {
-            depth_hist_[k]->record(static_cast<std::int64_t>(ts_->depth(k)));
-          }
-        }
         ts_->begin_interval(det_limit_now_);
       }
     }
@@ -1322,10 +864,7 @@ class ReplayEngine {
         update_budgets();
       }
       if (down > 0) {
-        if (qi != last_degraded_qi_) {
-          ++degraded_interval_tally_;
-          last_degraded_qi_ = qi;
-        }
+        obs_->degraded(qi);
         // Every carried read faces the strand check, so the due FIFO
         // joins the group (merged by seq) — the one O(backlog) step, and
         // only while a device is down.
@@ -1346,7 +885,7 @@ class ReplayEngine {
             Pending p = group_[i];
             p.dispatch = *retry;
             queue_.push(p);
-            ++retries_tally_;
+            obs_->retry();
           }
         }
         std::swap(group_, live_);
@@ -1384,7 +923,6 @@ class ReplayEngine {
                   .finish = finish,
                   .kind = DeviceOpKind::kWrite,
                   .request = static_cast<std::int64_t>(group_[i].seq)});
-          if constexpr (obs::kEnabled) ++write_ops_tally_;
           if (start < first_start) {
             first_start = start;
             first_dev = dev;
@@ -1395,7 +933,7 @@ class ReplayEngine {
         o.device = first_dev;
         o.start = first_start;
         o.finish = last_finish;
-        if constexpr (obs::kEnabled) agg_writes_.add(now, 1);
+        obs_->write_fanned_out(now);
         mark_final(group_[i].seq);
       }
       if (any_write) {
@@ -1465,7 +1003,7 @@ class ReplayEngine {
     // One deferral event per read waiting into the next interval — the
     // spliced FIFO tail included.
     if (carry_.size() > carry_base_) {
-      if constexpr (obs::kEnabled) deferrals_tally_ += carry_.size() - carry_base_;
+      obs_->deferrals(carry_.size() - carry_base_);
       wake_ = (qi + 1) * T_;
     }
   }
@@ -1577,18 +1115,9 @@ class ReplayEngine {
       const std::size_t id = g.seq;
       auto& o = out(id);
       const auto tid = static_cast<std::size_t>(ev(id).tenant);
-      if constexpr (obs::kEnabled) {
-        // Admission-floor SLOs count every fresh enqueue attempt; sheds
-        // below add the bad half.
-        for (auto& st : slo_tallies_) {
-          if (st.kind != obs::SloKind::kAdmissionFloor) continue;
-          if (st.tenant >= 0 && static_cast<std::size_t>(st.tenant) != tid) {
-            continue;
-          }
-          ++st.total;
-        }
-      }
-      switch (ts_->enqueue(tid, id)) {
+      const auto verdict = ts_->enqueue(tid, id);
+      obs_->tenant_enqueued(now, ev(id).tenant, verdict == WfqQueues::Enqueue::kShed);
+      switch (verdict) {
         case WfqQueues::Enqueue::kShed:
           // Hard backpressure: dropped at the front end, never queued.
           // Finalized at the arrival instant so shed requests cannot
@@ -1599,17 +1128,6 @@ class ReplayEngine {
           o.failed = true;
           o.path = RetrievalPath::kShed;
           mark_final(id);
-          if constexpr (obs::kEnabled) {
-            agg_shed_.add(now, 1);
-            agg_tenant_shed_[tid].add(now, 1);
-            for (auto& st : slo_tallies_) {
-              if (st.kind != obs::SloKind::kAdmissionFloor) continue;
-              if (st.tenant >= 0 && static_cast<std::size_t>(st.tenant) != tid) {
-                continue;
-              }
-              ++st.bad;
-            }
-          }
           break;
         case WfqQueues::Enqueue::kMarked:
           o.wfq_marked = true;
@@ -1635,7 +1153,7 @@ class ReplayEngine {
     const auto next_head = [&]() -> std::optional<Head> {
       while (const auto tid = ts_->next_candidate(tenant_blocked_, unlimited)) {
         const std::size_t id = ts_->head(*tid);
-        if constexpr (obs::kEnabled) ++offers_tally_;
+        obs_->offer();
         const auto m = mapper_.map(ev(id).block);
         if (!all_replicas_down(m.bucket)) return Head{*tid, id, m};
         if (strand(id, m.bucket, now, qi).has_value()) {
@@ -1727,62 +1245,12 @@ class ReplayEngine {
       waiting += boundary ? ts_->depth(k) : std::min(fresh_[k], ts_->depth(k));
     }
     if (waiting > 0) {
-      if constexpr (obs::kEnabled) deferrals_tally_ += waiting;
+      obs_->deferrals(waiting);
       wake_ = (qi + 1) * T_;
     }
   }
 
   // ---- finish ------------------------------------------------------------
-
-  /// Per-replay registry publication: the final open window, the loop
-  /// tallies, fault accounting, per-tenant WFQ counters.
-  void publish_run_metrics() {
-    if (current_qi_ >= 0) flush_windows(current_qi_);
-    auto& m = PipelineMetrics::get();
-    m.dispatches.inc(dispatches_tally_);
-    m.deferral_events.inc(deferrals_tally_);
-    m.admission_offers.inc(offers_tally_);
-    m.write_replica_ops.inc(write_ops_tally_);
-    auto& reg = obs::MetricRegistry::global();
-    std::uint64_t device_ops = 0;
-    for (std::size_t d = 0; d < device_tally_.size(); ++d) {
-      const std::string label = "device=\"" + std::to_string(d) + "\"";
-      reg.counter("flashsim.device.requests", label).inc(device_tally_[d].ops);
-      reg.counter("flashsim.device.busy_ns", label).inc(device_tally_[d].busy_ns);
-      device_ops += device_tally_[d].ops;
-    }
-    reg.counter("flashsim.submits").inc(device_ops);
-    if (faults_active_) {
-      auto& fm = FaultMetrics::get();
-      fm.injected_outages.inc(injector_->compiled().outages.size());
-      fm.injected_spikes.inc(injector_->compiled().spikes.size());
-      if (degraded_interval_tally_ > 0) {
-        fm.degraded_intervals.inc(degraded_interval_tally_);
-      }
-      if (retries_tally_ > 0) fm.retries.inc(retries_tally_);
-      if (timeouts_tally_ > 0) fm.timeouts.inc(timeouts_tally_);
-      // Rebuild reads due after the last dispatch instant never run (the
-      // trace ended); return their pending-gauge contribution so the gauge
-      // reads 0 between replays.
-      const auto leftover = static_cast<std::int64_t>(
-          injector_->rebuild_reads_total() - injector_->rebuild_reads_issued());
-      if (leftover > 0) fm.rebuild_pending.add(-leftover);
-    }
-    if (tenant_mode_) {
-      // Per-tenant WFQ tallies, published once per replay like everything
-      // else; wfq.vtime accumulates virtual-clock progress (micro-units)
-      // across replays.
-      reg.gauge("wfq.vtime").add(std::llround(ts_->virtual_time() * 1e6));
-      for (std::size_t k = 0; k < ts_->tenants(); ++k) {
-        const auto& u = ts_->usage(k);
-        const std::string label = "tenant=\"" + cfg_.tenants[k].name + "\"";
-        if (u.arrivals > 0) reg.counter("wfq.arrivals", label).inc(u.arrivals);
-        if (u.admitted > 0) reg.counter("wfq.admitted", label).inc(u.admitted);
-        if (u.shed > 0) reg.counter("wfq.shed", label).inc(u.shed);
-        if (u.marked > 0) reg.counter("wfq.marked", label).inc(u.marked);
-      }
-    }
-  }
 
   StreamResult finish() {
     if (stat_.has_value()) stat_->end_interval(demand_, admitted_);
@@ -1797,12 +1265,7 @@ class ReplayEngine {
     }
     FLASHQOS_ASSERT(win_.empty(),
                     "every request must reach a final state by end of stream");
-    if constexpr (obs::kEnabled) {
-      publish_run_metrics();
-      obs_folder_->publish(static_cast<std::size_t>(ingested_),
-                          deadline_violations_);
-      obs_folder_.reset();  // flushes the histogram tallies
-    }
+    obs_->finish(current_qi_, ingested_, deadline_violations_);
     res.requests = ingested_;
     res.deadline_violations = deadline_violations_;
     if (report_interval_ > 0 && keep_intervals_) {
@@ -1844,7 +1307,6 @@ class ReplayEngine {
   std::optional<SliceTransactions> fim_tx_;
   OutcomeFold overall_fold_;
   std::vector<OutcomeFold> interval_folds_;
-  std::optional<OutcomeObsFolder> obs_folder_;
   std::size_t deadline_violations_ = 0;
 
   // ---- replay state ------------------------------------------------------
@@ -1852,34 +1314,6 @@ class ReplayEngine {
   std::optional<TenantScheduler> ts_;
   std::vector<bool> tenant_blocked_;
   std::vector<std::size_t> fresh_;  // this instant's enqueues per tenant
-  std::vector<obs::LatencyHistogram*> depth_hist_;
-
-  obs::TimeSeries* win_reads_ = nullptr;
-  obs::TimeSeries* win_writes_ = nullptr;
-  obs::TimeSeries* win_shed_ = nullptr;
-  obs::TimeSeries* win_failed_ = nullptr;
-  obs::TimeSeries* win_degraded_ = nullptr;
-  obs::TimeSeries* win_response_ = nullptr;
-  obs::TimeSeries* win_q_ = nullptr;
-  std::vector<obs::TimeSeries*> win_device_;
-  std::vector<obs::TimeSeries*> win_tenant_reads_;
-  std::vector<obs::TimeSeries*> win_tenant_shed_;
-  WindowAgg agg_reads_, agg_writes_, agg_shed_, agg_failed_, agg_degraded_,
-      agg_response_, agg_q_;
-  std::vector<WindowAgg> agg_device_;
-  std::vector<WindowAgg> agg_tenant_reads_;
-  std::vector<WindowAgg> agg_tenant_shed_;
-  // Live SLO evaluation: per-spec {total, bad} tallies for the open window,
-  // fed to the global SloMonitor at the same rollover flush. `tenant` is
-  // the resolved tenant index (-1 = all traffic).
-  struct SloTally {
-    obs::SloKind kind;
-    std::int64_t threshold_ns;
-    std::int32_t tenant;
-    std::uint64_t total = 0;
-    std::uint64_t bad = 0;
-  };
-  std::vector<SloTally> slo_tallies_;
 
   std::optional<fault::FaultInjector> injector_;
   bool faults_active_ = false;
@@ -1890,10 +1324,6 @@ class ReplayEngine {
   std::vector<bool> budget_mask_;
   std::vector<bool> mask_scratch_;
   std::map<std::vector<bool>, std::vector<double>> degraded_tables_;
-  std::uint64_t retries_tally_ = 0;
-  std::uint64_t timeouts_tally_ = 0;
-  std::uint64_t degraded_interval_tally_ = 0;
-  std::int64_t last_degraded_qi_ = -1;
 
   std::vector<SimTime> free_at_;  // per device: when its last op finishes
   std::priority_queue<Pending, std::vector<Pending>, std::greater<>> queue_;
@@ -1916,19 +1346,8 @@ class ReplayEngine {
   // refused too.
   bool surplus_closed_ = false;
 
-  // Per-event counters are tallied in plain locals and published once after
-  // the loop — the shared sharded counters cost an atomic RMW per inc,
-  // which is measurable at one inc per dispatched request.
-  std::uint64_t dispatches_tally_ = 0;
-  std::uint64_t deferrals_tally_ = 0;
-  std::uint64_t offers_tally_ = 0;
-  std::uint64_t write_ops_tally_ = 0;
-  // Per-device op count and busy time (the flashsim.device.* family).
-  struct DeviceTally {
-    std::uint64_t ops = 0;
-    std::uint64_t busy_ns = 0;
-  };
-  std::vector<DeviceTally> device_tally_;
+  // Every tally, series, SLO sample and trace record of the replay.
+  std::optional<ReplayObs> obs_;
 
   // Per-instant buffers, hoisted out of the dispatch loop so steady-state
   // scheduling reuses their capacity instead of reallocating every group.

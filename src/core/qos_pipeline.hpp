@@ -60,6 +60,12 @@ enum class MappingMode { kModulo, kFim };
 ///    concentrates each group's load on one device and collapses.
 enum class SchedulerMode { kReplicaScheduled, kPrimaryOnly };
 
+/// The largest access budget M a pipeline accepts. The online slot matcher
+/// keeps M slots per device (256 KiB per device at this cap), and the
+/// guarantee S = (c-1)M² + cM stays far from uint64 for any c. Every
+/// in-tree config uses M <= 2.
+inline constexpr std::uint32_t kMaxAccessBudget = 65535;
+
 struct PipelineConfig {
   SimTime qos_interval = kBaseInterval;  // T
   std::uint32_t access_budget = 1;       // M

@@ -1,7 +1,6 @@
 #include "service/pipeline_service.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -287,17 +286,6 @@ namespace {
                            cfg.get("service", key, "(unset)") + " " + why);
 }
 
-/// A [service] duration in milliseconds: finite, non-negative, and within
-/// the simulated clock's range (NaN fails both comparisons).
-SimTime service_ms(const Config& cfg, const std::string& key, double fallback) {
-  const double ns = cfg.get_double("service", key, fallback) * 1e6;
-  if (!(ns >= 0 && ns < static_cast<double>(std::numeric_limits<SimTime>::max()))) {
-    reject_service_value(cfg, key,
-                         "must be a finite, non-negative number of milliseconds");
-  }
-  return static_cast<SimTime>(ns);
-}
-
 }  // namespace
 
 ServiceSetup build_service(const Config& cfg) {
@@ -308,9 +296,8 @@ ServiceSetup build_service(const Config& cfg) {
   s.options.pipeline = std::move(e.pipeline);
   s.options.meta.name = cfg.get("service", "name", "live");
   s.options.meta.volumes = s.scheme->devices();
-  s.options.meta.report_interval =
-      service_ms(cfg, "report_interval_ms", 1000.0);
-  s.options.horizon = service_ms(cfg, "horizon_ms", 0.0);
+  s.options.meta.report_interval = cfg.get_ms("service", "report_interval_ms", 1000.0);
+  s.options.horizon = cfg.get_ms("service", "horizon_ms", 0.0);
   if (!s.options.pipeline.faults.empty() && s.options.horizon <= 0) {
     // The fault schedule compiles before a live stream's length is known.
     reject_service_value(cfg, "horizon_ms",

@@ -74,6 +74,10 @@ class MultiTenantCursor final : public BatchStagedCursor {
       : p_(p), rng_(p.seed), meta_{"multi_tenant_synthetic", 0, p.interval} {
     FLASHQOS_EXPECT(!p.tenants.empty(), "need at least one tenant load");
     FLASHQOS_EXPECT(p.intervals > 0, "need at least one interval");
+    // A jitter step of interval / (jitter_slots + 1) ns must be at least
+    // 1 ns, or arrivals spill into later intervals and come out of order.
+    FLASHQOS_EXPECT(p.jitter_slots == 0 || p.jitter_slots < p.interval,
+                    "jitter_slots must be below the interval in ns");
     // Disjoint consecutive pools; per-tenant cursor cycles the pool so any
     // short run of that tenant's requests hits distinct buckets.
     base_.resize(p.tenants.size());
@@ -110,9 +114,10 @@ class MultiTenantCursor final : public BatchStagedCursor {
       for (std::uint32_t i = 0; i < load.requests_per_interval; ++i) {
         SimTime at = boundary;
         if (p_.jitter_slots > 0) {
-          const SimTime step = p_.interval / (p_.jitter_slots + 1);
-          at += static_cast<SimTime>(rng_.below(p_.jitter_slots + 1)) *
-                std::max<SimTime>(step, 1);
+          // 64-bit: jitter_slots + 1 wraps to 0 in 32 bits.
+          const SimTime slots = static_cast<SimTime>(p_.jitter_slots) + 1;
+          at += static_cast<SimTime>(rng_.below(static_cast<std::uint64_t>(slots))) *
+                (p_.interval / slots);
         }
         out.push_back(
             TraceEvent{.time = at,

@@ -112,6 +112,24 @@ std::int64_t Config::parse_int64(const std::string& section, const std::string& 
                            range);
 }
 
+SimTime Config::get_ms(const std::string& section, const std::string& key,
+                       double fallback_ms) const {
+  return parse_ms(section, key, get(section, key),
+                  get_double(section, key, fallback_ms));
+}
+
+SimTime Config::parse_ms(const std::string& section, const std::string& key,
+                         const std::string& value, double ms) {
+  // NaN fails both comparisons; the bound keeps from_ms's llround in range.
+  if (ms >= 0.0 && ms * static_cast<double>(kMillisecond) <=
+                       static_cast<double>(kMaxEventTime)) {
+    return from_ms(ms);
+  }
+  throw std::runtime_error("config: [" + section + "] " + key + " = " + value +
+                           " is not a time in [0, " +
+                           std::to_string(to_ms(kMaxEventTime)) + "] ms");
+}
+
 bool Config::get_bool(const std::string& section, const std::string& key,
                       bool fallback) const {
   const auto s = get(section, key);

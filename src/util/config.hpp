@@ -5,7 +5,8 @@
 // accumulate (used for failure lists). Values are strings; typed getters
 // parse on access, fall back to defaults when the key is absent, and throw
 // when the value does not parse whole ("2x" is not an integer). Integers
-// are read within a range, so a count never wraps on its way to its type.
+// are read within a range, so a count never wraps on its way to its type,
+// and times within the simulated clock's.
 #pragma once
 
 #include <concepts>
@@ -17,6 +18,8 @@
 #include <type_traits>
 #include <utility>
 #include <vector>
+
+#include "util/time.hpp"
 
 namespace flashqos {
 
@@ -63,6 +66,19 @@ class Config {
     return static_cast<T>(
         parse_int64(section, key, value, text, to_int64(lo), to_int64(hi)));
   }
+
+  /// A time in milliseconds as SimTime: the fallback when the key is
+  /// absent, otherwise the value read by parse_ms.
+  [[nodiscard]] SimTime get_ms(const std::string& section, const std::string& key,
+                               double fallback_ms) const;
+
+  /// The time reader: `ms` milliseconds, read from `value` (all of it or
+  /// one field), as SimTime rounded to the nearest ns within [0,
+  /// kMaxEventTime]. Throws naming the section, key and value for a NaN, a
+  /// negative time or one past the clock.
+  [[nodiscard]] static SimTime parse_ms(const std::string& section,
+                                        const std::string& key,
+                                        const std::string& value, double ms);
 
   [[nodiscard]] bool get_bool(const std::string& section, const std::string& key,
                               bool fallback) const;

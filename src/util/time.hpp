@@ -39,10 +39,15 @@ inline constexpr SimTime kMaxEventTime = SimTime{1} << 62;
   return static_cast<double>(t) / static_cast<double>(kSecond);
 }
 
+/// `ms` milliseconds in ns, rounded to the nearest. Precondition: the
+/// result fits SimTime — a NaN or a value past int64 has no SimTime, and
+/// std::llround's result is then unspecified. Config times go through
+/// Config::get_ms/parse_ms, which check it.
 [[nodiscard]] inline SimTime from_ms(double ms) noexcept {
   return static_cast<SimTime>(std::llround(ms * static_cast<double>(kMillisecond)));
 }
 
+/// `us` microseconds in ns, rounded; the same precondition as from_ms.
 [[nodiscard]] inline SimTime from_us(double us) noexcept {
   return static_cast<SimTime>(std::llround(us * static_cast<double>(kMicrosecond)));
 }

@@ -1,5 +1,6 @@
 #include "verify/obs_check.hpp"
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdint>
@@ -12,6 +13,7 @@
 #include "core/qos_pipeline.hpp"
 #include "core/sampler.hpp"
 #include "design/block_design.hpp"
+#include "fault/fault_plan.hpp"
 #include "obs/metrics.hpp"
 #include "obs/slo.hpp"
 #include "obs/timeseries.hpp"
@@ -37,6 +39,9 @@ struct Tally {
   std::uint64_t deferred = 0;
   std::uint64_t violations = 0;
   std::int64_t response_sum = 0;
+  // Served reads' lifecycle stages: arrival → dispatch → start → finish.
+  std::int64_t queue_sum = 0;
+  std::int64_t schedule_sum = 0;
   std::int64_t service_sum = 0;  // device time of served reads
   std::array<std::uint64_t, kPathCount> by_path{};
 };
@@ -56,6 +61,8 @@ void tally(const core::PipelineResult& r, Tally& t) {
     }
     ++t.reads;
     t.response_sum += o.response();
+    t.queue_sum += o.dispatch - o.arrival;
+    t.schedule_sum += o.start - o.dispatch;
     t.service_sum += o.finish - o.start;
     if (o.deferred()) ++t.deferred;
   }
@@ -227,6 +234,28 @@ std::uint64_t cval(const obs::MetricsSnapshot& snap, std::string_view name,
   return c != nullptr ? c->value : 0;
 }
 
+/// An unlabelled gauge's value; an absent gauge reads as 0.
+std::int64_t gval(const obs::MetricsSnapshot& snap, std::string_view name) {
+  for (const auto& g : snap.gauges) {
+    if (g.name == name && g.labels.empty()) return g.value;
+  }
+  return 0;
+}
+
+/// The largest value a gauge holds while a replay folds its outcomes.
+class GaugePeak final : public core::OutcomeSink {
+ public:
+  explicit GaugePeak(const obs::Gauge& gauge) : gauge_(gauge) {}
+  void on_outcome(std::uint64_t /*seq*/, const trace::TraceEvent& /*ev*/,
+                  const core::RequestOutcome& /*out*/) override {
+    peak = std::max(peak, gauge_.value());
+  }
+  std::int64_t peak = 0;
+
+ private:
+  const obs::Gauge& gauge_;
+};
+
 /// Every histogram must account for exactly the events recorded into it:
 /// bucket counts sum to `count`, the exact multiset (when held) sums to it
 /// too, and nearest-rank percentiles are monotone and bounded by max.
@@ -297,12 +326,25 @@ Report verify_observability(const decluster::AllocationScheme& scheme,
     // Serial replays chosen to exercise every retrieval path and every
     // instrumented subsystem at least once. The tally mirrors the
     // registry's own post-run fold, from the returned outcomes.
+    // Each replay also adds its compiled fault plan to the expected
+    // fault.injected counts, and must leave no rebuild read pending.
     Tally want;
     WindowOracle win_oracle;
+    std::uint64_t want_outages = 0;
+    std::uint64_t want_spikes = 0;
+    std::uint64_t left_pending = 0;  // replays that ended with reads pending
     const auto run = [&](const core::PipelineConfig& cfg, const trace::Trace& t) {
-      const auto r = core::QosPipeline(scheme, cfg).run(t);
+      auto r = core::QosPipeline(scheme, cfg).run(t);
       win_oracle.add_run(cfg, r);
       tally(r, want);
+      const auto plan =
+          fault::compile(cfg.faults, scheme, t.duration() + cfg.qos_interval);
+      if (plan.active()) {
+        want_outages += plan.outages.size();
+        want_spikes += plan.spikes.size();
+      }
+      if (gval(reg.snapshot(), "fault.rebuild.pending_reads") != 0) ++left_pending;
+      return r;
     };
 
     core::PipelineConfig online_det;  // slot matching, the flat line
@@ -356,7 +398,7 @@ Report verify_observability(const decluster::AllocationScheme& scheme,
     mt.tenants = {{.requests_per_interval = 3, .bucket_pool = 6},
                   {.requests_per_interval = 12, .bucket_pool = 6}};
     mt.seed = params.seed;
-    run(tenant_wfq, trace::generate_multi_tenant(mt));
+    const auto tenant_result = run(tenant_wfq, trace::generate_multi_tenant(mt));
 
     // SLO config: a latency spike on every device turns a known span of
     // windows into response breaches under the no-admission baseline
@@ -382,9 +424,7 @@ Report verify_observability(const decluster::AllocationScheme& scheme,
                                        .end = from_ms(6.0),
                                        .factor = 8.0});
     }
-    const auto slo_result = core::QosPipeline(scheme, slo_cfg).run(synthetic);
-    win_oracle.add_run(slo_cfg, slo_result);
-    tally(slo_result, want);
+    const auto slo_result = run(slo_cfg, synthetic);
 
     const auto snap = reg.snapshot();
 
@@ -420,6 +460,54 @@ Report verify_observability(const decluster::AllocationScheme& scheme,
     const auto* e2e = snap.find_histogram("pipeline.e2e_ns");
     check_eq(report, "pipeline.e2e_ns count == reads served",
              e2e != nullptr ? e2e->count : 0, want.reads);
+
+    // Latency attribution: each served read's life cut at its outcome's
+    // dispatch and start, one stage histogram per segment.
+    for (const auto& [stage, sum] :
+         {std::pair{"queue", want.queue_sum}, std::pair{"schedule", want.schedule_sum},
+          std::pair{"service", want.service_sum}}) {
+      const std::string name = std::string("pipeline.stage_ns{stage=") + stage + "}";
+      const auto* h = snap.find_histogram("pipeline.stage_ns",
+                                          std::string("stage=\"") + stage + "\"");
+      check_eq(report, name + " count == reads served", h != nullptr ? h->count : 0,
+               want.reads, true);
+      check_eq(report, name + " sum == sum over served reads",
+               h != nullptr ? static_cast<std::uint64_t>(h->sum) : 0,
+               static_cast<std::uint64_t>(sum), true);
+    }
+
+    // WFQ tallies, published once per replay: only the tenant leg has
+    // tenants, so each counter equals that replay's per-tenant usage.
+    for (const auto& [family, field] :
+         {std::pair{"wfq.arrivals", &core::TenantUsage::arrivals},
+          std::pair{"wfq.admitted", &core::TenantUsage::admitted},
+          std::pair{"wfq.shed", &core::TenantUsage::shed},
+          std::pair{"wfq.marked", &core::TenantUsage::marked}}) {
+      std::uint64_t got = 0;
+      std::uint64_t expected = 0;
+      bool each = true;
+      for (std::size_t k = 0; k < tenant_wfq.tenants.size(); ++k) {
+        const auto v =
+            cval(snap, family, "tenant=\"" + tenant_wfq.tenants[k].name + "\"");
+        const auto u = tenant_result.tenant_usage[k].*field;
+        each = each && v == u;
+        got += v;
+        expected += u;
+      }
+      const bool ok = each && expected > 0;
+      report.add(std::string(family) + "{tenant} == PipelineResult::tenant_usage (> 0)",
+                 ok,
+                 ok ? std::string{}
+                    : std::to_string(got) + " over tenants != expected " +
+                          std::to_string(expected));
+    }
+
+    // Fault accounting: the injected counts are the compiled plans' sizes
+    // (the rebuild's pending-read gauge is audited on its own leg below).
+    check_eq(report, "fault.injected.outages == compiled plan outages",
+             cval(snap, "fault.injected.outages"), want_outages, true);
+    check_eq(report, "fault.injected.spikes == compiled plan spikes",
+             cval(snap, "fault.injected.spikes"), want_spikes, true);
 
     // Path accounting: every request took exactly one path, none was left
     // unclassified, and the configs above exercised each serving path.
@@ -557,6 +645,23 @@ Report verify_observability(const decluster::AllocationScheme& scheme,
                slo_snap.specs.size() == 1 ? slo_snap.specs[0].pages : 0,
                expect_pages.size());
       obs::SloMonitor::global().configure({});  // leave no stale specs behind
+    }
+
+    // The hot-spare rebuild's pending-read gauge, on the failure leg with a
+    // paced rebuild of its permanently failed device: seeded with the
+    // plan's rebuild reads when the replay starts, it reads > 0 while
+    // outcomes fold and returns to 0 once the replay ends. Run after the
+    // checks above, whose identities do not count rebuild device time.
+    {
+      core::PipelineConfig rebuilding = aligned_failures;
+      rebuilding.faults.rebuild.pages_per_second = 2000.0;
+      GaugePeak pending(reg.gauge("fault.rebuild.pending_reads"));
+      (void)core::QosPipeline(scheme, rebuilding).run(exchange, &pending);
+      if (gval(reg.snapshot(), "fault.rebuild.pending_reads") != 0) ++left_pending;
+      check_eq(report, "fault.rebuild.pending_reads == 0 after every replay",
+               left_pending, 0);
+      report.add("fault.rebuild.pending_reads > 0 mid-replay (rebuild leg)",
+                 pending.peak > 0, "peak " + std::to_string(pending.peak));
     }
 
     // Trace-ring audit on a fresh small run: one arrival/admission/retrieval

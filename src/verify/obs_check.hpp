@@ -8,7 +8,12 @@
 // outcomes, and checks:
 //
 //   * pipeline counters equal the outcome tallies (requests, reads served,
-//     writes, failures, dispatches);
+//     writes, failures, dispatches), the per-stage latency histograms
+//     (queue, schedule, service) count and sum the served reads' stages,
+//     the per-tenant WFQ counters equal the result's tenant usage, and the
+//     injected-fault counters the compiled plans' sizes;
+//   * the rebuild pending-read gauge reads > 0 while a rebuilding replay
+//     runs and 0 after every replay;
 //   * every histogram is internally consistent (bucket counts sum to the
 //     recorded count, the exact value multiset sums to it too, percentiles
 //     are monotone between min and max) and the response histogram's

@@ -318,6 +318,52 @@ INSTANTIATE_TEST_SUITE_P(
                     kTenants + "interval_ms = 0.001\njitter_slots = 1000\n", "jitter_slots",
                     "1000"}));
 
+// Config times go through one reader. A double past int64 ns used to go
+// through std::llround, whose result is unspecified, so these loaded as
+// negative times and failed later with a misleading diagnostic ("an empty
+// window", "qos_interval must be positive") or not at all (NaN).
+TEST(Experiment, RejectsTimesOffTheClockNamingTheKey) {
+  const std::vector<std::tuple<std::string, std::string, std::string>> cases = {
+      {"faults", "fail", "3 1.0 1e300"},
+      {"pipeline", "interval_ms", "1e300"},
+      {"faults", "retry_timeout_ms", "nan"},
+      {"faults", "spike", "2 1.0 1e300 2"},
+      {"faults", "transient", "2 1e300"},
+      {"faults", "latency_spike", "2 -1.0 4.0"},
+      {"faults", "fail", "3 -1.0 5.0"},
+  };
+  for (const auto& [section, key, value] : cases) {
+    const auto error =
+        build_error(kTinyWorkload + "[" + section + "]\n" + key + " = " + value + "\n");
+    expect_names(error, key, value);
+    EXPECT_NE(error.find("is not a time in"), std::string::npos) << error;
+  }
+  // A negative recovery still means the device never comes back.
+  EXPECT_EQ(build_error(kTinyWorkload + "[faults]\nfail = 3 1.0 -1e300\n"), "");
+}
+
+// The slot matcher keeps M slots per device: a budget past the cap used to
+// load and validate, then die of bad_alloc when the replay sized the table.
+TEST(Experiment, CapsTheAccessBudget) {
+  const std::string pipeline = kTinyWorkload + "[pipeline]\n";
+  for (const std::string value : {"65536", "4294967295"}) {
+    const auto error = build_error(pipeline + "access_budget = " + value + "\n");
+    expect_names(error, "access_budget", value);
+    EXPECT_NE(error.find("an integer in [1, 65535]"), std::string::npos) << error;
+  }
+  EXPECT_EQ(build_error(pipeline + "access_budget = 65535\n"), "");
+}
+
+TEST(PipelineConfigValidate, RejectsAnAccessBudgetPastTheCap) {
+  core::PipelineConfig cfg;
+  cfg.access_budget = core::kMaxAccessBudget;
+  EXPECT_TRUE(cfg.validate(9).empty());
+  cfg.access_budget = core::kMaxAccessBudget + 1;
+  const auto diags = cfg.validate(9);
+  ASSERT_EQ(diags.size(), 1u);
+  EXPECT_NE(diags[0].find("access_budget"), std::string::npos) << diags[0];
+}
+
 TEST(Experiment, AcceptsTheWorkloadLimits) {
   EXPECT_EQ(build_error(kSynthetic + "bucket_pool = 5\nrequests_per_interval = 5\n"), "");
   EXPECT_EQ(build_error(kSynthetic + "interval_ms = 2e12\n"), "");

@@ -3,6 +3,7 @@
 // statistics, and interval statistics.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 #include <set>
 #include <sstream>
@@ -140,6 +141,37 @@ TEST(Synthetic, DeterministicPerSeed) {
   for (std::size_t i = 0; i < a.events.size(); ++i) {
     EXPECT_EQ(a.events[i].block, b.events[i].block);
   }
+}
+
+// jitter_slots + 1 used to be 32-bit arithmetic: UINT32_MAX slots wrapped
+// it to 0 and the step division died of SIGFPE.
+TEST(MultiTenant, JitterAtTheTopOfItsRangeStaysInItsInterval) {
+  MultiTenantParams p;
+  p.interval = SimTime{1} << 40;
+  p.intervals = 2;
+  p.tenants = {{.requests_per_interval = 4, .bucket_pool = 8}};
+  p.jitter_slots = std::numeric_limits<std::uint32_t>::max();
+  const auto t = generate_multi_tenant(p);
+  ASSERT_EQ(t.events.size(), 8u);
+  EXPECT_TRUE(valid_trace(t)) << "events are time-sorted";
+  for (std::size_t i = 0; i < t.events.size(); ++i) {
+    EXPECT_EQ(t.events[i].time / p.interval, static_cast<SimTime>(i / 4))
+        << "event " << i << " left its interval";
+  }
+}
+
+// A jitter step of interval / (jitter_slots + 1) rounds to 0 ns once the
+// slots reach the interval's length: a contract violation, not a trace
+// whose arrivals spill into later intervals.
+TEST(MultiTenantDeathTest, JitterSlotsMustStayBelowTheInterval) {
+  MultiTenantParams p;
+  p.interval = 1000;
+  p.intervals = 2;
+  p.tenants = {{.requests_per_interval = 2, .bucket_pool = 8}};
+  p.jitter_slots = 1000;
+  EXPECT_DEATH((void)generate_multi_tenant(p), "jitter_slots");
+  p.jitter_slots = 999;
+  EXPECT_EQ(generate_multi_tenant(p).events.size(), 4u);
 }
 
 TEST(Workload, ExchangeShape) {
