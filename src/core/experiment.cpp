@@ -4,6 +4,7 @@
 #include <array>
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -63,7 +64,8 @@ class Fields {
  private:
   /// A field must stop at whitespace or the end of the line: "5O.0" reads
   /// as 5 and leaves "O.0", which is a typo, not the next field. An integer
-  /// field must also fit its type ("-1" is not a device or a count).
+  /// field must also fit its type ("-1" is not a device or a count), and a
+  /// double field must be finite.
   template <typename T>
   void read(T& field) {
     if constexpr (std::is_integral_v<T>) {
@@ -72,6 +74,9 @@ class Fields {
       field = Config::parse_int<T>(section_, key_, ss_.str(), text);
     } else {
       if (!(ss_ >> field)) reject();
+      if constexpr (std::is_floating_point_v<T>) {
+        if (!std::isfinite(field)) reject();
+      }
       const auto next = ss_.peek();
       if (next != std::char_traits<char>::eof() && std::isspace(next) == 0) reject();
     }
@@ -160,12 +165,14 @@ void check_last_arrival(const Config& cfg, SimTime interval, std::uint64_t last,
 
 trace::Trace make_workload(const Config& cfg) {
   const std::string kind = cfg.get("workload", "kind", "synthetic");
-  const double scale = cfg.get_double("workload", "scale", 0.25);
+  // A scale must be positive: the generators size the trace by it.
+  const double scale =
+      cfg.get_double("workload", "scale", 0.25, std::numeric_limits<double>::min());
   const auto seed = static_cast<std::uint64_t>(cfg.get_int("workload", "seed", 42));
   if (kind == "exchange" || kind == "tpce") {
     auto p = kind == "exchange" ? trace::exchange_params(scale, seed)
                                 : trace::tpce_params(scale, seed);
-    p.write_fraction = cfg.get_double("workload", "write_fraction", 0.0);
+    p.write_fraction = cfg.get_double("workload", "write_fraction", 0.0, 0.0, 1.0);
     if (cfg.has("workload", "report_intervals")) {
       p.report_intervals = cfg.get_int<std::size_t>("workload", "report_intervals", 0);
     }
@@ -283,7 +290,7 @@ Experiment build_experiment_config(const Config& cfg) {
     e.pipeline.admission = AdmissionMode::kDeterministic;
   } else if (admission == "statistical") {
     e.pipeline.admission = AdmissionMode::kStatistical;
-    e.pipeline.epsilon = cfg.get_double("pipeline", "epsilon", 0.001);
+    e.pipeline.epsilon = cfg.get_double("pipeline", "epsilon", 0.001, 0.0, 1.0);
   } else {
     fail("unknown admission mode: " + admission);
   }
@@ -366,7 +373,7 @@ Experiment build_experiment_config(const Config& cfg) {
     e.pipeline.faults.latency_spike = {count, f.ms(mean_ms), factor};
   }
   e.pipeline.faults.rebuild.pages_per_second =
-      cfg.get_double("faults", "rebuild", 0.0);
+      cfg.get_double("faults", "rebuild", 0.0, 0.0);
   if (cfg.has("faults", "retry_timeout_ms")) {
     e.pipeline.faults.retry.timeout = cfg.get_ms("faults", "retry_timeout_ms", 0.0);
   }

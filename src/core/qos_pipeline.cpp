@@ -206,13 +206,14 @@ std::vector<std::string> PipelineConfig::validate(std::uint32_t devices) const {
           "statistical admission needs a sampled p_table "
           "(core::sample_optimal_probabilities)");
     }
+    // Written so that a NaN fails too.
     for (const double p : p_table) {
-      if (p < 0.0 || p > 1.0) {
+      if (!(p >= 0.0 && p <= 1.0)) {
         out.push_back("p_table values must be probabilities in [0, 1]");
         break;
       }
     }
-    if (epsilon < 0.0 || epsilon > 1.0) out.push_back("epsilon must be in [0, 1]");
+    if (!(epsilon >= 0.0 && epsilon <= 1.0)) out.push_back("epsilon must be in [0, 1]");
   }
   if (p_table_samples == 0) out.push_back("p_table_samples must be positive");
   for (const auto& d : faults.validate(devices)) out.push_back("faults: " + d);

@@ -58,18 +58,18 @@ ReplayObs::ReplayObs(const PipelineConfig& cfg, std::uint32_t devices,
       path_counter_[i] = &reg.counter(
           "pipeline.path", label("path", to_string(static_cast<RetrievalPath>(i))));
     }
-    response_ = HistogramTally(reg.histogram("pipeline.response_ns"));
-    e2e_ = HistogramTally(reg.histogram("pipeline.e2e_ns"));
-    delay_ = HistogramTally(reg.histogram("pipeline.delay_ns"));
+    latency_hist_[kResponse] = &reg.histogram("pipeline.response_ns");
+    latency_hist_[kE2e] = &reg.histogram("pipeline.e2e_ns");
+    latency_hist_[kDelay] = &reg.histogram("pipeline.delay_ns");
     // Per-request latency attribution: where each served read spent its
     // life — queue (arrival → dispatch), schedule (dispatch → first device
     // access), service (first access → completion).
     const auto stage = [&](const char* name) {
-      return HistogramTally(reg.histogram("pipeline.stage_ns", label("stage", name)));
+      return &reg.histogram("pipeline.stage_ns", label("stage", name));
     };
-    stage_queue_ = stage("queue");
-    stage_schedule_ = stage("schedule");
-    stage_service_ = stage("service");
+    latency_hist_[kStageQueue] = stage("queue");
+    latency_hist_[kStageSchedule] = stage("schedule");
+    latency_hist_[kStageService] = stage("service");
     for (const auto& s : cfg.tenants) {
       depth_hist_.push_back(&reg.histogram("wfq.queue_depth", label("tenant", s.name)));
     }
@@ -98,6 +98,9 @@ ReplayObs::ReplayObs(const PipelineConfig& cfg, std::uint32_t devices,
       const std::string tenant = label("tenant", cfg.tenants[k].name);
       tenant_window(k, false).series = series("win.tenant.reads", tenant);
       tenant_window(k, true).series = series("win.tenant.shed", tenant);
+    }
+    for (auto& w : win_) {
+      if (w.series != nullptr) w.closed.reserve(kWindowBatch);
     }
 
     if (!cfg.slos.empty()) {
@@ -131,13 +134,15 @@ ReplayObs::FaultCounters& ReplayObs::fault() {
   return *fault_;
 }
 
-void ReplayObs::flush_windows(std::int64_t window) {
-  // Windows with no dispatch instant are never flushed: they hold no data
-  // and contribute no SLO sample.
+void ReplayObs::close_windows(std::int64_t window) {
+  // Windows with no dispatch instant are never closed into a point: they
+  // hold no data and contribute no SLO sample.
   for (auto& w : win_) {
-    if (w.series == nullptr || w.count == 0) continue;
-    w.series->merge(window, w.first_time, w.sum, w.count, w.min, w.max);
-    w = Window{w.series};
+    if (w.series == nullptr || w.open.count == 0) continue;
+    w.open.window = window;
+    w.closed.push_back(w.open);
+    w.open = {};
+    if (w.closed.size() == kWindowBatch) w.publish();
   }
   for (std::size_t si = 0; si < slo_.size(); ++si) {
     auto& st = slo_[si];
@@ -147,14 +152,24 @@ void ReplayObs::flush_windows(std::int64_t window) {
   }
 }
 
+void ReplayObs::publish_windows() {
+  // Each series' points merge in the order their windows closed, so point
+  // content and `evicted` are what one merge per closed window leaves.
+  for (auto& w : win_) {
+    if (!w.closed.empty()) w.publish();
+  }
+}
+
 void ReplayObs::qos_rollover(SimTime now, std::int64_t closed, std::uint64_t admitted) {
   if constexpr (obs::kEnabled) {
     if (closed >= 0) {
-      obs::Tracer::global().record({-1, now, now, static_cast<std::int64_t>(admitted),
-                                    -1, obs::EventKind::kInterval,
-                                    obs::EventDetail::kNone});
+      if (trace_on_) {
+        obs::Tracer::global().record({-1, now, now, static_cast<std::int64_t>(admitted),
+                                      -1, obs::EventKind::kInterval,
+                                      obs::EventDetail::kNone});
+      }
+      close_windows(closed);
     }
-    if (closed >= 0) flush_windows(closed);
     for (std::size_t k = 0; k < depth_hist_.size(); ++k) {
       depth_hist_[k]->record(static_cast<std::int64_t>(ts_->depth(k)));
     }
@@ -172,7 +187,8 @@ void ReplayObs::rebuild_reads(std::size_t n) {
 void ReplayObs::finish(std::int64_t open_window, std::uint64_t requests,
                        std::uint64_t deadline_violations) {
   if constexpr (obs::kEnabled) {
-    if (open_window >= 0) flush_windows(open_window);
+    if (open_window >= 0) close_windows(open_window);
+    publish_windows();
     auto& reg = obs::MetricRegistry::global();
     std::uint64_t device_ops = 0;
     for (std::size_t d = 0; d < device_.size(); ++d) {
@@ -213,11 +229,14 @@ void ReplayObs::finish(std::int64_t open_window, std::uint64_t requests,
     tally_[kDeadlineViolations] = deadline_violations;
     for (std::size_t i = 0; i < kTallies; ++i) counter_[i]->inc(tally_[i]);
     for (std::size_t i = 0; i < kPaths; ++i) path_counter_[i]->inc(by_path_[i]);
-    for (auto* h : {&response_, &e2e_, &delay_, &stage_queue_, &stage_schedule_,
-                    &stage_service_}) {
-      h->flush();
-    }
+    for (std::size_t i = 0; i < kLatencies; ++i) latency_hist_[i]->merge(latency_[i]);
   }
+}
+
+void ReplayObs::trace_device_op(const DeviceOp& op) {
+  obs::Tracer::global().record({op.request, op.start, op.finish, 0,
+                                static_cast<std::int32_t>(op.device),
+                                obs::EventKind::kDeviceService, obs::EventDetail::kNone});
 }
 
 void ReplayObs::trace_outcome(std::uint64_t seq, const RequestOutcome& o) {

@@ -1,11 +1,25 @@
 // Observability for one replay: the replay engine's only link to src/obs.
-// The engine calls ReplayObs at fixed event points; ReplayObs turns them
-// into loop tallies published once per replay (a shared counter costs an
-// atomic RMW per inc), one table of windowed series merged once per QoS
-// rollover, SLO samples fed at the same rollover, latency histogram
-// tallies and, while tracing, per-request spans. It only reads what the
-// engine hands it, so no result depends on it. Its methods are empty when
-// built with FLASHQOS_OBS=OFF; the per-request ones are inline.
+// The engine calls ReplayObs at fixed event points; ReplayObs keeps what
+// they report in plain single-writer tallies and publishes it off the
+// per-request path:
+//  * loop counts go to their counters once, at the end of the replay;
+//  * latencies go to one obs::HistogramTally per histogram, exact for any
+//    number of distinct values, merged at the end of the replay;
+//  * each windowed series tallies its open QoS window; a rollover closes
+//    the window into a buffer of points, and a buffer is merged into its
+//    series under one lock when it fills, at the end of every drain call
+//    and at the end of the replay (so a /series scrape between drain calls
+//    sees every closed window);
+//  * SLO samples go to the SloMonitor at every rollover, window by window
+//    (burn-rate state depends on their order);
+//  * trace records, while tracing: the tracer's enabled flag is read once
+//    per replay, in the constructor, and the tracer is not called again
+//    when it was off.
+// With the tracer off, the per-request hooks make no atomic operation,
+// lock or out-of-line call (but a tally's one-time move to its buckets).
+// ReplayObs only reads what the engine hands it, so no result depends on
+// it. Its methods are empty when built with FLASHQOS_OBS=OFF; the
+// per-request ones are inline.
 #pragma once
 
 #include <algorithm>
@@ -13,7 +27,6 @@
 #include <chrono>
 #include <cstdint>
 #include <optional>
-#include <utility>
 #include <vector>
 
 #include "core/qos_pipeline.hpp"
@@ -48,8 +61,12 @@ class ReplayObs {
   void ingested(Clock::time_point t0) {
     if constexpr (obs::kEnabled) ingest_ns_->record(elapsed_ns(t0));
   }
+  /// The end of one drain call: closed windows reach their series.
   void drained(Clock::time_point t0) {
-    if constexpr (obs::kEnabled) drain_ns_->record(elapsed_ns(t0));
+    if constexpr (obs::kEnabled) {
+      publish_windows();
+      drain_ns_->record(elapsed_ns(t0));
+    }
   }
 
   // ---- per-request event points ------------------------------------------
@@ -61,10 +78,7 @@ class ReplayObs {
       ++t.ops;
       t.busy_ns += static_cast<std::uint64_t>(op.finish - op.start);
       if (op.kind == DeviceOpKind::kWrite) ++tally_[kWriteReplicaOps];
-      obs::Tracer::global().record({op.request, op.start, op.finish, 0,
-                                    static_cast<std::int32_t>(op.device),
-                                    obs::EventKind::kDeviceService,
-                                    obs::EventDetail::kNone});
+      if (trace_on_) trace_device_op(op);
     }
   }
 
@@ -131,14 +145,14 @@ class ReplayObs {
         ++tally_[kWrites];
       } else {
         ++tally_[kReadsServed];
-        response_.add(o.response());
-        e2e_.add(o.end_to_end());
-        stage_queue_.add(o.dispatch - o.arrival);
-        stage_schedule_.add(o.start - o.dispatch);
-        stage_service_.add(o.finish - o.start);
+        latency_[kResponse].add(o.response());
+        latency_[kE2e].add(o.end_to_end());
+        latency_[kStageQueue].add(o.dispatch - o.arrival);
+        latency_[kStageSchedule].add(o.start - o.dispatch);
+        latency_[kStageService].add(o.finish - o.start);
         if (o.deferred()) {
           ++tally_[kDeferred];
-          delay_.add(o.delay());
+          latency_[kDelay].add(o.delay());
         }
       }
       if (trace_on_) trace_outcome(seq, o);
@@ -148,54 +162,25 @@ class ReplayObs {
   // ---- interval and replay boundaries -------------------------------------
 
   /// The rollover at `now` closes QoS window `closed` (none while negative)
-  /// after `admitted` admissions: a kInterval record, every non-empty
-  /// window tally and every SLO sample go out, and the tenant queue depths
-  /// carried across the boundary are sampled.
+  /// after `admitted` admissions: a kInterval record (while tracing), every
+  /// non-empty window tally's point (into its series' buffer) and every SLO
+  /// sample go out, and the tenant queue depths carried across the boundary
+  /// are sampled.
   void qos_rollover(SimTime now, std::int64_t closed, std::uint64_t admitted);
   /// `n` paced rebuild reads were issued.
   void rebuild_reads(std::size_t n);
-  /// End of replay: merge the open window, publish the loop tallies and
-  /// the device, fault and WFQ accounting, then flush the histograms.
+  /// End of replay: close the open window, merge every buffered point,
+  /// publish the loop tallies and the device, fault and WFQ accounting,
+  /// then merge the latency tallies into their histograms.
   void finish(std::int64_t open_window, std::uint64_t requests,
               std::uint64_t deadline_violations);
 
  private:
   static constexpr std::size_t kPaths = 10;  // RetrievalPath values
 
-  /// Value→count tally for one histogram, written out by flush(). Latency
-  /// multisets here usually hold a few distinct values (fixed service quanta
-  /// — the flat line), so a short linear scan beats one shared-atomic
-  /// record() per outcome; high-cardinality series blow past the cap and
-  /// fall through to direct records, where the histogram's overflowed-
-  /// tracker fast path keeps the cost bounded.
-  class HistogramTally {
-   public:
-    HistogramTally() = default;
-    explicit HistogramTally(obs::LatencyHistogram& h) : hist_(&h) {}
-
-    void add(std::int64_t v) {
-      for (auto& [val, n] : items_) {
-        if (val == v) {
-          ++n;
-          return;
-        }
-      }
-      if (items_.size() < kCap) {
-        items_.emplace_back(v, 1);
-      } else {
-        hist_->record(v);
-      }
-    }
-
-    void flush() {
-      for (const auto& [v, n] : items_) hist_->record_n(v, n);
-      items_.clear();
-    }
-
-   private:
-    static constexpr std::size_t kCap = 16;
-    obs::LatencyHistogram* hist_ = nullptr;
-    std::vector<std::pair<std::int64_t, std::uint64_t>> items_;
+  /// The latency histograms, in registration order.
+  enum Latency : std::size_t {
+    kResponse, kE2e, kDelay, kStageQueue, kStageSchedule, kStageService, kLatencies
   };
 
   /// Loop tallies, each published to its pipeline.* counter.
@@ -204,27 +189,33 @@ class ReplayObs {
     kDispatches, kWriteReplicaOps, kDeferralEvents, kAdmissionOffers, kTallies
   };
 
-  /// One windowed series and the open QoS window's tally for it.
+  /// Closed windows a series buffers before merging them in one lock.
+  static constexpr std::size_t kWindowBatch = 64;
+
+  /// One windowed series: the open QoS window's tally, and the points of
+  /// closed windows that have not reached the series yet.
   struct Window {
     obs::TimeSeries* series = nullptr;  // null: not exported by this replay
-    std::uint64_t count = 0;
-    std::int64_t sum = 0;
-    std::int64_t min = 0;
-    std::int64_t max = 0;
-    SimTime first_time = 0;
+    obs::SeriesPoint open;              // count == 0: nothing recorded yet
+    std::vector<obs::SeriesPoint> closed;  // fewer than kWindowBatch
 
     void add(SimTime at, std::int64_t value) {
-      if (count == 0) {
-        min = value;
-        max = value;
-        first_time = at;
+      if (open.count == 0) {
+        open.min = value;
+        open.max = value;
+        open.first_time = at;
       } else {
-        min = std::min(min, value);
-        max = std::max(max, value);
-        first_time = std::min(first_time, at);
+        open.min = std::min(open.min, value);
+        open.max = std::max(open.max, value);
+        open.first_time = std::min(open.first_time, at);
       }
-      sum += value;
-      ++count;
+      open.sum += value;
+      ++open.count;
+    }
+    /// Merge the buffered points into the series under one lock.
+    void publish() {
+      series->merge(closed);
+      closed.clear();
     }
   };
   /// The window table: these scalar series, then win.device.reads per
@@ -270,7 +261,12 @@ class ReplayObs {
   };
   FaultCounters& fault();
 
-  void flush_windows(std::int64_t window);
+  /// Close QoS window `window`: buffer every non-empty tally's point, and
+  /// send its SLO samples.
+  void close_windows(std::int64_t window);
+  /// Merge every buffered point into its series.
+  void publish_windows();
+  void trace_device_op(const DeviceOp& op);
   void trace_outcome(std::uint64_t seq, const RequestOutcome& o);
 
   [[nodiscard]] static std::int64_t elapsed_ns(Clock::time_point t0) {
@@ -292,10 +288,11 @@ class ReplayObs {
   std::vector<obs::LatencyHistogram*> depth_hist_;  // wfq.queue_depth{tenant}
   std::optional<FaultCounters> fault_;
 
+  std::array<obs::LatencyHistogram*, kLatencies> latency_hist_{};
+
   std::array<std::uint64_t, kTallies> tally_{};
   std::array<std::uint64_t, kPaths> by_path_{};
-  HistogramTally response_, e2e_, delay_;
-  HistogramTally stage_queue_, stage_schedule_, stage_service_;
+  std::array<obs::HistogramTally, kLatencies> latency_;
   struct DeviceTally {  // the flashsim.device.* family
     std::uint64_t ops = 0;
     std::uint64_t busy_ns = 0;

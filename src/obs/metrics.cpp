@@ -5,6 +5,16 @@
 
 namespace flashqos::obs {
 
+// --- HistogramTally --------------------------------------------------------
+
+void HistogramTally::overflow(std::int64_t clamped) {
+  buckets_ = std::make_unique<std::uint64_t[]>(kBucketEntries);
+  for (std::size_t i = 0; i < kExactCapacity; ++i) {
+    buckets_[bucket_index(keys_[i])] += counts_[i];  // the table is full
+  }
+  ++buckets_[bucket_index(clamped)];
+}
+
 // --- LatencyHistogram ------------------------------------------------------
 
 LatencyHistogram::LatencyHistogram() : buckets_(kBucketEntries) {}
@@ -37,22 +47,18 @@ bool LatencyHistogram::exact_insert(std::int64_t v, std::uint64_t n) noexcept {
   return false;  // all slots hold other values
 }
 
-void LatencyHistogram::record_n(std::int64_t v, std::uint64_t n) noexcept {
-  if (n == 0) return;
-  // Unclamped extrema stay exact even for out-of-range values.
+void LatencyHistogram::widen(std::int64_t lo, std::int64_t hi) noexcept {
   std::int64_t seen_min = min_.load(std::memory_order_relaxed);
-  while (v < seen_min &&
-         !min_.compare_exchange_weak(seen_min, v, std::memory_order_relaxed)) {
+  while (lo < seen_min &&
+         !min_.compare_exchange_weak(seen_min, lo, std::memory_order_relaxed)) {
   }
   std::int64_t seen_max = max_.load(std::memory_order_relaxed);
-  while (v > seen_max &&
-         !max_.compare_exchange_weak(seen_max, v, std::memory_order_relaxed)) {
+  while (hi > seen_max &&
+         !max_.compare_exchange_weak(seen_max, hi, std::memory_order_relaxed)) {
   }
+}
 
-  count_.fetch_add(n, std::memory_order_relaxed);
-  sum_.fetch_add(v * static_cast<std::int64_t>(n), std::memory_order_relaxed);
-
-  const std::int64_t clamped = std::clamp<std::int64_t>(v, 0, kMaxTrackable);
+void LatencyHistogram::track(std::int64_t clamped, std::uint64_t n) noexcept {
   buckets_[bucket_index(clamped)].fetch_add(n, std::memory_order_relaxed);
   // Once the tracker has overflowed its values are discarded at snapshot
   // anyway — skip the probe so high-cardinality histograms pay one relaxed
@@ -60,6 +66,38 @@ void LatencyHistogram::record_n(std::int64_t v, std::uint64_t n) noexcept {
   if (!overflowed_.load(std::memory_order_relaxed) && !exact_insert(clamped, n)) {
     overflowed_.store(true, std::memory_order_relaxed);
   }
+}
+
+void LatencyHistogram::record_n(std::int64_t v, std::uint64_t n) noexcept {
+  if (n == 0) return;
+  // Unclamped extrema stay exact even for out-of-range values.
+  widen(v, v);
+  count_.fetch_add(n, std::memory_order_relaxed);
+  sum_.fetch_add(v * static_cast<std::int64_t>(n), std::memory_order_relaxed);
+  track(std::clamp<std::int64_t>(v, 0, kMaxTrackable), n);
+}
+
+void LatencyHistogram::merge(const HistogramTally& tally) noexcept {
+  if (tally.count_ == 0) return;
+  widen(tally.min_, tally.max_);
+  count_.fetch_add(tally.count_, std::memory_order_relaxed);
+  sum_.fetch_add(static_cast<std::int64_t>(tally.sum_), std::memory_order_relaxed);
+  if (tally.buckets_ == nullptr) {
+    for (std::size_t i = 0; i < kExactCapacity; ++i) {
+      if (tally.keys_[i] != HistogramTally::kEmptyKey) {
+        track(tally.keys_[i], tally.counts_[i]);
+      }
+    }
+    return;
+  }
+  // More than kExactCapacity distinct values: the tracker overflows however
+  // the records would have interleaved.
+  for (std::size_t i = 0; i < kBucketEntries; ++i) {
+    if (tally.buckets_[i] != 0) {
+      buckets_[i].fetch_add(tally.buckets_[i], std::memory_order_relaxed);
+    }
+  }
+  overflowed_.store(true, std::memory_order_relaxed);
 }
 
 HistogramSnapshot LatencyHistogram::snapshot() const {

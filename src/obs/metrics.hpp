@@ -21,6 +21,10 @@
 //    min/max/sum/count are always exact. One thread records each
 //    histogram in practice (the replay or service thread), so it keeps one
 //    set of atomics rather than shards.
+//  * HistogramTally — a single-writer, plain-integer tally that follows
+//    the histogram's rules and is published with LatencyHistogram::merge
+//    in one pass; a replay keeps one per histogram so its per-request path
+//    makes no atomic RMW.
 //
 // Snapshots are *deterministic*: counter and gauge shards are summed in
 // index order, the exact tracker is sorted by value, and instruments are
@@ -43,6 +47,7 @@
 // both modes (its unit tests and the exporters do not depend on the flag).
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <bit>
@@ -241,6 +246,73 @@ struct HistogramSnapshot {
   [[nodiscard]] std::int64_t percentile(double q) const;
 };
 
+/// A single-writer tally of one histogram's observations, published with
+/// LatencyHistogram::merge. It mirrors the histogram's rules, so the merge
+/// leaves the histogram exactly as one record() per added value would:
+///  * count, sum, min and max are exact over the raw values;
+///  * while at most kExactCapacity distinct *clamped* values (the tracker's
+///    notion of distinct: every negative value is 0) have been added, they
+///    sit in an open-addressed value→count table probed from
+///    exact_slot_hint — one probe for a repeat value;
+///  * the next distinct value allocates a plain copy of the bucket layout
+///    (kBucketEntries counts, 36 KiB) and folds the table into it; from then
+///    on an add is one bucket_index and plain increments.
+/// Plain integers, no atomics: one thread adds, and the tally is merged
+/// only once that thread is done with it.
+class HistogramTally {
+ public:
+  // Forced inline: the replay engine's drain loop is past GCC's inlining
+  // growth limits, and this is its per-outcome hot path.
+  [[gnu::always_inline]] void add(std::int64_t v) {
+    ++count_;
+    sum_ += static_cast<std::uint64_t>(v);  // wraps as the histogram's sum does
+    min_ = std::min(min_, v);
+    max_ = std::max(max_, v);
+    const std::int64_t clamped = std::clamp<std::int64_t>(v, 0, kMaxTrackable);
+    if (buckets_ != nullptr) {
+      ++buckets_[bucket_index(clamped)];
+      return;
+    }
+    std::size_t slot = exact_slot_hint(clamped);
+    for (std::size_t probe = 0; probe < kExactCapacity; ++probe) {
+      if (keys_[slot] == clamped) {
+        ++counts_[slot];
+        return;
+      }
+      if (keys_[slot] == kEmptyKey) {
+        keys_[slot] = clamped;
+        counts_[slot] = 1;
+        return;
+      }
+      slot = (slot + 1) & (kExactCapacity - 1);
+    }
+    overflow(clamped);
+  }
+
+  /// True while the value→count table holds every distinct value.
+  [[nodiscard]] bool exact() const noexcept { return buckets_ == nullptr; }
+
+ private:
+  friend class LatencyHistogram;
+
+  static constexpr std::int64_t kEmptyKey = -1;  // clamped values are >= 0
+
+  /// The distinct value past kExactCapacity: move to the buckets (once).
+  void overflow(std::int64_t clamped);
+
+  std::uint64_t count_ = 0;
+  std::uint64_t sum_ = 0;
+  std::int64_t min_ = INT64_MAX;
+  std::int64_t max_ = INT64_MIN;
+  std::array<std::int64_t, kExactCapacity> keys_ = [] {
+    std::array<std::int64_t, kExactCapacity> keys{};
+    keys.fill(kEmptyKey);
+    return keys;
+  }();
+  std::array<std::uint64_t, kExactCapacity> counts_{};
+  std::unique_ptr<std::uint64_t[]> buckets_;  // kBucketEntries; null while exact
+};
+
 /// Log-bucketed latency histogram with an exact bounded value tracker.
 /// record() is wait-free: count/sum/bucket fetch_adds plus a bounded scan
 /// of the exact slots. Any thread may record; every recorder shares the
@@ -257,10 +329,14 @@ class LatencyHistogram {
   void record(std::int64_t v) noexcept { record_n(v, 1); }
 
   /// Record `n` observations of the same value with one pass over the
-  /// histogram state — what instrumentation that batches locally (per-run
-  /// tallies flushed at quiescence) uses to keep hot loops free of
-  /// atomic RMWs.
+  /// histogram state.
   void record_n(std::int64_t v, std::uint64_t n) noexcept;
+
+  /// Publish a tally in one pass: the histogram ends exactly as one
+  /// record() per value added to `tally` would leave it, whatever it
+  /// already held (the tracker overflows iff the union of the two
+  /// multisets has more than kExactCapacity distinct clamped values).
+  void merge(const HistogramTally& tally) noexcept;
 
   [[nodiscard]] HistogramSnapshot snapshot() const;
 
@@ -276,6 +352,11 @@ class LatencyHistogram {
 
   /// True iff the value landed in the exact tracker.
   bool exact_insert(std::int64_t v, std::uint64_t n) noexcept;
+  /// Widen [min_, max_] to cover [lo, hi] (CAS loops).
+  void widen(std::int64_t lo, std::int64_t hi) noexcept;
+  /// `n` more observations of clamped value `v` in its bucket and, until
+  /// the tracker overflows, in the tracker.
+  void track(std::int64_t clamped, std::uint64_t n) noexcept;
 
   std::atomic<std::uint64_t> count_{0};
   std::atomic<std::int64_t> sum_{0};

@@ -35,20 +35,29 @@ void TimeSeries::record(SimTime at, std::int64_t value) {
 void TimeSeries::merge(std::int64_t window, SimTime first_time,
                        std::int64_t sum, std::uint64_t count, std::int64_t min,
                        std::int64_t max) {
-  if (count == 0) return;
-  FLASHQOS_EXPECT(window >= 0, "time series windows are nonnegative");
+  const SeriesPoint p{window, sum, count, min, max, first_time};
+  merge(std::span<const SeriesPoint>(&p, 1));
+}
+
+void TimeSeries::merge(std::span<const SeriesPoint> points) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  Slot& slot = ring_[static_cast<std::size_t>(window) % ring_.size()];
-  if (slot.window == window) {
+  for (const auto& p : points) merge_locked(p);
+}
+
+void TimeSeries::merge_locked(const SeriesPoint& p) {
+  if (p.count == 0) return;
+  FLASHQOS_EXPECT(p.window >= 0, "time series windows are nonnegative");
+  Slot& slot = ring_[static_cast<std::size_t>(p.window) % ring_.size()];
+  if (slot.window == p.window) {
     // Same window: associative/commutative merge, order-independent.
-    slot.sum += sum;
-    slot.count += count;
-    slot.min = std::min(slot.min, min);
-    slot.max = std::max(slot.max, max);
-    slot.first_time = std::min(slot.first_time, first_time);
+    slot.sum += p.sum;
+    slot.count += p.count;
+    slot.min = std::min(slot.min, p.min);
+    slot.max = std::max(slot.max, p.max);
+    slot.first_time = std::min(slot.first_time, p.first_time);
     return;
   }
-  if (slot.window != kEmptyWindow && slot.window > window) {
+  if (slot.window != kEmptyWindow && slot.window > p.window) {
     // Late record for a window this residue class has already moved past.
     // Dropping (rather than merging into the newer occupant) keeps point
     // content equal to "full merge of the highest window per residue"
@@ -57,12 +66,12 @@ void TimeSeries::merge(std::int64_t window, SimTime first_time,
     return;
   }
   if (slot.window != kEmptyWindow) ++evicted_;
-  slot.window = window;
-  slot.sum = sum;
-  slot.count = count;
-  slot.min = min;
-  slot.max = max;
-  slot.first_time = first_time;
+  slot.window = p.window;
+  slot.sum = p.sum;
+  slot.count = p.count;
+  slot.min = p.min;
+  slot.max = p.max;
+  slot.first_time = p.first_time;
 }
 
 SeriesSnapshot TimeSeries::snapshot() const {

@@ -26,10 +26,10 @@
 //    content is deterministic at quiescence regardless of arrival order.
 //    Only `evicted` (overwrites + late drops) is order-sensitive; it is a
 //    memory-pressure diagnostic, never an oracle quantity.
-//  * record()/merge() take a plain mutex. Series recording is boundary-
-//    frequency by construction — the pipeline tallies windows in locals
-//    and flushes once per interval rollover — so the lock is off the
-//    per-request hot path (bench/micro_obs_overhead keeps that honest).
+//  * record()/merge() take a plain mutex. Series recording is off the
+//    per-request hot path by construction — the replay tallies each window
+//    in locals, buffers the closed windows' points and merges each buffer
+//    under one lock (bench/micro_obs_overhead keeps that honest).
 //  * Timestamps are SimTime. Wall clocks never appear here (flashqos_lint
 //    enforces that for all simulation code).
 //
@@ -45,6 +45,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -106,10 +107,15 @@ class TimeSeries {
   /// window at / width.
   void record(SimTime at, std::int64_t value);
 
-  /// Merge a pre-aggregated tally into `window` in one lock acquisition —
-  /// what the pipeline's per-interval flush uses. No-op when count == 0.
+  /// Merge a pre-aggregated tally into `window` in one lock acquisition.
+  /// No-op when count == 0.
   void merge(std::int64_t window, SimTime first_time, std::int64_t sum,
              std::uint64_t count, std::int64_t min, std::int64_t max);
+
+  /// Merge pre-aggregated points in order under one lock acquisition —
+  /// what the replay's buffered window publish uses. Leaves the series
+  /// (points and `evicted`) exactly as one merge() per point would.
+  void merge(std::span<const SeriesPoint> points);
 
   /// Points in ascending window order (name/labels left empty; the
   /// registry fills them).
@@ -131,6 +137,8 @@ class TimeSeries {
 
   static constexpr std::int64_t kEmptyWindow =
       std::numeric_limits<std::int64_t>::min();
+
+  void merge_locked(const SeriesPoint& p) FLASHQOS_REQUIRES(mutex_);
 
   mutable std::mutex mutex_;
   const SimTime width_;

@@ -34,11 +34,19 @@ std::string_view to_string(EventDetail detail) noexcept {
   return "unknown";
 }
 
-Tracer::Tracer(std::size_t capacity) : ring_(capacity > 0 ? capacity : 1) {}
+Tracer::Tracer(std::size_t capacity) : capacity_(capacity > 0 ? capacity : 1) {}
+
+void Tracer::set_enabled(bool enabled) {
+  const util::LockGuard<util::Mutex> lock(mutex_);
+  if (enabled && ring_.empty()) ring_.resize(capacity_);
+  enabled_.store(enabled, std::memory_order_relaxed);
+}
 
 void Tracer::record(const TraceEvent& event) {
   if (!enabled_.load(std::memory_order_relaxed)) return;
   const util::LockGuard<util::Mutex> lock(mutex_);
+  // The flag was set under this mutex after the ring was allocated, so a
+  // writer that saw it set also sees the ring.
   if (size_ == ring_.size()) ++dropped_;  // overwriting the oldest event
   ring_[head_] = event;
   head_ = (head_ + 1) % ring_.size();

@@ -4,12 +4,14 @@
 // verdict (with the estimated miss probability Q at decision time) →
 // retrieval path taken → per-device service intervals. Events are fixed-size
 // PODs in a bounded ring; when the ring is full the oldest events are
-// overwritten and `dropped()` counts them, so tracing never allocates after
-// construction and never blocks the simulation for long.
+// overwritten and `dropped()` counts them, so tracing never allocates while
+// it records and never blocks the simulation for long.
 //
-// The tracer is disabled by default: `record()` first does one relaxed
-// load of the enabled flag and returns, so an idle tracer costs a branch.
-// Enable it only when a trace is being collected (--trace-out).
+// The tracer is disabled by default, and a tracer that was never enabled
+// holds no ring: the first set_enabled(true) allocates it. `record()`
+// first does one relaxed load of the enabled flag and returns, so an idle
+// tracer costs a branch. Enable it only when a trace is being collected
+// (--trace-out).
 //
 // Timestamps are *simulated* SimTime nanoseconds, not wall clock — a trace
 // visualises what the simulated array did, deterministically, so two runs
@@ -76,17 +78,17 @@ struct TraceEvent {
 };
 
 /// Bounded ring of TraceEvents. Thread-safe; writers take a mutex (the
-/// enabled fast path does not).
+/// disabled fast path does not).
 class Tracer {
  public:
+  /// Holds up to `capacity` events (at least 1) once first enabled.
   explicit Tracer(std::size_t capacity = 1 << 16);
 
   /// Record an event if tracing is enabled; otherwise a relaxed load + ret.
   void record(const TraceEvent& event);
 
-  void set_enabled(bool enabled) noexcept {
-    enabled_.store(enabled, std::memory_order_relaxed);
-  }
+  /// The first enable allocates the ring (and may throw std::bad_alloc).
+  void set_enabled(bool enabled);
   [[nodiscard]] bool enabled() const noexcept {
     return enabled_.load(std::memory_order_relaxed);
   }
@@ -106,8 +108,9 @@ class Tracer {
 
  private:
   std::atomic<bool> enabled_{false};
+  const std::size_t capacity_;
   mutable util::Mutex mutex_;
-  std::vector<TraceEvent> ring_ FLASHQOS_GUARDED_BY(mutex_);
+  std::vector<TraceEvent> ring_ FLASHQOS_GUARDED_BY(mutex_);  // empty until enabled
   std::size_t head_ FLASHQOS_GUARDED_BY(mutex_) = 0;  // next write position
   std::size_t size_ FLASHQOS_GUARDED_BY(mutex_) = 0;  // retained (≤ capacity)
   std::uint64_t dropped_ FLASHQOS_GUARDED_BY(mutex_) = 0;

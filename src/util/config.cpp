@@ -79,20 +79,31 @@ std::string Config::get(const std::string& section, const std::string& key,
   return it == values_.end() ? fallback : it->second.back();
 }
 
-double Config::get_double(const std::string& section, const std::string& key,
-                          double fallback) const {
-  const auto s = get(section, key);
-  if (s.empty()) return fallback;
+double Config::parse_double(const std::string& section, const std::string& key,
+                            const std::string& value) {
   // The whole value must parse: "0.133ms" is not 0.133.
   std::size_t used = 0;
   try {
-    const double v = std::stod(s, &used);
-    if (used == s.size()) return v;
+    const double v = std::stod(value, &used);
+    if (used == value.size()) return v;
   } catch (const std::exception&) {
     // No digits at all, or out of range: reported below.
   }
   throw std::runtime_error("config: [" + section + "] " + key +
-                           " is not a number: " + s);
+                           " is not a number: " + value);
+}
+
+double Config::get_double(const std::string& section, const std::string& key,
+                          double fallback, double lo, double hi) const {
+  const auto s = get(section, key);
+  if (s.empty()) return fallback;
+  const double v = parse_double(section, key, s);
+  // NaN fails both comparisons, and the finite bounds exclude infinities.
+  if (v >= lo && v <= hi) return v;
+  std::ostringstream range;
+  range << "a number in [" << lo << ", " << hi << "]";
+  throw std::runtime_error("config: [" + section + "] " + key + " = " + s + " is not " +
+                           range.str());
 }
 
 std::int64_t Config::parse_int64(const std::string& section, const std::string& key,
@@ -114,8 +125,8 @@ std::int64_t Config::parse_int64(const std::string& section, const std::string& 
 
 SimTime Config::get_ms(const std::string& section, const std::string& key,
                        double fallback_ms) const {
-  return parse_ms(section, key, get(section, key),
-                  get_double(section, key, fallback_ms));
+  const auto s = get(section, key);
+  return parse_ms(section, key, s, s.empty() ? fallback_ms : parse_double(section, key, s));
 }
 
 SimTime Config::parse_ms(const std::string& section, const std::string& key,

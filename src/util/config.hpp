@@ -5,8 +5,9 @@
 // accumulate (used for failure lists). Values are strings; typed getters
 // parse on access, fall back to defaults when the key is absent, and throw
 // when the value does not parse whole ("2x" is not an integer). Integers
-// are read within a range, so a count never wraps on its way to its type,
-// and times within the simulated clock's.
+// and doubles are read within a range, so a count never wraps on its way
+// to its type and a NaN never reaches a comparison, and times within the
+// simulated clock's.
 #pragma once
 
 #include <concepts>
@@ -39,8 +40,14 @@ class Config {
 
   [[nodiscard]] std::string get(const std::string& section, const std::string& key,
                                 const std::string& fallback = {}) const;
+  /// A double within [lo, hi] (by default every finite double): the
+  /// fallback when the key is absent, otherwise the value, which must parse
+  /// whole. Throws naming the section, key, value and range for a NaN, an
+  /// infinity or a value outside the range.
   [[nodiscard]] double get_double(const std::string& section, const std::string& key,
-                                  double fallback) const;
+                                  double fallback,
+                                  double lo = std::numeric_limits<double>::lowest(),
+                                  double hi = std::numeric_limits<double>::max()) const;
 
   /// An integer as T, within [lo, hi] (by default every value T holds):
   /// the fallback when the key is absent, otherwise the value read by
@@ -89,6 +96,10 @@ class Config {
   }
 
  private:
+  /// `value` parsed whole as a double (NaN and infinities included).
+  [[nodiscard]] static double parse_double(const std::string& section,
+                                           const std::string& key,
+                                           const std::string& value);
   [[nodiscard]] static std::int64_t parse_int64(const std::string& section,
                                                 const std::string& key,
                                                 const std::string& value,

@@ -68,6 +68,34 @@ void tally(const core::PipelineResult& r, Tally& t) {
   }
 }
 
+/// The six latency histograms a replay publishes, rebuilt from the
+/// outcomes it returned: one record() per served read (per deferred read
+/// for the delay) into a reference histogram each.
+struct LatencyOracle {
+  enum : std::size_t { kResponse, kE2e, kDelay, kQueue, kSchedule, kService, kCount };
+  static constexpr std::array<std::pair<const char*, const char*>, kCount> kNames = {{
+      {"pipeline.response_ns", ""},
+      {"pipeline.e2e_ns", ""},
+      {"pipeline.delay_ns", ""},
+      {"pipeline.stage_ns", "stage=\"queue\""},
+      {"pipeline.stage_ns", "stage=\"schedule\""},
+      {"pipeline.stage_ns", "stage=\"service\""},
+  }};
+  std::array<obs::LatencyHistogram, kCount> ref;
+
+  void add_run(const core::PipelineResult& r) {
+    for (const auto& o : r.outcomes) {
+      if (o.failed || o.is_write) continue;
+      ref[kResponse].record(o.response());
+      ref[kE2e].record(o.end_to_end());
+      if (o.deferred()) ref[kDelay].record(o.delay());
+      ref[kQueue].record(o.dispatch - o.arrival);
+      ref[kSchedule].record(o.start - o.dispatch);
+      ref[kService].record(o.finish - o.start);
+    }
+  }
+};
+
 /// Expected content of one windowed-series point, built with the same
 /// associative/commutative merges obs::TimeSeries uses.
 struct WinPoint {
@@ -290,6 +318,38 @@ void check_histogram_consistency(Report& report, const obs::MetricsSnapshot& sna
 
 }  // namespace
 
+std::string histogram_mismatch(const obs::HistogramSnapshot& got,
+                               const obs::HistogramSnapshot& want) {
+  const auto field = [](const char* name, auto g, auto w) {
+    return std::string(name) + " " + std::to_string(g) + " != expected " +
+           std::to_string(w);
+  };
+  if (got.count != want.count) return field("count", got.count, want.count);
+  if (got.sum != want.sum) return field("sum", got.sum, want.sum);
+  if (got.min != want.min) return field("min", got.min, want.min);
+  if (got.max != want.max) return field("max", got.max, want.max);
+  if (got.exact != want.exact) return field("exact", got.exact, want.exact);
+  if (got.values != want.values) {
+    return field("distinct values", got.values.size(), want.values.size()) +
+           " (or a value or count differs)";
+  }
+  const std::size_t n = std::min(got.buckets.size(), want.buckets.size());
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto& g = got.buckets[i];
+    const auto& w = want.buckets[i];
+    if (g.lo != w.lo || g.hi != w.hi || g.count != w.count) {
+      return "bucket " + std::to_string(i) + " [" + std::to_string(g.lo) + ", " +
+             std::to_string(g.hi) + ") x" + std::to_string(g.count) + " != expected [" +
+             std::to_string(w.lo) + ", " + std::to_string(w.hi) + ") x" +
+             std::to_string(w.count);
+    }
+  }
+  if (got.buckets.size() != want.buckets.size()) {
+    return field("non-empty buckets", got.buckets.size(), want.buckets.size());
+  }
+  return {};
+}
+
 Report verify_observability(const decluster::AllocationScheme& scheme,
                             const ObsCheckParams& params) {
   Report report("observability N=" + std::to_string(scheme.devices()));
@@ -330,12 +390,14 @@ Report verify_observability(const decluster::AllocationScheme& scheme,
     // fault.injected counts, and must leave no rebuild read pending.
     Tally want;
     WindowOracle win_oracle;
+    LatencyOracle latency_oracle;
     std::uint64_t want_outages = 0;
     std::uint64_t want_spikes = 0;
     std::uint64_t left_pending = 0;  // replays that ended with reads pending
     const auto run = [&](const core::PipelineConfig& cfg, const trace::Trace& t) {
       auto r = core::QosPipeline(scheme, cfg).run(t);
       win_oracle.add_run(cfg, r);
+      latency_oracle.add_run(r);
       tally(r, want);
       const auto plan =
           fault::compile(cfg.faults, scheme, t.duration() + cfg.qos_interval);
@@ -378,6 +440,17 @@ Report verify_observability(const decluster::AllocationScheme& scheme,
     core::PipelineConfig primary_only;  // the RAID-1 baseline path
     primary_only.scheduler = core::SchedulerMode::kPrimaryOnly;
     run(primary_only, synthetic);
+
+    // Over budget, shaped like one on/off cycle: 10 distinct buckets at
+    // each of 64 interval starts (2·S on (9,3,1)), then idle while the
+    // backlog of deferred reads drains — the regime whose e2e, queue and
+    // delay latencies spread past the exact tracker's capacity.
+    {
+      trace::SyntheticParams op = sp;
+      op.requests_per_interval = 10;
+      op.total_requests = 64 * 10;
+      run(core::PipelineConfig{}, trace::generate_synthetic(op));
+    }
 
     // Multi-tenant WFQ config tuned to shed: bronze's per-boundary burst
     // (12) exceeds its queue capacity (4), so the kShed path and the
@@ -577,6 +650,28 @@ Report verify_observability(const decluster::AllocationScheme& scheme,
              cval(snap, "admission.over_limit_intervals"));
 
     check_histogram_consistency(report, snap);
+
+    // Latency histograms in full: the replays' tallies, merged at replay
+    // end, must leave each histogram exactly as one record() per served
+    // read would — in either tracker regime.
+    {
+      bool saw_exact = false;
+      std::string bucketed;
+      for (std::size_t i = 0; i < LatencyOracle::kCount; ++i) {
+        const auto [name, labels] = LatencyOracle::kNames[i];
+        const std::string id =
+            labels[0] == '\0' ? name : std::string(name) + "{" + labels + "}";
+        const auto* h = snap.find_histogram(name, labels);
+        const auto want_snap = latency_oracle.ref[i].snapshot();
+        const std::string diff = h == nullptr ? std::string("missing")
+                                              : histogram_mismatch(*h, want_snap);
+        report.add(id + ": snapshot == one record() per served read", diff.empty(), diff);
+        saw_exact = saw_exact || want_snap.exact;
+        if (!want_snap.exact) bucketed += (bucketed.empty() ? "bucketed: " : ", ") + id;
+      }
+      report.add("latency histograms: exact and bucketed regimes both exercised",
+                 saw_exact && !bucketed.empty(), bucketed);
+    }
 
     // Window-identity oracle: every exported point of every windowed series
     // must rederive exactly — {sum, count, min, max, first_time}, both

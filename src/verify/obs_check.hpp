@@ -18,6 +18,11 @@
 //     recorded count, the exact value multiset sums to it too, percentiles
 //     are monotone between min and max) and the response histogram's
 //     count/sum match the outcome fold exactly;
+//   * each of the six latency histograms (response, e2e, delay and the
+//     three stages) snapshots exactly — count, sum, min, max, `exact`,
+//     values, buckets — as a reference LatencyHistogram given one record()
+//     per served read of every replay; an over-budget leg makes sure both
+//     the exact and the bucketed regime are among them;
 //   * per-device service counters sum to total array accesses, which equal
 //     submissions, which equal dispatches + per-replica write ops;
 //   * retrieval fast-path + max-flow fallback invocations equal total
@@ -38,7 +43,10 @@
 // in both configurations.
 #pragma once
 
+#include <string>
+
 #include "decluster/allocation.hpp"
+#include "obs/metrics.hpp"
 #include "verify/invariants.hpp"
 
 namespace flashqos::verify {
@@ -48,6 +56,13 @@ struct ObsCheckParams {
   double trace_scale = 0.05;       // exchange workload scale
   std::size_t p_samples = 200;     // P_k sampling for the statistical config
 };
+
+/// The first field in which histogram snapshot `got` differs from `want`
+/// (count, sum, min, max, exact, values or buckets), described for a
+/// report; empty when the two are identical. Names and labels are not
+/// compared.
+[[nodiscard]] std::string histogram_mismatch(const obs::HistogramSnapshot& got,
+                                             const obs::HistogramSnapshot& want);
 
 [[nodiscard]] Report verify_observability(
     const decluster::AllocationScheme& scheme, const ObsCheckParams& params = {});

@@ -2,6 +2,7 @@
 // config-driven experiment builder.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -362,6 +363,46 @@ TEST(PipelineConfigValidate, RejectsAnAccessBudgetPastTheCap) {
   const auto diags = cfg.validate(9);
   ASSERT_EQ(diags.size(), 1u);
   EXPECT_NE(diags[0].find("access_budget"), std::string::npos) << diags[0];
+}
+
+// NaN fails every comparison, so a range check written as two rejections
+// let it through: epsilon = nan validated and then aborted the replay on
+// StatisticalAdmission's contract check.
+TEST(PipelineConfigValidate, RejectsANanEpsilonOrProbability) {
+  core::PipelineConfig cfg;
+  cfg.admission = core::AdmissionMode::kStatistical;
+  cfg.p_table = {1.0, 0.5, 0.25};
+  EXPECT_TRUE(cfg.validate(9).empty());
+  cfg.epsilon = std::nan("");
+  auto diags = cfg.validate(9);
+  ASSERT_EQ(diags.size(), 1u);
+  EXPECT_NE(diags[0].find("epsilon"), std::string::npos) << diags[0];
+  cfg.epsilon = 0.01;
+  cfg.p_table[1] = std::nan("");
+  diags = cfg.validate(9);
+  ASSERT_EQ(diags.size(), 1u);
+  EXPECT_NE(diags[0].find("p_table"), std::string::npos) << diags[0];
+}
+
+// Config doubles load through one range-checked reader. write_fraction =
+// nan used to replay with no writes at all, epsilon = nan to abort the
+// replay, and scale = inf and rebuild = nan to load as given.
+TEST(Experiment, RejectsDoublesOutsideTheirRange) {
+  const std::string exchange = "[workload]\nkind = exchange\nscale = 0.01\n";
+  const std::vector<std::tuple<std::string, std::string, std::string>> cases = {
+      {exchange, "write_fraction", "nan"},
+      {exchange, "write_fraction", "1.5"},
+      {exchange, "write_fraction", "-0.1"},
+      {"[workload]\nkind = exchange\n", "scale", "inf"},
+      {kTinyWorkload + "[faults]\n", "rebuild", "nan"},
+      {kTinyWorkload + "[pipeline]\nadmission = statistical\n", "epsilon", "nan"},
+  };
+  for (const auto& [prefix, key, value] : cases) {
+    const auto error = build_error(prefix + key + " = " + value + "\n");
+    expect_names(error, key, value);
+    EXPECT_NE(error.find("a number in ["), std::string::npos) << error;
+  }
+  EXPECT_EQ(build_error(kTinyWorkload + "[faults]\nrebuild = 50000\n"), "");
 }
 
 TEST(Experiment, AcceptsTheWorkloadLimits) {

@@ -274,6 +274,127 @@ TEST(LatencyHistogram, ExactLimitIsPerHistogramNotPerThread) {
   EXPECT_TRUE(snap.values.empty());
 }
 
+// ---------------------------------------------------------------------------
+// HistogramTally + merge against one record() per value
+
+/// `n` values drawn from `distinct` distinct values in [lo, lo + span),
+/// each distinct value at least once.
+std::vector<std::int64_t> multiset(Rng& rng, std::size_t distinct, std::size_t n,
+                                   std::int64_t lo, std::int64_t span) {
+  std::vector<std::int64_t> pool;
+  while (pool.size() < distinct) {
+    const auto v = lo + rng.between(0, span - 1);
+    if (std::find(pool.begin(), pool.end(), v) == pool.end()) pool.push_back(v);
+  }
+  std::vector<std::int64_t> out = pool;
+  while (out.size() < n) out.push_back(pool[rng.below(pool.size())]);
+  rng.shuffle(out);
+  return out;
+}
+
+/// Publishing each of `parts` as one tally, in order, into a histogram that
+/// already holds `preload` must leave exactly the snapshot of one record()
+/// per value. Returns the merged snapshot.
+HistogramSnapshot expect_merge_matches_records(
+    const std::vector<std::int64_t>& preload,
+    const std::vector<std::vector<std::int64_t>>& parts) {
+  LatencyHistogram merged;
+  LatencyHistogram recorded;
+  for (const auto v : preload) {
+    merged.record(v);
+    recorded.record(v);
+  }
+  for (const auto& part : parts) {
+    HistogramTally tally;
+    for (const auto v : part) {
+      tally.add(v);
+      recorded.record(v);
+    }
+    merged.merge(tally);
+  }
+  const auto got = merged.snapshot();
+  EXPECT_TRUE(snapshots_identical(got, recorded.snapshot()));
+  return got;
+}
+
+TEST(HistogramTally, MergeMatchesOneRecordPerValue) {
+  Rng rng(21);
+  for (const std::size_t distinct :
+       {std::size_t{1}, std::size_t{5}, std::size_t{63}, std::size_t{64}, std::size_t{65},
+        std::size_t{200}, std::size_t{3000}}) {
+    const auto values = multiset(rng, distinct, 4 * distinct + 50, 0, 1 << 24);
+    HistogramTally tally;
+    for (const auto v : values) tally.add(v);
+    EXPECT_EQ(tally.exact(), distinct <= kExactCapacity) << distinct;
+    const auto snap = expect_merge_matches_records({}, {values});
+    EXPECT_EQ(snap.exact, distinct <= kExactCapacity) << distinct;
+    EXPECT_EQ(snap.count, values.size());
+  }
+  // An empty tally publishes nothing.
+  const auto empty =
+      expect_merge_matches_records({}, std::vector<std::vector<std::int64_t>>(1));
+  EXPECT_EQ(empty.count, 0u);
+  EXPECT_TRUE(empty.exact);
+}
+
+TEST(HistogramTally, CountsDistinctValuesAfterClamping) {
+  // Every negative value clamps to 0 and every value >= 2^42 to
+  // kMaxTrackable, as in the histogram's tracker; min, max and sum stay raw.
+  Rng rng(22);
+  std::vector<std::int64_t> negatives;
+  std::vector<std::int64_t> huge;
+  for (std::int64_t i = 1; i <= 100; ++i) {
+    negatives.push_back(-i * 977);
+    huge.push_back(kMaxTrackable + i * 1'000'003);
+  }
+  auto snap = expect_merge_matches_records({}, {negatives});
+  EXPECT_TRUE(snap.exact);  // 100 raw values, one clamped value
+  EXPECT_EQ(snap.min, -100 * 977);
+  EXPECT_EQ(snap.max, -977);
+  snap = expect_merge_matches_records({}, {huge});
+  EXPECT_TRUE(snap.exact);
+  EXPECT_EQ(snap.max, kMaxTrackable + 100 * 1'000'003);
+
+  // 62 in-range values plus both clamp targets make 64 distinct: exact.
+  auto mixed = multiset(rng, 62, 300, 1, 1 << 20);
+  mixed.insert(mixed.end(), negatives.begin(), negatives.end());
+  mixed.insert(mixed.end(), huge.begin(), huge.end());
+  rng.shuffle(mixed);
+  EXPECT_TRUE(expect_merge_matches_records({}, {mixed}).exact);
+  // One more in-range value makes 65: the tally falls back to buckets.
+  mixed.push_back((1 << 20) + 7);
+  EXPECT_FALSE(expect_merge_matches_records({}, {mixed}).exact);
+}
+
+TEST(HistogramTally, TwoTalliesMergeIntoOneHistogram) {
+  Rng rng(23);
+  const auto low = multiset(rng, 40, 200, 0, 1000);
+  const auto high = multiset(rng, 40, 200, 5000, 1000);
+  // 80 distinct over the two: neither tally overflows, the histogram does.
+  EXPECT_FALSE(expect_merge_matches_records({}, {low, high}).exact);
+  // The same 40 values twice stay exact.
+  EXPECT_TRUE(expect_merge_matches_records({}, {low, low}).exact);
+  // An overflowed tally next to an exact one.
+  const auto wide = multiset(rng, 500, 2000, 0, 1 << 30);
+  EXPECT_FALSE(expect_merge_matches_records({}, {low, wide}).exact);
+  EXPECT_FALSE(expect_merge_matches_records({}, {wide, low}).exact);
+}
+
+TEST(HistogramTally, MergeIntoAHistogramThatHoldsValues) {
+  Rng rng(24);
+  const auto held = multiset(rng, 30, 100, 0, 1000);
+  const auto more = multiset(rng, 30, 100, 2000, 1000);
+  const auto most = multiset(rng, 40, 100, 4000, 1000);
+  EXPECT_TRUE(expect_merge_matches_records(held, {more}).exact);   // 60 distinct
+  EXPECT_FALSE(expect_merge_matches_records(held, {most, more}).exact);  // 100
+  // A histogram that already overflowed stays overflowed.
+  const auto wide = multiset(rng, 100, 300, -500, 1 << 16);
+  EXPECT_FALSE(expect_merge_matches_records(wide, {held}).exact);
+  // Negative and huge values in both the histogram and the tally.
+  const std::vector<std::int64_t> mixed = {-3, kMaxTrackable + 9, 7};
+  EXPECT_TRUE(expect_merge_matches_records({-1, -2, kMaxTrackable + 5}, {mixed}).exact);
+}
+
 TEST(MetricRegistry, ConcurrentMixedRecordingIsComplete) {
   // Many threads hammering the same named instruments through the registry
   // (the TSan-relevant path: lookups + sharded writes).
@@ -348,6 +469,25 @@ TEST(Tracer, RingWrapsOldestFirstAndCountsDropped) {
   tracer.clear();
   EXPECT_TRUE(tracer.events().empty());
   EXPECT_EQ(tracer.dropped(), 0u);
+}
+
+TEST(Tracer, RingIsAllocatedOnFirstEnable) {
+  // A tracer that was never enabled holds no ring, and reads as empty.
+  Tracer tracer(8);
+  tracer.record({.request = 1});
+  EXPECT_TRUE(tracer.events().empty());
+  EXPECT_EQ(tracer.dropped(), 0u);
+  tracer.clear();
+  EXPECT_TRUE(tracer.events().empty());
+  EXPECT_EQ(tracer.dropped(), 0u);
+  // Once enabled it holds its capacity: capacity + 2 records drop 2.
+  tracer.set_enabled(true);
+  for (std::int64_t i = 0; i < 8 + 2; ++i) tracer.record({.request = i});
+  const auto events = tracer.events();
+  ASSERT_EQ(events.size(), 8u);
+  EXPECT_EQ(tracer.dropped(), 2u);
+  EXPECT_EQ(events.front().request, 2);
+  EXPECT_EQ(events.back().request, 9);
 }
 
 TEST(Tracer, DisabledRecordsNothing) {

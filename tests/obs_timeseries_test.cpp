@@ -14,6 +14,7 @@
 #include <array>
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -111,6 +112,46 @@ TEST(TimeSeries, MergeEqualsIndividualRecords) {
   EXPECT_EQ(sa.points[0].min, sb.points[0].min);
   EXPECT_EQ(sa.points[0].max, sb.points[0].max);
   EXPECT_EQ(sa.points[0].first_time, sb.points[0].first_time);
+}
+
+TEST(TimeSeries, BatchedMergeEqualsOneMergePerPoint) {
+  // A replay buffers closed windows and merges them in batches: every batch
+  // split must leave the points and `evicted` of one merge per point, on a
+  // 4-slot ring where windows overwrite older residues and late points are
+  // dropped.
+  Rng rng(11);
+  std::vector<SeriesPoint> points;
+  for (int i = 0; i < 300; ++i) {
+    const std::int64_t window = rng.between(0, 24);
+    const std::int64_t v = rng.between(-50, 50);
+    const auto n = static_cast<std::uint64_t>(rng.between(1, 5));
+    points.push_back({window, v * static_cast<std::int64_t>(n), n, v - 3, v + 3,
+                      window * 100 + rng.between(0, 99)});
+  }
+  TimeSeries one(100, 4);
+  for (const auto& p : points) {
+    one.merge(p.window, p.first_time, p.sum, p.count, p.min, p.max);
+  }
+  const auto want = one.snapshot();
+  EXPECT_GT(want.evicted, 0u);
+  for (const std::size_t batch : {std::size_t{1}, std::size_t{7}, std::size_t{64},
+                                  points.size()}) {
+    TimeSeries batched(100, 4);
+    for (std::size_t i = 0; i < points.size(); i += batch) {
+      batched.merge(std::span<const SeriesPoint>(points).subspan(
+          i, std::min(batch, points.size() - i)));
+    }
+    const auto got = batched.snapshot();
+    EXPECT_EQ(got.evicted, want.evicted) << "batch " << batch;
+    ASSERT_EQ(got.points.size(), want.points.size()) << "batch " << batch;
+    for (std::size_t k = 0; k < want.points.size(); ++k) {
+      const auto& a = got.points[k];
+      const auto& b = want.points[k];
+      EXPECT_TRUE(a.window == b.window && a.sum == b.sum && a.count == b.count &&
+                  a.min == b.min && a.max == b.max && a.first_time == b.first_time)
+          << "batch " << batch << " point " << k;
+    }
+  }
 }
 
 TEST(TimeSeries, ResetDropsPointsKeepsWidth) {

@@ -14,11 +14,14 @@
 #include "design/catalog.hpp"
 #include "design/constructions.hpp"
 #include "fim/apriori.hpp"
+#include "obs/metrics.hpp"
 #include "retrieval/maxflow.hpp"
+#include "trace/synthetic.hpp"
 #include "trace/workload.hpp"
 #include "verify/fim_oracle.hpp"
 #include "verify/guarantee.hpp"
 #include "verify/invariants.hpp"
+#include "verify/obs_check.hpp"
 #include "verify/resim_oracle.hpp"
 
 namespace flashqos {
@@ -400,6 +403,64 @@ TEST(FimOracleMutation, MovedBlockIsDetected) {
         << slice.name;
     EXPECT_NE(why.find("block " + std::to_string(block)), std::string::npos) << why;
   }
+}
+
+// The --obs latency oracle: a replay's histogram, published from its
+// single-writer tally at replay end, against a reference histogram given
+// one record() per served read. Over budget (10 reads per interval on
+// (9,3,1), S = 5, for 64 intervals, then idle) the e2e latencies spread
+// past the exact tracker, so the bucket layout is what is compared.
+struct LatencyFixture {
+  LatencyFixture() {
+    obs::MetricRegistry::global().reset();
+    trace::SyntheticParams sp;
+    sp.bucket_pool = scheme.buckets();
+    sp.requests_per_interval = 10;
+    sp.total_requests = 64 * 10;
+    const auto r =
+        core::QosPipeline(scheme, core::PipelineConfig{}).run(trace::generate_synthetic(sp));
+    obs::LatencyHistogram ref;
+    for (const auto& o : r.outcomes) {
+      if (!o.failed && !o.is_write) ref.record(o.end_to_end());
+    }
+    want = ref.snapshot();
+    const auto snap = obs::MetricRegistry::global().snapshot();
+    if (const auto* h = snap.find_histogram("pipeline.e2e_ns")) got = *h;
+  }
+
+  const design::BlockDesign d = design::make_9_3_1();
+  const DesignTheoretic scheme{d, true};
+  obs::HistogramSnapshot got;
+  obs::HistogramSnapshot want;
+};
+
+TEST(LatencyOracle, OverBudgetE2eMatchesOneRecordPerRead) {
+  if constexpr (!obs::kEnabled) GTEST_SKIP() << "FLASHQOS_OBS=OFF";
+  const LatencyFixture f;
+  EXPECT_FALSE(f.want.exact);
+  EXPECT_EQ(verify::histogram_mismatch(f.got, f.want), "");
+}
+
+TEST(LatencyOracleMutation, BucketMovedToTheNextIndexIsDetected) {
+  const LatencyFixture f;
+  auto bad = f.want;
+  ASSERT_FALSE(bad.buckets.empty());
+  // The first bucket whose next index is empty moves there.
+  std::size_t k = 0;
+  while (k + 1 < bad.buckets.size() && bad.buckets[k + 1].lo == bad.buckets[k].hi) ++k;
+  auto& b = bad.buckets[k];
+  b.lo = b.hi;
+  b.hi = obs::bucket_hi(obs::bucket_index(b.lo));
+  const auto why = verify::histogram_mismatch(bad, f.want);
+  EXPECT_NE(why.find("bucket " + std::to_string(k)), std::string::npos) << why;
+}
+
+TEST(LatencyOracleMutation, MinOffByOneIsDetected) {
+  const LatencyFixture f;
+  auto bad = f.want;
+  ++bad.min;
+  const auto why = verify::histogram_mismatch(bad, f.want);
+  EXPECT_NE(why.find("min"), std::string::npos) << why;
 }
 
 }  // namespace
