@@ -20,6 +20,7 @@
 #include "core/sampler.hpp"
 #include "decluster/schemes.hpp"
 #include "design/constructions.hpp"
+#include "trace/cursor.hpp"
 #include "trace/disksim_format.hpp"
 #include "trace/synthetic.hpp"
 #include "util/time.hpp"
@@ -248,25 +249,42 @@ TEST(GoldenReplay, MultiTenantAlignedDet) {
 // so every admission mode's deferral order is pinned. These snapshots end
 // with a digest over every outcome's dispatch, start, finish, device and
 // path, so a reordering that happens to keep the aggregates fails too.
-std::string outcome_digest(const core::PipelineResult& r) {
-  std::uint64_t h = 1469598103934665603ULL;  // FNV-1a 64
-  const auto mix = [&h](std::int64_t v) {
-    for (int b = 0; b < 8; ++b) {
-      h ^= static_cast<std::uint64_t>(v >> (8 * b)) & 0xff;
-      h *= 1099511628211ULL;
-    }
-  };
-  for (const auto& o : r.outcomes) {
+/// FNV-1a 64 over each outcome's dispatch, start, finish, device and path,
+/// in trace order.
+class OutcomeDigest {
+ public:
+  void add(const core::RequestOutcome& o) {
     mix(o.dispatch);
     mix(o.start);
     mix(o.finish);
     mix(o.device);
     mix(static_cast<std::int64_t>(o.path));
+    ++n_;
   }
-  std::ostringstream out;
-  out << "outcomes=" << r.outcomes.size() << " digest=" << std::hex
-      << std::setw(16) << std::setfill('0') << h << "\n";
-  return out.str();
+
+  [[nodiscard]] std::string line() const {
+    std::ostringstream out;
+    out << "outcomes=" << n_ << " digest=" << std::hex << std::setw(16)
+        << std::setfill('0') << h_ << "\n";
+    return out.str();
+  }
+
+ private:
+  void mix(std::int64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h_ ^= static_cast<std::uint64_t>(v >> (8 * b)) & 0xff;
+      h_ *= 1099511628211ULL;
+    }
+  }
+
+  std::uint64_t h_ = 1469598103934665603ULL;
+  std::size_t n_ = 0;
+};
+
+std::string outcome_digest(const core::PipelineResult& r) {
+  OutcomeDigest d;
+  for (const auto& o : r.outcomes) d.add(o);
+  return d.line();
 }
 
 trace::Trace overload_trace(bool tenants) {
@@ -389,6 +407,74 @@ TEST(GoldenOverload, MultiTenantOnlineDegraded) {
                         {.device = 2, .fail_at = from_ms(0.3), .recover_at = from_ms(0.9)},
                         {.device = 4, .fail_at = from_ms(2.0)}};
   check_overload("overload_multi_tenant_online_degraded", cfg);
+}
+
+// Stranded reads retried at a boundary where fresh arrivals dispatch too:
+// devices 0-2 are down from 0.5 to 2.0 ms, so aligned reads of the bucket
+// they alone hold retry at the 16·T boundary together with that ON
+// phase's fresh arrivals. The group at that instant is offered in seq
+// order, so retries (older) come before fresh arrivals; the digest pins it.
+TEST(GoldenOverload, AlignedDetDegraded) {
+  auto cfg = overload_cfg(RetrievalMode::kIntervalAligned,
+                          AdmissionMode::kDeterministic, MappingMode::kModulo);
+  cfg.faults.outages = {{.device = 0, .fail_at = from_ms(0.5), .recover_at = from_ms(2.0)},
+                        {.device = 1, .fail_at = from_ms(0.5), .recover_at = from_ms(2.0)},
+                        {.device = 2, .fail_at = from_ms(0.5), .recover_at = from_ms(2.0)}};
+  check_overload("overload_aligned_det_degraded", cfg);
+}
+
+// A seeded on/off stream long enough to cross the replay window's storage
+// boundaries many times: eight cycles of 128 QoS intervals at 2×S (10
+// distinct buckets at each interval start) and 160 idle intervals, 10,240
+// reads. The backlog peaks at 640 reads every cycle, so even one event per
+// batch keeps hundreds of requests in flight, and a 4096-event batch holds
+// thousands. Every batch size must reproduce the one snapshot.
+trace::Trace onoff_trace() {
+  constexpr std::size_t kOn = 128, kOff = 160, kPerInterval = 10, kCycles = 8;
+  trace::SyntheticParams p;
+  p.bucket_pool = scheme931().buckets();
+  p.requests_per_interval = kPerInterval;
+  p.total_requests = kCycles * kOn * kPerInterval;
+  p.seed = 24;
+  auto t = trace::generate_synthetic(p);
+  for (std::size_t i = 0; i < t.events.size(); ++i) {
+    const std::size_t interval = i / kPerInterval;
+    t.events[i].time = static_cast<SimTime>(
+        (interval / kOn) * (kOn + kOff) + interval % kOn) * p.interval;
+  }
+  t.report_interval = static_cast<SimTime>(kOn + kOff) * p.interval;  // one per cycle
+  return t;
+}
+
+/// Digests streamed outcomes as outcome_digest() digests a result's.
+class DigestSink final : public core::OutcomeSink {
+ public:
+  void on_outcome(std::uint64_t /*seq*/, const trace::TraceEvent& /*ev*/,
+                  const core::RequestOutcome& out) override {
+    digest.add(out);
+  }
+
+  OutcomeDigest digest;
+};
+
+TEST(GoldenOverload, OnOffStreamBatchSizes) {
+  const auto t = onoff_trace();
+  const auto cfg = overload_cfg(RetrievalMode::kOnline, AdmissionMode::kDeterministic,
+                                MappingMode::kModulo);
+  for (const std::size_t batch : {std::size_t{1}, std::size_t{7}, std::size_t{4096}}) {
+    SCOPED_TRACE("batch size " + std::to_string(batch));
+    trace::VectorCursor cursor(t);
+    DigestSink sink;
+    const auto res = core::QosPipeline(scheme931(), cfg)
+                         .run_stream(cursor, nullptr, {.batch_size = batch, .sink = &sink});
+    EXPECT_EQ(res.requests, t.events.size());
+    EXPECT_GT(res.overall.deferred, 0u);
+    core::PipelineResult r;
+    r.intervals = res.intervals;
+    r.overall = res.overall;
+    r.deadline_violations = res.deadline_violations;
+    check_golden("onoff_stream_online_det_modulo", format_result(r) + sink.digest.line());
+  }
 }
 
 }  // namespace
