@@ -1,11 +1,13 @@
 #include "core/qos_pipeline.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <deque>
 #include <limits>
 #include <map>
+#include <memory>
 #include <optional>
 #include <queue>
 #include <utility>
@@ -41,10 +43,10 @@ const char* to_string(RetrievalPath path) noexcept {
 
 namespace {
 
-/// A request waiting for dispatch: a fresh arrival or a fault retry.
-/// Ordered by (dispatch time, seq); seq is the 0-based ingestion index.
-/// Reads that admission defers wait in the engine's carry-over FIFO
-/// instead.
+/// A fault retry waiting for its recovery boundary, ordered by (dispatch
+/// time, seq); seq is the 0-based ingestion index. Fresh arrivals wait in
+/// the engine's arrival FIFO and reads that admission defers in its
+/// carry-over FIFO instead.
 struct Pending {
   SimTime dispatch = 0;
   std::uint64_t seq = 0;
@@ -292,13 +294,78 @@ inline constexpr SimTime kNoWake = kDrainAll;
 
 /// One in-flight request: the event, its outcome, and whether that
 /// outcome is final — dispatched, written, failed or shed. A read that
-/// admission defers is not final until it dispatches. The window pops
-/// slots from the front once final, so resident memory tracks the
-/// in-flight span, not the trace length.
+/// admission defers is not final until it dispatches. While the request
+/// waits in the arrival FIFO, `out.dispatch` holds the instant it is due
+/// at; stage() stamps the instant it leaves.
 struct StreamSlot {
   trace::TraceEvent ev;
   RequestOutcome out;
   bool done = false;
+};
+
+/// The in-flight requests [base(), end()) by seq, in chunks of kChunk
+/// slots: seq i lives in slot i mod kChunk of chunk i / kChunk, found
+/// through a power-of-two ring of chunk pointers by shift and mask. A chunk
+/// whose slots have all folded is kept and reused for the next chunk the
+/// window grows into, so resident memory tracks the largest in-flight span
+/// and a steady replay allocates nothing.
+class SlotWindow {
+ public:
+  [[nodiscard]] StreamSlot& operator[](std::uint64_t seq) {
+    return (*ring_[(seq >> kChunkBits) & mask_])[seq & (kChunk - 1)];
+  }
+  [[nodiscard]] bool empty() const noexcept { return base_ == end_; }
+  [[nodiscard]] std::uint64_t base() const noexcept { return base_; }
+  [[nodiscard]] std::uint64_t end() const noexcept { return end_; }
+
+  /// Open slot end() and return it; its previous contents are stale.
+  StreamSlot& push_back() {
+    if ((end_ & (kChunk - 1)) == 0) open_chunk();
+    return (*this)[end_++];
+  }
+
+  /// Drop slot base(); a chunk is retired once its last slot is dropped.
+  void pop_front() {
+    ++base_;
+    if ((base_ & (kChunk - 1)) == 0) {
+      spare_.push_back(std::move(ring_[((base_ - 1) >> kChunkBits) & mask_]));
+    }
+  }
+
+ private:
+  // 512 slots of 96 bytes: large enough that chunk turnover is rare, small
+  // enough that the last, partly used chunk adds little to resident memory.
+  static constexpr unsigned kChunkBits = 9;
+  static constexpr std::uint64_t kChunk = std::uint64_t{1} << kChunkBits;
+  using Chunk = std::array<StreamSlot, kChunk>;
+
+  /// Give chunk end() / kChunk storage, doubling the ring when every entry
+  /// holds a live chunk.
+  void open_chunk() {
+    const std::uint64_t first = base_ >> kChunkBits;
+    const std::uint64_t next = end_ >> kChunkBits;
+    if (next - first >= ring_.size()) {
+      std::vector<std::unique_ptr<Chunk>> grown(std::max<std::size_t>(8, 2 * ring_.size()));
+      for (std::uint64_t c = first; c < next; ++c) {
+        grown[c & (grown.size() - 1)] = std::move(ring_[c & mask_]);
+      }
+      ring_ = std::move(grown);
+      mask_ = ring_.size() - 1;
+    }
+    auto& entry = ring_[next & mask_];
+    if (spare_.empty()) {
+      entry = std::make_unique<Chunk>();
+    } else {
+      entry = std::move(spare_.back());
+      spare_.pop_back();
+    }
+  }
+
+  std::vector<std::unique_ptr<Chunk>> ring_;   // chunk c at c & mask_
+  std::vector<std::unique_ptr<Chunk>> spare_;  // retired, waiting for reuse
+  std::uint64_t mask_ = 0;
+  std::uint64_t base_ = 0;
+  std::uint64_t end_ = 0;
 };
 
 /// The replay core behind run() and run_stream(). One instance is one
@@ -309,9 +376,16 @@ struct StreamSlot {
 /// cursor contract says every unread arrival is at or after that time, so
 /// no same-instant dispatch group popped under the bound can ever gain a
 /// member from unread input — which is why results do not depend on the
-/// batch size. Requests live in a seq-indexed sliding window and fold into
-/// per-interval / overall reports (and ReplayObs, the engine's one
-/// observability member) in trace order as their slots become final.
+/// batch size. Requests live in a seq-indexed sliding window (SlotWindow)
+/// and fold into per-interval / overall reports (and ReplayObs, the
+/// engine's one observability member) in trace order as their slots become
+/// final.
+///
+/// Queueing is O(1) per request. Fresh arrivals wait in an arrival FIFO,
+/// the window's not yet dispatched tail [fifo_head_, end()): arrivals are
+/// time-sorted, so their dispatch instants (the arrival online, the next
+/// boundary aligned) are too. Only fault retries need the (dispatch, seq)
+/// heap. Reads admission defers wait in the carry-over FIFO.
 class ReplayEngine {
  public:
   ReplayEngine(const decluster::AllocationScheme& scheme, const PipelineConfig& cfg,
@@ -397,9 +471,9 @@ class ReplayEngine {
 
  private:
   // ---- window access -----------------------------------------------------
-  // Request seq `i` lives in slot i - win_base_ until its outcome folds.
+  // Request seq `i` lives in slot win_[i] until its outcome folds.
 
-  [[nodiscard]] StreamSlot& slot(std::size_t i) { return win_[i - win_base_]; }
+  [[nodiscard]] StreamSlot& slot(std::size_t i) { return win_[i]; }
   [[nodiscard]] const trace::TraceEvent& ev(std::size_t i) { return slot(i).ev; }
   [[nodiscard]] RequestOutcome& out(std::size_t i) { return slot(i).out; }
   /// The request's outcome can no longer change: it was dispatched,
@@ -438,16 +512,14 @@ class ReplayEngine {
     FLASHQOS_EXPECT(e.time >= last_time_ && e.time >= 0 && e.time <= kMaxEventTime,
                     "stream cursor must yield time-sorted events in [0, kMaxEventTime]");
     last_time_ = e.time;
-    const std::uint64_t seq = ingested_++;
-    win_.push_back(StreamSlot{e, RequestOutcome{}, false});
-    win_.back().out.arrival = e.time;
     // Online mode dispatches at arrival; aligned mode at the enclosing
     // interval boundary (requests already exactly on a boundary run in
-    // that interval, matching the paper's synthetic setup).
+    // that interval, matching the paper's synthetic setup). Both are
+    // monotone in arrival time, so the arrival FIFO stays sorted.
     const SimTime dispatch = cfg_.retrieval == RetrievalMode::kOnline
                                  ? e.time
                                  : next_interval_start(e.time, T_);
-    queue_.push(Pending{dispatch, seq});
+    win_.push_back() = {e, {.arrival = e.time, .dispatch = dispatch}, false};
     // A slice's transactions are complete once any event of a later slice
     // has been ingested (events are time-sorted), which the drain bound
     // guarantees before the mapper ever asks for it.
@@ -477,10 +549,9 @@ class ReplayEngine {
   /// Pop every final slot off the window front, folding outcomes into the
   /// reports and the observability plane in trace order.
   void fold_final() {
-    while (!win_.empty() && win_.front().done) {
-      fold_outcome(win_base_, win_.front());
+    while (!win_.empty() && win_[win_.base()].done) {
+      fold_outcome(win_.base(), win_[win_.base()]);
       win_.pop_front();
-      ++win_base_;
     }
   }
 
@@ -500,12 +571,13 @@ class ReplayEngine {
 
   // ---- dispatch core -----------------------------------------------------
 
-  /// Process every dispatch instant strictly before `bound`: heap groups
-  /// and the boundary wake of deferred work.
+  /// Process every dispatch instant strictly before `bound`: fresh
+  /// arrivals, fault retries and the boundary wake of deferred work.
   void drain(SimTime bound) {
     while (true) {
-      const SimTime now =
-          queue_.empty() ? wake_ : std::min(wake_, queue_.top().dispatch);
+      SimTime now = wake_;
+      if (fifo_head_ < win_.end()) now = std::min(now, win_[fifo_head_].out.dispatch);
+      if (!retries_.empty()) now = std::min(now, retries_.top().dispatch);
       if (now >= bound) return;
       process_group(now);
       fold_final();
@@ -647,13 +719,13 @@ class ReplayEngine {
   std::pair<std::size_t, BucketId> next_offer(SimTime now) {
     obs_->offer();
     if (carried_ && !carry_.empty() &&
-        (gi_ == group_.size() || carry_.front() < group_[gi_].seq)) {
+        (gi_ == group_.size() || carry_.front() < group_[gi_])) {
       const std::size_t idx = carry_.front();
       carry_.pop_front();
       return {idx, stage(idx, now)};
     }
     const std::size_t i = gi_++;
-    return {group_[i].seq, buckets_[i]};
+    return {group_[i], buckets_[i]};
   }
 
   /// Earliest-finishing live replica of `bucket` (statistical surplus and
@@ -772,16 +844,21 @@ class ReplayEngine {
                         [&](DeviceId d) { return available_[d]; });
   }
 
-  /// One dispatch instant: pop its heap group (fresh arrivals, fault
-  /// retries), roll the FIM/QoS intervals forward, and run the admission/
+  /// One dispatch instant: gather its group (fault retries, then fresh
+  /// arrivals), roll the FIM/QoS intervals forward, and run the admission/
   /// scheduling paths. When the instant is the boundary deferred work is
   /// due at, the carried reads (or the queued WFQ backlog) are offered
   /// too, ahead of fresh arrivals, which are newer.
   void process_group(SimTime now) {
     group_.clear();
-    while (!queue_.empty() && queue_.top().dispatch == now) {
-      group_.push_back(queue_.top());
-      queue_.pop();
+    // A retry left the arrival FIFO before every arrival still in it, so
+    // seq order puts this instant's retries ahead of its fresh arrivals.
+    while (!retries_.empty() && retries_.top().dispatch == now) {
+      group_.push_back(retries_.top().seq);
+      retries_.pop();
+    }
+    while (fifo_head_ < win_.end() && win_[fifo_head_].out.dispatch == now) {
+      group_.push_back(fifo_head_++);
     }
     carried_ = wake_ == now;
     if (carried_) wake_ = kNoWake;
@@ -842,8 +919,8 @@ class ReplayEngine {
     if (carried_) demand_ += carry_.size();
     buckets_.resize(group_.size());
     for (std::size_t i = 0; i < group_.size(); ++i) {
-      if (ev(group_[i].seq).is_read) ++demand_;  // writes bypass read admission
-      buckets_[i] = stage(group_[i].seq, now);
+      if (ev(group_[i]).is_read) ++demand_;  // writes bypass read admission
+      buckets_[i] = stage(group_[i], now);
     }
 
     // Device availability at this instant. Requests whose replicas are all
@@ -875,17 +952,15 @@ class ReplayEngine {
         for (std::size_t i = 0; i < group_.size(); ++i) {
           // Tenant reads pass through: stranded heads are handled at
           // dispense time, where the WFQ queue can drop them.
-          if ((tenant_mode_ && ev(group_[i].seq).is_read) ||
+          if ((tenant_mode_ && ev(group_[i]).is_read) ||
               !all_replicas_down(buckets_[i])) {
             live_.push_back(group_[i]);
             live_buckets_.push_back(buckets_[i]);
             continue;
           }
           // Stranded: retried at the earliest recovery boundary.
-          if (const auto retry = strand(group_[i].seq, buckets_[i], now, qi)) {
-            Pending p = group_[i];
-            p.dispatch = *retry;
-            queue_.push(p);
+          if (const auto retry = strand(group_[i], buckets_[i], now, qi)) {
+            retries_.push(Pending{*retry, group_[i]});
             obs_->retry();
           }
         }
@@ -903,13 +978,13 @@ class ReplayEngine {
       read_buckets_.clear();
       bool any_write = false;
       for (std::size_t i = 0; i < group_.size(); ++i) {
-        if (ev(group_[i].seq).is_read) {
+        if (ev(group_[i]).is_read) {
           reads_.push_back(group_[i]);
           read_buckets_.push_back(buckets_[i]);
           continue;
         }
         any_write = true;
-        auto& o = out(group_[i].seq);
+        auto& o = out(group_[i]);
         o.is_write = true;
         o.path = RetrievalPath::kWrite;
         SimTime first_start = INT64_MAX;
@@ -923,7 +998,7 @@ class ReplayEngine {
                   .start = start,
                   .finish = finish,
                   .kind = DeviceOpKind::kWrite,
-                  .request = static_cast<std::int64_t>(group_[i].seq)});
+                  .request = static_cast<std::int64_t>(group_[i])});
           if (start < first_start) {
             first_start = start;
             first_dev = dev;
@@ -935,7 +1010,7 @@ class ReplayEngine {
         o.start = first_start;
         o.finish = last_finish;
         obs_->write_fanned_out(now);
-        mark_final(group_[i].seq);
+        mark_final(group_[i]);
       }
       if (any_write) {
         std::swap(group_, reads_);
@@ -958,14 +1033,14 @@ class ReplayEngine {
     live_buckets_.clear();
     std::size_t i = 0;
     const auto keep_group_until = [&](std::size_t seq) {
-      for (; i < group_.size() && group_[i].seq < seq; ++i) {
+      for (; i < group_.size() && group_[i] < seq; ++i) {
         live_.push_back(group_[i]);
         live_buckets_.push_back(buckets_[i]);
       }
     };
     for (const std::size_t idx : carry_) {
       keep_group_until(idx);
-      live_.push_back(Pending{now, idx});
+      live_.push_back(idx);
       live_buckets_.push_back(stage(idx, now));
     }
     keep_group_until(std::numeric_limits<std::size_t>::max());
@@ -1000,7 +1075,7 @@ class ReplayEngine {
       }
     }
     for (const auto idx : refused_) carry(idx);
-    for (; gi_ < group_.size(); ++gi_) carry(group_[gi_].seq);
+    for (; gi_ < group_.size(); ++gi_) carry(group_[gi_]);
     // One deferral event per read waiting into the next interval — the
     // spliced FIFO tail included.
     if (carry_.size() > carry_base_) {
@@ -1112,8 +1187,7 @@ class ReplayEngine {
   /// failed).
   void dispense_tenants(SimTime now, std::int64_t qi) {
     fresh_.assign(ts_->tenants(), 0);
-    for (const auto& g : group_) {
-      const std::size_t id = g.seq;
+    for (const std::size_t id : group_) {
       auto& o = out(id);
       const auto tid = static_cast<std::size_t>(ev(id).tenant);
       const auto verdict = ts_->enqueue(tid, id);
@@ -1266,8 +1340,8 @@ class ReplayEngine {
     }
     FLASHQOS_ASSERT(win_.empty(),
                     "every request must reach a final state by end of stream");
-    obs_->finish(current_qi_, ingested_, deadline_violations_);
-    res.requests = ingested_;
+    obs_->finish(current_qi_, win_.end(), deadline_violations_);
+    res.requests = win_.end();
     res.deadline_violations = deadline_violations_;
     if (report_interval_ > 0 && keep_intervals_) {
       if (interval_folds_.size() < slices_total_) {
@@ -1298,9 +1372,7 @@ class ReplayEngine {
   SimTime report_interval_ = 0;
 
   // ---- window and result folds -------------------------------------------
-  std::deque<StreamSlot> win_;   // slots for requests [win_base_, ingested_)
-  std::uint64_t win_base_ = 0;
-  std::uint64_t ingested_ = 0;
+  SlotWindow win_;               // every ingested request not yet folded
   SimTime last_time_ = 0;        // arrival time of the last ingested event
   bool eof_ = false;
   std::size_t slices_total_ = 0;
@@ -1327,7 +1399,10 @@ class ReplayEngine {
   std::map<std::vector<bool>, std::vector<double>> degraded_tables_;
 
   std::vector<SimTime> free_at_;  // per device: when its last op finishes
-  std::priority_queue<Pending, std::vector<Pending>, std::greater<>> queue_;
+  // The arrival FIFO: requests [fifo_head_, win_.end()) wait for their
+  // first dispatch. Stranded reads wait for their retry boundary in retries_.
+  std::uint64_t fifo_head_ = 0;
+  std::priority_queue<Pending, std::vector<Pending>, std::greater<>> retries_;
   // Deferred reads (single-tenant), in seq order, all due at wake_. In
   // tenant mode the WFQ queues hold the backlog and wake_ alone brings the
   // scheduler back at the next boundary.
@@ -1352,12 +1427,12 @@ class ReplayEngine {
 
   // Per-instant buffers, hoisted out of the dispatch loop so steady-state
   // scheduling reuses their capacity instead of reallocating every group.
-  std::vector<Pending> group_;
+  std::vector<std::size_t> group_;  // this instant's requests, seq order
   std::vector<BucketId> buckets_;
   std::vector<bool> available_;
-  std::vector<Pending> live_;
+  std::vector<std::size_t> live_;
   std::vector<BucketId> live_buckets_;
-  std::vector<Pending> reads_;
+  std::vector<std::size_t> reads_;
   std::vector<BucketId> read_buckets_;
   std::size_t gi_ = 0;  // next group_ member to offer
   std::int32_t q_ppm_ = 0;
