@@ -1,5 +1,6 @@
 // Streaming replay at trace scale: throughput, memory flatness, and mmap
-// file ingestion (BENCH_stream.json records the numbers for this host).
+// file ingestion (BENCH_stream.json records the numbers for this host;
+// `scripts/bench.sh stream` regenerates it from the machine-readable line).
 //
 // Three measurements, all single-thread:
 //  (1) throughput — replay a synthetic full-volume stream through
@@ -148,11 +149,20 @@ int main(int argc, char** argv) {
   // (1) + (2): throughput and memory flatness at N and 10N, generator
   // cursor end to end (generation is part of the ingest cost).
   Table table({"leg", "requests", "seconds", "Mreq/s", "rss delta (MB)"});
+  std::string legs_json;
   const auto add_leg = [&](const std::string& name, const LegResult& leg) {
     table.add_row({name, std::to_string(leg.requests),
                    Table::num(leg.seconds, 3),
                    Table::num(leg.requests / leg.seconds / 1e6, 3),
                    Table::num(mb(leg.delta_rss_bytes), 1)});
+    char row[256];
+    std::snprintf(row, sizeof row,
+                  "%s{\"leg\":\"%s\",\"requests\":%llu,\"seconds\":%.6f,"
+                  "\"rss_delta_mb\":%.3f}",
+                  legs_json.empty() ? "" : ",", name.c_str(),
+                  static_cast<unsigned long long>(leg.requests), leg.seconds,
+                  mb(leg.delta_rss_bytes));
+    legs_json += row;
   };
 
   {
@@ -247,7 +257,8 @@ int main(int argc, char** argv) {
   std::remove(path.c_str());
 
   table.print();
-  std::printf("peak rss: %.1f MB\n", mb(static_cast<double>(peak_rss_bytes())));
+  const double peak_mb = mb(static_cast<double>(peak_rss_bytes()));
+  std::printf("peak rss: %.1f MB\n", peak_mb);
   std::printf("memory flatness: 10x requests grew the resident delta by "
               "%.1f MB (streaming state is O(batch + in-flight), not "
               "O(trace))\n", mb(delta_large - delta_small));
@@ -256,5 +267,7 @@ int main(int argc, char** argv) {
                 "%.3f Mreq/s — %s\n", online_reqps / 1e6,
                 online_reqps >= 1e6 ? "met" : "NOT MET on this host");
   }
+  std::printf("\nmachine-readable: {\"base_n\":%zu,\"legs\":[%s],\"peak_rss_mb\":%.3f}\n",
+              base_n, legs_json.c_str(), peak_mb);
   return 0;
 }

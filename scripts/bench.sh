@@ -9,36 +9,51 @@
 #        reports the min of 7 in-process reps per leg. Writes BENCH_obs.json:
 #        per build and leg the floor (min over runs) and the quartiles; per
 #        leg the ON/OFF floor delta, the median delta and the count of pairs
-#        in which ON was slower; and one provenance block (nproc, build
-#        type, commit, command).
+#        in which ON was slower; per leg the median and quartiles of the
+#        per-pair ON/OFF time ratio, on which the 3% target is judged; and
+#        one provenance block (nproc, build type, commit, command).
+#   stream
+#        bench/stream_replay built in Release into .bench_build/stream and
+#        run 3 times. Writes BENCH_stream.json: per leg the median run's
+#        seconds and resident-set delta, and every run's seconds; the median
+#        peak RSS; and the same provenance block.
 #
-# Usage: scripts/bench.sh obs
+# Usage: scripts/bench.sh obs|stream
 #
 # Timings from a shared host move together in slow spells, so compare
-# floors and pair counts, not single runs, and only between runs of the
-# same host.
+# floors, paired ratios and pair counts, not single runs, and only between
+# runs of the same host.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
 usage() {
-  echo "usage: scripts/bench.sh obs" >&2
+  echo "usage: scripts/bench.sh obs|stream" >&2
   exit 2
 }
 
 [[ $# -eq 1 ]] || usage
 
-build_micro() {  # <dir> <ON|OFF>
+build_bench() {  # <dir> <ON|OFF> <target>
   cmake -S . -B "$1" -DCMAKE_BUILD_TYPE=Release -DFLASHQOS_OBS="$2" \
     -DFLASHQOS_BUILD_TESTS=OFF -DFLASHQOS_BUILD_EXAMPLES=OFF >&2
-  cmake --build "$1" -j "$(( $(nproc) < 4 ? $(nproc) : 4 ))" \
-    --target micro_obs_overhead >&2
+  cmake --build "$1" -j "$(( $(nproc) < 4 ? $(nproc) : 4 ))" --target "$3" >&2
+}
+
+commit_id() {
+  local commit
+  if commit=$(git rev-parse --short HEAD 2>/dev/null); then
+    git diff --quiet HEAD || commit="$commit (with uncommitted changes)"
+  else
+    commit=unknown
+  fi
+  echo "$commit"
 }
 
 bench_obs() {
   local on=.bench_build/obs-on off=.bench_build/obs-off
-  build_micro "$on" ON
-  build_micro "$off" OFF
+  build_bench "$on" ON micro_obs_overhead
+  build_bench "$off" OFF micro_obs_overhead
   runs=$(mktemp)  # global: the EXIT trap runs after this function returns
   trap 'rm -f "$runs"' EXIT
   local batches=2 pairs=15
@@ -52,13 +67,7 @@ bench_obs() {
       echo "bench.sh obs: batch $((b + 1))/$batches, pair $((p + 1))/$pairs" >&2
     done
   done
-  local commit
-  if commit=$(git rev-parse --short HEAD 2>/dev/null); then
-    git diff --quiet HEAD || commit="$commit (with uncommitted changes)"
-  else
-    commit=unknown
-  fi
-  python3 - "$runs" "$commit" "$(nproc)" > BENCH_obs.json <<'EOF'
+  python3 - "$runs" "$(commit_id)" "$(nproc)" > BENCH_obs.json <<'EOF'
 import datetime, json, statistics, sys
 
 path, commit, nproc = sys.argv[1], sys.argv[2], int(sys.argv[3])
@@ -81,6 +90,14 @@ def block(runs, with_traced):
 def pct(a, b):
     return round(100.0 * (a - b) / b, 1)
 
+def pair_ratio(leg):
+    # Pair i's ON and OFF runs ran back to back, so a slow spell of the
+    # host covers both sides of its ratio.
+    ratios = [a[leg] / b[leg] for a, b in zip(on, off)]
+    return {"median": round(statistics.median(ratios), 4),
+            "quartiles": [round(v, 4) for v in
+                          statistics.quantiles(ratios, n=4, method="inclusive")]}
+
 name = {leg: leg[:-2] for leg in legs}
 print(json.dumps({
     "benchmark": "micro_obs_overhead",
@@ -93,7 +110,12 @@ print(json.dumps({
         "trace; overload, an on/off stream shaped like perfbench's "
         "onoff_overload (online); sparse, one read per QoS interval "
         "(aligned). traced_s is the online leg with the tracer enabled (ON "
-        "build only; an opt-in, not part of the always-on cost)."),
+        "build only; an opt-in, not part of the always-on cost). The 3% "
+        "target is judged on overhead.pair_ratio: per leg, the median and "
+        "quartiles over pairs of the ON time divided by the OFF time of the "
+        "same pair, whose two runs ran back to back. Floors and medians of "
+        "each side move with the host's slow spells; they are kept for "
+        "reference."),
     "date": datetime.date.today().isoformat(),
     "host": {
         "nproc": nproc,
@@ -113,6 +135,7 @@ print(json.dumps({
         "on_slower_pairs": {name[l]: "%d/%d" % (sum(a[l] > b[l] for a, b in zip(on, off)),
                                                 len(on))
                             for l in legs},
+        "pair_ratio": {name[l]: pair_ratio(l) for l in legs},
         "target_pct": 3.0,
     },
 }, indent=2))
@@ -120,7 +143,88 @@ EOF
   echo "bench.sh obs: wrote BENCH_obs.json" >&2
 }
 
+bench_stream() {
+  local dir=.bench_build/stream
+  build_bench "$dir" ON stream_replay
+  runs=$(mktemp)  # global: the EXIT trap runs after this function returns
+  trap 'rm -f "$runs"' EXIT
+  local n=3
+  for ((r = 0; r < n; ++r)); do
+    # Run inside the build tree: the file leg writes its trace to the cwd.
+    (cd "$dir" && ./bench/stream_replay) | sed -n 's/^machine-readable: //p' >> "$runs"
+    echo "bench.sh stream: run $((r + 1))/$n" >&2
+  done
+  python3 - "$runs" "$(commit_id)" "$(nproc)" > BENCH_stream.json <<'EOF'
+import datetime, json, statistics, sys
+
+path, commit, nproc = sys.argv[1], sys.argv[2], int(sys.argv[3])
+runs = [json.loads(line) for line in open(path)]
+names = [leg["leg"] for leg in runs[0]["legs"]]
+
+def median_leg(i):
+    rows = [r["legs"][i] for r in runs]
+    mid = sorted(rows, key=lambda x: x["seconds"])[len(rows) // 2]
+    return {"leg": names[i], "requests": mid["requests"],
+            "seconds": round(mid["seconds"], 3),
+            "mreq_per_s": round(mid["requests"] / mid["seconds"] / 1e6, 3),
+            "seconds_runs": [round(x["seconds"], 3) for x in rows],
+            "rss_delta_mb": round(mid["rss_delta_mb"], 1)}
+
+legs = [median_leg(i) for i in range(len(names))]
+by = {leg["leg"]: leg for leg in legs}
+online = by["online stream 10N"]
+flat = online["rss_delta_mb"] - by["online stream N"]["rss_delta_mb"]
+print(json.dumps({
+    "benchmark": "stream_replay",
+    "description": (
+        "Trace-scale streaming replay through QosPipeline::run_stream: "
+        "single-thread throughput on the online slot-matching path, memory "
+        "flatness at N vs 10N requests (aggregate-only mode, keep_intervals = "
+        "false), an aligned+FIM leg (interval-aligned retrieval with the FIM "
+        "block mapper rebuilt every reporting slice), a materialized run() "
+        "leg for contrast, and mmap-chunked DiskSim file ingestion with the "
+        "parse inside the timing. Each leg records the run with the median "
+        "time of 3 (its seconds and resident-set delta) and every run's "
+        "seconds. Before any timing is accepted, run_stream is checked "
+        "field-for-field (exact doubles) against run() on a 5000-request gate "
+        "trace in both retrieval modes; the full identity contract (registry "
+        "+ time-series + batch sweep + misdrain mutation) is audited "
+        "separately by flashqos_verify --stream."),
+    "date": datetime.date.today().isoformat(),
+    "host": {
+        "nproc": nproc,
+        "build_type": "Release",
+        "commit": commit,
+        "command": "scripts/bench.sh stream",
+    },
+    "workload": {
+        "trace": ("synthetic full-volume stream over the (9,3,1) design, 4 requests "
+                  "per 133us interval (inside the S = 5 per-interval access "
+                  "budget), seed 2026"),
+        "n_requests": runs[0]["base_n"],
+        "generator": ("streaming cursor end to end - generation is part of the "
+                      "ingest cost, nothing materialized"),
+        "file_leg": ("the same N-request stream written as DiskSim ASCII, replayed "
+                     "through the mmap-chunked DisksimCursor, 0 parse errors"),
+    },
+    "legs": legs,
+    "peak_rss_mb": round(statistics.median(r["peak_rss_mb"] for r in runs), 1),
+    "targets": {
+        "throughput": ">= 1.0 Mreq/s online single-thread: %.3f Mreq/s at %d requests "
+                      "(median of %d runs) - %s" % (
+                          online["mreq_per_s"], online["requests"], len(runs),
+                          "met" if online["mreq_per_s"] >= 1.0 else "NOT MET"),
+        "memory_flatness": ("10x requests grew the resident delta by %.1f MB in the "
+                            "median runs; streaming state is O(batch + in-flight), "
+                            "not O(trace)." % flat),
+    },
+}, indent=2))
+EOF
+  echo "bench.sh stream: wrote BENCH_stream.json" >&2
+}
+
 case "$1" in
   obs) bench_obs ;;
+  stream) bench_stream ;;
   *) usage ;;
 esac
