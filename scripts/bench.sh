@@ -5,8 +5,10 @@
 #   obs  bench/micro_obs_overhead built in Release twice, with
 #        -DFLASHQOS_OBS=ON and -DFLASHQOS_OBS=OFF (into .bench_build/obs-on
 #        and .bench_build/obs-off), then 2 batches of 15 ON/OFF pairs run
-#        alternately (even pairs ON first, odd pairs OFF first). Each run
-#        reports the min of 7 in-process reps per leg. Writes BENCH_obs.json:
+#        alternately (even pairs ON first, odd pairs OFF first), both runs
+#        of a pair pinned to the same CPU, the CPU changing from pair to
+#        pair. Each run reports the min of 7 in-process reps per leg.
+#        Writes BENCH_obs.json:
 #        per build and leg the floor (min over runs) and the quartiles; per
 #        leg the ON/OFF floor delta, the median delta and the count of pairs
 #        in which ON was slower; per leg the median and quartiles of the
@@ -56,13 +58,19 @@ bench_obs() {
   build_bench "$off" OFF micro_obs_overhead
   runs=$(mktemp)  # global: the EXIT trap runs after this function returns
   trap 'rm -f "$runs"' EXIT
+  # Some CPUs of a shared host run slow for seconds at a time: a pair's
+  # two runs share one CPU, so such a spell slows both sides of its ratio.
+  local cpus
+  read -ra cpus <<< "$(python3 -c 'import os; print(*sorted(os.sched_getaffinity(0)))')"
   local batches=2 pairs=15
   for ((b = 0; b < batches; ++b)); do
     for ((p = 0; p < pairs; ++p)); do
       local order=("$on" "$off")
       (( p % 2 == 1 )) && order=("$off" "$on")
+      local cpu=${cpus[$(( (b * pairs + p) % ${#cpus[@]} ))]}
       for dir in "${order[@]}"; do
-        "$dir/bench/micro_obs_overhead" | sed -n 's/^machine-readable: //p' >> "$runs"
+        taskset -c "$cpu" "$dir/bench/micro_obs_overhead" |
+          sed -n 's/^machine-readable: //p' >> "$runs"
       done
       echo "bench.sh obs: batch $((b + 1))/$batches, pair $((p + 1))/$pairs" >&2
     done
@@ -91,8 +99,8 @@ def pct(a, b):
     return round(100.0 * (a - b) / b, 1)
 
 def pair_ratio(leg):
-    # Pair i's ON and OFF runs ran back to back, so a slow spell of the
-    # host covers both sides of its ratio.
+    # Pair i's ON and OFF runs ran back to back on one CPU, so a slow
+    # spell covers both sides of its ratio.
     ratios = [a[leg] / b[leg] for a, b in zip(on, off)]
     return {"median": round(statistics.median(ratios), 4),
             "quartiles": [round(v, 4) for v in
@@ -113,9 +121,9 @@ print(json.dumps({
         "build only; an opt-in, not part of the always-on cost). The 3% "
         "target is judged on overhead.pair_ratio: per leg, the median and "
         "quartiles over pairs of the ON time divided by the OFF time of the "
-        "same pair, whose two runs ran back to back. Floors and medians of "
-        "each side move with the host's slow spells; they are kept for "
-        "reference."),
+        "same pair, whose two runs ran back to back on one CPU. Floors and "
+        "medians of each side move with the host's slow spells; they are "
+        "kept for reference."),
     "date": datetime.date.today().isoformat(),
     "host": {
         "nproc": nproc,
