@@ -11,9 +11,10 @@
 #        Writes BENCH_obs.json:
 #        per build and leg the floor (min over runs) and the quartiles; per
 #        leg the ON/OFF floor delta, the median delta and the count of pairs
-#        in which ON was slower; per leg the median and quartiles of the
-#        per-pair ON/OFF time ratio, on which the 3% target is judged; and
-#        one provenance block (nproc, build type, commit, command).
+#        in which ON was slower; per leg the median, quartiles and a 95%
+#        confidence interval of the median of the per-pair ON/OFF time
+#        ratio, on which the 3% target is judged; and one provenance block
+#        (nproc, build type, commit, command).
 #   stream
 #        bench/stream_replay built in Release into .bench_build/stream and
 #        run 3 times. Writes BENCH_stream.json: per leg the median run's
@@ -76,7 +77,7 @@ bench_obs() {
     done
   done
   python3 - "$runs" "$(commit_id)" "$(nproc)" > BENCH_obs.json <<'EOF'
-import datetime, json, statistics, sys
+import datetime, json, math, statistics, sys
 
 path, commit, nproc = sys.argv[1], sys.argv[2], int(sys.argv[3])
 rows = [json.loads(line) for line in open(path)]
@@ -98,13 +99,22 @@ def block(runs, with_traced):
 def pct(a, b):
     return round(100.0 * (a - b) / b, 1)
 
+def median_ci95(xs):
+    # Distribution-free: [x_(k), x_(n+1-k)] with k the largest order for
+    # which P(Binomial(n, 1/2) < k) <= 2.5%.
+    xs, n = sorted(xs), len(xs)
+    below = lambda k: sum(math.comb(n, i) for i in range(k)) / 2 ** n
+    k = max([k for k in range(1, n // 2 + 1) if below(k) <= 0.025], default=1)
+    return [round(xs[k - 1], 4), round(xs[n - k], 4)]
+
 def pair_ratio(leg):
     # Pair i's ON and OFF runs ran back to back on one CPU, so a slow
     # spell covers both sides of its ratio.
     ratios = [a[leg] / b[leg] for a, b in zip(on, off)]
     return {"median": round(statistics.median(ratios), 4),
             "quartiles": [round(v, 4) for v in
-                          statistics.quantiles(ratios, n=4, method="inclusive")]}
+                          statistics.quantiles(ratios, n=4, method="inclusive")],
+            "median_ci95": median_ci95(ratios)}
 
 name = {leg: leg[:-2] for leg in legs}
 print(json.dumps({
@@ -119,8 +129,9 @@ print(json.dumps({
         "onoff_overload (online); sparse, one read per QoS interval "
         "(aligned). traced_s is the online leg with the tracer enabled (ON "
         "build only; an opt-in, not part of the always-on cost). The 3% "
-        "target is judged on overhead.pair_ratio: per leg, the median and "
-        "quartiles over pairs of the ON time divided by the OFF time of the "
+        "target is judged on overhead.pair_ratio: per leg, the median, "
+        "quartiles and a distribution-free 95% confidence interval of the "
+        "median over pairs of the ON time divided by the OFF time of the "
         "same pair, whose two runs ran back to back on one CPU. Floors and "
         "medians of each side move with the host's slow spells; they are "
         "kept for reference."),
