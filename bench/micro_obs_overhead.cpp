@@ -7,8 +7,12 @@
 // overhead for ON vs OFF; BENCH_obs.json records one run of each.
 //
 // Timed sections, repeated and min-of-N to shave scheduler noise:
-//  (1) online replay   — the per-request dispatch loop (relaxed counter
-//      increments are the only live instrumentation there);
+//  (1) online replay   — the per-request dispatch loop, whose live
+//      instrumentation is core::ReplayObs's plain single-writer tallies:
+//      a dispatch count, the device-op tallies and the open QoS window's
+//      series tallies per served read, and per QoS window a close of the
+//      series that window touched (no atomic operation or lock per
+//      request);
 //  (2) aligned replay  — batch retrieval, where the retrieval counters sit;
 //  (3) over budget     — an ON/OFF stream shaped like perfbench's
 //      onoff_overload (64 intervals of 10 distinct buckets, 2 x S on
@@ -16,9 +20,11 @@
 //      e2e/queue/delay histograms over many distinct values;
 //  (4) window per instant — one read per QoS interval, aligned: every
 //      dispatch instant rolls a time-series window;
-//  (5) outcome fold    — included in all, since the engine folds every
-//      finalized outcome into the registry as it leaves the replay
-//      window; its cost is part of what OFF elides.
+//  (5) outcome fold    — included in all: every finalized outcome is
+//      compared with the pending run of equal outcomes (same path and
+//      stage latencies) as it leaves the replay window, and each run folds
+//      into the loop and latency tallies once; its cost is part of what
+//      OFF elides.
 //
 // Within a single build the driver also reports the *tracing* overhead
 // (tracer enabled vs disabled), which is measurable in-process because the

@@ -5,6 +5,7 @@
 
 #include "core/tenant_scheduler.hpp"
 #include "fault/injector.hpp"
+#include "util/expect.hpp"
 
 namespace flashqos::core {
 namespace {
@@ -96,12 +97,15 @@ ReplayObs::ReplayObs(const PipelineConfig& cfg, std::uint32_t devices,
     }
     for (std::uint32_t k = 0; k < tenants_; ++k) {
       const std::string tenant = label("tenant", cfg.tenants[k].name);
-      tenant_window(k, false).series = series("win.tenant.reads", tenant);
-      tenant_window(k, true).series = series("win.tenant.shed", tenant);
+      win_[tenant_window(k, false)].series = series("win.tenant.reads", tenant);
+      win_[tenant_window(k, true)].series = series("win.tenant.shed", tenant);
     }
     for (auto& w : win_) {
       if (w.series != nullptr) w.closed.reserve(kWindowBatch);
     }
+    win_q_ = stat;
+    open_.resize(win_.size());
+    dirty_.resize(win_.size() + 1);
 
     if (!cfg.slos.empty()) {
       obs::SloMonitor::global().configure(cfg.slos);
@@ -135,20 +139,64 @@ ReplayObs::FaultCounters& ReplayObs::fault() {
 }
 
 void ReplayObs::close_windows(std::int64_t window) {
-  // Windows with no dispatch instant are never closed into a point: they
-  // hold no data and contribute no SLO sample.
-  for (auto& w : win_) {
-    if (w.series == nullptr || w.open.count == 0) continue;
-    w.open.window = window;
-    w.closed.push_back(w.open);
-    w.open = {};
-    if (w.closed.size() == kWindowBatch) w.publish();
+  // Only series recorded in this window are closed into a point: the
+  // others hold no data, and a window with no dispatch instant closes none.
+  for (std::size_t k = 0; k < dirty_n_; ++k) {
+    std::size_t i = dirty_[k];
+    const WinTally t = open_[i];
+    open_[i] = {};
+    FLASHQOS_EXPECT(t.count > 0, "a dirty-listed series has records in its window");
+    if (i >= kWinResponse && i < kScalars) {
+      WinValues& v = values_[i - kWinResponse];
+      buffer(i, window, v.sum, t.count, v.min, v.max, t.first_time);
+      v = {};
+      if (i != kWinResponse) continue;
+      i = kWinReads;  // one served read per win.response_ns record
+    }
+    buffer(i, window, static_cast<std::int64_t>(t.count), t.count, 1, 1, t.first_time);
   }
+  dirty_n_ = 0;
   for (std::size_t si = 0; si < slo_.size(); ++si) {
     auto& st = slo_[si];
     obs::SloMonitor::global().record(si, window, st.total, st.bad);
     st.total = 0;
     st.bad = 0;
+  }
+}
+
+void ReplayObs::buffer(std::size_t i, std::int64_t window, std::int64_t sum,
+                       std::uint64_t count, std::int64_t min, std::int64_t max,
+                       SimTime first_time) {
+  Window& w = win_[i];
+  w.closed.push_back({.window = window,
+                      .sum = sum,
+                      .count = count,
+                      .min = min,
+                      .max = max,
+                      .first_time = first_time});
+  if (w.closed.size() == kWindowBatch) w.publish();
+}
+
+void ReplayObs::flush_run() {
+  const Run& r = run_;
+  if (r.n == 0) return;
+  by_path_[static_cast<std::size_t>(r.path)] += r.n;
+  if (r.failed) {
+    tally_[kFailed] += r.n;
+  } else if (r.is_write) {
+    tally_[kWrites] += r.n;
+  } else {
+    tally_[kReadsServed] += r.n;
+    const std::int64_t response = r.schedule + r.service;  // finish - dispatch
+    latency_[kResponse].add_n(response, r.n);
+    latency_[kE2e].add_n(r.queue + response, r.n);  // finish - arrival
+    latency_[kStageQueue].add_n(r.queue, r.n);
+    latency_[kStageSchedule].add_n(r.schedule, r.n);
+    latency_[kStageService].add_n(r.service, r.n);
+    if (r.queue > 0) {  // deferred: dispatched after it arrived
+      tally_[kDeferred] += r.n;
+      latency_[kDelay].add_n(r.queue, r.n);
+    }
   }
 }
 
@@ -187,6 +235,7 @@ void ReplayObs::rebuild_reads(std::size_t n) {
 void ReplayObs::finish(std::int64_t open_window, std::uint64_t requests,
                        std::uint64_t deadline_violations) {
   if constexpr (obs::kEnabled) {
+    flush_run();
     if (open_window >= 0) close_windows(open_window);
     publish_windows();
     auto& reg = obs::MetricRegistry::global();

@@ -3,10 +3,17 @@
 // they report in plain single-writer tallies and publishes it off the
 // per-request path:
 //  * loop counts go to their counters once, at the end of the replay;
+//  * outcomes fold per run: consecutive outcomes with one retrieval path
+//    and the same three stage latencies (queue, schedule, service; every
+//    other latency is a sum of them) only count up a pending run, and a
+//    change of run folds it into the loop tallies and the latency tallies;
 //  * latencies go to one obs::HistogramTally per histogram, exact for any
 //    number of distinct values, merged at the end of the replay;
-//  * each windowed series tallies its open QoS window; a rollover closes
-//    the window into a buffer of points, and a buffer is merged into its
+//  * each windowed series tallies its open QoS window — a count series
+//    (every series but win.response_ns and win.q_ppm) only its count and
+//    first time, and win.reads nothing: it is win.response_ns's count — and
+//    a dirty list names the series the window touched, so a rollover closes
+//    only those into their buffers of points; a buffer is merged into its
 //    series under one lock when it fills, at the end of every drain call
 //    and at the end of the replay (so a /series scrape between drain calls
 //    sees every closed window);
@@ -16,7 +23,7 @@
 //    per replay, in the constructor, and the tracer is not called again
 //    when it was off.
 // With the tracer off, the per-request hooks make no atomic operation,
-// lock or out-of-line call (but a tally's one-time move to its buckets).
+// lock or out-of-line call but flush_run(), once per run of outcomes.
 // ReplayObs only reads what the engine hands it, so no result depends on
 // it. Its methods are empty when built with FLASHQOS_OBS=OFF; the
 // per-request ones are inline.
@@ -26,6 +33,7 @@
 #include <array>
 #include <chrono>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -89,12 +97,11 @@ class ReplayObs {
       ++tally_[kDispatches];
       const SimTime at = o.dispatch;
       const std::int64_t resp = o.finish - o.dispatch;
-      win_[kWinReads].add(at, 1);
-      win_[kWinResponse].add(at, resp);
-      win_[kScalars + o.device].add(at, 1);
-      if (win_[kWinQ].series != nullptr) win_[kWinQ].add(at, o.q_ppm);
-      if (o.path == RetrievalPath::kDegraded) win_[kWinDegraded].add(at, 1);
-      if (tenants_ > 0) tenant_window(o.tenant, false).add(at, 1);
+      win_value(kWinResponse, at, resp);  // and win.reads, which is its count
+      win_count(kScalars + o.device, at);
+      if (win_q_) win_value(kWinQ, at, o.q_ppm);
+      if (o.path == RetrievalPath::kDegraded) win_count(kWinDegraded, at);
+      if (tenants_ > 0) win_count(tenant_window(o.tenant, false), at);
       slo_sample(false, o.tenant,
                  [&](const SloTally& st) { return resp > st.threshold_ns; });
     }
@@ -106,18 +113,18 @@ class ReplayObs {
     if constexpr (obs::kEnabled) {
       slo_sample(true, tenant, [&](const SloTally&) { return shed; });
       if (shed) {
-        win_[kWinShed].add(now, 1);
-        tenant_window(tenant, true).add(now, 1);
+        win_count(kWinShed, now);
+        win_count(tenant_window(tenant, true), now);
       }
     }
   }
 
   void write_fanned_out(SimTime now) {
-    if constexpr (obs::kEnabled) win_[kWinWrites].add(now, 1);
+    if constexpr (obs::kEnabled) win_count(kWinWrites, now);
   }
   /// Every replica down, and no recovery within reach.
   void read_failed(SimTime now) {
-    if constexpr (obs::kEnabled) win_[kWinFailed].add(now, 1);
+    if constexpr (obs::kEnabled) win_count(kWinFailed, now);
   }
   /// Admission looked at one more read or tenant head.
   void offer() { if constexpr (obs::kEnabled) ++tally_[kAdmissionOffers]; }
@@ -135,26 +142,24 @@ class ReplayObs {
     }
   }
 
-  /// Outcome `seq` left the engine's window (trace order).
+  /// Outcome `seq` left the engine's window (trace order). It continues
+  /// the pending run when its path and stage latencies equal the run's;
+  /// otherwise the run is folded and a new one starts.
   void outcome(std::uint64_t seq, const RequestOutcome& o) {
     if constexpr (obs::kEnabled) {
-      ++by_path_[static_cast<std::size_t>(o.path)];
-      if (o.failed) {
-        ++tally_[kFailed];
-      } else if (o.is_write) {
-        ++tally_[kWrites];
-      } else {
-        ++tally_[kReadsServed];
-        latency_[kResponse].add(o.response());
-        latency_[kE2e].add(o.end_to_end());
-        latency_[kStageQueue].add(o.dispatch - o.arrival);
-        latency_[kStageSchedule].add(o.start - o.dispatch);
-        latency_[kStageService].add(o.finish - o.start);
-        if (o.deferred()) {
-          ++tally_[kDeferred];
-          latency_[kDelay].add(o.delay());
-        }
+      const std::int64_t queue = o.dispatch - o.arrival;
+      const std::int64_t schedule = o.start - o.dispatch;
+      const std::int64_t service = o.finish - o.start;
+      // One test for the four fields: any difference leaves a bit set.
+      const auto differs = static_cast<std::uint64_t>(queue ^ run_.queue) |
+                           static_cast<std::uint64_t>(schedule ^ run_.schedule) |
+                           static_cast<std::uint64_t>(service ^ run_.service) |
+                           static_cast<std::uint64_t>(o.path != run_.path);
+      if (differs != 0) {
+        flush_run();
+        run_ = {queue, schedule, service, 0, o.path, o.failed, o.is_write};
       }
+      ++run_.n;
       if (trace_on_) trace_outcome(seq, o);
     }
   }
@@ -192,26 +197,12 @@ class ReplayObs {
   /// Closed windows a series buffers before merging them in one lock.
   static constexpr std::size_t kWindowBatch = 64;
 
-  /// One windowed series: the open QoS window's tally, and the points of
-  /// closed windows that have not reached the series yet.
+  /// One windowed series: where it is exported, and the points of closed
+  /// windows that have not reached it yet.
   struct Window {
     obs::TimeSeries* series = nullptr;  // null: not exported by this replay
-    obs::SeriesPoint open;              // count == 0: nothing recorded yet
     std::vector<obs::SeriesPoint> closed;  // fewer than kWindowBatch
 
-    void add(SimTime at, std::int64_t value) {
-      if (open.count == 0) {
-        open.min = value;
-        open.max = value;
-        open.first_time = at;
-      } else {
-        open.min = std::min(open.min, value);
-        open.max = std::max(open.max, value);
-        open.first_time = std::min(open.first_time, at);
-      }
-      open.sum += value;
-      ++open.count;
-    }
     /// Merge the buffered points into the series under one lock.
     void publish() {
       series->merge(closed);
@@ -219,14 +210,61 @@ class ReplayObs {
     }
   };
   /// The window table: these scalar series, then win.device.reads per
-  /// device, then (win.tenant.reads, win.tenant.shed) per tenant.
+  /// device, then (win.tenant.reads, win.tenant.shed) per tenant. Every
+  /// series but the two value series counts events: each record is 1, so
+  /// its point is {sum = count, min = max = 1}. win.reads is never recorded:
+  /// every served read records one win.response_ns value at the same
+  /// instant, so win.reads' point is win.response_ns's count and first time.
   enum Scalar : std::size_t {
     kWinReads, kWinWrites, kWinShed, kWinFailed, kWinDegraded, kWinResponse, kWinQ,
     kScalars
   };
-  Window& tenant_window(std::uint32_t tenant, bool shed) {
-    return win_[kScalars + devices_ + 2 * std::size_t{tenant} + (shed ? 1 : 0)];
+  [[nodiscard]] std::size_t tenant_window(std::uint32_t tenant, bool shed) const {
+    return kScalars + devices_ + 2 * std::size_t{tenant} + (shed ? 1 : 0);
   }
+
+  /// The open QoS window's records of one series.
+  struct WinTally {
+    std::uint64_t count = 0;
+    SimTime first_time = std::numeric_limits<SimTime>::max();
+  };
+  /// What the value series (win.response_ns, win.q_ppm) keep besides.
+  struct WinValues {
+    std::int64_t sum = 0;
+    std::int64_t min = std::numeric_limits<std::int64_t>::max();
+    std::int64_t max = std::numeric_limits<std::int64_t>::min();
+  };
+  /// One event of count series `i` at `at`. The window's first record of
+  /// a series appends it to the dirty list, without a branch: the index is
+  /// always written past the list's end, and the end moves only then.
+  void win_count(std::size_t i, SimTime at) {
+    WinTally& t = open_[i];
+    dirty_[dirty_n_] = static_cast<std::uint32_t>(i);
+    dirty_n_ += static_cast<std::size_t>(t.count == 0);
+    ++t.count;
+    t.first_time = std::min(t.first_time, at);
+  }
+  void win_value(std::size_t i, SimTime at, std::int64_t value) {
+    win_count(i, at);
+    WinValues& v = values_[i - kWinResponse];
+    v.sum += value;
+    v.min = std::min(v.min, value);
+    v.max = std::max(v.max, value);
+  }
+
+  /// Consecutive outcomes that fold alike: one path and one set of stage
+  /// latencies (the path decides `failed` and `is_write`).
+  struct Run {
+    std::int64_t queue = 0;     // dispatch - arrival
+    std::int64_t schedule = 0;  // start - dispatch
+    std::int64_t service = 0;   // finish - start
+    std::uint64_t n = 0;
+    RetrievalPath path = RetrievalPath::kUnset;
+    bool failed = false;
+    bool is_write = false;
+  };
+  /// Fold the pending run into the path, loop and latency tallies.
+  void flush_run();
 
   /// Per-spec samples in the open window; `tenant` is the resolved tenant
   /// index (-1 = all traffic).
@@ -261,9 +299,12 @@ class ReplayObs {
   };
   FaultCounters& fault();
 
-  /// Close QoS window `window`: buffer every non-empty tally's point, and
-  /// send its SLO samples.
+  /// Close QoS window `window`: buffer a point for every series it
+  /// touched, and send its SLO samples.
   void close_windows(std::int64_t window);
+  /// Append a closed window's point to series `i`'s buffer.
+  void buffer(std::size_t i, std::int64_t window, std::int64_t sum, std::uint64_t count,
+              std::int64_t min, std::int64_t max, SimTime first_time);
   /// Merge every buffered point into its series.
   void publish_windows();
   void trace_device_op(const DeviceOp& op);
@@ -303,6 +344,12 @@ class ReplayObs {
   std::uint64_t degraded_intervals_ = 0;
   std::int64_t last_degraded_qi_ = -1;
 
+  Run run_;
+  std::vector<WinTally> open_;                // per series
+  std::array<WinValues, kScalars - kWinResponse> values_{};  // per value series
+  std::vector<std::uint32_t> dirty_;          // one slot per series, and a spare
+  std::size_t dirty_n_ = 0;
+  bool win_q_ = false;                        // win.q_ppm is exported
   std::vector<Window> win_;
   std::vector<SloTally> slo_;
 };

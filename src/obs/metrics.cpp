@@ -7,12 +7,12 @@ namespace flashqos::obs {
 
 // --- HistogramTally --------------------------------------------------------
 
-void HistogramTally::overflow(std::int64_t clamped) {
+void HistogramTally::overflow(std::int64_t clamped, std::uint64_t n) {
   buckets_ = std::make_unique<std::uint64_t[]>(kBucketEntries);
   for (std::size_t i = 0; i < kExactCapacity; ++i) {
     buckets_[bucket_index(keys_[i])] += counts_[i];  // the table is full
   }
-  ++buckets_[bucket_index(clamped)];
+  buckets_[bucket_index(clamped)] += n;
 }
 
 // --- LatencyHistogram ------------------------------------------------------
@@ -68,13 +68,12 @@ void LatencyHistogram::track(std::int64_t clamped, std::uint64_t n) noexcept {
   }
 }
 
-void LatencyHistogram::record_n(std::int64_t v, std::uint64_t n) noexcept {
-  if (n == 0) return;
+void LatencyHistogram::record(std::int64_t v) noexcept {
   // Unclamped extrema stay exact even for out-of-range values.
   widen(v, v);
-  count_.fetch_add(n, std::memory_order_relaxed);
-  sum_.fetch_add(v * static_cast<std::int64_t>(n), std::memory_order_relaxed);
-  track(std::clamp<std::int64_t>(v, 0, kMaxTrackable), n);
+  count_.fetch_add(1, std::memory_order_relaxed);
+  sum_.fetch_add(v, std::memory_order_relaxed);
+  track(std::clamp<std::int64_t>(v, 0, kMaxTrackable), 1);
 }
 
 void LatencyHistogram::merge(const HistogramTally& tally) noexcept {

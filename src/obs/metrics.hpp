@@ -261,32 +261,35 @@ struct HistogramSnapshot {
 /// only once that thread is done with it.
 class HistogramTally {
  public:
-  // Forced inline: the replay engine's drain loop is past GCC's inlining
-  // growth limits, and this is its per-outcome hot path.
-  [[gnu::always_inline]] void add(std::int64_t v) {
-    ++count_;
-    sum_ += static_cast<std::uint64_t>(v);  // wraps as the histogram's sum does
+  void add(std::int64_t v) { add_n(v, 1); }
+
+  /// `n` observations of `v` in one pass, as `n` add(v) calls would leave
+  /// the tally (n == 0 adds nothing).
+  void add_n(std::int64_t v, std::uint64_t n) {
+    if (n == 0) return;
+    count_ += n;
+    sum_ += static_cast<std::uint64_t>(v) * n;  // wraps as the histogram's sum does
     min_ = std::min(min_, v);
     max_ = std::max(max_, v);
     const std::int64_t clamped = std::clamp<std::int64_t>(v, 0, kMaxTrackable);
     if (buckets_ != nullptr) {
-      ++buckets_[bucket_index(clamped)];
+      buckets_[bucket_index(clamped)] += n;
       return;
     }
     std::size_t slot = exact_slot_hint(clamped);
     for (std::size_t probe = 0; probe < kExactCapacity; ++probe) {
       if (keys_[slot] == clamped) {
-        ++counts_[slot];
+        counts_[slot] += n;
         return;
       }
       if (keys_[slot] == kEmptyKey) {
         keys_[slot] = clamped;
-        counts_[slot] = 1;
+        counts_[slot] = n;
         return;
       }
       slot = (slot + 1) & (kExactCapacity - 1);
     }
-    overflow(clamped);
+    overflow(clamped, n);
   }
 
   /// True while the value→count table holds every distinct value.
@@ -297,8 +300,9 @@ class HistogramTally {
 
   static constexpr std::int64_t kEmptyKey = -1;  // clamped values are >= 0
 
-  /// The distinct value past kExactCapacity: move to the buckets (once).
-  void overflow(std::int64_t clamped);
+  /// `n` of the distinct value past kExactCapacity: move to the buckets
+  /// (once).
+  void overflow(std::int64_t clamped, std::uint64_t n);
 
   std::uint64_t count_ = 0;
   std::uint64_t sum_ = 0;
@@ -326,11 +330,7 @@ class LatencyHistogram {
  public:
   LatencyHistogram();
 
-  void record(std::int64_t v) noexcept { record_n(v, 1); }
-
-  /// Record `n` observations of the same value with one pass over the
-  /// histogram state.
-  void record_n(std::int64_t v, std::uint64_t n) noexcept;
+  void record(std::int64_t v) noexcept;
 
   /// Publish a tally in one pass: the histogram ends exactly as one
   /// record() per value added to `tally` would leave it, whatever it
@@ -373,7 +373,6 @@ class LatencyHistogram {
 /// granularity).
 struct NullHistogram {
   void record(std::int64_t) noexcept {}
-  void record_n(std::int64_t, std::uint64_t) noexcept {}
   [[nodiscard]] HistogramSnapshot snapshot() const { return {}; }
   void reset() noexcept {}
 };

@@ -1,6 +1,7 @@
 #include "obs/timeseries.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "util/expect.hpp"
 
@@ -22,9 +23,10 @@ const SeriesSnapshot* TimeSeriesSnapshot::find(std::string_view name,
 }
 
 TimeSeries::TimeSeries(SimTime width, std::size_t capacity)
-    : width_(width), ring_(capacity) {
+    : width_(width), mask_(capacity - 1), ring_(capacity) {
   FLASHQOS_EXPECT(width > 0, "time series window width must be positive");
-  FLASHQOS_EXPECT(capacity > 0, "time series capacity must be positive");
+  FLASHQOS_EXPECT(std::has_single_bit(capacity),
+                  "time series capacity must be a power of two");
 }
 
 void TimeSeries::record(SimTime at, std::int64_t value) {
@@ -47,7 +49,7 @@ void TimeSeries::merge(std::span<const SeriesPoint> points) {
 void TimeSeries::merge_locked(const SeriesPoint& p) {
   if (p.count == 0) return;
   FLASHQOS_EXPECT(p.window >= 0, "time series windows are nonnegative");
-  Slot& slot = ring_[static_cast<std::size_t>(p.window) % ring_.size()];
+  Slot& slot = ring_[static_cast<std::size_t>(p.window) & mask_];
   if (slot.window == p.window) {
     // Same window: associative/commutative merge, order-independent.
     slot.sum += p.sum;

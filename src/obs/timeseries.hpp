@@ -18,8 +18,8 @@
 //    order yields bit-identical window content — the snapshot identity the
 //    stream and daemon oracles enforce. (No "last value" stat:
 //    last-writer-wins is order-dependent and would break identity.)
-//  * The ring holds `capacity` windows; window w lives in slot
-//    w % capacity. A record for a NEWER window evicts the slot's previous
+//  * The ring holds `capacity` windows, a power of two; window w lives in
+//    slot w % capacity (a mask). A record for a NEWER window evicts the slot's previous
 //    occupant; a record for an OLDER window than the occupant is dropped.
 //    Either way the slot's final content is the full merge of the records
 //    of the highest window ever recorded for that residue class — point
@@ -28,8 +28,9 @@
 //    memory-pressure diagnostic, never an oracle quantity.
 //  * record()/merge() take a plain mutex. Series recording is off the
 //    per-request hot path by construction — the replay tallies each window
-//    in locals, buffers the closed windows' points and merges each buffer
-//    under one lock (bench/micro_obs_overhead keeps that honest).
+//    in locals, a rollover buffers one point per series the closed window
+//    touched, and each series' buffer merges under one lock
+//    (bench/micro_obs_overhead keeps that honest).
 //  * Timestamps are SimTime. Wall clocks never appear here (flashqos_lint
 //    enforces that for all simulation code).
 //
@@ -57,9 +58,10 @@
 
 namespace flashqos::obs {
 
-/// Windows retained per series before the ring starts evicting. At the
-/// default width (the QoS interval, 133 µs) this is ~136 ms of simulated
-/// time — live-monitoring depth, deliberately bounded.
+/// Windows retained per series before the ring starts evicting (a power
+/// of two, like every capacity). At the default width (the QoS interval,
+/// 133 µs) this is ~136 ms of simulated time — live-monitoring depth,
+/// deliberately bounded.
 inline constexpr std::size_t kDefaultSeriesCapacity = 1024;
 
 /// One aggregated window of a series.
@@ -99,6 +101,7 @@ struct TimeSeriesSnapshot {
 /// for the determinism contract.
 class TimeSeries {
  public:
+  /// `capacity` must be a power of two (the ring is indexed with a mask).
   TimeSeries(SimTime width, std::size_t capacity);
   TimeSeries(const TimeSeries&) = delete;
   TimeSeries& operator=(const TimeSeries&) = delete;
@@ -142,6 +145,7 @@ class TimeSeries {
 
   mutable std::mutex mutex_;
   const SimTime width_;
+  const std::size_t mask_;  // capacity - 1
   std::vector<Slot> ring_ FLASHQOS_GUARDED_BY(mutex_);
   std::uint64_t evicted_ FLASHQOS_GUARDED_BY(mutex_) = 0;
 };

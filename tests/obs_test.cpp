@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstdint>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -198,26 +199,6 @@ bool snapshots_identical(const HistogramSnapshot& a, const HistogramSnapshot& b)
   return true;
 }
 
-TEST(LatencyHistogram, RecordNEquivalentToRepeatedRecord) {
-  // record_n (the batched-flush path the outcome fold uses)
-  // must leave the histogram in the same state as n individual records —
-  // in the exact regime and after tracker overflow alike.
-  LatencyHistogram batched;
-  LatencyHistogram individual;
-  Rng rng(6);
-  for (int round = 0; round < 200; ++round) {
-    // First 100 rounds stay within the exact tracker; later rounds push
-    // both histograms into bucket fallback.
-    const auto v = round < 100 ? rng.between(0, 10)
-                               : rng.between(0, 1 << 21);
-    const auto n = static_cast<std::uint64_t>(rng.between(1, 50));
-    batched.record_n(v, n);
-    for (std::uint64_t i = 0; i < n; ++i) individual.record(v);
-  }
-  batched.record_n(12345, 0);  // no-op
-  EXPECT_TRUE(snapshots_identical(batched.snapshot(), individual.snapshot()));
-}
-
 TEST(LatencyHistogram, SnapshotDeterministicAcrossThreadCounts) {
   // The same recorded multiset must fold to an identical snapshot whether
   // it was recorded by 1, 2, or 8 threads (in both regimes).
@@ -294,26 +275,39 @@ std::vector<std::int64_t> multiset(Rng& rng, std::size_t distinct, std::size_t n
 
 /// Publishing each of `parts` as one tally, in order, into a histogram that
 /// already holds `preload` must leave exactly the snapshot of one record()
-/// per value. Returns the merged snapshot.
+/// per value, whether the tally took one add() per value or one add_n() per
+/// run of equal values. Returns the merged snapshot.
 HistogramSnapshot expect_merge_matches_records(
     const std::vector<std::int64_t>& preload,
     const std::vector<std::vector<std::int64_t>>& parts) {
   LatencyHistogram merged;
+  LatencyHistogram merged_runs;
   LatencyHistogram recorded;
   for (const auto v : preload) {
     merged.record(v);
+    merged_runs.record(v);
     recorded.record(v);
   }
   for (const auto& part : parts) {
     HistogramTally tally;
-    for (const auto v : part) {
-      tally.add(v);
-      recorded.record(v);
+    HistogramTally runs;
+    for (std::size_t i = 0; i < part.size();) {
+      std::size_t end = i;
+      while (end < part.size() && part[end] == part[i]) ++end;
+      runs.add_n(part[i], end - i);
+      for (; i < end; ++i) {
+        tally.add(part[i]);
+        recorded.record(part[i]);
+      }
     }
+    EXPECT_EQ(runs.exact(), tally.exact());
     merged.merge(tally);
+    merged_runs.merge(runs);
   }
   const auto got = merged.snapshot();
-  EXPECT_TRUE(snapshots_identical(got, recorded.snapshot()));
+  const auto want = recorded.snapshot();
+  EXPECT_TRUE(snapshots_identical(got, want));
+  EXPECT_TRUE(snapshots_identical(merged_runs.snapshot(), want));
   return got;
 }
 
@@ -329,6 +323,10 @@ TEST(HistogramTally, MergeMatchesOneRecordPerValue) {
     const auto snap = expect_merge_matches_records({}, {values});
     EXPECT_EQ(snap.exact, distinct <= kExactCapacity) << distinct;
     EXPECT_EQ(snap.count, values.size());
+    // Sorted, every distinct value is one run of add_n.
+    auto sorted = values;
+    std::sort(sorted.begin(), sorted.end());
+    EXPECT_EQ(expect_merge_matches_records({}, {sorted}).exact, distinct <= kExactCapacity);
   }
   // An empty tally publishes nothing.
   const auto empty =
@@ -364,6 +362,34 @@ TEST(HistogramTally, CountsDistinctValuesAfterClamping) {
   // One more in-range value makes 65: the tally falls back to buckets.
   mixed.push_back((1 << 20) + 7);
   EXPECT_FALSE(expect_merge_matches_records({}, {mixed}).exact);
+}
+
+TEST(HistogramTally, AddNRunsMatchRepeatedAdds) {
+  // The 65th distinct value arrives as a run: the tally moves to its
+  // buckets with all of the run's observations.
+  std::vector<std::int64_t> part;
+  for (std::int64_t v = 1; v <= 64; ++v) part.push_back(v * 1000);
+  part.insert(part.end(), 5, 65 * 1000);
+  part.insert(part.end(), 3, 7 * 1000);  // a repeat run, now in the buckets
+  auto snap = expect_merge_matches_records({}, {part});
+  EXPECT_FALSE(snap.exact);
+  EXPECT_EQ(snap.count, 64u + 5u + 3u);
+
+  // v·n past 2^64: the sum wraps, as n records' sum does.
+  const std::int64_t big = std::numeric_limits<std::int64_t>::max() / 3;
+  snap = expect_merge_matches_records({}, {std::vector<std::int64_t>(7, big)});
+  EXPECT_EQ(snap.sum, static_cast<std::int64_t>(static_cast<std::uint64_t>(big) * 7u));
+  EXPECT_EQ(snap.min, big);
+  EXPECT_EQ(snap.max, big);
+  EXPECT_TRUE(snap.exact);
+
+  // A run of no observations adds nothing.
+  HistogramTally tally;
+  tally.add_n(12345, 0);
+  LatencyHistogram h;
+  h.merge(tally);
+  EXPECT_EQ(h.snapshot().count, 0u);
+  EXPECT_TRUE(tally.exact());
 }
 
 TEST(HistogramTally, TwoTalliesMergeIntoOneHistogram) {

@@ -164,6 +164,14 @@ TEST(TimeSeries, ResetDropsPointsKeepsWidth) {
   EXPECT_EQ(s.snapshot().points.size(), 1u);
 }
 
+TEST(TimeSeries, CapacityMustBeAPowerOfTwo) {
+  // The ring is indexed with a mask: any other capacity is refused.
+  EXPECT_DEATH(TimeSeries(100, 1000), "power of two");
+  EXPECT_DEATH(TimeSeries(100, 0), "power of two");
+  const TimeSeries ok(100, 1024);
+  EXPECT_TRUE(ok.snapshot().points.empty());
+}
+
 // ---------------------------------------------------------------------------
 // Fold exactness + determinism across thread counts
 

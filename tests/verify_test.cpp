@@ -405,6 +405,28 @@ TEST(FimOracleMutation, MovedBlockIsDetected) {
   }
 }
 
+// The --obs audit under plain ctest: every counter, latency histogram
+// snapshot, windowed series point, SLO page and trace span of its replays
+// (tenant, fault and over-budget legs included) against the outcomes, on
+// the paper's primary design and on one with 13 devices.
+void expect_observability_audit_passes(const design::BlockDesign& d) {
+  if constexpr (!obs::kEnabled) GTEST_SKIP() << "FLASHQOS_OBS=OFF";
+  const DesignTheoretic scheme(d, true);
+  const auto report = verify::verify_observability(scheme);
+  for (const auto& check : report.checks()) {
+    EXPECT_TRUE(check.passed) << check.name << ": " << check.detail;
+  }
+  EXPECT_GE(report.checks().size(), 100u);
+}
+
+TEST(ObsOracle, PrimaryDesignPassesEveryCheck) {
+  expect_observability_audit_passes(design::make_9_3_1());
+}
+
+TEST(ObsOracle, ThirteenDeviceDesignPassesEveryCheck) {
+  expect_observability_audit_passes(design::make_13_3_1());
+}
+
 // The --obs latency oracle: a replay's histogram, published from its
 // single-writer tally at replay end, against a reference histogram given
 // one record() per served read. Over budget (10 reads per interval on
