@@ -261,10 +261,8 @@ struct HistogramSnapshot {
 /// only once that thread is done with it.
 class HistogramTally {
  public:
-  void add(std::int64_t v) { add_n(v, 1); }
-
-  /// `n` observations of `v` in one pass, as `n` add(v) calls would leave
-  /// the tally (n == 0 adds nothing).
+  /// `n` observations of `v` in one pass, as `n` calls with n = 1 would
+  /// leave the tally (n == 0 adds nothing).
   void add_n(std::int64_t v, std::uint64_t n) {
     if (n == 0) return;
     count_ += n;

@@ -275,7 +275,7 @@ std::vector<std::int64_t> multiset(Rng& rng, std::size_t distinct, std::size_t n
 
 /// Publishing each of `parts` as one tally, in order, into a histogram that
 /// already holds `preload` must leave exactly the snapshot of one record()
-/// per value, whether the tally took one add() per value or one add_n() per
+/// per value, whether the tally took each value alone or one add_n() per
 /// run of equal values. Returns the merged snapshot.
 HistogramSnapshot expect_merge_matches_records(
     const std::vector<std::int64_t>& preload,
@@ -296,7 +296,7 @@ HistogramSnapshot expect_merge_matches_records(
       while (end < part.size() && part[end] == part[i]) ++end;
       runs.add_n(part[i], end - i);
       for (; i < end; ++i) {
-        tally.add(part[i]);
+        tally.add_n(part[i], 1);
         recorded.record(part[i]);
       }
     }
@@ -318,7 +318,7 @@ TEST(HistogramTally, MergeMatchesOneRecordPerValue) {
         std::size_t{200}, std::size_t{3000}}) {
     const auto values = multiset(rng, distinct, 4 * distinct + 50, 0, 1 << 24);
     HistogramTally tally;
-    for (const auto v : values) tally.add(v);
+    for (const auto v : values) tally.add_n(v, 1);
     EXPECT_EQ(tally.exact(), distinct <= kExactCapacity) << distinct;
     const auto snap = expect_merge_matches_records({}, {values});
     EXPECT_EQ(snap.exact, distinct <= kExactCapacity) << distinct;
