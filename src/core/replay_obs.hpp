@@ -215,6 +215,7 @@ class ReplayObs {
   /// its point is {sum = count, min = max = 1}. win.reads is never recorded:
   /// every served read records one win.response_ns value at the same
   /// instant, so win.reads' point is win.response_ns's count and first time.
+  /// The value series come last: values_ is indexed from kWinResponse.
   enum Scalar : std::size_t {
     kWinReads, kWinWrites, kWinShed, kWinFailed, kWinDegraded, kWinResponse, kWinQ,
     kScalars

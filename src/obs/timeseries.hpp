@@ -19,8 +19,9 @@
 //    stream and daemon oracles enforce. (No "last value" stat:
 //    last-writer-wins is order-dependent and would break identity.)
 //  * The ring holds `capacity` windows, a power of two; window w lives in
-//    slot w % capacity (a mask). A record for a NEWER window evicts the slot's previous
-//    occupant; a record for an OLDER window than the occupant is dropped.
+//    slot w % capacity (a mask). A record for a NEWER window evicts the
+//    slot's previous occupant; a record for an OLDER window than the
+//    occupant is dropped.
 //    Either way the slot's final content is the full merge of the records
 //    of the highest window ever recorded for that residue class — point
 //    content is deterministic at quiescence regardless of arrival order.
