@@ -16,6 +16,12 @@
 //  (3) /metrics — the observability HTTP exporter serves from the same
 //      process while the daemon runs; the self-probe GET must succeed.
 //
+// The closed loop also reports the serving ledger: completions per
+// verdict hand-off from the service thread to the server
+// (service.served_batches) and per completion frame the writers send
+// (net.completion_frames). The last line of output is machine-readable;
+// `scripts/bench.sh daemon` regenerates BENCH_daemon.json from it.
+//
 // The numbers are transport + facade overhead on top of the engine
 // (BENCH_stream.json is the engine alone); the identity contract for
 // everything measured here is flashqos_verify --daemon's job.
@@ -237,17 +243,31 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(window_sum),
               conns * static_cast<std::size_t>(inflight_cap),
               static_cast<unsigned long long>(server.pushbacks_sent()));
+  const std::uint64_t deferrals = counter_value("pipeline.deferral_events");
   std::printf("closed loop: service.clamped_events %llu, "
               "pipeline.deferral_events %llu\n",
               static_cast<unsigned long long>(svc.clamped_events()),
-              static_cast<unsigned long long>(
-                  counter_value("pipeline.deferral_events")));
+              static_cast<unsigned long long>(deferrals));
   if (svc.clamped_events() > 0) {
     std::printf("FAILED: %llu arrivals were clamped to the ingestion floor\n",
                 static_cast<unsigned long long>(svc.clamped_events()));
     return 1;
   }
-  server.stop();
+  server.stop();  // joins every writer: the frame count is complete
+  const std::uint64_t handoffs = counter_value("service.served_batches");
+  const std::uint64_t frames = counter_value("net.completion_frames");
+  std::printf("closed loop: %llu verdict hand-offs (%.1f completions each), "
+              "%llu completion frames (%.1f completions each)\n",
+              static_cast<unsigned long long>(handoffs),
+              handoffs > 0 ? static_cast<double>(total_served) / handoffs : 0.0,
+              static_cast<unsigned long long>(frames),
+              frames > 0 ? static_cast<double>(total_served) / frames : 0.0);
+
+  std::uint64_t offered = 0;
+  std::uint64_t wire_pushbacks = 0;
+  std::uint64_t overload_served = 0;
+  std::uint64_t marked = 0;
+  std::uint64_t shed = 0;
 
   // (2) overload: a windowless client against a small wire cap, flooding
   // a bounded WFQ tenant queue. Three distinct overload answers, counted
@@ -299,8 +319,6 @@ int main(int argc, char** argv) {
       return 1;
     }
     const auto& ores = oserver.wait_done();
-    std::uint64_t marked = 0;
-    std::uint64_t shed = 0;
     for (const auto& u : ores.tenant_usage) {
       marked += u.marked;
       shed += u.shed;
@@ -316,6 +334,9 @@ int main(int argc, char** argv) {
                   "sheds\n");
       return 1;
     }
+    offered = bursts * evs.size();
+    wire_pushbacks = cl.pushbacks.size();
+    overload_served = cl.completions.size();
     oserver.stop();
   }
 
@@ -329,5 +350,18 @@ int main(int argc, char** argv) {
                 static_cast<unsigned>(exporter.port()));
     exporter.stop();
   }
+
+  const auto u = [](std::uint64_t v) { return static_cast<unsigned long long>(v); };
+  std::printf(
+      "\nmachine-readable: {\"closed_loop\":{\"requests\":%zu,\"seconds\":%.6f,"
+      "\"window_sum\":%llu,\"window_capacity\":%zu,\"clamped\":%llu,"
+      "\"deferral_events\":%llu,\"wire_pushbacks\":%llu,\"served_batches\":%llu,"
+      "\"completion_frames\":%llu},\"overload\":{\"offered\":%llu,"
+      "\"wire_pushbacks\":%llu,\"served\":%llu,\"ecn_marked\":%llu,"
+      "\"tenant_shed\":%llu},\"metrics_probe\":\"%s\"}\n",
+      total_served, secs, u(window_sum), conns * static_cast<std::size_t>(inflight_cap),
+      u(svc.clamped_events()), u(deferrals), u(server.pushbacks_sent()), u(handoffs),
+      u(frames), u(offered), u(wire_pushbacks), u(overload_served), u(marked), u(shed),
+      exporter_started ? "ok" : "not started");
   return 0;
 }

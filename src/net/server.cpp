@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <span>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -17,6 +18,20 @@ void bump(const char* name, std::uint64_t n = 1) {
   if constexpr (obs::kEnabled) {
     if (n > 0) obs::MetricRegistry::global().counter(name).inc(n);
   }
+}
+
+/// The per-frame counters, resolved once: bump() looks its counter up by
+/// name under the registry mutex on every call.
+struct FrameCounters {
+  obs::Counter& submit_batches;
+  obs::Counter& completion_frames;
+};
+
+FrameCounters& frame_counters() {
+  static FrameCounters c{
+      obs::MetricRegistry::global().counter("net.submit_batches"),
+      obs::MetricRegistry::global().counter("net.completion_frames")};
+  return c;
 }
 
 }  // namespace
@@ -72,9 +87,10 @@ core::RequestOutcome from_wire_completion(const WireCompletion& c) noexcept {
 /// loop; a dedicated writer thread owns the socket's write side so the
 /// service thread never blocks on a peer. All outbound traffic funnels
 /// through one mutex-guarded staging area: completions batch naturally
-/// (whatever accumulated while the writer was in send_all goes out as one
-/// frame), control frames keep their order relative to the completions
-/// enqueued around them.
+/// (each engine batch's run for this connection is appended under one
+/// lock, and whatever accumulated while the writer was in send_all goes
+/// out as one frame), control frames keep their order relative to the
+/// completions enqueued around them.
 struct DaemonServer::Conn {
   std::uint64_t id = 0;
   int fd = -1;
@@ -94,18 +110,34 @@ struct DaemonServer::Conn {
   std::atomic<std::uint64_t> served{0};
   bool counted_active = false;  // holds one active_submitters_ slot
 
-  /// Queue encoded-completion payload entries (cheap struct copies; the
-  /// writer encodes). False when the connection is dead or past budget.
-  bool queue_completion(const WireCompletion& c, std::size_t budget) {
-    const std::unique_lock<std::mutex> lock(mutex);
-    if (closed || dead) return false;
-    if (queued_bytes > budget) {
-      dead = true;  // peer stopped reading; reap below
-      cv.notify_all();
-      return false;
+  /// Declare the peer dead (mutex held). Shutting the socket both ways
+  /// wakes a writer blocked in send_all on a peer that stopped reading and
+  /// a reader blocked in recv, so the connection is reaped instead of
+  /// holding up stop(). The fd stays open until conn_finished closes it.
+  void mark_dead() {
+    dead = true;
+    ::shutdown(fd, SHUT_RDWR);
+    cv.notify_all();
+  }
+
+  /// Stage one run of verdicts (cheap struct copies; the writer encodes)
+  /// under one lock and one wake-up, sent after the lock is released so
+  /// the writer does not wake into a held mutex. False when the connection
+  /// is dead or past budget: the whole run is dropped.
+  bool queue_completions(std::span<const service::Served> run,
+                         std::size_t budget) {
+    {
+      const std::unique_lock<std::mutex> lock(mutex);
+      if (closed || dead) return false;
+      if (queued_bytes > budget) {
+        mark_dead();  // peer stopped reading; reap below
+        return false;
+      }
+      for (const service::Served& s : run) {
+        completions.push_back(to_wire_completion(s.tag, s.out));
+      }
+      queued_bytes += run.size() * 54;  // encoded WireCompletion size
     }
-    completions.push_back(c);
-    queued_bytes += 54;  // encoded WireCompletion size
     cv.notify_all();
     return true;
   }
@@ -114,8 +146,7 @@ struct DaemonServer::Conn {
     const std::unique_lock<std::mutex> lock(mutex);
     if (closed || dead) return;
     if (queued_bytes > budget) {
-      dead = true;
-      cv.notify_all();
+      mark_dead();
       return;
     }
     queued_bytes += ps.size() * 9;
@@ -175,10 +206,13 @@ struct DaemonServer::Conn {
       std::string out;
       for (auto& f : ctl) out += f;
       if (!ps.empty()) out += encode_pushbacks(ps);
-      if (!cs.empty()) out += encode_completions(cs);
+      if (!cs.empty()) {
+        out += encode_completions(cs);
+        if constexpr (obs::kEnabled) frame_counters().completion_frames.inc();
+      }
       if (!out.empty() && !send_all(fd, out)) {
         const std::unique_lock<std::mutex> lock(mutex);
-        dead = true;
+        mark_dead();
         return;
       }
     }
@@ -336,7 +370,7 @@ void DaemonServer::serve_frames(Conn& conn, int fd) {
             bump("net.pushbacks", count);
             conn.queue_pushbacks(std::move(ps), opts_.writer_budget_bytes);
           }
-          bump("net.submit_batches");
+          if constexpr (obs::kEnabled) frame_counters().submit_batches.inc();
           break;
         }
         case FrameType::kFlush: {
@@ -400,30 +434,42 @@ void DaemonServer::conn_finished(const std::shared_ptr<Conn>& conn) {
 }
 
 void DaemonServer::on_served(const service::Served& s) {
-  std::shared_ptr<Conn> conn;
-  {
-    const std::unique_lock<std::mutex> lock(conns_mutex_);
-    auto it = conns_.find(s.conn);
-    if (it != conns_.end()) conn = it->second;
+  on_served_batch({&s, 1});
+}
+
+void DaemonServer::on_served_batch(std::span<const service::Served> batch) {
+  for (std::size_t begin = 0; begin < batch.size();) {
+    const std::uint64_t id = batch[begin].conn;
+    std::size_t end = begin + 1;
+    while (end < batch.size() && batch[end].conn == id) ++end;
+    const auto run = batch.subspan(begin, end - begin);
+    begin = end;
+
+    std::shared_ptr<Conn> conn;
+    {
+      const std::unique_lock<std::mutex> lock(conns_mutex_);
+      auto it = conns_.find(id);
+      if (it != conns_.end()) conn = it->second;
+    }
+    if (conn == nullptr) {
+      dropped_.fetch_add(run.size(), std::memory_order_relaxed);
+      bump("net.dropped_completions", run.size());
+      continue;
+    }
+    // Free the run's in-flight slots BEFORE staging its answers: the
+    // instant they are queued, the writer can deliver them and the client
+    // can submit into the freed slots — if the dispatcher then read a
+    // count this thread had not yet decremented, a compliant closed-loop
+    // client riding exactly at the cap would be pushed back for the
+    // server's own lag.
+    conn->outstanding.fetch_sub(run.size(), std::memory_order_relaxed);
+    if (!conn->queue_completions(run, opts_.writer_budget_bytes)) {
+      dropped_.fetch_add(run.size(), std::memory_order_relaxed);
+      bump("net.dropped_completions", run.size());
+      continue;
+    }
+    conn->served.fetch_add(run.size(), std::memory_order_relaxed);
   }
-  if (conn == nullptr) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    bump("net.dropped_completions");
-    return;
-  }
-  // Free the in-flight slot BEFORE staging the answer: the instant the
-  // completion is queued, the writer can deliver it and the client can
-  // submit into the freed slot — if the dispatcher then read a count this
-  // thread had not yet decremented, a compliant closed-loop client riding
-  // exactly at the cap would be pushed back for the server's own lag.
-  conn->outstanding.fetch_sub(1, std::memory_order_relaxed);
-  if (!conn->queue_completion(to_wire_completion(s.tag, s.out),
-                              opts_.writer_budget_bytes)) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    bump("net.dropped_completions");
-    return;
-  }
-  conn->served.fetch_add(1, std::memory_order_relaxed);
 }
 
 void DaemonServer::maybe_drain() {

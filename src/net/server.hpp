@@ -9,8 +9,11 @@
 //    translates WireEvents into trace events, and feeds the facade.
 //  * service::PipelineService — the thread-safe front of the QoS pipeline.
 //    The server is the facade's ServedSink: completions come back on the
-//    service thread in global ingestion order and are routed to each
-//    connection's writer by the (conn, tag) pair submitted with the event.
+//    service thread in global ingestion order, one engine batch at a time,
+//    and are routed per batch: each run of one connection's verdicts costs
+//    one connection lookup, one in-flight decrement, one lock of that
+//    connection's staging area and one writer wake-up, and the (conn, tag)
+//    pair submitted with each event says where it goes.
 //
 // Overload is answered at the wire, never inside the pipeline:
 //
@@ -21,8 +24,9 @@
 //  * Draining: submits that race past drain are answered with
 //    kPushback(kDraining).
 //  * A connection that stops reading grows its writer backlog; past the
-//    byte budget the connection is declared dead and closed (counted in
-//    net.dropped_completions) instead of wedging the service thread.
+//    byte budget the connection is declared dead and its socket shut
+//    (later verdicts are counted in net.dropped_completions) instead of
+//    wedging the service thread, its writer, or stop().
 //
 // Session model: the pipeline replays ONE stream, so the daemon serves one
 // session-generation. A connection ends its submissions with kEndSession
@@ -40,6 +44,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -109,8 +114,9 @@ class DaemonServer final : public service::ServedSink {
     return dropped_.load(std::memory_order_relaxed);
   }
 
-  // ServedSink (service thread): route the verdict to its connection.
+  // ServedSink (service thread): route each verdict to its connection.
   void on_served(const service::Served& s) override;
+  void on_served_batch(std::span<const service::Served> batch) override;
 
  private:
   struct Conn;

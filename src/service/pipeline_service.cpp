@@ -1,8 +1,10 @@
 #include "service/pipeline_service.hpp"
 
 #include <algorithm>
+#include <deque>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -23,11 +25,12 @@ constexpr std::uint64_t kMarkerConn = ~std::uint64_t{0};
 
 }  // namespace
 
-/// The MPSC ingress, seen by the engine as a TraceCursor. Producers push
-/// whole submit batches (bounded HandoffQueue — arrival order under its
-/// lock IS the global ingestion order); the service thread pops them in
-/// fill(), emitting the events and staging each event's (conn, tag) in a
-/// side queue the sink pops back off in the same order.
+/// The service thread's view of a live session: the MPSC ingress the
+/// engine reads as its TraceCursor, and the OutcomeSink it folds verdicts
+/// into. Producers push whole submit batches (bounded HandoffQueue —
+/// arrival order under its lock IS the global ingestion order); fill()
+/// pops them, emitting the events and queueing each event's (conn, tag),
+/// which on_outcome pops back off in the same order.
 ///
 /// The frontier promise travels THROUGH the queue, not around it: flush()
 /// enqueues a marker item carrying the floor at enqueue time, and fill()
@@ -40,19 +43,39 @@ constexpr std::uint64_t kMarkerConn = ~std::uint64_t{0};
 /// events still sitting in the queue.) Consuming a marker also makes
 /// fill() return 0, so an engine blocked on an idle stream wakes and
 /// drains up to the new frontier.
-class PipelineService::LiveIngress final : public trace::TraceCursor {
+///
+/// Verdicts are staged, not handed over one by one: the engine calls
+/// fill() after every drain step, so the top of fill() hands the sink
+/// everything that step folded before the ingress can block. Staging also
+/// hands over at batch_size verdicts (a long final drain stays bounded),
+/// and the service thread hands over the last ones once run_stream
+/// returns. Each fill() consumes at most one ingress item, so a session
+/// costs at most one hand-off per submit or flush, plus the final one,
+/// plus one per batch_size verdicts a single drain step folds.
+class PipelineService::LiveIngress final : public trace::TraceCursor,
+                                           public core::OutcomeSink {
  public:
-  LiveIngress(trace::TraceMeta meta, std::size_t capacity)
-      : meta_(std::move(meta)), q_(capacity) {}
+  LiveIngress(const ServiceOptions& opts, ServedSink& sink)
+      : meta_(opts.meta),
+        q_(opts.ingress_batches),
+        sink_(sink),
+        stage_cap_(opts.batch_size),
+        mangle_(opts.mangle_for_test) {
+    if constexpr (obs::kEnabled) {
+      served_batches_ =
+          &obs::MetricRegistry::global().counter("service.served_batches");
+    }
+  }
 
   [[nodiscard]] const trace::TraceMeta& meta() const noexcept override {
     return meta_;
   }
 
   [[nodiscard]] std::size_t fill(std::span<trace::TraceEvent> out) override {
+    hand_off();
     std::size_t written = 0;
     while (written < out.size()) {
-      if (stage_pos_ == stage_.size()) {
+      if (items_pos_ == items_.size()) {
         if (written > 0) break;  // deliver what we have before blocking
         auto batch = q_.pop();
         if (!batch.has_value()) {
@@ -66,17 +89,17 @@ class PipelineService::LiveIngress final : public trace::TraceCursor {
           return written;  // 0: wake the engine so it drains to frontier()
         }
         if (batch->empty()) return written;  // plain wakeup, no promise
-        stage_ = std::move(*batch);
-        stage_pos_ = 0;
+        items_ = std::move(*batch);
+        items_pos_ = 0;
       }
       const std::size_t n =
-          std::min(out.size() - written, stage_.size() - stage_pos_);
+          std::min(out.size() - written, items_.size() - items_pos_);
       for (std::size_t i = 0; i < n; ++i) {
-        const LiveItem& item = stage_[stage_pos_ + i];
+        const LiveItem& item = items_[items_pos_ + i];
         out[written + i] = item.ev;
         routing_.push_back({item.conn, item.tag});
       }
-      stage_pos_ += n;
+      items_pos_ += n;
       written += n;
     }
     return written;
@@ -94,57 +117,52 @@ class PipelineService::LiveIngress final : public trace::TraceCursor {
 
   [[nodiscard]] bool exhausted() const noexcept override { return done_; }
 
+  /// Reunites the outcome (arriving in ingestion order) with its routing
+  /// pair, applies the verification mangle knob, and stages it.
+  void on_outcome(std::uint64_t seq, const trace::TraceEvent& ev,
+                  const core::RequestOutcome& out) override {
+    FLASHQOS_ASSERT(seq == next_seq_, "outcomes must fold in ingestion order");
+    FLASHQOS_ASSERT(!routing_.empty(),
+                    "outcome folded before its event was staged");
+    ++next_seq_;
+    Served& s = staged_.emplace_back();
+    s.seq = seq;
+    std::tie(s.conn, s.tag) = routing_.front();
+    routing_.pop_front();
+    s.ev = ev;
+    s.out = out;
+    if (mangle_) s.out.finish += 1;  // oracle-visible, deliberately wrong
+    if (staged_.size() >= stage_cap_) hand_off();
+  }
+
+  /// Give the sink every staged verdict (service thread only).
+  void hand_off() {
+    if (staged_.empty()) return;
+    sink_.on_served_batch(staged_);
+    staged_.clear();
+    if constexpr (obs::kEnabled) served_batches_->inc();
+  }
+
   /// Producer side. push blocks while full; false iff closed.
   bool push(std::vector<LiveItem> batch) { return q_.push(std::move(batch)); }
   void close() { q_.close(); }
 
-  /// Sink side (service thread only): the routing pair for the next
-  /// outcome, in ingestion order.
-  [[nodiscard]] std::pair<std::uint64_t, std::uint64_t> take_routing() {
-    FLASHQOS_ASSERT(!routing_.empty(),
-                    "outcome folded before its event was staged");
-    const auto front = routing_.front();
-    routing_.pop_front();
-    return front;
-  }
-
  private:
   trace::TraceMeta meta_;
   HandoffQueue<std::vector<LiveItem>> q_;
+  ServedSink& sink_;
+  const std::size_t stage_cap_;
+  const bool mangle_;
+  obs::Counter* served_batches_ = nullptr;
+  // Service-thread state from here on (fill, on_outcome and hand_off all
+  // run there).
   SimTime frontier_ = 0;
   bool done_ = false;
-  // Service-thread-local staging (fill/take_routing both run there).
-  std::vector<LiveItem> stage_;
-  std::size_t stage_pos_ = 0;
+  std::vector<LiveItem> items_;  // the ingress item fill() is emitting
+  std::size_t items_pos_ = 0;
   std::deque<std::pair<std::uint64_t, std::uint64_t>> routing_;
-};
-
-/// Adapts the engine's OutcomeSink to the service's ServedSink: reunites
-/// each outcome (arriving in ingestion order) with its staged routing
-/// pair, applies the verification mangle knob, and forwards.
-class PipelineService::EngineSink final : public core::OutcomeSink {
- public:
-  EngineSink(LiveIngress& ingress, ServedSink& sink, bool mangle)
-      : ingress_(ingress), sink_(sink), mangle_(mangle) {}
-
-  void on_outcome(std::uint64_t seq, const trace::TraceEvent& ev,
-                  const core::RequestOutcome& out) override {
-    FLASHQOS_ASSERT(seq == next_, "outcomes must fold in ingestion order");
-    ++next_;
-    Served s;
-    s.seq = seq;
-    std::tie(s.conn, s.tag) = ingress_.take_routing();
-    s.ev = ev;
-    s.out = out;
-    if (mangle_) s.out.finish += 1;  // oracle-visible, deliberately wrong
-    sink_.on_served(s);
-  }
-
- private:
-  LiveIngress& ingress_;
-  ServedSink& sink_;
-  const bool mangle_;
-  std::uint64_t next_ = 0;
+  std::uint64_t next_seq_ = 0;
+  std::vector<Served> staged_;
 };
 
 PipelineService::PipelineService(const decluster::AllocationScheme& scheme,
@@ -174,10 +192,7 @@ core::StreamResult PipelineService::run_stream(trace::TraceCursor& cursor) {
 
 bool PipelineService::start(ServedSink& sink) {
   if (started_.exchange(true, std::memory_order_acq_rel)) return false;
-  ingress_ = std::make_unique<LiveIngress>(opts_.meta, opts_.ingress_batches);
-  engine_sink_ =
-      std::make_unique<EngineSink>(*ingress_, sink, opts_.mangle_for_test);
-  sink_ = &sink;
+  ingress_ = std::make_unique<LiveIngress>(opts_, sink);
   accepting_.store(true, std::memory_order_release);
   thread_ = std::thread([this] { service_thread(); });
   return true;
@@ -188,9 +203,11 @@ void PipelineService::service_thread() {
   so.batch_size = opts_.batch_size;
   so.horizon = opts_.horizon;
   so.keep_intervals = opts_.keep_intervals;
-  so.sink = engine_sink_.get();
+  so.sink = ingress_.get();
   core::QosPipeline pipe(scheme_, opts_.pipeline);
-  result_.emplace(pipe.run_stream(*ingress_, nullptr, so));
+  core::StreamResult res = pipe.run_stream(*ingress_, nullptr, so);
+  ingress_->hand_off();  // what the final drain folded
+  result_.emplace(std::move(res));
 }
 
 bool PipelineService::submit(std::uint64_t conn,

@@ -12,7 +12,8 @@
 //    runs the streaming replay engine over an MPSC ingress (a bounded
 //    HandoffQueue of submit batches read through a TraceCursor). Any number
 //    of producer threads submit(); verdicts come back through a ServedSink
-//    in global ingestion order with full latency attribution. Admission
+//    in global ingestion order with full latency attribution, handed over
+//    once per engine batch rather than once per outcome. Admission
 //    stays interval-clocked: the engine is the unmodified replay core, so
 //    every guarantee the oracles audit (S = (c-1)M² + cM, Q ≤ ε, WFQ
 //    floors, degraded-mode budgets) holds for live traffic verbatim.
@@ -36,7 +37,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <span>
@@ -62,13 +62,23 @@ struct Served {
   core::RequestOutcome out;
 };
 
-/// Consumer of live verdicts. on_served runs on the service thread, in
-/// ingestion order; implementations must be fast and never re-enter the
-/// service (route, count, hand off — no blocking on the producer side).
+/// Consumer of live verdicts. The service thread stages the verdicts the
+/// engine folds and hands them over in batches: before every ingress read
+/// (so nothing staged waits while the engine blocks for input), whenever
+/// ServiceOptions::batch_size are staged, and once at the end of the
+/// stream. Batches arrive in ingestion order, their seqs contiguous across
+/// calls; a batch's span is valid only during the call. on_served is not
+/// called as each outcome folds; the default on_served_batch calls it once
+/// per verdict of a batch. Implementations run on the service thread, must
+/// be fast and never re-enter the service (route, count, hand off — no
+/// blocking on the producer side).
 class ServedSink {
  public:
   virtual ~ServedSink() = default;
   virtual void on_served(const Served& s) = 0;
+  virtual void on_served_batch(std::span<const Served> batch) {
+    for (const Served& s : batch) on_served(s);
+  }
 };
 
 struct ServiceOptions {
@@ -79,7 +89,8 @@ struct ServiceOptions {
   /// Fault-schedule horizon for live/streaming runs (required by the
   /// engine when the fault plan is non-empty).
   SimTime horizon = 0;
-  /// Events the service thread pulls from the ingress per engine batch.
+  /// Events the service thread pulls from the ingress per engine batch;
+  /// also the most verdicts it stages before handing them to the sink.
   std::size_t batch_size = 1024;
   /// Submit batches buffered ahead of the engine; producers block when
   /// it is full (bounded memory, TCP-style backpressure up the stack).
@@ -165,7 +176,6 @@ class PipelineService {
 
  private:
   class LiveIngress;
-  class EngineSink;
 
   void service_thread();
 
@@ -173,8 +183,6 @@ class PipelineService {
   ServiceOptions opts_;
 
   std::unique_ptr<LiveIngress> ingress_;
-  std::unique_ptr<EngineSink> engine_sink_;
-  ServedSink* sink_ = nullptr;
   std::thread thread_;
 
   util::StdSyncPolicy::Mutex submit_mutex_;  // serializes clamp + enqueue

@@ -248,6 +248,29 @@ Report verify_daemon(const decluster::AllocationScheme& scheme,
   {
     core::PipelineConfig cfg;  // online deterministic: the flat line
     audit("daemon online/det/fim @synthetic", cfg, synthetic, 0);
+    // The audit's daemon session wrote the registry last. Verdicts reach
+    // the server once per engine batch: a session costs at most one
+    // hand-off per submit frame plus the last one after the stream ends,
+    // however many verdicts it serves.
+    if constexpr (obs::kEnabled) {
+      const auto snap = reg.snapshot();
+      const auto value = [&](const char* name) -> std::uint64_t {
+        const auto* c = snap.find_counter(name);
+        return c != nullptr ? c->value : 0;
+      };
+      const std::uint64_t handoffs = value("service.served_batches");
+      const std::uint64_t frames = value("net.submit_batches");
+      const bool ok = handoffs > 0 && handoffs <= frames + 1;
+      report.add("daemon online/det/fim @synthetic: verdict hand-offs <= "
+                 "submit frames + 1",
+                 ok,
+                 "hand-offs " + std::to_string(handoffs) + ", submit frames " +
+                     std::to_string(frames) + ", verdicts " +
+                     std::to_string(synthetic.events.size()));
+    } else {
+      report.add("daemon verdict hand-off bound: skipped (FLASHQOS_OBS=OFF)",
+                 true);
+    }
   }
   {
     core::PipelineConfig cfg;  // aligned batches + inline FIM mining

@@ -11,12 +11,14 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <initializer_list>
 #include <limits>
 #include <random>
 #include <string>
@@ -198,6 +200,86 @@ TEST(Frame, ControlFramesRoundTrip) {
     EXPECT_EQ(frames[0].type, FrameType::kEndSession);
     EXPECT_TRUE(frames[0].payload.empty());
   }
+}
+
+/// A byte string from a list of byte values.
+std::string bytes(std::initializer_list<unsigned> bs) {
+  std::string out;
+  for (const unsigned b : bs) out.push_back(static_cast<char>(b));
+  return out;
+}
+
+TEST(Frame, WireBytesArePinned) {
+  // Round trips cannot see a change made symmetrically to encode and
+  // decode; these hand-written little-endian frames can. Every field holds
+  // distinct multi-byte values, so a swapped byte order or field shows.
+  EXPECT_EQ(encode_hello(1), bytes({0x05, 0, 0, 0, 0x01,  // len 5, kHello
+                                    0x01, 0, 0, 0}));
+  EXPECT_EQ(encode_flush(0x0102030405060708),
+            bytes({0x09, 0, 0, 0, 0x03,  // len 9, kFlush
+                   0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01}));
+
+  const WireEvent ev{.tag = 0x1122334455667788,
+                     .time = 0x0102030405,
+                     .block = 0xdeadbeef,
+                     .device = 0x01020304,
+                     .size_blocks = 0x0a0b,
+                     .tenant = 0xc0ffee,
+                     .flags = 0x01};
+  const std::string submit = bytes({
+      0x2a, 0, 0, 0, 0x02,                             // len 42, kSubmit
+      0x01, 0, 0, 0,                                   // count
+      0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11,  // tag
+      0x05, 0x04, 0x03, 0x02, 0x01, 0, 0, 0,           // time
+      0xef, 0xbe, 0xad, 0xde, 0, 0, 0, 0,              // block
+      0x04, 0x03, 0x02, 0x01,                          // device
+      0x0b, 0x0a, 0, 0,                                // size_blocks
+      0xee, 0xff, 0xc0, 0,                             // tenant
+      0x01});                                          // flags
+  EXPECT_EQ(encode_submit({&ev, 1}), submit);
+
+  const WireCompletion c{.tag = 0x0807060504030201,
+                         .arrival = 0x0102,
+                         .dispatch = 0x030405,
+                         .start = 0x06070809,
+                         .finish = 0x0a0b0c0d0e,
+                         .device = -2,
+                         .q_ppm = 0x012345,
+                         .tenant = 0x0203,
+                         .path = 3,
+                         .flags = 0x09};
+  const std::string completion = bytes({
+      0x3b, 0, 0, 0, 0x42,                             // len 59, kCompletion
+      0x01, 0, 0, 0,                                   // count
+      0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08,  // tag
+      0x02, 0x01, 0, 0, 0, 0, 0, 0,                    // arrival
+      0x05, 0x04, 0x03, 0, 0, 0, 0, 0,                 // dispatch
+      0x09, 0x08, 0x07, 0x06, 0, 0, 0, 0,              // start
+      0x0e, 0x0d, 0x0c, 0x0b, 0x0a, 0, 0, 0,           // finish
+      0xfe, 0xff, 0xff, 0xff,                          // device
+      0x45, 0x23, 0x01, 0,                             // q_ppm
+      0x03, 0x02, 0, 0,                                // tenant
+      0x03,                                            // path
+      0x09});                                          // flags
+  EXPECT_EQ(encode_completions({&c, 1}), completion);
+
+  // The hand-written frames decode to the same values.
+  std::vector<WireEvent> evs;
+  ASSERT_TRUE(decode_submit(reassemble(submit, 64).at(0), evs));
+  expect_events_eq({ev}, evs);
+  std::vector<WireCompletion> cs;
+  ASSERT_TRUE(decode_completions(reassemble(completion, 64).at(0), cs));
+  ASSERT_EQ(cs.size(), 1u);
+  EXPECT_EQ(cs[0].tag, c.tag);
+  EXPECT_EQ(cs[0].arrival, c.arrival);
+  EXPECT_EQ(cs[0].dispatch, c.dispatch);
+  EXPECT_EQ(cs[0].start, c.start);
+  EXPECT_EQ(cs[0].finish, c.finish);
+  EXPECT_EQ(cs[0].device, c.device);
+  EXPECT_EQ(cs[0].q_ppm, c.q_ppm);
+  EXPECT_EQ(cs[0].tenant, c.tenant);
+  EXPECT_EQ(cs[0].path, c.path);
+  EXPECT_EQ(cs[0].flags, c.flags);
 }
 
 TEST(Frame, TornReadsNeverChangeTheFrames) {
@@ -598,6 +680,68 @@ TEST(DaemonServer, CapBoundaryClientIsNeverPushedBack) {
   EXPECT_TRUE(cl.pushbacks.empty());
   EXPECT_EQ(fx.server.pushbacks_sent(), 0u);
   fx.server.stop();
+}
+
+TEST(DaemonServer, DeadPeerIsShutSoStopReturns) {
+  // A peer that keeps its socket open but never reads: its writer blocks
+  // in send_all, the backlog passes the budget and the server declares the
+  // peer dead. Unless the server also shuts the socket, the writer never
+  // returns, and neither do conn_finished's join and stop().
+  ServerOptions opts;
+  opts.dispatchers = 1;
+  opts.writer_budget_bytes = 64 << 10;
+  DaemonFixture fx(opts);
+  ASSERT_TRUE(fx.server.start());
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  const int rcvbuf = 4096;  // set before connect: it sizes the window
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf)), 0);
+  // A send the server never drains fails after this instead of hanging.
+  const timeval send_timeout{.tv_sec = 10, .tv_usec = 0};
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &send_timeout,
+                         sizeof(send_timeout)),
+            0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(fx.server.port());
+  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)), 0);
+
+  // 4 events per QoS interval (inside the budget), 64 per submit, each
+  // submit followed by a flush to the next one's first arrival so every
+  // verdict is released. The client stops at the first failed send: a
+  // server that closes the dead connection resets it.
+  bool sending = send_all(fd, encode_hello());
+  std::vector<WireEvent> evs(64);
+  std::uint64_t next = 0;
+  for (int submit = 0; sending && submit < 4000; ++submit) {
+    for (auto& e : evs) {
+      e.tag = next;
+      e.time = static_cast<std::int64_t>(next * kBaseInterval / 4);
+      e.block = next % 36;
+      ++next;
+    }
+    sending = send_all(fd, encode_submit(evs) +
+                               encode_flush(static_cast<std::int64_t>(
+                                   next * kBaseInterval / 4)));
+  }
+
+  std::atomic<bool> stopped{false};
+  std::thread stopper([&] {
+    fx.server.stop();
+    stopped.store(true, std::memory_order_release);
+  });
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!stopped.load(std::memory_order_acquire) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  const bool stopped_in_time = stopped.load(std::memory_order_acquire);
+  ::close(fd);  // unblocks a writer still stuck on this peer
+  stopper.join();
+  EXPECT_TRUE(stopped_in_time) << "stop() blocked on a dead peer's writer";
+  EXPECT_GT(fx.server.dropped_completions(), 0u) << "the budget never fired";
 }
 
 }  // namespace

@@ -2,14 +2,17 @@
 // API is result-identical to constructing QosPipeline directly, the live
 // API serves a submitted stream bit-identically to an in-process replay,
 // the ingestion-floor clamp and tenant-fold accounting work, flush()
-// releases verdicts mid-session (the marker-carried frontier), and drain
-// is idempotent.
+// releases verdicts mid-session (the marker-carried frontier), drain is
+// idempotent, and verdicts reach a batch sink once each, in order, with a
+// bounded number of hand-offs per session.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -19,6 +22,7 @@
 #include "core/qos_pipeline.hpp"
 #include "decluster/schemes.hpp"
 #include "design/constructions.hpp"
+#include "obs/metrics.hpp"
 #include "service/pipeline_service.hpp"
 #include "trace/cursor.hpp"
 #include "trace/synthetic.hpp"
@@ -72,6 +76,31 @@ struct CollectSink final : ServedSink {
     return served.size();
   }
 };
+
+/// Overrides on_served_batch: the service must hand every verdict over
+/// through it, never through on_served directly.
+struct BatchSink final : ServedSink {
+  std::mutex mutex;
+  std::condition_variable cv;
+  std::vector<std::vector<Served>> batches;
+  std::atomic<bool> per_verdict_call{false};
+
+  void on_served(const Served& /*s*/) override {
+    per_verdict_call.store(true, std::memory_order_relaxed);
+  }
+
+  void on_served_batch(std::span<const Served> batch) override {
+    const std::lock_guard<std::mutex> lock(mutex);
+    batches.emplace_back(batch.begin(), batch.end());
+    cv.notify_all();
+  }
+};
+
+std::uint64_t served_batches_counter() {
+  const auto snap = obs::MetricRegistry::global().snapshot();
+  const auto* c = snap.find_counter("service.served_batches");
+  return c != nullptr ? c->value : 0;
+}
 
 TEST(PipelineService, RunMatchesDirectPipeline) {
   const auto d = design::make_9_3_1();
@@ -261,6 +290,119 @@ TEST(PipelineService, FlushReleasesVerdictsMidSession) {
     EXPECT_TRUE(svc.accepting()) << "session must still be open";
     (void)svc.drain();
     EXPECT_EQ(sink.count(), 1u);
+  }
+}
+
+TEST(PipelineService, BatchSinkSeesEveryVerdictOnceInOrder) {
+  // A small batch_size makes the staging cap hand over mid-drain too.
+  const auto d = design::make_9_3_1();
+  const decluster::DesignTheoretic scheme(d, true);
+  const auto t = small_trace();
+  const auto want = PipelineService(scheme, options_for(t)).run(t);
+
+  auto so = options_for(t);
+  so.batch_size = 16;
+  PipelineService svc(scheme, so);
+  BatchSink sink;
+  ASSERT_TRUE(svc.start(sink));
+  std::vector<std::uint64_t> tags(t.events.size());
+  for (std::size_t i = 0; i < tags.size(); ++i) tags[i] = 1000 + i;
+  for (std::size_t off = 0, step = 1; off < t.events.size(); step = step * 2 + 1) {
+    const std::size_t n = std::min(step, t.events.size() - off);
+    ASSERT_TRUE(svc.submit(3, {t.events.data() + off, n}, {tags.data() + off, n}));
+    off += n;
+    if (off < t.events.size()) svc.flush(t.events[off].time);
+  }
+  (void)svc.drain();
+
+  EXPECT_FALSE(sink.per_verdict_call.load());
+  std::uint64_t next = 0;
+  for (const auto& batch : sink.batches) {
+    EXPECT_FALSE(batch.empty());
+    EXPECT_LE(batch.size(), so.batch_size);
+    for (const auto& s : batch) {
+      ASSERT_EQ(s.seq, next) << "seqs must be contiguous across batches";
+      EXPECT_EQ(s.conn, 3u);
+      EXPECT_EQ(s.tag, 1000 + next);
+      EXPECT_EQ(s.out.finish, want.outcomes[next].finish) << next;
+      EXPECT_EQ(s.out.device, want.outcomes[next].device) << next;
+      ++next;
+    }
+  }
+  EXPECT_EQ(next, want.outcomes.size());
+}
+
+TEST(PipelineService, FlushReleasesVerdictThroughABatch) {
+  const auto d = design::make_9_3_1();
+  const decluster::DesignTheoretic scheme(d, true);
+  ServiceOptions so;
+  so.pipeline = basic_config();
+  so.meta.name = "flush-batch";
+  PipelineService svc(scheme, so);
+  BatchSink sink;
+  ASSERT_TRUE(svc.start(sink));
+
+  trace::TraceEvent ev;
+  ev.block = 4;
+  const std::uint64_t tag = 42;
+  ASSERT_TRUE(svc.submit(1, {&ev, 1}, {&tag, 1}));
+  svc.flush(ev.time + 1);
+  {
+    std::unique_lock<std::mutex> lock(sink.mutex);
+    const bool served = sink.cv.wait_for(lock, std::chrono::seconds(10),
+                                         [&] { return !sink.batches.empty(); });
+    ASSERT_TRUE(served) << "flush did not hand the verdict over";
+    ASSERT_EQ(sink.batches[0].size(), 1u);
+    EXPECT_EQ(sink.batches[0][0].tag, 42u);
+  }
+  EXPECT_TRUE(svc.accepting()) << "session must still be open";
+  (void)svc.drain();
+  EXPECT_EQ(sink.batches.size(), 1u);
+  EXPECT_FALSE(sink.per_verdict_call.load());
+}
+
+TEST(PipelineService, HandOffsAreBoundedBySubmitsAndFlushes) {
+  // Each submit is one ingress item and fill() consumes at most one item
+  // per call, handing over what the drain before it folded. So a session
+  // costs at most one hand-off per submit or flush, plus the last one after
+  // the stream ends (no drain step here folds batch_size verdicts). A
+  // service that hands over per outcome makes 6400.
+  const auto d = design::make_9_3_1();
+  const decluster::DesignTheoretic scheme(d, true);
+  trace::SyntheticParams p;
+  p.bucket_pool = 36;
+  p.requests_per_interval = 4;
+  p.total_requests = 6400;
+  p.seed = 5;
+  const auto t = trace::generate_synthetic(p);
+
+  PipelineService svc(scheme, options_for(t));
+  BatchSink sink;
+  const std::uint64_t counter_before = served_batches_counter();
+  ASSERT_TRUE(svc.start(sink));
+  std::vector<std::uint64_t> tags(t.events.size());
+  for (std::size_t i = 0; i < tags.size(); ++i) tags[i] = i;
+  std::size_t submits = 0;
+  std::size_t flushes = 0;
+  for (std::size_t off = 0; off < t.events.size(); off += 64) {
+    const std::size_t n = std::min<std::size_t>(64, t.events.size() - off);
+    ASSERT_TRUE(svc.submit(1, {t.events.data() + off, n}, {tags.data() + off, n}));
+    ++submits;
+    if (submits % 10 == 0 && off + n < t.events.size()) {
+      svc.flush(t.events[off + n].time);
+      ++flushes;
+    }
+  }
+  (void)svc.drain();
+
+  std::size_t verdicts = 0;
+  for (const auto& b : sink.batches) verdicts += b.size();
+  EXPECT_EQ(verdicts, t.events.size());
+  EXPECT_GE(sink.batches.size(), 1u);
+  EXPECT_LE(sink.batches.size(), submits + flushes + 1)
+      << submits << " submits, " << flushes << " flushes";
+  if constexpr (obs::kEnabled) {
+    EXPECT_EQ(served_batches_counter() - counter_before, sink.batches.size());
   }
 }
 
